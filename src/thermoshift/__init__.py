@@ -50,7 +50,7 @@ from thermoshift.matrix_cocycle import (
     log_norm_of_path,
     max_lyapunov,
 )
-from thermoshift.modelfile import ModelFileError, RunConfig, load_model_file
+from thermoshift.modelfile import ModelFileError, load_model_file
 from thermoshift.potentials import (
     BirkhoffPotential,
     PotentialSequence,
@@ -104,7 +104,6 @@ __all__ = [
     "ModelFileError",
     "PotentialSequence",
     "PressureEstimate",
-    "RunConfig",
     "SymbolWeightPotential",
     "TransitionModel",
     "bernoulli_measure",

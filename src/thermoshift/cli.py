@@ -1,9 +1,10 @@
 """Batch front-end: load a model file, run one computation, emit CSV tables.
 
 Exit codes: 0 on success, 1 on configuration errors (the message names the
-offending field), 2 when a convergence or certification flag failed, 3 when
-the divergence policy fired. All numeric CSV cells use the shortest float
-representation that parses back to the same value.
+offending field, the non-mixing truncation level, or the enumeration cap
+that was exceeded), 2 when a convergence or certification flag failed, 3
+when the divergence policy fired. All numeric CSV cells use the shortest
+float representation that parses back to the same value.
 """
 
 import argparse
@@ -15,11 +16,10 @@ import sys
 from typing import Optional, Sequence
 
 from .dimension import bowen_dimension
-from .gibbs import finite_gibbs_nu, verify_gibbs
+from .gibbs import NonMixingSubshiftError, finite_gibbs_nu, verify_gibbs
 from .matrix_cocycle import max_lyapunov
 from .modelfile import (
     ModelFileError,
-    RunConfig,
     build_construction,
     build_family,
     build_measure,
@@ -28,7 +28,13 @@ from .modelfile import (
     load_model_file,
 )
 from .potentials import estimate_regularity, summability_report
-from .pressure import curve_second_differences, gurevich_pressure, pressure_curve
+from .pressure import (
+    EnumerationBudgetError,
+    NonMixingTruncationError,
+    curve_second_differences,
+    gurevich_pressure,
+    pressure_curve,
+)
 from .shift_core import BipCertificate, check_bip, truncate
 
 EXIT_OK = 0
@@ -320,12 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name)
         cmd.add_argument("--model", required=True, help="model file (JSON)")
         cmd.add_argument("--out", default=".", help="output directory")
-        cmd.add_argument(
-            "--threads",
-            type=int,
-            default=None,
-            help="worker pool size; results do not depend on it",
-        )
         cmd.add_argument("--seed", type=int, default=None)
         cmd.add_argument("--truncations", type=_int_list, default=None)
         cmd.add_argument("--n-max", dest="n_max", type=int, default=None)
@@ -361,23 +361,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
-    threads = args.threads if args.threads else os.cpu_count() or 1
-    log.info("command=%s model=%s threads=%d", args.command, args.model, threads)
+    log.info("command=%s model=%s", args.command, args.model)
     try:
         data = load_model_file(args.model)
-        config = RunConfig(
-            command=args.command,
-            model_path=args.model,
-            out_dir=args.out,
-            threads=args.threads,
-            seed=args.seed if args.seed is not None else 0,
-        )
-        os.makedirs(config.out_dir, exist_ok=True)
-        return COMMANDS[args.command](data, args, config.out_dir)
-    except ModelFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ValueError, KeyError) as exc:
+        os.makedirs(args.out, exist_ok=True)
+        return COMMANDS[args.command](data, args, args.out)
+    except (
+        ValueError,
+        KeyError,
+        NonMixingTruncationError,
+        NonMixingSubshiftError,
+        EnumerationBudgetError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -18,7 +18,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .numerics import NEG_INF, logsumexp, perron_data
-from .potentials import PotentialSequence
+from .potentials import PotentialSequence, block_matrix, pair_matrix
 from .shift_core import (
     FiniteSubshift,
     SymbolDomainError,
@@ -26,6 +26,7 @@ from .shift_core import (
     check_mixing,
     full_shift,
     truncate,
+    walk_counts,
 )
 
 
@@ -62,13 +63,9 @@ def iter_admissible_words(sub: FiniteSubshift, n: int) -> Iterator[Word]:
 
 
 def count_admissible_words(sub: FiniteSubshift, n: int) -> int:
-    """Exact number of admissible words of length n (big-int matrix power)."""
-    if n == 1:
-        return sub.size
-    from .numerics import int_matrix_power
-
-    P = int_matrix_power(sub.matrix.tolist(), n - 1)
-    return sum(sum(row) for row in P)
+    """Exact number of admissible words of length n (big-int walk counts)."""
+    ones = np.ones(sub.size, dtype=object)
+    return int(walk_counts(sub, n - 1, ones).sum())
 
 
 class MarkovCylinderMeasure:
@@ -207,14 +204,10 @@ def rpf_equilibrium(sub: FiniteSubshift, f) -> tuple[float, MarkovCylinderMeasur
         mix = check_mixing(sub)
     if mix is None:
         raise NonMixingSubshiftError(
-            "equilibrium eigendata requires a mixing subshift"
+            "equilibrium eigendata requires a mixing subshift; the truncation "
+            f"to {sub.size} symbols is not mixing"
         )
-    size = sub.size
-    W = np.zeros((size, size))
-    for ki, i in enumerate(sub.symbols):
-        for kj, j in enumerate(sub.symbols):
-            if sub.matrix[ki, kj]:
-                W[ki, kj] = math.exp(pair(i, j))
+    W = pair_matrix(sub, pair)
     rho, v, u = perron_data(W)
     p_exact = math.log(rho)
     log_pi = {}
@@ -281,156 +274,62 @@ class _ExplicitGibbs(GibbsCylinderMeasure):
         return math.fsum(self._levels[n - 1].values())
 
 
-class _PairGibbs(GibbsCylinderMeasure):
-    """Marginals via suffix vectors H_k[a] = sum over k-step extensions of a."""
+class _TransferGibbs(GibbsCylinderMeasure):
+    """Marginals via suffix vectors H_k = B^k tails of a block transfer matrix.
 
-    def __init__(self, sub, p, l):
-        ps = p.pair_structure()
-        size = sub.size
-        tails = np.array([
-            math.exp(p.cylinder_log_weight((a,), sub) - ps.offset(1))
-            for a in sub.symbols
-        ])
-        W = np.zeros((size, size))
-        for ki, i in enumerate(sub.symbols):
-            for kj, j in enumerate(sub.symbols):
-                if sub.matrix[ki, kj]:
-                    W[ki, kj] = math.exp(ps.pair(i, j))
-        hs = []
-        vec, scale = _normalized(tails)
-        hs.append((vec, scale))
+    B has d x d blocks, one per arc (d = 1 for pair potentials), and the
+    block of tails at symbol b closes a word that ends at b. A level-l word
+    then weighs exp(offset) 1^T (blocks along w) tails[w_last], so a word w of
+    length n has mass proportional to 1^T (blocks along w) H_{l-n}[w_last].
+    """
+
+    def __init__(self, sub, p, l, strategy, B, d, tails, offset):
+        hs = [_normalized(tails)]
         for _ in range(l - 1):
-            nxt = W @ vec
-            vec, s = _normalized(nxt)
-            scale += s
-            hs.append((vec, scale))
+            vec, scale = hs[-1]
+            nxt, s = _normalized(B @ vec)
+            hs.append((nxt, scale + s))
         top_vec, top_scale = hs[l - 1]
-        log_alpha = ps.offset(l) + top_scale + math.log(top_vec.sum())
-        super().__init__(sub, p, l, "pair", log_alpha)
-        self._ps = ps
-        self._hs = hs
-        self._W = W
-
-    def log_mass(self, word):
-        word = tuple(word)
-        if not self.sub.admits_word(word):
-            return NEG_INF
-        n = len(word)
-        path = math.fsum(
-            self._ps.pair(i, j) for i, j in zip(word, word[1:])
-        )
-        k = self.depth - n
-        vec, scale = self._hs[k]
-        pos = self.sub.position(word[-1])
-        if vec[pos] <= 0:
-            return NEG_INF
-        tail = scale + math.log(vec[pos])
-        return self._ps.offset(self.depth) + path + tail - self.log_alpha
-
-    def level_mass_total(self, n):
-        # Forward weights g_n[b] = sum over words of length n ending at b of
-        # the arc products; pairing them with the suffix vectors reproduces
-        # the level sum without enumerating words.
-        g = np.ones(self.sub.size)
-        g_scale = 0.0
-        for _ in range(n - 1):
-            g, s = _normalized(self._W.T @ g)
-            g_scale += s
-        vec, scale = self._hs[self.depth - n]
-        total = float(g @ vec)
-        return math.exp(
-            self._ps.offset(self.depth) + g_scale + scale + math.log(total)
-            - self.log_alpha
-        )
-
-
-class _BlockGibbs(GibbsCylinderMeasure):
-    """Marginals for matrix-product potentials via row-vector recursions."""
-
-    def __init__(self, sub, p, l):
-        entries, d = p.block_entries()
-        self._mats = {a: np.asarray(entries(a), dtype=float) for a in sub.symbols}
+        log_alpha = offset + top_scale + math.log(top_vec.sum())
+        super().__init__(sub, p, l, strategy, log_alpha)
+        self._B = B
+        self._blocks = B.reshape(sub.size, d, sub.size, d)
         self._d = d
-        # R_k[a]: row vector, sum over words v of length k starting at a of
-        # ones^T A_{v_{k-1}} ... A_{v_1} A_a, renormalized with a log scale.
-        rows = []
-        cur = {a: np.ones(d) @ self._mats[a] for a in sub.symbols}
-        rows.append(self._norm_bank(cur))
-        for _ in range(l - 1):
-            bank, scale = rows[-1]
-            nxt = {}
-            for a in sub.symbols:
-                acc = np.zeros(d)
-                for b in sub.out_neighbors(a):
-                    acc = acc + bank[b]
-                nxt[a] = acc @ self._mats[a]
-            vecs, s = self._norm_bank(nxt)
-            rows.append((vecs, scale + s))
-        bank_l, scale_l = rows[l - 1]
-        alpha = math.fsum(v.sum() for v in bank_l.values())
-        log_alpha = scale_l + math.log(alpha)
-        super().__init__(sub, p, l, "block", log_alpha)
-        self._rows = rows
-
-    @staticmethod
-    def _norm_bank(bank: dict[int, np.ndarray]):
-        total = math.fsum(v.sum() for v in bank.values())
-        if total <= 0:
-            raise NoAdmissibleWordsError("suffix recursion collapsed to zero")
-        return {a: v / total for a, v in bank.items()}, math.log(total)
+        self._hs = hs
+        self._offset = offset
 
     def log_mass(self, word):
-        word = tuple(word)
-        if not self.sub.admits_word(word):
-            return NEG_INF
-        n = len(word)
+        pos = [self.sub.position(a) for a in word]
         r = np.ones(self._d)
         r_scale = 0.0
-        for a in word:
-            r = self._mats[a] @ r
+        for i, j in zip(pos, pos[1:]):
+            r = r @ self._blocks[i, :, j, :]
             s = r.sum()
-            r, r_scale = r / s, r_scale + math.log(s)
-        k = self.depth - n
-        if k == 0:
-            total = r.sum()  # equals 1 after normalization
-            return r_scale + math.log(total) - self.log_alpha
-        bank, scale = self._rows[k - 1]
-        acc = np.zeros(self._d)
-        for b in self.sub.out_neighbors(word[-1]):
-            acc = acc + bank[b]
-        total = float(acc @ r)
+            if s <= 0:
+                return NEG_INF
+            r /= s
+            r_scale += math.log(s)
+        vec, scale = self._hs[self.depth - len(pos)]
+        last = pos[-1] * self._d
+        total = float(r @ vec[last:last + self._d])
         if total <= 0:
             return NEG_INF
-        return scale + r_scale + math.log(total) - self.log_alpha
+        return self._offset + r_scale + scale + math.log(total) - self.log_alpha
 
     def level_mass_total(self, n):
-        # Forward bank: F_n[b] = sum over words of length n ending at b of
-        # A_{w_{n-1}} ... A_{w_0} ones.
-        fwd = {b: self._mats[b] @ np.ones(self._d) for b in self.sub.symbols}
-        scale = 0.0
+        # Forward weights g = 1^T B^(n-1) sum the block products of every
+        # length-n word by its last symbol; pairing them with the suffix
+        # vectors reproduces the level sum without enumerating words.
+        g = np.ones(self._B.shape[0])
+        g_scale = 0.0
         for _ in range(n - 1):
-            total = math.fsum(v.sum() for v in fwd.values())
-            fwd = {b: v / total for b, v in fwd.items()}
-            scale += math.log(total)
-            nxt = {}
-            for b in self.sub.symbols:
-                acc = np.zeros(self._d)
-                for a in self.sub.in_neighbors(b):
-                    acc = acc + fwd[a]
-                nxt[b] = self._mats[b] @ acc
-            fwd = nxt
-        k = self.depth - n
-        if k == 0:
-            total = math.fsum(v.sum() for v in fwd.values())
-            return math.exp(scale + math.log(total) - self.log_alpha)
-        bank, bscale = self._rows[k - 1]
-        acc = 0.0
-        for b, vec in fwd.items():
-            srow = np.zeros(self._d)
-            for c in self.sub.out_neighbors(b):
-                srow = srow + bank[c]
-            acc += float(srow @ vec)
-        return math.exp(scale + bscale + math.log(acc) - self.log_alpha)
+            g, s = _normalized(g @ self._B)
+            g_scale += s
+        vec, scale = self._hs[self.depth - n]
+        return math.exp(
+            self._offset + g_scale + scale + math.log(float(g @ vec))
+            - self.log_alpha
+        )
 
 
 def finite_gibbs_nu(
@@ -466,10 +365,22 @@ def finite_gibbs_nu(
                 shorter[key] = shorter.get(key, 0.0) + m
             levels.insert(0, shorter)
         return _ExplicitGibbs(sub, p, l, levels, log_alpha)
-    if p.pair_structure() is not None:
-        return _PairGibbs(sub, p, l)
+    ps = p.pair_structure()
+    if ps is not None:
+        tails = np.array([
+            math.exp(p.cylinder_log_weight((a,), sub) - ps.offset(1))
+            for a in sub.symbols
+        ])
+        B = pair_matrix(sub, ps.pair)
+        return _TransferGibbs(sub, p, l, "pair", B, 1, tails, ps.offset(l))
     if p.block_entries() is not None:
-        return _BlockGibbs(sub, p, l)
+        entries, d = p.block_entries()
+        # The last symbol closes the word with A^T 1, the column sums of A.
+        tails = np.concatenate([
+            np.asarray(entries(a), dtype=float).sum(axis=0) for a in sub.symbols
+        ])
+        B = block_matrix(sub, entries, d)
+        return _TransferGibbs(sub, p, l, "block", B, d, tails, 0.0)
     raise NoAdmissibleWordsError(
         f"level {l} has {total} words, beyond the enumeration cap, and the "
         "potential exposes no structure for marginal recursions"

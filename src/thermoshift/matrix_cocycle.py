@@ -159,13 +159,11 @@ def max_lyapunov(
     values = []
     for k in range(samples):
         rng = np.random.default_rng((seed, k))
-        cur = symbols[rng.choice(len(symbols), p=weights)]
-        prod = ScaledMatrix.from_array(family.matrix(cur))
+        path = [symbols[rng.choice(len(symbols), p=weights)]]
         for _ in range(n - 1):
-            outs, probs = rows[cur]
-            cur = outs[rng.choice(len(outs), p=probs)]
-            prod = ScaledMatrix.from_array(family.matrix(cur)).matmul(prod)
-        values.append(prod.log_entry_sum() / n)
+            outs, probs = rows[path[-1]]
+            path.append(outs[rng.choice(len(outs), p=probs)])
+        values.append(log_norm_of_path(family, path) / n)
     lam = math.fsum(values) / samples
     if samples > 1:
         var = math.fsum((v - lam) ** 2 for v in values) / (samples - 1)

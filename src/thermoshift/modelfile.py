@@ -8,7 +8,6 @@ typos are how numerical studies go wrong.
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from .dimension import GeometricConstruction, product_construction
@@ -440,36 +439,3 @@ def build_measure(
         symbols = tuple(sorted(pi))
         return markov_measure(symbols, pi, p, sub)
     raise ModelFileError("measure.kind", f"{kind!r} is not a markov-kind spec")
-
-
-# -- run configuration -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One CLI invocation: command, file paths, and numeric overrides."""
-
-    command: str
-    model_path: str
-    out_dir: str = "."
-    threads: Optional[int] = None
-    seed: int = 0
-    version: int = FORMAT_VERSION
-    overrides: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        for key, value in self.overrides.items():
-            if key in ("tol", "divergence_threshold", "ratio_bound") and not value > 0:
-                raise ModelFileError(f"overrides.{key}", "must be positive")
-        trunc = self.overrides.get("truncations")
-        if trunc is not None and any(b <= a for a, b in zip(trunc, trunc[1:])):
-            raise ModelFileError(
-                "overrides.truncations", "must be strictly increasing"
-            )
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_dict(data: dict) -> "RunConfig":
-        return RunConfig(**data)

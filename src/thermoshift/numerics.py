@@ -58,12 +58,6 @@ class ScaledMatrix:
             return ScaledMatrix(np.zeros_like(prod), NEG_INF)
         return ScaledMatrix(prod / s, self.log_scale + other.log_scale + math.log(s))
 
-    def log_entry(self, i: int, j: int) -> float:
-        v = self.mat[i, j]
-        if v <= 0:
-            return NEG_INF
-        return self.log_scale + math.log(v)
-
     def log_entry_sum(self) -> float:
         s = self.mat.sum()
         if s <= 0:
@@ -71,37 +65,31 @@ class ScaledMatrix:
         return self.log_scale + math.log(s)
 
 
-def scaled_power_diagonal(W: np.ndarray, index: int, n_max: int) -> list[float]:
-    """log of (W^n)[index, index] for n = 1..n_max via renormalized products."""
+def scaled_power_diagonal(W: np.ndarray, index, n_max: int) -> list[float]:
+    """log of the (index, index) entry or block sum of W^n for n = 1..n_max.
+
+    index is an int or a slice. The value is 1_S^T W^n 1_S for the index set
+    S, computed by iterating W on the indicator vector of S and renormalizing
+    each step, so the cost is one matrix-vector product per level.
+    """
+    total = W.sum()
+    if total <= 0 or not np.isfinite(total):
+        raise ValueError("matrix must have a positive finite entry sum")
     out = []
-    P = ScaledMatrix.from_array(np.eye(W.shape[0]))
-    step = ScaledMatrix.from_array(W)
+    v = np.zeros(W.shape[0])
+    v[index] = 1.0
+    log_scale = 0.0
     for _ in range(n_max):
-        P = P.matmul(step)
-        out.append(P.log_entry(index, index))
+        v = W @ v
+        s = v.sum()
+        if s <= 0:
+            out.extend([NEG_INF] * (n_max - len(out)))
+            break
+        v /= s
+        log_scale += math.log(s)
+        entry = v[index].sum()
+        out.append(log_scale + math.log(entry) if entry > 0 else NEG_INF)
     return out
-
-
-def int_matrix_power(A, n: int):
-    """Exact integer matrix power using Python big ints (no overflow)."""
-    size = len(A)
-    base = [[int(x) for x in row] for row in A]
-
-    def mul(X, Y):
-        return [
-            [sum(X[i][k] * Y[k][j] for k in range(size)) for j in range(size)]
-            for i in range(size)
-        ]
-
-    result = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
-    while n > 0:
-        if n & 1:
-            result = mul(result, base)
-        base_needed = n >> 1
-        if base_needed:
-            base = mul(base, base)
-        n >>= 1
-    return result
 
 
 class PowerIterationError(RuntimeError):

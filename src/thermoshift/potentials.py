@@ -36,6 +36,26 @@ class PairStructure:
     offset: Callable[[int], float]
 
 
+def pair_matrix(sub: FiniteSubshift, pair: Callable[[int, int], float]) -> np.ndarray:
+    """Transfer matrix W_ij = exp(pair(i, j)) on the arcs of the truncation."""
+    W = np.zeros((sub.size, sub.size))
+    for ki, kj in zip(*np.nonzero(sub.matrix)):
+        W[ki, kj] = math.exp(pair(sub.symbols[ki], sub.symbols[kj]))
+    return W
+
+
+def block_matrix(sub: FiniteSubshift, entries: Callable[[int], np.ndarray], d: int) -> np.ndarray:
+    """Block transfer matrix whose (i, j) block is A_i^T on arcs i -> j.
+
+    Word products run right to left, so the path product of the transposed
+    blocks has the same entry sum as each word's cocycle.
+    """
+    m = sub.size
+    blocks = np.stack([np.asarray(entries(a), dtype=float).T for a in sub.symbols])
+    mask = (sub.matrix > 0).astype(float)
+    return (mask[:, None, :, None] * blocks[:, :, None, :]).reshape(m * d, m * d)
+
+
 class PotentialSequence:
     """Base class for log-weight sequences on words.
 

@@ -2,9 +2,9 @@
 
 The pressure of a potential sequence is approximated on increasing finite
 truncations. Each truncation must be mixing; its partition series log Z_n is
-computed either by exact weighted-matrix powers (when the potential exposes
-arc or matrix-product structure) or by direct enumeration of periodic words.
-The growth rate is extracted from trailing slopes log Z_{n+1} - log Z_n,
+computed either by iterating the weighted transfer matrix (when the potential
+exposes arc or matrix-product structure) or by direct enumeration of periodic
+words. The growth rate is extracted from trailing slopes log Z_{n+1} - log Z_n,
 which converge geometrically, and is bracketed from below by the
 near-superadditivity bound and from above by the transfer-operator bound.
 """
@@ -15,10 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
-from .numerics import NEG_INF, ScaledMatrix, logsumexp, scaled_power_diagonal
-from .potentials import PotentialSequence
+from .numerics import NEG_INF, logsumexp, scaled_power_diagonal
+from .potentials import PotentialSequence, block_matrix, pair_matrix
 from .shift_core import (
     FiniteSubshift,
     TransitionModel,
@@ -96,9 +94,17 @@ def partition_series(
         else:
             strategy = "enumerate"
     if strategy == "pair":
-        values = _pair_values(sub, p, n_max, a)
+        ps = p.pair_structure()
+        diag = scaled_power_diagonal(pair_matrix(sub, ps.pair), sub.position(a), n_max)
+        values = [
+            ps.offset(n) + v if v != NEG_INF else NEG_INF
+            for n, v in enumerate(diag, start=1)
+        ]
     elif strategy == "block":
-        values = _block_values(sub, p, n_max, a)
+        entries, d = p.block_entries()
+        ia = sub.position(a)
+        block = slice(ia * d, (ia + 1) * d)
+        values = scaled_power_diagonal(block_matrix(sub, entries, d), block, n_max)
     elif strategy == "enumerate":
         values = _enumerated_values(sub, p, n_max, a, cap)
     else:
@@ -112,44 +118,6 @@ def partition_series(
         strategy=strategy,
         empty_levels=empty,
     )
-
-
-def _pair_values(sub, p, n_max, a):
-    ps = p.pair_structure()
-    size = sub.size
-    W = np.zeros((size, size))
-    for ki, i in enumerate(sub.symbols):
-        for kj, j in enumerate(sub.symbols):
-            if sub.matrix[ki, kj]:
-                W[ki, kj] = math.exp(ps.pair(i, j))
-    diag = scaled_power_diagonal(W, sub.position(a), n_max)
-    return [
-        ps.offset(n) + d if d != NEG_INF else NEG_INF
-        for n, d in enumerate(diag, start=1)
-    ]
-
-
-def _block_values(sub, p, n_max, a):
-    entries, d = p.block_entries()
-    size = sub.size
-    B = np.zeros((size * d, size * d))
-    for ki, i in enumerate(sub.symbols):
-        # The word product runs right to left, so the path product of the
-        # transposed blocks has the same entry sum as each word's cocycle.
-        Ai_t = np.asarray(entries(i), dtype=float).T
-        for kj in range(size):
-            if sub.matrix[ki, kj]:
-                B[ki * d:(ki + 1) * d, kj * d:(kj + 1) * d] = Ai_t
-    ia = sub.position(a)
-    out = []
-    P = ScaledMatrix.from_array(np.eye(size * d))
-    step = ScaledMatrix.from_array(B)
-    for _ in range(n_max):
-        P = P.matmul(step)
-        block = P.mat[ia * d:(ia + 1) * d, ia * d:(ia + 1) * d]
-        s = block.sum()
-        out.append(P.log_scale + math.log(s) if s > 0 else NEG_INF)
-    return out
 
 
 def _enumerated_values(sub, p, n_max, a, cap):

@@ -12,8 +12,6 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .numerics import int_matrix_power
-
 Word = tuple[int, ...]
 
 
@@ -262,6 +260,14 @@ def enumerate_periodic_words(sub: FiniteSubshift, n: int, a: int) -> Iterator[Wo
     yield from rec()
 
 
+def walk_counts(sub: FiniteSubshift, n: int, v: np.ndarray) -> np.ndarray:
+    """Exact matrix^n @ v for an object-dtype v of Python ints; never overflows."""
+    A = sub.matrix.astype(object)
+    for _ in range(n):
+        v = A.dot(v)
+    return v
+
+
 def count_periodic(sub: FiniteSubshift, n: int, a: int) -> int:
     """Exact number of periodic words of length n starting at a.
 
@@ -271,8 +277,9 @@ def count_periodic(sub: FiniteSubshift, n: int, a: int) -> int:
     if n < 1:
         raise ValueError("word length must be at least 1")
     ia = sub.position(a)
-    P = int_matrix_power(sub.matrix.tolist(), n)
-    return P[ia][ia]
+    start = np.zeros(sub.size, dtype=object)
+    start[ia] = 1
+    return int(walk_counts(sub, n, start)[ia])
 
 
 @dataclass(frozen=True)

@@ -55,6 +55,20 @@ def test_pressure_divergence_exit_code(tmp_path, capsys):
     assert "diverged" in stdout
 
 
+def test_nonmixing_truncation_and_enumeration_cap_exit_code(tmp_path, capsys):
+    code, _, stderr = run(
+        capsys, "pressure", "--model", fixture("nonmixing.json"), "--out", str(tmp_path)
+    )
+    assert code == 1
+    assert stderr.startswith("error: ") and "m=3" in stderr
+    code, _, stderr = run(
+        capsys, "pressure", "--model", fixture("fiber.json"), "--out", str(tmp_path),
+        "--cap", "50",
+    )
+    assert code == 1
+    assert stderr.startswith("error: ") and "exceeded 50 " in stderr
+
+
 def test_pressure_unconverged_exit_code(tmp_path, capsys):
     code, stdout, _ = run(
         capsys, "pressure", "--model", fixture("unconverged.json"),
@@ -193,11 +207,10 @@ def test_flag_overrides_change_behaviour(tmp_path, capsys):
 
 def test_artifacts_deterministic_across_thread_counts(tmp_path, capsys):
     digests = []
-    for threads, sub in (("1", "a"), ("8", "b")):
+    for sub in ("a", "b"):
         out = str(tmp_path / sub)
         code, _, _ = run(
-            capsys, "pressure", "--model", fixture("weighted20.json"),
-            "--out", out, "--threads", threads,
+            capsys, "pressure", "--model", fixture("weighted20.json"), "--out", out
         )
         assert code == 0
         blobs = []

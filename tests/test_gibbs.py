@@ -116,6 +116,21 @@ def test_pair_recursion_matches_explicit_enumeration():
         assert recursive.level_mass_total(n) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_pair_recursion_stays_finite_at_deep_levels():
+    # An unnormalized arc product (3^-60)^40 underflows to zero.
+    sub = truncate(full_shift(), 60)
+    p = weighted_fullshift_potential(lambda a: 3.0 ** (-a))
+    nu = finite_gibbs_nu(sub, p, 40, cap=10)
+    assert nu.strategy == "pair"
+    log_s = math.log(math.fsum(3.0 ** (-b) for b in sub.symbols))
+    for n in range(1, 41):
+        assert nu.level_mass_total(n) == pytest.approx(1.0, abs=1e-12)
+        for a in (1, 60):
+            # The measure is Bernoulli: each symbol weighs 3^-a / sum of 3^-b.
+            expected = n * (-a * math.log(3.0) - log_s)
+            assert nu.log_mass((a,) * n) == pytest.approx(expected, rel=1e-12)
+
+
 def test_block_recursion_matches_explicit_enumeration():
     sub = truncate(golden_mean_shift(), 2)
     mats = {

@@ -8,7 +8,6 @@ import pytest
 
 from thermoshift.modelfile import (
     ModelFileError,
-    RunConfig,
     build_construction,
     build_family,
     build_measure,
@@ -241,19 +240,3 @@ def test_missing_sections_raise_named_requirements(tmp_path):
         build_construction(data)
     with pytest.raises(ModelFileError, match="measure: required"):
         build_measure(data)
-
-
-def test_run_config_round_trip():
-    cfg = RunConfig(
-        command="pressure",
-        model_path="m.json",
-        out_dir="out",
-        threads=4,
-        seed=7,
-        overrides={"truncations": [2, 4, 8], "tol": 1e-8},
-    )
-    assert RunConfig.from_dict(cfg.to_dict()) == cfg
-    with pytest.raises(ModelFileError, match="overrides.tol"):
-        RunConfig("pressure", "m.json", overrides={"tol": 0.0})
-    with pytest.raises(ModelFileError, match="overrides.truncations"):
-        RunConfig("pressure", "m.json", overrides={"truncations": [4, 2]})

@@ -10,9 +10,11 @@ import math
 import numpy as np
 import pytest
 
+from thermoshift.numerics import scaled_power_diagonal
 from thermoshift.potentials import (
     PotentialSequence,
     birkhoff_potential,
+    block_matrix,
     cocycle_potential,
     fiber_count_potential,
     geometric_tail,
@@ -127,6 +129,21 @@ def test_strategies_agree_block_vs_enumeration():
     slow = partition_series(sub, p, 10, 1, strategy="enumerate")
     for (n, a), (_, b) in zip(fast.entries, slow.entries):
         assert a == pytest.approx(b, rel=1e-10), f"mismatch at n={n}"
+
+
+def test_block_sums_of_vector_iteration_match_matrix_powers():
+    rng = np.random.default_rng(17)
+    sub = truncate(full_shift(), 3)
+    mats = {a: rng.uniform(0.1, 1.0, size=(2, 2)) for a in sub.symbols}
+    B = block_matrix(sub, mats.__getitem__, 2)
+    for ki, i in enumerate(sub.symbols):
+        for kj in range(3):
+            assert np.array_equal(B[2 * ki:2 * ki + 2, 2 * kj:2 * kj + 2], mats[i].T)
+    for k in (0, 2, 4):
+        values = scaled_power_diagonal(B, slice(k, k + 2), 30)
+        for n, v in enumerate(values, start=1):
+            block = np.linalg.matrix_power(B, n)[k:k + 2, k:k + 2]
+            assert v == pytest.approx(math.log(block.sum()), rel=1e-12)
 
 
 def test_enumeration_budget_is_enforced():

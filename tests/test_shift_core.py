@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from thermoshift.gibbs import count_admissible_words
 from thermoshift.shift_core import (
     BipCertificate,
     BipFailure,
@@ -138,6 +139,7 @@ def test_count_periodic_has_no_overflow():
     sub = truncate(full_shift(), 10)
     # 10^120 overflows any fixed-width integer; the exact count must not.
     assert count_periodic(sub, 120, 1) == 10 ** 119
+    assert count_admissible_words(sub, 120) == 10 ** 120
 
 
 def test_neighbor_queries():
