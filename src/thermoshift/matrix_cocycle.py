@@ -16,7 +16,6 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .gibbs import MeasureKindError
-from .numerics import ScaledMatrix
 from .potentials import (
     check_cone_condition,
     cocycle_potential,
@@ -108,16 +107,85 @@ class LyapunovEstimate:
     standard_error: float
 
 
+# Steps of uniforms each sample's generator draws at a time, so that memory
+# stays O(samples * (d + _CHUNK)) whatever the path length.
+_CHUNK = 256
+
+
+def _log_norms(mats: np.ndarray, blocks, samples: int) -> np.ndarray:
+    """log 1^T A_{w_{n-1}} ... A_{w_0} 1 for each of `samples` paths.
+
+    `mats` stacks the matrices, and `blocks` yields (samples, steps) arrays of
+    indices into it that, concatenated along the steps, hold the paths. Each
+    path carries one vector, v <- A_{w_i} v from v = 1, renormalized to unit
+    entry sum after every step while the logs of the removed factors are
+    summed. A vector that vanishes stays zero and its path reports -inf.
+    """
+    v = np.ones((samples, mats.shape[1], 1))
+    log_scale = np.zeros(samples)
+    with np.errstate(divide="ignore"):
+        for idx in blocks:
+            sums = np.empty(idx.shape)
+            for j in range(idx.shape[1]):
+                v = np.matmul(mats[idx[:, j]], v)
+                s = v.sum(axis=1, keepdims=True)
+                np.divide(v, s, out=v, where=s > 0)
+                sums[:, j] = s[:, 0, 0]
+            log_scale += np.log(sums).sum(axis=1)
+        return log_scale + np.log(v.sum(axis=(1, 2)))
+
+
 def log_norm_of_path(family: MatrixFamily, word: Sequence[int]) -> float:
     """log of the entry-sum norm of A_{w_{n-1}} ... A_{w_0}.
 
-    Later symbols multiply on the left; products are renormalized per step so
-    arbitrarily long words stay in floating-point range.
+    Later symbols multiply on the left; the product is applied to the ones
+    vector and renormalized per step, so arbitrarily long words stay in
+    floating-point range.
     """
-    prod = ScaledMatrix.from_array(family.matrix(word[0]))
-    for b in word[1:]:
-        prod = ScaledMatrix.from_array(family.matrix(b)).matmul(prod)
-    return prod.log_entry_sum()
+    symbols = sorted(set(word))
+    mats = np.stack([family.matrix(a) for a in symbols])
+    position = {a: i for i, a in enumerate(symbols)}
+    idx = np.array([[position[a] for a in word]], dtype=np.intp)
+    return float(_log_norms(mats, [idx], 1)[0])
+
+
+def _choice_cdf(probs) -> np.ndarray:
+    """The table rng.choice(len(probs), p=probs) looks one uniform up in."""
+    p = np.array(probs, dtype=float)
+    cdf = (p / p.sum()).cumsum()
+    return cdf / cdf[-1]
+
+
+def _sample_paths(mu, symbols: tuple, n: int, samples: int, seed: int):
+    """Yield the sampled paths as (samples, steps) blocks of symbol indices.
+
+    Sample k draws from its own generator, seeded by (seed, k), one uniform
+    per step: the first picks the start from the stationary weights, each
+    later one a successor of the current symbol. A draw compares the uniform
+    with a cumulative row exactly as rng.choice does, so the paths are the
+    ones per-step rng.choice calls would sample.
+    """
+    k = len(symbols)
+    # Rows 0..k-1 hold the successors of each symbol, row k the stationary
+    # start; past its last entry a row is padded with 2.0, above any uniform.
+    cdf = np.full((k + 1, k), 2.0)
+    succ = np.zeros((k + 1, k), dtype=np.intp)
+    for i, s in enumerate(symbols):
+        probs = [mu.transition(s, t) for t in symbols]
+        outs = [j for j, p in enumerate(probs) if p > 0.0]
+        cdf[i, : len(outs)] = _choice_cdf([probs[j] for j in outs])
+        succ[i, : len(outs)] = outs
+    cdf[k] = _choice_cdf([mu.pi(s) for s in symbols])
+    succ[k] = np.arange(k)
+    rngs = [np.random.default_rng((seed, i)) for i in range(samples)]
+    cur = np.full(samples, k)
+    for start in range(0, n, _CHUNK):
+        u = np.stack([rng.random(min(_CHUNK, n - start)) for rng in rngs])
+        idx = np.empty(u.shape, dtype=np.intp)
+        for j in range(u.shape[1]):
+            cur = succ[cur, (cdf[cur] <= u[:, j, None]).sum(axis=1)]
+            idx[:, j] = cur
+        yield idx
 
 
 def max_lyapunov(
@@ -131,9 +199,13 @@ def max_lyapunov(
 
     Paths are sampled ancestrally from the Markov measure, each from its own
     generator seeded by (seed, sample index), so results do not depend on
-    evaluation order. Scalar families are additive: the path average of log
+    evaluation order. All samples advance in lockstep, each carrying one
+    renormalized vector, so the cost is O(n * samples * d^2) and memory does
+    not grow with n. Scalar families are additive: the path average of log
     norms integrates to the stationary weighted mean exactly at every n, so
-    that value is returned directly with zero standard error.
+    that value is returned directly with zero standard error. A sampled path
+    has positive mu-probability, so when one product vanishes the exponent is
+    -inf; it is reported with zero standard error.
     """
     if getattr(mu, "kind", None) != "markov":
         raise MeasureKindError("max_lyapunov requires a markov-kind measure")
@@ -149,23 +221,11 @@ def max_lyapunov(
             mu.pi(s) * math.log(float(family.matrix(s)[0, 0])) for s in symbols
         )
         return LyapunovEstimate(lam, n, samples, 0.0)
-    weights = np.array([mu.pi(s) for s in symbols])
-    weights = weights / weights.sum()
-    rows = {}
-    for s in symbols:
-        outs = [t for t in symbols if mu.transition(s, t) > 0.0]
-        probs = np.array([mu.transition(s, t) for t in outs])
-        rows[s] = (outs, probs / probs.sum())
-    values = []
-    for k in range(samples):
-        rng = np.random.default_rng((seed, k))
-        path = [symbols[rng.choice(len(symbols), p=weights)]]
-        for _ in range(n - 1):
-            outs, probs = rows[path[-1]]
-            path.append(outs[rng.choice(len(outs), p=probs)])
-        values.append(log_norm_of_path(family, path) / n)
+    mats = np.stack([family.matrix(s) for s in symbols])
+    paths = _sample_paths(mu, symbols, n, samples, seed)
+    values = (_log_norms(mats, paths, samples) / n).tolist()
     lam = math.fsum(values) / samples
-    if samples > 1:
+    if samples > 1 and lam != -math.inf:
         var = math.fsum((v - lam) ** 2 for v in values) / (samples - 1)
         se = math.sqrt(var / samples)
     else:

@@ -6,6 +6,7 @@ scalar reductions (a 1x1 cocycle is a weighted full shift).
 """
 
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -145,6 +146,64 @@ def test_estimator_argument_validation():
     with pytest.raises(KeyError):
         max_lyapunov(MatrixFamily(1, {1: [[2.0]]}), uniform_bernoulli(2), 5, 5)
 
+
+
+def reference_lyapunov(family, mu, n, samples, seed):
+    """Per-step rng.choice paths and plain matrix products, for comparison."""
+    symbols = tuple(mu.symbols)
+    weights = np.array([mu.pi(s) for s in symbols])
+    values = []
+    for k in range(samples):
+        rng = np.random.default_rng((seed, k))
+        path = [symbols[rng.choice(len(symbols), p=weights / weights.sum())]]
+        for _ in range(n - 1):
+            outs = [t for t in symbols if mu.transition(path[-1], t) > 0.0]
+            probs = np.array([mu.transition(path[-1], t) for t in outs])
+            path.append(outs[rng.choice(len(outs), p=probs / probs.sum())])
+        prod = np.eye(family.d)
+        for s in path:
+            prod = family.matrix(s) @ prod
+        values.append(math.log(prod.sum()) / n)
+    lam = math.fsum(values) / samples
+    var = math.fsum((v - lam) ** 2 for v in values) / (samples - 1)
+    return lam, math.sqrt(var / samples)
+
+
+def test_estimator_samples_the_paths_of_rng_choice():
+    # Symbol 2 has the single successor 1, so some draws have one outcome.
+    model = model_from_arcs([(1, 1), (1, 2), (1, 3), (2, 1), (3, 1), (3, 2)])
+    sub = truncate(model, 3)
+    rng = np.random.default_rng(17)
+    mu = random_stationary_markov(sub, rng)
+    fam = MatrixFamily(3, {s: rng.uniform(0.2, 3.0, (3, 3)) for s in (1, 2, 3)})
+    for seed in (0, 5):
+        est = max_lyapunov(fam, mu, 120, 16, seed=seed)
+        lam, se = reference_lyapunov(fam, mu, 120, 16, seed)
+        assert est.lambda_hat == pytest.approx(lam, rel=1e-12)
+        assert est.standard_error == pytest.approx(se, rel=1e-12)
+
+
+def test_vanishing_product_reports_zero_standard_error():
+    # A_1 A_1 = 0, so every path that repeats symbol 1 has a zero product.
+    fam = MatrixFamily(2, {1: [[0.0, 1.0], [0.0, 0.0]], 2: [[1.0, 1.0], [1.0, 1.0]]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = max_lyapunov(fam, uniform_bernoulli(2), 30, 4)
+    assert est.lambda_hat == -math.inf
+    assert est.standard_error == 0.0
+    assert log_norm_of_path(fam, [1, 1]) == -math.inf
+
+
+def test_estimator_memory_does_not_grow_with_n():
+    fam = MatrixFamily(2, {1: [[2.0, 1.0], [1.0, 2.0]], 2: [[0.5, 0.1], [0.3, 0.9]]})
+    tracemalloc.start()
+    try:
+        max_lyapunov(fam, uniform_bernoulli(2), 40_000, 128)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Drawing every uniform up front would take 40_000 * 128 * 8 B = 41 MB.
+    assert peak < 8 * 2**20
 
 # -- pressure curves ---------------------------------------------------------------
 
