@@ -80,8 +80,6 @@ def _params(data: dict, args: argparse.Namespace) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
-    if args.seed is not None:
-        merged["seed"] = args.seed
     return merged
 
 

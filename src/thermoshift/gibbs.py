@@ -18,7 +18,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .numerics import NEG_INF, logsumexp, perron_data
-from .potentials import PotentialSequence, block_matrix, pair_matrix
+from .potentials import PotentialSequence, pair_matrix, transfer_operator
 from .shift_core import (
     FiniteSubshift,
     SymbolDomainError,
@@ -365,26 +365,18 @@ def finite_gibbs_nu(
                 shorter[key] = shorter.get(key, 0.0) + m
             levels.insert(0, shorter)
         return _ExplicitGibbs(sub, p, l, levels, log_alpha)
-    ps = p.pair_structure()
-    if ps is not None:
-        tails = np.array([
-            math.exp(p.cylinder_log_weight((a,), sub) - ps.offset(1))
-            for a in sub.symbols
-        ])
-        B = pair_matrix(sub, ps.pair)
-        return _TransferGibbs(sub, p, l, "pair", B, 1, tails, ps.offset(l))
-    if p.block_entries() is not None:
-        entries, d = p.block_entries()
-        # The last symbol closes the word with A^T 1, the column sums of A.
-        tails = np.concatenate([
-            np.asarray(entries(a), dtype=float).sum(axis=0) for a in sub.symbols
-        ])
-        B = block_matrix(sub, entries, d)
-        return _TransferGibbs(sub, p, l, "block", B, d, tails, 0.0)
-    raise NoAdmissibleWordsError(
-        f"level {l} has {total} words, beyond the enumeration cap, and the "
-        "potential exposes no structure for marginal recursions"
-    )
+    op = transfer_operator(sub, p)
+    if op is None:
+        raise NoAdmissibleWordsError(
+            f"level {l} has {total} words, beyond the enumeration cap, and the "
+            "potential exposes no structure for marginal recursions"
+        )
+    kind, B, d, offset = op
+    # A word ending at a closes with the sup over its next hop: the row sums
+    # of the entrywise max of a's successor blocks (B is zero off the arcs).
+    # That is the best last arc of a pair potential and A_a^T 1 for a cocycle.
+    tails = B.reshape(sub.size, d, sub.size, d).max(axis=2).sum(axis=2).ravel()
+    return _TransferGibbs(sub, p, l, kind, B, d, tails, offset(l))
 
 
 @dataclass(frozen=True)

@@ -74,7 +74,6 @@ PARAM_KEYS = {
     "t_bracket",
     "witness",
     "up_to",
-    "symbol_bound",
 }
 
 
@@ -290,10 +289,6 @@ def _validate_measure(section) -> None:
             isinstance(row, list) and len(row) == len(pi) for row in p
         ):
             raise ModelFileError("measure.p", "must be a square matrix matching pi")
-    elif kind == "nu":
-        _require_keys(section, {"kind", "level"}, {"level"}, "measure")
-        if not isinstance(section["level"], int) or section["level"] < 1:
-            raise ModelFileError("measure.level", "must be a positive integer")
     else:
         raise ModelFileError("measure.kind", f"unknown kind {kind!r}")
 
@@ -326,7 +321,7 @@ def _validate_params(section) -> None:
         if key in section and not section[key] > 0:
             raise ModelFileError(f"params.{key}", "must be positive")
     for key in ("n_max", "level", "depth", "samples", "n", "slope_window",
-                "divergence_run", "cap", "seed", "up_to", "symbol_bound"):
+                "divergence_run", "cap", "seed", "up_to"):
         if key in section and (
             not isinstance(section[key], int) or section[key] < 0
         ):

@@ -1,4 +1,4 @@
-"""Shared numerical helpers: stable log-sums, scaled matrix products, power iteration.
+"""Shared numerical helpers: stable log-sums, renormalized matrix powers, power iteration.
 
 All reductions here are order-insensitive (math.fsum rounds the exact sum),
 so results do not depend on chunking or thread count.
@@ -7,7 +7,6 @@ so results do not depend on chunking or thread count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,42 +26,6 @@ def logsumexp(values) -> float:
     if hi == float("inf"):
         return hi
     return hi + math.log(math.fsum(math.exp(v - hi) for v in vals))
-
-
-def log_mean(values) -> float:
-    """log of the arithmetic mean of exp(values)."""
-    n = len(values)
-    return logsumexp(values) - math.log(n)
-
-
-@dataclass(frozen=True)
-class ScaledMatrix:
-    """Nonnegative matrix stored as mat * exp(log_scale) to avoid overflow."""
-
-    mat: np.ndarray
-    log_scale: float
-
-    @staticmethod
-    def from_array(a: np.ndarray) -> "ScaledMatrix":
-        a = np.asarray(a, dtype=float)
-        s = a.sum()
-        if s <= 0 or not np.isfinite(s):
-            raise ValueError("matrix must have a positive finite entry sum")
-        return ScaledMatrix(a / s, math.log(s))
-
-    def matmul(self, other: "ScaledMatrix") -> "ScaledMatrix":
-        prod = self.mat @ other.mat
-        s = prod.sum()
-        if s <= 0:
-            # All-zero product: represent as exact zero with -inf scale.
-            return ScaledMatrix(np.zeros_like(prod), NEG_INF)
-        return ScaledMatrix(prod / s, self.log_scale + other.log_scale + math.log(s))
-
-    def log_entry_sum(self) -> float:
-        s = self.mat.sum()
-        if s <= 0:
-            return NEG_INF
-        return self.log_scale + math.log(s)
 
 
 def scaled_power_diagonal(W: np.ndarray, index, n_max: int) -> list[float]:

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .numerics import NEG_INF, ScaledMatrix, logsumexp
+from .numerics import NEG_INF
 from .shift_core import (
     FiniteSubshift,
     InadmissibleWordError,
@@ -56,6 +56,32 @@ def block_matrix(sub: FiniteSubshift, entries: Callable[[int], np.ndarray], d: i
     return (mask[:, None, :, None] * blocks[:, :, None, :]).reshape(m * d, m * d)
 
 
+def transfer_operator(sub: FiniteSubshift, p: PotentialSequence, strategy: str = "auto"):
+    """The potential's transfer matrix on the truncation, or None.
+
+    Returns (kind, B, d, offset). Kind "pair" is the arc matrix of a pair
+    potential (d = 1) with its length offset(n); kind "block" is the block
+    matrix of a matrix-product norm at scale one (d x d blocks, offset 0).
+    Either way a periodic word from a has weight exp(offset(n)) times the
+    entry sum of the diagonal block of a in B^n. Strategy "auto" tries pair,
+    then block, and returns None when neither exists, as does "enumerate".
+    """
+    if strategy not in ("auto", "pair", "block", "enumerate"):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    if strategy in ("auto", "pair"):
+        ps = p.pair_structure()
+        if ps is not None:
+            return "pair", pair_matrix(sub, ps.pair), 1, ps.offset
+    if strategy in ("auto", "block"):
+        structure = p.block_entries()
+        if structure is not None:
+            entries, d = structure
+            return "block", block_matrix(sub, entries, d), d, lambda n: 0.0
+    if strategy in ("auto", "enumerate"):
+        return None
+    raise ValueError(f"strategy {strategy!r} needs {strategy} structure, which {p.name} lacks")
+
+
 class PotentialSequence:
     """Base class for log-weight sequences on words.
 
@@ -66,8 +92,6 @@ class PotentialSequence:
     name: str = "potential"
     declared_C: float = 0.0
     declared_M: float = 1.0
-    cylinder_order: int = 1
-    scale_t: float = 1.0
 
     def eval(self, word: Sequence[int]) -> float:
         raise NotImplementedError
@@ -85,10 +109,6 @@ class PotentialSequence:
     def log_inf_f1(self, a: int, sub: Optional[FiniteSubshift] = None) -> float:
         # Families constant on 1-cylinders have inf = sup.
         return self.log_sup_f1(a)
-
-    def log_f1_into(self, z: int, x0: int) -> float:
-        """log f_1 on the cylinder of z given that the next symbol is x0."""
-        return self.log_sup_f1(z)
 
     def sup_f1_tail(self, m: int, power: float = 1.0) -> Optional[float]:
         """Upper bound for sum of sup f_1^power over symbols beyond m, if known."""
@@ -144,8 +164,6 @@ class ScaledPotential(PotentialSequence):
         self.name = f"{base.name}*{t:g}"
         self.declared_C = abs(self.t) * base.declared_C
         self.declared_M = base.declared_M
-        self.cylinder_order = base.cylinder_order
-        self.scale_t = self.t * base.scale_t
 
     def eval(self, word):
         return self.t * self.base.eval(word)
@@ -172,9 +190,6 @@ class ScaledPotential(PotentialSequence):
         if self.t >= 0:
             return self.t * self.base.log_inf_f1(a, sub)
         return self.t * self.base.log_sup_f1(a)
-
-    def log_f1_into(self, z, x0):
-        return self.t * self.base.log_f1_into(z, x0)
 
     def sup_f1_tail(self, m, power=1.0):
         return self.base.sup_f1_tail(m, power * self.t)
@@ -206,8 +221,6 @@ class ScaledPotential(PotentialSequence):
 
 class BirkhoffPotential(PotentialSequence):
     """Cyclic arc sums of a two-symbol function f; exactly additive (C = 0)."""
-
-    cylinder_order = 2
 
     def __init__(self, f: Callable[[int, int], float], model: TransitionModel,
                  probe_bound: int = 128):
@@ -252,11 +265,6 @@ class BirkhoffPotential(PotentialSequence):
 
     def log_inf_f1(self, a, sub=None):
         return self.cylinder_log_weight((a,), sub, lower=True)
-
-    def log_f1_into(self, z, x0):
-        if not self.model.admits(z, x0):
-            return NEG_INF
-        return self.f(z, x0)
 
     def pair_structure(self):
         return PairStructure(self.f, lambda n: 0.0)
@@ -407,7 +415,7 @@ class CocyclePotential(PotentialSequence):
         state = self.prefix_start(word[0])
         for prev, b in zip(word, word[1:]):
             state = self.prefix_extend(state, prev, b)
-        return state.log_entry_sum()
+        return self.periodic_close(state, word)
 
     def sup_f1(self, a):
         return float(self.matrix(a).sum())
@@ -427,14 +435,20 @@ class CocyclePotential(PotentialSequence):
     def block_entries(self):
         return (self.matrix, self.d)
 
+    # State: (v, log_scale) with A_{w_k} ... A_{w_0} 1 = exp(log_scale) v and
+    # v of unit entry sum; the entries are positive, so no sum vanishes.
     def prefix_start(self, a):
-        return ScaledMatrix.from_array(self.matrix(a))
+        return self.prefix_extend((np.ones(self.d), 0.0), None, a)
 
     def prefix_extend(self, state, prev, b):
-        return ScaledMatrix.from_array(self.matrix(b)).matmul(state)
+        v, log_scale = state
+        v = self.matrix(b) @ v
+        s = v.sum()
+        return v / s, log_scale + math.log(s)
 
     def periodic_close(self, state, word):
-        return state.log_entry_sum()
+        v, log_scale = state
+        return log_scale + math.log(v.sum())
 
 
 def cocycle_potential(family, model: TransitionModel,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .numerics import NEG_INF, logsumexp, scaled_power_diagonal
-from .potentials import PotentialSequence, block_matrix, pair_matrix
+from .potentials import PotentialSequence, transfer_operator
 from .shift_core import (
     FiniteSubshift,
     TransitionModel,
@@ -42,6 +42,8 @@ class PartitionSeries:
     truncation_size: int
     strategy: str
     empty_levels: tuple[int, ...]
+    # transfer_norm of the operator the series iterated; None when enumerated.
+    log_norm: Optional[float] = None
 
     def log_z(self, n: int) -> float:
         return self.entries[n - 1][1]
@@ -81,34 +83,24 @@ def partition_series(
 
     Strategy "auto" prefers the exact weighted-matrix route (arc-structured
     potentials), then the block-matrix route (matrix-product potentials at
-    scale one), then capped enumeration.
+    scale one), then capped enumeration. Naming "pair" or "block" for a
+    potential without that structure raises ValueError.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    sub.position(a)
-    if strategy == "auto":
-        if p.pair_structure() is not None:
-            strategy = "pair"
-        elif p.block_entries() is not None:
-            strategy = "block"
-        else:
-            strategy = "enumerate"
-    if strategy == "pair":
-        ps = p.pair_structure()
-        diag = scaled_power_diagonal(pair_matrix(sub, ps.pair), sub.position(a), n_max)
-        values = [
-            ps.offset(n) + v if v != NEG_INF else NEG_INF
-            for n, v in enumerate(diag, start=1)
-        ]
-    elif strategy == "block":
-        entries, d = p.block_entries()
-        ia = sub.position(a)
-        block = slice(ia * d, (ia + 1) * d)
-        values = scaled_power_diagonal(block_matrix(sub, entries, d), block, n_max)
-    elif strategy == "enumerate":
+    ia = sub.position(a)
+    op = transfer_operator(sub, p, strategy)
+    if op is None:
+        strategy, log_norm = "enumerate", None
         values = _enumerated_values(sub, p, n_max, a, cap)
     else:
-        raise ValueError(f"unknown strategy {strategy!r}")
+        strategy, B, d, offset = op
+        log_norm = _operator_norm(op)
+        diag = scaled_power_diagonal(B, slice(ia * d, (ia + 1) * d), n_max)
+        values = [
+            offset(n) + v if v != NEG_INF else NEG_INF
+            for n, v in enumerate(diag, start=1)
+        ]
     entries = tuple((n, v) for n, v in enumerate(values, start=1))
     empty = tuple(n for n, v in entries if v == NEG_INF)
     return PartitionSeries(
@@ -117,6 +109,7 @@ def partition_series(
         truncation_size=sub.size,
         strategy=strategy,
         empty_levels=empty,
+        log_norm=log_norm,
     )
 
 
@@ -152,18 +145,28 @@ def _enumerated_values(sub, p, n_max, a, cap):
     return [logsumexp(level) for level in terms]
 
 
+def _operator_norm(op) -> float:
+    _, B, d, offset = op
+    m = B.shape[0] // d
+    columns = B.reshape(m, d, m, d).sum(axis=(0, 1, 3))
+    return offset(1) + math.log(columns.max())
+
+
 def transfer_norm(sub: FiniteSubshift, p: PotentialSequence) -> float:
     """log of the sup-norm of the transfer operator applied to 1.
 
     Equals the log of the largest column sum of first-level weights: the max
     over symbols x0 of the sum over admissible predecessors z of f_1 on the
-    cylinder [z] followed by x0.
+    cylinder [z] followed by x0. With a transfer matrix that is its largest
+    column-block sum; otherwise sup f_1 on [z] stands in for each term.
     """
-    best = NEG_INF
-    for x0 in sub.symbols:
-        col = logsumexp(p.log_f1_into(z, x0) for z in sub.in_neighbors(x0))
-        best = max(best, col)
-    return best
+    op = transfer_operator(sub, p)
+    if op is not None:
+        return _operator_norm(op)
+    return max(
+        logsumexp(p.log_sup_f1(z) for z in sub.in_neighbors(x0))
+        for x0 in sub.symbols
+    )
 
 
 def near_superadditivity_margin(series: PartitionSeries, k: float) -> float:
@@ -297,7 +300,14 @@ def gurevich_pressure(
         ((zn - k) / n for n, zn in series.entries if zn != NEG_INF),
         default=NEG_INF,
     )
-    upper = p.declared_C + transfer_norm(sub, p)
+    m = m_list[-1]
+    norm = series.log_norm if series.log_norm is not None else transfer_norm(sub, p)
+    # Symbols beyond the truncation add at most the potential's known tail
+    # to every column sum; without one the bracket covers the truncation only.
+    tail_f1 = p.sup_f1_tail(m) if model.alphabet_size is None or m < model.alphabet_size else None
+    if tail_f1 is not None and tail_f1 > 0:
+        norm = logsumexp((norm, math.log(tail_f1)))
+    upper = p.declared_C + norm
     values_only = [v for _, v in per_level]
     monotone = all(
         b >= a_prev - tol for a_prev, b in zip(values_only, values_only[1:])

@@ -101,19 +101,24 @@ def test_finite_gibbs_marginal_consistency_and_normalization():
 
 
 def test_pair_recursion_matches_explicit_enumeration():
-    sub = truncate(full_shift(), 5)
-    p = weighted_fullshift_potential(lambda a: 3.0 ** (-a))
-    explicit = finite_gibbs_nu(sub, p, 6)
-    recursive = finite_gibbs_nu(sub, p, 6, cap=10)
-    assert explicit.strategy == "explicit"
-    assert recursive.strategy == "pair"
-    for n in (1, 2, 4, 6):
-        for w in iter_admissible_words(sub, n):
-            assert recursive.log_mass(w) == pytest.approx(
-                explicit.log_mass(w), abs=1e-12
-            )
-    for n in range(1, 7):
-        assert recursive.level_mass_total(n) == pytest.approx(1.0, abs=1e-12)
+    gm = golden_mean_shift()
+    cases = [
+        (truncate(full_shift(), 5), weighted_fullshift_potential(lambda a: 3.0 ** (-a))),
+        # The sup over the last hop of this one depends on the next symbol.
+        (truncate(gm, 2), birkhoff_potential(lambda i, j: 0.2 * i - 0.5 * j, gm).scaled(-0.7)),
+    ]
+    for sub, p in cases:
+        explicit = finite_gibbs_nu(sub, p, 6)
+        recursive = finite_gibbs_nu(sub, p, 6, cap=10)
+        assert explicit.strategy == "explicit"
+        assert recursive.strategy == "pair"
+        for n in (1, 2, 4, 6):
+            for w in iter_admissible_words(sub, n):
+                assert recursive.log_mass(w) == pytest.approx(
+                    explicit.log_mass(w), abs=1e-12
+                )
+        for n in range(1, 7):
+            assert recursive.level_mass_total(n) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_pair_recursion_stays_finite_at_deep_levels():

@@ -146,6 +146,10 @@ def test_measure_section_validation(tmp_path):
     assert load_error(
         tmp_path, {**base, "measure": {"kind": "uniform_bernoulli", "m": 0}}
     ).field_name == "measure.m"
+    # The finite Gibbs measure is chosen by params.level, not by a measure kind.
+    assert load_error(
+        tmp_path, {**base, "measure": {"kind": "nu", "level": 3}}
+    ).field_name == "measure.kind"
 
 
 def test_params_section_validation(tmp_path):
@@ -171,6 +175,9 @@ def test_params_section_validation(tmp_path):
     assert load_error(
         tmp_path, {**base, "params": {"witness": [0]}}
     ).field_name == "params.witness"
+    assert load_error(
+        tmp_path, {**base, "params": {"symbol_bound": 99999}}
+    ).field_name == "params.symbol_bound"
 
 
 def test_builders_produce_working_objects(tmp_path):

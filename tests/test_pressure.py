@@ -66,7 +66,6 @@ class HiddenStructure(PotentialSequence):
         self.name = f"hidden({base.name})"
         self.declared_C = base.declared_C
         self.declared_M = base.declared_M
-        self.cylinder_order = base.cylinder_order
 
     def eval(self, word):
         return self.base.eval(word)
@@ -146,6 +145,16 @@ def test_block_sums_of_vector_iteration_match_matrix_powers():
             assert v == pytest.approx(math.log(block.sum()), rel=1e-12)
 
 
+def test_strategy_the_potential_lacks_is_a_named_error():
+    star = truncate(star_shift(), 6)
+    with pytest.raises(ValueError, match="'pair'"):
+        partition_series(star, fiber_count_potential(), 4, 1, strategy="pair")
+    gm = golden_mean_shift()
+    p = birkhoff_potential(lambda i, j: 0.1 * i, gm)
+    with pytest.raises(ValueError, match="'block'"):
+        partition_series(truncate(gm, 2), p, 4, 1, strategy="block")
+
+
 def test_enumeration_budget_is_enforced():
     sub = truncate(full_shift(), 10)
     p = HiddenStructure(zero_potential(full_shift()))
@@ -186,6 +195,26 @@ def test_weighted_pressure_reaches_closed_form():
     # Rank-one structure makes the slope exact for the truncated model.
     truncated = math.log(sum(3.0 ** (-j) for j in range(1, 21)))
     assert est.value == pytest.approx(truncated, abs=1e-12)
+
+
+def test_upper_bracket_includes_the_known_tail():
+    for m in (5, 20):
+        est = gurevich_pressure(full_shift(), weighted_third(), m_list=[m], n_max=12)
+        assert est.lower <= math.log(0.5) <= est.upper + 1e-15, f"m={m}"
+    # A divergent tail (t <= 0 on geometric weights) leaves no finite bound.
+    est = gurevich_pressure(full_shift(), weighted_third().scaled(-0.5), m_list=[5], n_max=8)
+    assert est.upper == math.inf
+
+
+def test_each_arc_is_weighed_once_per_truncation():
+    calls = []
+
+    def arc(i, j):
+        calls.append((i, j))
+        return -0.1 * i - 0.05 * j
+
+    gurevich_pressure(full_shift(), birkhoff_potential(arc, full_shift()), m_list=[8, 16, 32])
+    assert len(calls) == 8 ** 2 + 16 ** 2 + 32 ** 2
 
 
 def test_non_mixing_truncation_is_named():
@@ -274,6 +303,26 @@ def test_transfer_norm_examples():
     ) == pytest.approx(math.log(2.0), abs=1e-12)
     tn = transfer_norm(truncate(full_shift(), 20), weighted_third())
     assert tn == pytest.approx(math.log(sum(3.0 ** (-j) for j in range(1, 21))), abs=1e-12)
+
+
+def test_transfer_norm_is_the_largest_column_sum():
+    gm = golden_mean_shift()
+    sub = truncate(gm, 2)
+    arc = {(1, 1): 0.4, (1, 2): 0.5, (2, 1): 0.7}
+    p = birkhoff_potential(lambda i, j: arc[(i, j)], gm)
+    # Symbol 1 is entered from 1 and 2, symbol 2 from 1 only.
+    columns = (math.exp(0.4) + math.exp(0.7), math.exp(0.5))
+    assert transfer_norm(sub, p) == pytest.approx(math.log(max(columns)), rel=1e-15)
+    mats = {1: np.array([[2.0, 1.0], [1.0, 2.0]]), 2: np.array([[1.0, 0.5], [0.5, 3.0]])}
+    q = cocycle_potential(lambda a: mats[a], gm, symbol_bound=2)
+    norms = {a: mats[a].sum() for a in mats}
+    columns = (norms[1] + norms[2], norms[1])
+    assert transfer_norm(sub, q) == pytest.approx(math.log(max(columns)), rel=1e-15)
+    # Off t = 1 the cocycle has no transfer matrix; sup f_1 stands in.
+    columns = (norms[1] ** 0.5 + norms[2] ** 0.5, norms[1] ** 0.5)
+    assert transfer_norm(sub, q.scaled(0.5)) == pytest.approx(
+        math.log(max(columns)), rel=1e-15
+    )
 
 
 # -- closed forms ----------------------------------------------------------------
