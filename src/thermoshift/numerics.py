@@ -16,16 +16,17 @@ NEG_INF = float("-inf")
 def logsumexp(values) -> float:
     """Stable log of a sum of exponentials.
 
-    Accepts any iterable of floats, possibly containing -inf. Returns -inf
-    for an empty input or when every term is -inf.
+    Accepts a float array or any iterable of floats, possibly containing
+    -inf. Returns -inf for an empty input or when every term is -inf.
     """
-    vals = [v for v in values if v != NEG_INF]
-    if not vals:
+    vals = values if isinstance(values, np.ndarray) else np.fromiter(values, dtype=float)
+    vals = vals[vals != NEG_INF]
+    if not vals.size:
         return NEG_INF
-    hi = max(vals)
-    if hi == float("inf"):
+    hi = float(vals.max())
+    if hi == math.inf:
         return hi
-    return hi + math.log(math.fsum(math.exp(v - hi) for v in vals))
+    return hi + math.log(math.fsum(np.exp(vals - hi).tolist()))
 
 
 def scaled_power_diagonal(W: np.ndarray, index, n_max: int) -> list[float]:

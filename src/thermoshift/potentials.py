@@ -135,16 +135,30 @@ class PotentialSequence:
         """(symbol -> positive matrix, d) when eval is a matrix-product norm."""
         return None
 
-    # -- incremental evaluation along enumeration ---------------------------
+    # -- batched prefix state along enumeration -----------------------------
+    # A state holds one row per word of a batch. Enumeration extends whole
+    # levels of words at once; eval may fold the same hooks over a batch of one.
 
     def prefix_start(self, a: int):
+        """State of the batch holding the one word (a,)."""
         return None
 
-    def prefix_extend(self, state, prev: int, b: int):
+    def prefix_extend(self, state, parent: np.ndarray, b: np.ndarray):
+        """State of the words parent-word + (b[k],), row k from row parent[k]."""
         return None
 
-    def periodic_close(self, state, word: Word) -> float:
-        return self.eval(word)
+    def periodic_close(self, state, rows: np.ndarray, words: np.ndarray) -> np.ndarray:
+        """eval of the words in the given rows; words holds one word per row."""
+        return np.array([self.eval(w) for w in map(tuple, words[rows].tolist())], dtype=float)
+
+    def prefix_fold(self, word: Word):
+        """State of the batch holding the one word, extended symbol by symbol."""
+        symbols = np.array(word)
+        row = np.zeros(1, dtype=np.intp)
+        state = self.prefix_start(word[0])
+        for k in range(1, len(word)):
+            state = self.prefix_extend(state, row, symbols[k:k + 1])
+        return state
 
     def scaled(self, t: float) -> "PotentialSequence":
         if t == 1.0:
@@ -209,11 +223,11 @@ class ScaledPotential(PotentialSequence):
     def prefix_start(self, a):
         return self.base.prefix_start(a)
 
-    def prefix_extend(self, state, prev, b):
-        return self.base.prefix_extend(state, prev, b)
+    def prefix_extend(self, state, parent, b):
+        return self.base.prefix_extend(state, parent, b)
 
-    def periodic_close(self, state, word):
-        return self.t * self.base.periodic_close(state, word)
+    def periodic_close(self, state, rows, words):
+        return self.t * self.base.periodic_close(state, rows, words)
 
     def scaled(self, t):
         return ScaledPotential(self.base, t * self.t)
@@ -268,15 +282,6 @@ class BirkhoffPotential(PotentialSequence):
 
     def pair_structure(self):
         return PairStructure(self.f, lambda n: 0.0)
-
-    def prefix_start(self, a):
-        return 0.0
-
-    def prefix_extend(self, state, prev, b):
-        return state + self.f(prev, b)
-
-    def periodic_close(self, state, word):
-        return state + self.f(word[-1], word[0])
 
 
 def birkhoff_potential(f: Callable[[int, int], float], model: TransitionModel,
@@ -341,15 +346,6 @@ class SymbolWeightPotential(PotentialSequence):
     def pair_structure(self):
         return PairStructure(lambda i, j: self.log_lam(i), self.log_c)
 
-    def prefix_start(self, a):
-        return self.log_lam(a)
-
-    def prefix_extend(self, state, prev, b):
-        return state + self.log_lam(b)
-
-    def periodic_close(self, state, word):
-        return state + self.log_c(len(word))
-
 
 def geometric_tail(base: float) -> Callable[[int, float], float]:
     """Closed-form tail of sum_{a > m} (base^-a)^power for base > 1."""
@@ -412,10 +408,7 @@ class CocyclePotential(PotentialSequence):
         word = tuple(word)
         if not is_admissible(word, self.model):
             raise InadmissibleWordError(f"word {word} is not admissible")
-        state = self.prefix_start(word[0])
-        for prev, b in zip(word, word[1:]):
-            state = self.prefix_extend(state, prev, b)
-        return self.periodic_close(state, word)
+        return float(self.periodic_close(self.prefix_fold(word), [0], None)[0])
 
     def sup_f1(self, a):
         return float(self.matrix(a).sum())
@@ -435,20 +428,24 @@ class CocyclePotential(PotentialSequence):
     def block_entries(self):
         return (self.matrix, self.d)
 
-    # State: (v, log_scale) with A_{w_k} ... A_{w_0} 1 = exp(log_scale) v and
-    # v of unit entry sum; the entries are positive, so no sum vanishes.
+    # State: (V, log_scale) with A_{w_k} ... A_{w_0} 1 = exp(log_scale[r]) V[r]
+    # for the word w of row r, each V[r] of unit entry sum; the entries are
+    # positive, so no sum vanishes.
     def prefix_start(self, a):
-        return self.prefix_extend((np.ones(self.d), 0.0), None, a)
+        return self.prefix_extend((np.ones((1, self.d)), np.zeros(1)), [0], np.array([a]))
 
-    def prefix_extend(self, state, prev, b):
-        v, log_scale = state
-        v = self.matrix(b) @ v
-        s = v.sum()
-        return v / s, log_scale + math.log(s)
+    def prefix_extend(self, state, parent, b):
+        V, log_scale = state
+        V = V[parent]
+        for s in set(b.tolist()):
+            rows = b == s
+            V[rows] = V[rows] @ self.matrix(s).T
+        total = V.sum(axis=1)
+        return V / total[:, None], log_scale[parent] + np.log(total)
 
-    def periodic_close(self, state, word):
-        v, log_scale = state
-        return log_scale + math.log(v.sum())
+    def periodic_close(self, state, rows, words):
+        V, log_scale = state
+        return log_scale[rows] + np.log(V[rows].sum(axis=1))
 
 
 def cocycle_potential(family, model: TransitionModel,
@@ -483,11 +480,8 @@ class FiberCountPotential(PotentialSequence):
 
     def preimage_word_count(self, word: Sequence[int]) -> int:
         """Exact number of admissible preimage words of the given word."""
-        word = tuple(word)
-        state = self.prefix_start(word[0])
-        for prev, b in zip(word, word[1:]):
-            state = self.prefix_extend(state, prev, b)
-        return state[1] + state[2]
+        _, _, lo, hi = self.prefix_fold(tuple(word))
+        return int(lo[0] + hi[0])
 
     def eval(self, word):
         word = tuple(word)
@@ -498,22 +492,26 @@ class FiberCountPotential(PotentialSequence):
     def sup_f1(self, a):
         return 0.5
 
-    # State: (current symbol j, count at preimage 2j-2, count at preimage 2j-1).
-    # Arcs between preimages exist iff the source or target preimage symbol is
-    # 0, i.e. the source is the low preimage of j = 1 or the target is the low
-    # preimage of k = 1.
+    # State: (word length n, then per row: current symbol j, count at preimage
+    # 2j-2, count at preimage 2j-1). Arcs between preimages exist iff the
+    # source or target preimage symbol is 0, i.e. the source is the low
+    # preimage of j = 1 or the target is the low preimage of k = 1. Counts are
+    # exact integers: at length n they are at most 2**(n-1), so they move from
+    # int64 to Python ints before they could wrap.
     def prefix_start(self, a):
-        return (a, 1, 1)
+        return 1, np.array([a]), np.ones(1, dtype=np.int64), np.ones(1, dtype=np.int64)
 
-    def prefix_extend(self, state, prev, b):
-        j, lo, hi = state
-        from_zero = lo if j == 1 else 0
-        new_lo = lo + hi if b == 1 else from_zero
-        new_hi = from_zero
-        return (b, new_lo, new_hi)
+    def prefix_extend(self, state, parent, b):
+        n, j, lo, hi = state
+        j, lo, hi = j[parent], lo[parent], hi[parent]
+        if n == 61:
+            lo, hi = lo.astype(object), hi.astype(object)
+        from_zero = np.where(j == 1, lo, 0)
+        return n + 1, b, np.where(b == 1, lo + hi, from_zero), from_zero
 
-    def periodic_close(self, state, word):
-        return -math.log(state[1] + state[2])
+    def periodic_close(self, state, rows, words):
+        _, _, lo, hi = state
+        return -np.log((lo[rows] + hi[rows]).astype(float))
 
 
 def fiber_count_potential() -> FiberCountPotential:

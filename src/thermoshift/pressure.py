@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .numerics import NEG_INF, logsumexp, scaled_power_diagonal
 from .potentials import PotentialSequence, transfer_operator
 from .shift_core import (
@@ -44,6 +46,8 @@ class PartitionSeries:
     empty_levels: tuple[int, ...]
     # transfer_norm of the operator the series iterated; None when enumerated.
     log_norm: Optional[float] = None
+    # Prefix extensions the enumeration made (at most cap); 0 for an operator.
+    prefixes: int = 0
 
     def log_z(self, n: int) -> float:
         return self.entries[n - 1][1]
@@ -90,9 +94,10 @@ def partition_series(
         raise ValueError("n_max must be at least 1")
     ia = sub.position(a)
     op = transfer_operator(sub, p, strategy)
+    prefixes = 0
     if op is None:
         strategy, log_norm = "enumerate", None
-        values = _enumerated_values(sub, p, n_max, a, cap)
+        values, prefixes = _enumerated_values(sub, p, n_max, a, cap)
     else:
         strategy, B, d, offset = op
         log_norm = _operator_norm(op)
@@ -110,39 +115,81 @@ def partition_series(
         strategy=strategy,
         empty_levels=empty,
         log_norm=log_norm,
+        prefixes=prefixes,
     )
 
 
+# Most rows one enumeration slice holds. The walk keeps at most one slice per
+# word length, so its memory is O(n_max**2 * _FRONTIER) whatever the number
+# of words.
+_FRONTIER = 1 << 10
+
+
 def _enumerated_values(sub, p, n_max, a, cap):
-    terms: list[list[float]] = [[] for _ in range(n_max)]
+    """log Z_n for n = 1..n_max by enumeration, and the prefix extensions made.
+
+    Walks the words starting at a one level at a time. A level holds its
+    words (one row each), their last positions and the potential's batched
+    prefix state; its children follow the truncation's arcs in row-major
+    order, so every level stays in lexicographic order. Children are built
+    for consecutive slices of parents, at most _FRONTIER rows per slice, and
+    each slice is walked to length n_max before the next one is built. The
+    extensions out of each slice are counted before any of its children are
+    built, and the walk stops with EnumerationBudgetError once their total
+    exceeds cap.
+    """
     ia = sub.position(a)
-    visited = 0
+    arcs = sub.matrix != 0
+    fanout = arcs.sum(axis=1)
+    symbols = np.asarray(sub.symbols)
+    # Per length, the log-sum of each slice's closed words.
+    sums: list[list[float]] = [[] for _ in range(n_max)]
+    prefixes = 0
+    # Per length still being expanded: (last, words, state, parent slices left).
+    pending = []
 
-    word = [a]
-    states = [p.prefix_start(a)]
-
-    def descend():
-        nonlocal visited
-        depth = len(word)
-        last = word[-1]
-        if sub.matrix[sub.position(last), ia]:
-            terms[depth - 1].append(p.periodic_close(states[-1], tuple(word)))
-        if depth == n_max:
-            return
-        for b in sub.out_neighbors(last):
-            visited += 1
-            if visited > cap:
+    def visit(last, words, state):
+        nonlocal prefixes
+        n = words.shape[1]
+        closed = np.flatnonzero(arcs[last, ia])
+        if closed.size:
+            sums[n - 1].append(logsumexp(p.periodic_close(state, closed, words)))
+        if n < n_max:
+            ends = np.cumsum(fanout[last])
+            prefixes += int(ends[-1])
+            if prefixes > cap:
                 raise EnumerationBudgetError(
                     f"enumeration exceeded {cap} prefix extensions"
                 )
-            word.append(b)
-            states.append(p.prefix_extend(states[-1], last, b))
-            descend()
-            word.pop()
-            states.pop()
+            pending.append((last, words, state, _slices(ends)))
 
-    descend()
-    return [logsumexp(level) for level in terms]
+    visit(np.array([ia]), np.array([[a]]), p.prefix_start(a))
+    while pending:
+        last, words, state, slices = pending[-1]
+        piece = next(slices, None)
+        if piece is None:
+            pending.pop()
+            continue
+        start, stop = piece
+        parent, child = np.nonzero(arcs[last[start:stop]])
+        parent += start
+        b = symbols[child]
+        visit(child, np.column_stack((words[parent], b)), p.prefix_extend(state, parent, b))
+    return [logsumexp(level) for level in sums], prefixes
+
+
+def _slices(ends):
+    """Consecutive parent ranges with at most _FRONTIER children each.
+
+    ends is the cumulative child count of the parents; a parent with more
+    children than _FRONTIER gets a range of its own.
+    """
+    start = 0
+    while start < len(ends):
+        done = ends[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, done + _FRONTIER, side="right")))
+        yield start, stop
+        start = stop
 
 
 def _operator_norm(op) -> float:
@@ -307,7 +354,14 @@ def gurevich_pressure(
     tail_f1 = p.sup_f1_tail(m) if model.alphabet_size is None or m < model.alphabet_size else None
     if tail_f1 is not None and tail_f1 > 0:
         norm = logsumexp((norm, math.log(tail_f1)))
-    upper = p.declared_C + norm
+    # norm is the log of a column sum of at most m*d*d positive terms
+    # (exp-rounded pair weights, or block entries), so the sum is off by a
+    # relative error below (m*d*d + 2) * 2**-52. Pad by that and round up,
+    # so that rounding never moves the bracket inward.
+    d = p.block_entries()[1] if series.strategy == "block" else 1
+    upper = math.nextafter(
+        p.declared_C + norm + (sub.size * d * d + 2) * 2.0 ** -52, math.inf
+    )
     values_only = [v for _, v in per_level]
     monotone = all(
         b >= a_prev - tol for a_prev, b in zip(values_only, values_only[1:])

@@ -1,4 +1,6 @@
-"""Shared generators for randomized property tests."""
+"""Shared generators and brute-force oracles for property tests."""
+
+import itertools
 
 import numpy as np
 
@@ -43,3 +45,13 @@ def random_mixing_subshift(rng, max_symbols=5, density=0.6):
         sub = truncate(model, size)
         if check_mixing(sub) is not None:
             return model, sub
+
+
+def brute_force_preimage_count(word):
+    """Independent count over all preimage choices, checked pairwise."""
+    choices = [(2 * j - 2, 2 * j - 1) for j in word]
+    count = 0
+    for combo in itertools.product(*choices):
+        if all(u == 0 or v == 0 for u, v in zip(combo, combo[1:])):
+            count += 1
+    return count

@@ -4,12 +4,12 @@ Expected values are frozen from hand computation or from an independent
 brute-force enumeration inside the test.
 """
 
-import itertools
 import math
 
 import numpy as np
 import pytest
 
+from helpers import brute_force_preimage_count
 from thermoshift.potentials import (
     birkhoff_potential,
     check_cone_condition,
@@ -197,16 +197,21 @@ def test_cocycle_prefix_protocol_matches_eval():
     rng = np.random.default_rng(11)
     mats = {a: rng.random((3, 3)) + 0.2 for a in (1, 2)}
     p = cocycle_potential(lambda a: mats[a], golden_mean_shift(), symbol_bound=2)
-    word = (1, 1, 2, 1, 2, 1)
-    state = p.prefix_start(word[0])
-    for prev, b in zip(word, word[1:]):
-        state = p.prefix_extend(state, prev, b)
-    assert p.periodic_close(state, word) == pytest.approx(p.eval(word), rel=1e-12)
-    # Independent oracle: plain numpy product in the reversed order.
-    prod = np.eye(3)
-    for a in word:
-        prod = mats[a] @ prod
-    assert p.eval(word) == pytest.approx(math.log(prod.sum()), rel=1e-10)
+    words = np.array([(1, 1, 2, 1, 2, 1), (1, 2, 1, 1, 2, 1)])
+    # Fold both words as one batch: the first step branches row 0 in two.
+    state = p.prefix_start(1)
+    parent = np.array([0, 0])
+    for k in range(1, words.shape[1]):
+        state = p.prefix_extend(state, parent, words[:, k])
+        parent = np.array([0, 1])
+    closed = p.periodic_close(state, np.array([1, 0]), words)
+    for value, word in zip(closed, words[[1, 0]].tolist()):
+        assert value == pytest.approx(p.eval(word), rel=1e-12)
+        # Independent oracle: plain numpy product in the reversed order.
+        prod = np.eye(3)
+        for a in word:
+            prod = mats[a] @ prod
+        assert value == pytest.approx(math.log(prod.sum()), rel=1e-10)
 
 
 def test_cocycle_rejects_nonpositive_entries():
@@ -248,16 +253,6 @@ def test_cone_condition_reports():
 
 # -- fiber-count potential -----------------------------------------------------
 
-def brute_force_preimage_count(word):
-    """Independent count over all preimage choices, checked pairwise."""
-    choices = [(2 * j - 2, 2 * j - 1) for j in word]
-    count = 0
-    for combo in itertools.product(*choices):
-        if all(u == 0 or v == 0 for u, v in zip(combo, combo[1:])):
-            count += 1
-    return count
-
-
 def test_fiber_counts_small_words():
     f = fiber_count_potential()
     assert f.preimage_word_count((1,)) == 2
@@ -266,6 +261,12 @@ def test_fiber_counts_small_words():
     assert f.preimage_word_count((1, 2)) == 2
     assert f.preimage_word_count((1, 2, 1, 2)) == 4
     assert f.eval((1, 1)) == pytest.approx(-math.log(3.0), rel=1e-15)
+    # 1^n lifts to the 0/1 words without two adjacent 1s: Fibonacci(n + 2),
+    # past the int64 range at n = 100.
+    fib = [0, 1]
+    while len(fib) < 103:
+        fib.append(fib[-1] + fib[-2])
+    assert f.preimage_word_count((1,) * 100) == fib[102] > 2 ** 63
 
 
 def test_fiber_counts_match_brute_force():

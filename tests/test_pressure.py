@@ -6,10 +6,13 @@ enumeration and slope-estimation code paths.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from helpers import brute_force_preimage_count
+from thermoshift import pressure
 from thermoshift.numerics import scaled_power_diagonal
 from thermoshift.potentials import (
     PotentialSequence,
@@ -38,12 +41,14 @@ from thermoshift.pressure import (
     transfer_norm,
 )
 from thermoshift.shift_core import (
+    enumerate_periodic_words,
     star_shift,
     full_shift,
     golden_mean_shift,
     model_from_arcs,
     renewal_shift,
     truncate,
+    walk_counts,
 )
 
 LOG_PHI = math.log((1.0 + math.sqrt(5.0)) / 2.0)
@@ -160,6 +165,94 @@ def test_enumeration_budget_is_enforced():
     p = HiddenStructure(zero_potential(full_shift()))
     with pytest.raises(EnumerationBudgetError):
         partition_series(sub, p, 8, 1, cap=1000)
+    # The cap is exact: 3 + 9 + 27 + 81 + 243 extensions reach every word of
+    # length 2..6 on three symbols.
+    sub = truncate(full_shift(), 3)
+    series = partition_series(sub, p, 6, 1, cap=363)
+    assert series.prefixes == 363
+    assert series.log_z(6) == pytest.approx(5 * math.log(3.0), rel=1e-12)
+    with pytest.raises(EnumerationBudgetError, match="362"):
+        partition_series(sub, p, 6, 1, cap=362)
+
+
+def brute_log_z(sub, n, a, weight):
+    """log of the fsum of exp(weight(w)) over the periodic words, one by one."""
+    values = [weight(w) for w in enumerate_periodic_words(sub, n, a)]
+    if not values:
+        return -math.inf
+    hi = max(values)
+    return hi + math.log(math.fsum(math.exp(v - hi) for v in values))
+
+
+def cocycle_weight(mats, t):
+    def weight(word):
+        prod = np.eye(len(mats[1]))
+        for a in word:
+            prod = mats[a] @ prod
+        return t * math.log(prod.sum())
+    return weight
+
+
+def walk_cases():
+    gm = golden_mean_shift()
+    rng = np.random.default_rng(23)
+    mats = {a: rng.uniform(0.1, 1.5, size=(3, 3)) for a in (1, 2)}
+    q = cocycle_potential(mats.__getitem__, gm, symbol_bound=2)
+    # From a = 2 the closing arc matters: words ending in 2 do not close.
+    for t in (0.5, 1.7):
+        for a in (1, 2):
+            yield f"cocycle t={t} a={a}", truncate(gm, 2), q.scaled(t), 12, a, cocycle_weight(mats, t)
+    fiber = truncate(star_shift(), 8)
+    yield "fiber star m=8", fiber, fiber_count_potential(), 6, 1, lambda w: -math.log(brute_force_preimage_count(w))
+    zero = HiddenStructure(zero_potential(renewal_shift()))
+    yield "hidden renewal m=3", truncate(renewal_shift(), 3), zero, 7, 3, zero.eval
+
+
+@pytest.mark.parametrize("case", list(walk_cases()), ids=lambda case: case[0])
+def test_level_walk_matches_brute_force(case):
+    _, sub, p, n_max, a, weight = case
+    series = partition_series(sub, p, n_max, a, strategy="enumerate")
+    assert series.strategy == "enumerate"
+    for n, value in series.entries:
+        expected = brute_log_z(sub, n, a, weight)
+        if expected == -math.inf:
+            assert value == -math.inf, f"n={n}"
+        else:
+            assert value == pytest.approx(expected, rel=1e-12, abs=1e-15), f"n={n}"
+
+
+def test_enumeration_counts_its_prefix_extensions():
+    gm = golden_mean_shift()
+    q = cocycle_potential(lambda a: np.array([[1.0, 0.5], [0.5, 2.0]]) * a, gm, symbol_bound=2)
+    for sub, p, n_max, a in (
+        (truncate(star_shift(), 8), fiber_count_potential(), 6, 1),
+        (truncate(gm, 2), q.scaled(0.5), 15, 2),
+    ):
+        series = partition_series(sub, p, n_max, a)
+        ones = np.ones(sub.size, dtype=object)
+        # Each extension makes one word of length 2..n_max starting at a.
+        words = sum(walk_counts(sub, k, ones)[sub.position(a)] for k in range(1, n_max))
+        assert series.prefixes == words
+    assert partition_series(truncate(gm, 2), q, 15, 2).prefixes == 0
+    assert partition_series(truncate(gm, 2), zero_potential(gm), 15, 2).prefixes == 0
+
+
+def test_enumeration_memory_is_bounded_by_the_frontier():
+    mats = {1: np.array([[2.0, 1.0], [1.0, 3.0]]), 2: np.array([[1.0, 0.5], [0.5, 1.0]])}
+    p = cocycle_potential(mats.__getitem__, full_shift(), symbol_bound=2).scaled(0.5)
+    sub = truncate(full_shift(), 2)
+    n_max = 17
+    # The last level holds 2**16 words, far more than one slice may hold.
+    assert 2 ** (n_max - 1) >= 16 * pressure._FRONTIER
+    tracemalloc.start()
+    try:
+        series = partition_series(sub, p, n_max, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert series.prefixes == 2 ** n_max - 2
+    # Measured 1.4 MB; a walk holding whole levels peaks near 30 MB.
+    assert peak < 5e6, f"peak {peak / 1e6:.1f} MB"
 
 
 # -- pressure estimates ----------------------------------------------------------
@@ -198,9 +291,11 @@ def test_weighted_pressure_reaches_closed_form():
 
 
 def test_upper_bracket_includes_the_known_tail():
-    for m in (5, 20):
-        est = gurevich_pressure(full_shift(), weighted_third(), m_list=[m], n_max=12)
-        assert est.lower <= math.log(0.5) <= est.upper + 1e-15, f"m={m}"
+    # From m = 64 on, the column sum loses its last bits; the padded,
+    # upward-rounded bracket still holds log(1/2) with no tolerance.
+    for m in (5, 20, 64, 128, 256):
+        est = gurevich_pressure(full_shift(), weighted_third(), m_list=[m], n_max=30)
+        assert est.lower <= math.log(0.5) <= est.upper, f"m={m}"
     # A divergent tail (t <= 0 on geometric weights) leaves no finite bound.
     est = gurevich_pressure(full_shift(), weighted_third().scaled(-0.5), m_list=[5], n_max=8)
     assert est.upper == math.inf
