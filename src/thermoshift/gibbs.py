@@ -4,9 +4,14 @@ Two measure representations cover everything the toolkit certifies. Markov
 measures store log-probabilities and give exact cylinder masses at any depth.
 Finite-approximation measures put mass proportional to the cylinder weight
 exp(sup log f_l) on every admissible word of length l; shallower masses are
-exact marginal sums, computed either by explicit aggregation or, when the
-level is too large to enumerate, by suffix-vector recursions that exploit the
-potential's arc or matrix-product structure.
+exact marginal sums. A potential with a transfer operator (arc or
+matrix-product structure) gets them at any level from suffix-vector
+recursions; any other potential has its level enumerated, up to a cap, and
+aggregated explicitly.
+
+Certificates and the Lyapunov functional walk the cylinders a slice at a
+time (shift_core.walk_words). Masses and weights are computed for a whole
+slice at once wherever the measure and the potential have a batched form.
 """
 
 from __future__ import annotations
@@ -18,15 +23,15 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .numerics import NEG_INF, logsumexp, perron_data
-from .potentials import PotentialSequence, pair_matrix, transfer_operator
+from .potentials import PotentialSequence, pair_log_table, pair_matrix, transfer_operator
 from .shift_core import (
     FiniteSubshift,
-    SymbolDomainError,
     Word,
     check_mixing,
     full_shift,
     truncate,
     walk_counts,
+    walk_words,
 )
 
 
@@ -44,22 +49,9 @@ class NonMixingSubshiftError(RuntimeError):
 
 def iter_admissible_words(sub: FiniteSubshift, n: int) -> Iterator[Word]:
     """All admissible words of length n, in lexicographic symbol order."""
-    word: list[int] = []
-
-    def rec() -> Iterator[Word]:
-        if len(word) == n:
-            yield tuple(word)
-            return
-        if not word:
-            starts = sub.symbols
-        else:
-            starts = sub.out_neighbors(word[-1])
-        for s in starts:
-            word.append(s)
-            yield from rec()
-            word.pop()
-
-    yield from rec()
+    for words, _, _ in walk_words(sub, range(sub.size), n):
+        if words.shape[1] == n:
+            yield from map(tuple, words.tolist())
 
 
 def count_admissible_words(sub: FiniteSubshift, n: int) -> int:
@@ -229,6 +221,51 @@ def _normalized(vec: np.ndarray) -> tuple[np.ndarray, float]:
     return vec / s, math.log(s)
 
 
+def _log(x: np.ndarray) -> np.ndarray:
+    """Elementwise log with log 0 = -inf, raising no divide warning."""
+    return np.log(x, out=np.full_like(x, NEG_INF), where=x > 0)
+
+
+def _closing_tails(B: np.ndarray, d: int) -> np.ndarray:
+    """Per position, the sup of the next hop that closes a word ending there.
+
+    These are the row sums of the entrywise max of the position's successor
+    blocks (B is zero off the arcs): the best last arc of a pair potential,
+    and A_a^T 1 for a cocycle.
+    """
+    m = B.shape[0] // d
+    return B.reshape(m, d, m, d).max(axis=2).sum(axis=2).ravel()
+
+
+class _ForwardRows:
+    """Batched forward vectors r_w = 1^T (blocks along w) of a block transfer matrix.
+
+    A state is (r, log_scale): one row of r per word, renormalised to unit
+    sum, and the log of the sums divided out. A word whose sum vanishes keeps
+    a zero row and log_scale -inf.
+    """
+
+    def __init__(self, B: np.ndarray, d: int):
+        m = B.shape[0] // d
+        self.blocks = B.reshape(m, d, m, d)
+        self.d = d
+
+    def start(self, roots):
+        return np.ones((len(roots), self.d)), np.zeros(len(roots))
+
+    def extend(self, state, parent, prev, child):
+        r, log_scale = state
+        r = np.einsum("kd,kde->ke", r[parent], self.blocks[prev, :, child, :])
+        s = r.sum(axis=1)
+        np.divide(r, s[:, None], out=r, where=s[:, None] > 0)
+        return r, log_scale[parent] + _log(s)
+
+    def log_pair(self, state, last, vec):
+        """(log_scale, log of r . vec[block of the last position]) for every row."""
+        r, log_scale = state
+        return log_scale, _log(np.einsum("kd,kd->k", r, vec.reshape(-1, self.d)[last]))
+
+
 class GibbsCylinderMeasure:
     """Finite-approximation measure: level-l masses proportional to cylinder weights.
 
@@ -293,28 +330,23 @@ class _TransferGibbs(GibbsCylinderMeasure):
         log_alpha = offset + top_scale + math.log(top_vec.sum())
         super().__init__(sub, p, l, strategy, log_alpha)
         self._B = B
-        self._blocks = B.reshape(sub.size, d, sub.size, d)
-        self._d = d
+        self.rows = _ForwardRows(B, d)
         self._hs = hs
         self._offset = offset
 
+    def log_masses(self, state, last, n):
+        """log masses of a slice of length-n words from its forward rows."""
+        vec, scale = self._hs[self.depth - n]
+        r_scale, log_total = self.rows.log_pair(state, last, vec)
+        return self._offset + r_scale + scale + log_total - self.log_alpha
+
     def log_mass(self, word):
-        pos = [self.sub.position(a) for a in word]
-        r = np.ones(self._d)
-        r_scale = 0.0
-        for i, j in zip(pos, pos[1:]):
-            r = r @ self._blocks[i, :, j, :]
-            s = r.sum()
-            if s <= 0:
-                return NEG_INF
-            r /= s
-            r_scale += math.log(s)
-        vec, scale = self._hs[self.depth - len(pos)]
-        last = pos[-1] * self._d
-        total = float(r @ vec[last:last + self._d])
-        if total <= 0:
-            return NEG_INF
-        return self._offset + r_scale + scale + math.log(total) - self.log_alpha
+        pos = np.array([self.sub.position(a) for a in word], dtype=np.intp)
+        row = np.zeros(1, dtype=np.intp)
+        state = self.rows.start(row)
+        for k in range(1, len(pos)):
+            state = self.rows.extend(state, row, pos[k - 1:k], pos[k:k + 1])
+        return float(self.log_masses(state, pos[-1:], len(pos))[0])
 
     def level_mass_total(self, n):
         # Forward weights g = 1^T B^(n-1) sum the block products of every
@@ -342,41 +374,203 @@ def finite_gibbs_nu(
 
     Masses on length-l words are proportional to exp(sup log f_l) on the
     cylinder, normalized by the full level sum; shallower masses are marginal
-    sums. Levels beyond the enumeration cap require a structured potential.
+    sums. A potential with a transfer operator gets them from suffix-vector
+    recursions at any level. Any other potential has its level enumerated
+    explicitly, and cap bounds the number of words enumerated.
     """
     if l < 1:
         raise ValueError("level must be at least 1")
-    total = count_admissible_words(sub, l)
-    if total == 0:
+    arcs = sub.matrix != 0
+    reach = np.ones(sub.size, dtype=bool)
+    for _ in range(l - 1):
+        reach = arcs @ reach
+    if not reach.any():
         raise NoAdmissibleWordsError(
             f"no admissible words of length {l} in the truncation"
         )
-    if total <= cap:
-        weights: dict[Word, float] = {}
-        for w in iter_admissible_words(sub, l):
-            weights[w] = p.cylinder_log_weight(w, sub)
-        log_alpha = logsumexp(weights.values())
-        top = {w: math.exp(lw - log_alpha) for w, lw in weights.items()}
-        levels = [top]
-        for n in range(l - 1, 0, -1):
-            shorter: dict[Word, float] = {}
-            for w, m in levels[0].items():
-                key = w[:n]
-                shorter[key] = shorter.get(key, 0.0) + m
-            levels.insert(0, shorter)
-        return _ExplicitGibbs(sub, p, l, levels, log_alpha)
     op = transfer_operator(sub, p)
-    if op is None:
+    if op is not None:
+        kind, B, d, offset = op
+        return _TransferGibbs(sub, p, l, kind, B, d, _closing_tails(B, d), offset(l))
+    total = count_admissible_words(sub, l)
+    if total > cap:
         raise NoAdmissibleWordsError(
             f"level {l} has {total} words, beyond the enumeration cap, and the "
             "potential exposes no structure for marginal recursions"
         )
-    kind, B, d, offset = op
-    # A word ending at a closes with the sup over its next hop: the row sums
-    # of the entrywise max of a's successor blocks (B is zero off the arcs).
-    # That is the best last arc of a pair potential and A_a^T 1 for a cocycle.
-    tails = B.reshape(sub.size, d, sub.size, d).max(axis=2).sum(axis=2).ravel()
-    return _TransferGibbs(sub, p, l, kind, B, d, tails, offset(l))
+    weights: dict[Word, float] = {}
+    for w in iter_admissible_words(sub, l):
+        weights[w] = p.cylinder_log_weight(w, sub)
+    log_alpha = logsumexp(weights.values())
+    top = {w: math.exp(lw - log_alpha) for w, lw in weights.items()}
+    levels = [top]
+    for n in range(l - 1, 0, -1):
+        shorter: dict[Word, float] = {}
+        for w, m in levels[0].items():
+            key = w[:n]
+            shorter[key] = shorter.get(key, 0.0) + m
+        levels.insert(0, shorter)
+    return _ExplicitGibbs(sub, p, l, levels, log_alpha)
+
+
+# -- batched cylinder hooks ---------------------------------------------------
+# A hook carries one state per word of a walk slice: start(roots) and
+# extend(state, parent, prev, child) follow shift_core.walk_words, and
+# close(state, words, last) returns the slice's values.
+
+
+class _PerWord:
+    """Hooks without state: close evaluates each word of the slice on its own."""
+
+    def start(self, roots):
+        return None
+
+    def extend(self, state, parent, prev, child):
+        return None
+
+
+class _PairWeights:
+    """Cylinder weights offset(n) + arc values along w + the best closing hop.
+
+    The arc values are summed in the log domain, so an arc whose exp
+    underflows keeps a finite weight. The state is the path sum as an
+    unevaluated pair (hi, lo), compensated like math.fsum, so the weights
+    round as the per-word sums do.
+    """
+
+    def __init__(self, sub: FiniteSubshift, ps):
+        self.arcs = pair_log_table(sub, ps.pair)
+        self.hop = self.arcs.max(axis=1)
+        self.offset = ps.offset
+
+    def start(self, roots):
+        return np.zeros(len(roots)), np.zeros(len(roots))
+
+    def extend(self, state, parent, prev, child):
+        hi, lo = state[0][parent], state[1][parent]
+        step = self.arcs[prev, child]
+        total = hi + step
+        back = total - hi
+        return total, lo + ((hi - (total - back)) + (step - back))
+
+    def close(self, state, words, last):
+        hi, lo = state
+        return self.offset(words.shape[1]) + (hi + lo) + self.hop[last]
+
+
+class _BlockWeights:
+    """Cylinder weights offset(n) + log(r_w . tails[w_last]) of a block operator."""
+
+    def __init__(self, B: np.ndarray, d: int, offset):
+        self.rows = _ForwardRows(B, d)
+        self.tails = _closing_tails(B, d)
+        self.offset = offset
+        self.start, self.extend = self.rows.start, self.rows.extend
+
+    def close(self, state, words, last):
+        r_scale, log_total = self.rows.log_pair(state, last, self.tails)
+        return self.offset(words.shape[1]) + r_scale + log_total
+
+
+class _WordWeights(_PerWord):
+    def __init__(self, sub: FiniteSubshift, p: PotentialSequence):
+        self.sub, self.p = sub, p
+
+    def close(self, state, words, last):
+        return np.array(
+            [self.p.cylinder_log_weight(w, self.sub) for w in map(tuple, words.tolist())],
+            dtype=float,
+        )
+
+
+def _cylinder_weights(sub: FiniteSubshift, p: PotentialSequence):
+    """Weight hooks of p on sub: from its transfer operator, else word by word."""
+    ps = p.pair_structure()
+    if ps is not None:
+        return _PairWeights(sub, ps)
+    op = transfer_operator(sub, p)
+    if op is None:
+        return _WordWeights(sub, p)
+    _, B, d, offset = op
+    return _BlockWeights(B, d, offset)
+
+
+def _plus(table: np.ndarray, P: float) -> np.ndarray:
+    """table + P, keeping -inf entries at -inf whatever P is."""
+    return np.add(table, P, out=np.full_like(table, NEG_INF), where=table > NEG_INF)
+
+
+class _MarkovMasses:
+    """(log mass, log mass + nP) of Markov cylinders as gathered table sums.
+
+    The second sum adds P to every symbol's term, as log_mass_plus_n_pressure
+    does, so matching logs cancel exactly.
+    """
+
+    def __init__(self, mu: MarkovCylinderMeasure, sub: FiniteSubshift, P: float):
+        self.log_pi = np.array([mu.log_pi.get(a, NEG_INF) for a in sub.symbols])
+        self.log_p = np.array(
+            [[mu.log_p.get((a, b), NEG_INF) for b in sub.symbols] for a in sub.symbols]
+        )
+        self.pi_plus, self.p_plus = _plus(self.log_pi, P), _plus(self.log_p, P)
+
+    def start(self, roots):
+        return self.log_pi[roots], self.pi_plus[roots]
+
+    def extend(self, state, parent, prev, child):
+        plain, grouped = state
+        return (plain[parent] + self.log_p[prev, child],
+                grouped[parent] + self.p_plus[prev, child])
+
+    def close(self, state, words, last):
+        return state
+
+
+class _TransferMasses:
+    """(log mass, log mass + nP) of a transfer measure from its forward rows."""
+
+    def __init__(self, mu: "_TransferGibbs", P: float):
+        self.mu, self.P = mu, P
+        self.start, self.extend = mu.rows.start, mu.rows.extend
+
+    def close(self, state, words, last):
+        n = words.shape[1]
+        log_mass = self.mu.log_masses(state, last, n)
+        return log_mass, log_mass + n * self.P
+
+
+class _WordMasses(_PerWord):
+    def __init__(self, mu, P: float):
+        self.mu, self.P = mu, P
+        self.grouped = getattr(mu, "log_mass_plus_n_pressure", None)
+
+    def close(self, state, words, last):
+        n = words.shape[1]
+        words = list(map(tuple, words.tolist()))
+        log_mass = np.array([self.mu.log_mass(w) for w in words], dtype=float)
+        if self.grouped is None:
+            return log_mass, log_mass + n * self.P
+        return log_mass, np.array([self.grouped(w, self.P) for w in words], dtype=float)
+
+
+def _cylinder_masses(mu, sub: FiniteSubshift, P: float):
+    """Mass hooks of mu on sub: batched for Markov and transfer measures."""
+    if isinstance(mu, MarkovCylinderMeasure):
+        return _MarkovMasses(mu, sub, P)
+    if isinstance(mu, _TransferGibbs) and mu.sub.symbols == sub.symbols:
+        return _TransferMasses(mu, P)
+    return _WordMasses(mu, P)
+
+
+def _walk_cylinders(sub: FiniteSubshift, depth: int, *hooks):
+    """walk_words from every symbol, carrying each hook's state side by side."""
+    return walk_words(
+        sub, range(sub.size), depth,
+        lambda roots: [h.start(roots) for h in hooks],
+        lambda states, parent, prev, child: [
+            h.extend(state, parent, prev, child) for h, state in zip(hooks, states)
+        ],
+    )
 
 
 @dataclass(frozen=True)
@@ -405,6 +599,11 @@ def verify_gibbs(
     A cylinder with zero mass but positive potential weight records ratio 0
     and fails the certificate. The certificate passes iff both extremes are
     finite, positive, and ratio_max/ratio_min <= ratio_bound.
+
+    The cylinders are walked a slice at a time, each slice's masses and
+    weights computed at once. row_sink gets (n, w, mass, log weight, ratio)
+    by length, then lexicographically; without it, memory stays bounded by
+    the walk's slices.
     """
     if sub is None:
         sub = getattr(mu, "sub", None)
@@ -412,30 +611,38 @@ def verify_gibbs(
         raise ValueError("a finite subshift is required to enumerate cylinders")
     if depth > mu.depth:
         raise ValueError(f"depth {depth} exceeds measure depth {mu.depth}")
+    weights = _cylinder_weights(sub, p)
+    masses = _cylinder_masses(mu, sub, P)
     log_lo = math.inf
     log_hi = -math.inf
     zero_mass_hit = False
     tested = 0
-    grouped = getattr(mu, "log_mass_plus_n_pressure", None)
-    for n in range(1, depth + 1):
-        for w in iter_admissible_words(sub, n):
-            weight = p.cylinder_log_weight(w, sub)
-            if grouped is not None:
-                numer = grouped(w, P)
-            else:
-                numer = mu.log_mass(w) + n * P
-            tested += 1
-            if numer == NEG_INF:
-                if weight > NEG_INF:
-                    zero_mass_hit = True
-                    if row_sink is not None:
-                        row_sink(n, w, 0.0, weight, 0.0)
-                continue
-            log_ratio = numer - weight
-            log_lo = min(log_lo, log_ratio)
-            log_hi = max(log_hi, log_ratio)
-            if row_sink is not None:
-                row_sink(n, w, mu.mass(w), weight, math.exp(log_ratio))
+    # Per length, the sink's rows of each slice, in walk order.
+    rows: list[list] = [[] for _ in range(depth)]
+    for words, last, (ws, ms) in _walk_cylinders(sub, depth, weights, masses):
+        weight = weights.close(ws, words, last)
+        log_mass, numer = masses.close(ms, words, last)
+        tested += len(words)
+        live = numer > NEG_INF
+        zero = ~live & (weight > NEG_INF)
+        zero_mass_hit = zero_mass_hit or bool(zero.any())
+        log_ratio = np.subtract(numer, weight, out=np.zeros_like(numer), where=live)
+        if live.any():
+            log_lo = min(log_lo, float(log_ratio[live].min()))
+            log_hi = max(log_hi, float(log_ratio[live].max()))
+        if row_sink is not None:
+            keep = live | zero
+            rows[words.shape[1] - 1].append(
+                (words[keep], zero[keep], log_mass[keep], weight[keep], log_ratio[keep])
+            )
+    for n, level in enumerate(rows, start=1):
+        for words, zero, log_mass, weight, log_ratio in level:
+            for w, z, lm, lw, lr in zip(words.tolist(), zero.tolist(), log_mass.tolist(),
+                                        weight.tolist(), log_ratio.tolist()):
+                if z:
+                    row_sink(n, tuple(w), 0.0, lw, 0.0)
+                else:
+                    row_sink(n, tuple(w), math.exp(lm), lw, math.exp(lr))
     if tested == 0 or log_hi == -math.inf:
         raise NoAdmissibleWordsError("no cylinders with positive mass tested")
     ratio_min = 0.0 if zero_mass_hit else math.exp(log_lo)
@@ -496,11 +703,14 @@ def lyapunov_functional(
         sub = getattr(mu, "sub", None)
     if sub is None:
         raise ValueError("a finite subshift is required to enumerate cylinders")
+    weights = _cylinder_weights(sub, p)
+    masses = _cylinder_masses(mu, sub, 0.0)
     terms = []
-    for w in iter_admissible_words(sub, n):
-        m = mu.mass(w)
-        if m > 0:
-            terms.append(m * p.cylinder_log_weight(w, sub))
+    for words, last, (ws, ms) in _walk_cylinders(sub, n, weights, masses):
+        if words.shape[1] == n:
+            mass = np.exp(masses.close(ms, words, last)[0])
+            pos = mass > 0
+            terms.extend((mass[pos] * weights.close(ws, words, last)[pos]).tolist())
     return math.fsum(terms) / n
 
 

@@ -36,6 +36,14 @@ class PairStructure:
     offset: Callable[[int], float]
 
 
+def pair_log_table(sub: FiniteSubshift, pair: Callable[[int, int], float]) -> np.ndarray:
+    """Arc values L_ij = pair(i, j) on the arcs of the truncation, -inf off them."""
+    L = np.full((sub.size, sub.size), NEG_INF)
+    for ki, kj in zip(*np.nonzero(sub.matrix)):
+        L[ki, kj] = pair(sub.symbols[ki], sub.symbols[kj])
+    return L
+
+
 def pair_matrix(sub: FiniteSubshift, pair: Callable[[int, int], float]) -> np.ndarray:
     """Transfer matrix W_ij = exp(pair(i, j)) on the arcs of the truncation."""
     W = np.zeros((sub.size, sub.size))

@@ -24,6 +24,7 @@ from .shift_core import (
     TransitionModel,
     check_mixing,
     truncate,
+    walk_words,
 )
 
 
@@ -119,77 +120,39 @@ def partition_series(
     )
 
 
-# Most rows one enumeration slice holds. The walk keeps at most one slice per
-# word length, so its memory is O(n_max**2 * _FRONTIER) whatever the number
-# of words.
-_FRONTIER = 1 << 10
-
-
 def _enumerated_values(sub, p, n_max, a, cap):
     """log Z_n for n = 1..n_max by enumeration, and the prefix extensions made.
 
-    Walks the words starting at a one level at a time. A level holds its
-    words (one row each), their last positions and the potential's batched
-    prefix state; its children follow the truncation's arcs in row-major
-    order, so every level stays in lexicographic order. Children are built
-    for consecutive slices of parents, at most _FRONTIER rows per slice, and
-    each slice is walked to length n_max before the next one is built. The
-    extensions out of each slice are counted before any of its children are
-    built, and the walk stops with EnumerationBudgetError once their total
-    exceeds cap.
+    Walks the words starting at a with shift_core.walk_words, carrying the
+    potential's batched prefix state, and closes each slice's periodic words
+    with one periodic_close call. The extensions out of each slice are
+    counted before any of its children are built, and the walk stops with
+    EnumerationBudgetError once their total exceeds cap.
     """
     ia = sub.position(a)
-    arcs = sub.matrix != 0
-    fanout = arcs.sum(axis=1)
+    closes = sub.matrix[:, ia] != 0
+    fanout = (sub.matrix != 0).sum(axis=1)
     symbols = np.asarray(sub.symbols)
     # Per length, the log-sum of each slice's closed words.
     sums: list[list[float]] = [[] for _ in range(n_max)]
     prefixes = 0
-    # Per length still being expanded: (last, words, state, parent slices left).
-    pending = []
-
-    def visit(last, words, state):
-        nonlocal prefixes
+    walk = walk_words(
+        sub, [ia], n_max,
+        lambda roots: p.prefix_start(a),
+        lambda state, parent, prev, child: p.prefix_extend(state, parent, symbols[child]),
+    )
+    for words, last, state in walk:
         n = words.shape[1]
-        closed = np.flatnonzero(arcs[last, ia])
+        closed = np.flatnonzero(closes[last])
         if closed.size:
             sums[n - 1].append(logsumexp(p.periodic_close(state, closed, words)))
         if n < n_max:
-            ends = np.cumsum(fanout[last])
-            prefixes += int(ends[-1])
+            prefixes += int(fanout[last].sum())
             if prefixes > cap:
                 raise EnumerationBudgetError(
                     f"enumeration exceeded {cap} prefix extensions"
                 )
-            pending.append((last, words, state, _slices(ends)))
-
-    visit(np.array([ia]), np.array([[a]]), p.prefix_start(a))
-    while pending:
-        last, words, state, slices = pending[-1]
-        piece = next(slices, None)
-        if piece is None:
-            pending.pop()
-            continue
-        start, stop = piece
-        parent, child = np.nonzero(arcs[last[start:stop]])
-        parent += start
-        b = symbols[child]
-        visit(child, np.column_stack((words[parent], b)), p.prefix_extend(state, parent, b))
     return [logsumexp(level) for level in sums], prefixes
-
-
-def _slices(ends):
-    """Consecutive parent ranges with at most _FRONTIER children each.
-
-    ends is the cumulative child count of the parents; a parent with more
-    children than _FRONTIER gets a range of its own.
-    """
-    start = 0
-    while start < len(ends):
-        done = ends[start - 1] if start else 0
-        stop = max(start + 1, int(np.searchsorted(ends, done + _FRONTIER, side="right")))
-        yield start, stop
-        start = stop
 
 
 def _operator_norm(op) -> float:

@@ -129,7 +129,7 @@ def is_admissible(word: Sequence[int], model: TransitionModel) -> bool:
         raise ValueError("word must be nonempty")
     for s in word:
         model._check_symbol(s)
-    return all(model.admits(a, b) for a, b in zip(word, word[1:]))
+    return all(model.rule(a, b) for a, b in zip(word, word[1:]))
 
 
 @dataclass(frozen=True)
@@ -141,11 +141,16 @@ class FiniteSubshift:
     dropped: tuple[int, ...] = ()
     mixing_certificate: Optional[int] = None
     _index: dict = field(default_factory=dict, repr=False, compare=False)
+    # Neighbour tuples by symbol, filled on first use.
+    _out: dict = field(init=False, repr=False, compare=False)
+    _in: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(
             self, "_index", {s: k for k, s in enumerate(self.symbols)}
         )
+        object.__setattr__(self, "_out", {})
+        object.__setattr__(self, "_in", {})
 
     @property
     def size(self) -> int:
@@ -163,12 +168,20 @@ class FiniteSubshift:
         return bool(self.matrix[self.position(i), self.position(j)])
 
     def out_neighbors(self, i: int) -> tuple[int, ...]:
-        row = self.matrix[self.position(i)]
-        return tuple(self.symbols[k] for k in np.nonzero(row)[0])
+        try:
+            return self._out[i]
+        except KeyError:
+            row = self.matrix[self.position(i)]
+            out = self._out[i] = tuple(self.symbols[k] for k in np.nonzero(row)[0])
+            return out
 
     def in_neighbors(self, j: int) -> tuple[int, ...]:
-        col = self.matrix[:, self.position(j)]
-        return tuple(self.symbols[k] for k in np.nonzero(col)[0])
+        try:
+            return self._in[j]
+        except KeyError:
+            col = self.matrix[:, self.position(j)]
+            out = self._in[j] = tuple(self.symbols[k] for k in np.nonzero(col)[0])
+            return out
 
     def admits_word(self, word: Sequence[int]) -> bool:
         return all(self.arc(a, b) for a, b in zip(word, word[1:]))
@@ -231,33 +244,84 @@ def check_mixing(sub: FiniteSubshift, max_exponent: Optional[int] = None) -> Opt
     return None
 
 
+# Most rows one slice of a word walk holds. The walk keeps at most one slice
+# per word length, so its memory is O(depth**2 * _FRONTIER) whatever the
+# number of words.
+_FRONTIER = 1 << 10
+
+
+def walk_words(
+    sub: FiniteSubshift,
+    roots: Sequence[int],
+    depth: int,
+    start: Optional[Callable] = None,
+    extend: Optional[Callable] = None,
+) -> Iterator[tuple[np.ndarray, np.ndarray, object]]:
+    """Slices of the admissible words of length 1..depth from the root positions.
+
+    Yields (words, last, state) per slice: the words as one row of symbols
+    each, the position of each row's last symbol, and the caller's batched
+    state for the rows (None without hooks). start(positions) gives the state
+    of a slice of roots; extend(state, parent, prev, child) gives the state
+    of the children, where row k extends row parent[k], whose last position
+    is prev[k], by the position child[k].
+
+    Children follow the arcs in row-major order, so for sorted roots every
+    length is yielded in lexicographic order. The walk is depth first: a
+    slice holds at most _FRONTIER rows (a parent with more children gets a
+    slice of its own), and its children are built only when the walk resumes
+    after yielding it, each child slice walked to depth before the next one
+    is built.
+    """
+    arcs = sub.matrix != 0
+    fanout = arcs.sum(axis=1)
+    symbols = np.asarray(sub.symbols)
+    roots = np.asarray(roots, dtype=np.intp)
+
+    def root_slices():
+        for lo in range(0, len(roots), _FRONTIER):
+            last = roots[lo:lo + _FRONTIER]
+            yield symbols[last][:, None], last, start(last) if start else None
+
+    def child_slices(words, last, state):
+        ends = np.cumsum(fanout[last])
+        lo = 0
+        while lo < len(ends):
+            done = ends[lo - 1] if lo else 0
+            hi = max(lo + 1, int(np.searchsorted(ends, done + _FRONTIER, side="right")))
+            parent, child = np.nonzero(arcs[last[lo:hi]])
+            parent += lo
+            longer = np.empty((len(child), words.shape[1] + 1), dtype=words.dtype)
+            longer[:, :-1] = words[parent]
+            longer[:, -1] = symbols[child]
+            yield longer, child, (
+                extend(state, parent, last[parent], child) if extend else None
+            )
+            lo = hi
+
+    pending = [root_slices()] if depth >= 1 else []
+    while pending:
+        piece = next(pending[-1], None)
+        if piece is None:
+            pending.pop()
+            continue
+        yield piece
+        if piece[0].shape[1] < depth:
+            pending.append(child_slices(*piece))
+
+
 def enumerate_periodic_words(sub: FiniteSubshift, n: int, a: int) -> Iterator[Word]:
     """All length-n words starting at a whose cyclic closure is admissible.
 
-    Depth-first in ascending symbol order, so the stream is deterministic and
-    lexicographically sorted.
+    The stream is deterministic and lexicographically sorted.
     """
     if n < 1:
         raise ValueError("word length must be at least 1")
     ia = sub.position(a)
-    mat = sub.matrix
-    symbols = sub.symbols
-    size = sub.size
-    word = [ia]
-
-    def rec() -> Iterator[Word]:
-        if len(word) == n:
-            if mat[word[-1], ia]:
-                yield tuple(symbols[k] for k in word)
-            return
-        prev = word[-1]
-        for k in range(size):
-            if mat[prev, k]:
-                word.append(k)
-                yield from rec()
-                word.pop()
-
-    yield from rec()
+    closes = sub.matrix[:, ia] != 0
+    for words, last, _ in walk_words(sub, [ia], n):
+        if words.shape[1] == n:
+            yield from map(tuple, words[closes[last]].tolist())
 
 
 def walk_counts(sub: FiniteSubshift, n: int, v: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Shared generators and brute-force oracles for property tests."""
 
 import itertools
+import math
 
 import numpy as np
 
@@ -55,3 +56,24 @@ def brute_force_preimage_count(word):
         if all(u == 0 or v == 0 for u, v in zip(combo, combo[1:])):
             count += 1
     return count
+
+
+def explicit_gibbs_masses(sub, p, level):
+    """Brute-force finite-approximation measure on every word up to the level.
+
+    Each admissible word of the level weighs its cylinder_log_weight,
+    normalised by the logsumexp over the level; a shorter word's mass is the
+    sum over the level words it prefixes. Returns {word: mass}.
+    """
+    words = [
+        w for w in itertools.product(sub.symbols, repeat=level) if sub.admits_word(w)
+    ]
+    weights = [p.cylinder_log_weight(w, sub) for w in words]
+    top = max(weights)
+    log_alpha = top + math.log(math.fsum(math.exp(lw - top) for lw in weights))
+    parts = {}
+    for w, lw in zip(words, weights):
+        m = math.exp(lw - log_alpha)
+        for n in range(1, level + 1):
+            parts.setdefault(w[:n], []).append(m)
+    return {w: math.fsum(ms) for w, ms in parts.items()}

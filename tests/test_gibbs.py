@@ -5,13 +5,17 @@ oracle for pressures and measures; certificates are checked against hand
 computations on the golden-mean and full shifts.
 """
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from thermoshift import shift_core
 from thermoshift.gibbs import (
     MeasureKindError,
+    NoAdmissibleWordsError,
     NonMixingSubshiftError,
     bernoulli_measure,
     count_admissible_words,
@@ -28,6 +32,7 @@ from thermoshift.gibbs import (
 from thermoshift.potentials import (
     birkhoff_potential,
     cocycle_potential,
+    fiber_count_potential,
     weighted_fullshift_potential,
     zero_potential,
 )
@@ -35,10 +40,11 @@ from thermoshift.shift_core import (
     full_shift,
     golden_mean_shift,
     model_from_arcs,
+    star_shift,
     truncate,
 )
 
-from helpers import random_mixing_subshift, random_stationary_markov
+from helpers import explicit_gibbs_masses, random_mixing_subshift, random_stationary_markov
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -108,14 +114,15 @@ def test_pair_recursion_matches_explicit_enumeration():
         (truncate(gm, 2), birkhoff_potential(lambda i, j: 0.2 * i - 0.5 * j, gm).scaled(-0.7)),
     ]
     for sub, p in cases:
-        explicit = finite_gibbs_nu(sub, p, 6)
-        recursive = finite_gibbs_nu(sub, p, 6, cap=10)
-        assert explicit.strategy == "explicit"
+        recursive = finite_gibbs_nu(sub, p, 6)
         assert recursive.strategy == "pair"
+        explicit = explicit_gibbs_masses(sub, p, 6)
         for n in (1, 2, 4, 6):
-            for w in iter_admissible_words(sub, n):
+            words = list(iter_admissible_words(sub, n))
+            assert set(words) == {w for w in explicit if len(w) == n}
+            for w in words:
                 assert recursive.log_mass(w) == pytest.approx(
-                    explicit.log_mass(w), abs=1e-12
+                    math.log(explicit[w]), abs=1e-12
                 )
         for n in range(1, 7):
             assert recursive.level_mass_total(n) == pytest.approx(1.0, abs=1e-12)
@@ -143,15 +150,36 @@ def test_block_recursion_matches_explicit_enumeration():
         2: np.array([[1.0, 0.5], [0.5, 3.0]]),
     }
     p = cocycle_potential(lambda a: mats[a], golden_mean_shift(), symbol_bound=2)
-    explicit = finite_gibbs_nu(sub, p, 8)
-    recursive = finite_gibbs_nu(sub, p, 8, cap=5)
+    recursive = finite_gibbs_nu(sub, p, 8)
     assert recursive.strategy == "block"
+    explicit = explicit_gibbs_masses(sub, p, 8)
     for n in (1, 3, 5, 8):
-        for w in iter_admissible_words(sub, n):
+        words = list(iter_admissible_words(sub, n))
+        assert set(words) == {w for w in explicit if len(w) == n}
+        for w in words:
             assert recursive.log_mass(w) == pytest.approx(
-                explicit.log_mass(w), abs=1e-12
+                math.log(explicit[w]), abs=1e-12
             )
     assert recursive.level_mass_total(8) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_explicit_route_serves_potentials_without_an_operator():
+    sub = truncate(star_shift(), 4)
+    p = fiber_count_potential()
+    level = 5
+    total = count_admissible_words(sub, level)
+    nu = finite_gibbs_nu(sub, p, level, cap=total)
+    assert nu.strategy == "explicit"
+    explicit = explicit_gibbs_masses(sub, p, level)
+    for n in range(1, level + 1):
+        assert nu.level_mass_total(n) == pytest.approx(1.0, abs=1e-12)
+        for w in iter_admissible_words(sub, n):
+            assert nu.mass(w) == pytest.approx(explicit[w], rel=1e-12)
+            if n < level:
+                children = math.fsum(nu.mass(w + (j,)) for j in sub.out_neighbors(w[-1]))
+                assert nu.mass(w) == pytest.approx(children, rel=1e-12)
+    with pytest.raises(NoAdmissibleWordsError, match="beyond the enumeration cap"):
+        finite_gibbs_nu(sub, p, level, cap=total - 1)
 
 
 # -- transfer-matrix equilibrium ------------------------------------------------
@@ -300,6 +328,101 @@ def test_certificate_row_sink_sees_every_word():
     )
     assert len(rows) == 2 + 3 + 5
     assert all(r[2] > 0 for r in rows)
+
+
+def _per_word_certificate(mu, p, P, depth, sub, ratio_bound=100.0):
+    """Reference scan, one word at a time: (rows, words tested, passed)."""
+    rows = []
+    log_lo, log_hi = math.inf, -math.inf
+    zero_mass_hit = False
+    tested = 0
+    grouped = getattr(mu, "log_mass_plus_n_pressure", None)
+    for n in range(1, depth + 1):
+        for w in itertools.product(sub.symbols, repeat=n):
+            if not sub.admits_word(w):
+                continue
+            weight = p.cylinder_log_weight(w, sub)
+            numer = grouped(w, P) if grouped is not None else mu.log_mass(w) + n * P
+            tested += 1
+            if numer == -math.inf:
+                if weight > -math.inf:
+                    zero_mass_hit = True
+                    rows.append((n, w, 0.0, weight, 0.0))
+                continue
+            log_lo, log_hi = min(log_lo, numer - weight), max(log_hi, numer - weight)
+            rows.append((n, w, mu.mass(w), weight, math.exp(numer - weight)))
+    ratio_min = 0.0 if zero_mass_hit else math.exp(log_lo)
+    ratio_max = math.exp(log_hi)
+    passed = (not zero_mass_hit and math.isfinite(ratio_max) and ratio_min > 0
+              and ratio_max / ratio_min <= ratio_bound)
+    return rows, tested, passed
+
+
+def _certificate_cases():
+    gm, full = golden_mean_shift(), full_shift()
+    sub2, sub3 = truncate(full, 2), truncate(full, 3)
+    # Level 12 spans two walk slices, so the walk interleaves levels 12 and 13.
+    yield "uniform_bernoulli", uniform_bernoulli(2), zero_potential(full), math.log(2.0), 13, sub2
+    f = lambda i, j: 0.3 * i - 0.4 * j
+    P, mu = rpf_equilibrium(truncate(gm, 2), f)
+    yield "rpf_markov", mu, birkhoff_potential(f, gm), P, 7, truncate(gm, 2)
+    table = np.random.default_rng(5).uniform(-0.5, 0.5, (3, 3))
+    p = birkhoff_potential(lambda i, j: float(table[i - 1, j - 1]), full)
+    P = math.log(np.abs(np.linalg.eigvals(np.exp(table))).max())
+    yield "pair_transfer", finite_gibbs_nu(sub3, p, 6), p, P, 5, sub3
+    # At t < 0 the best closing hop is the smallest arc value of the base.
+    p = birkhoff_potential(lambda i, j: 0.2 * i - 0.5 * j, gm).scaled(-0.7)
+    yield "scaled_pair", finite_gibbs_nu(truncate(gm, 2), p, 6), p, 0.3, 5, truncate(gm, 2)
+    p = weighted_fullshift_potential(lambda a: 3.0 ** (-a))
+    yield "symbol_weight", finite_gibbs_nu(truncate(full, 4), p, 5), p, -1.2, 4, truncate(full, 4)
+    mats = {1: np.array([[2.0, 1.0], [1.0, 2.0]]), 2: np.array([[1.0, 0.5], [0.5, 3.0]])}
+    p = cocycle_potential(lambda a: mats[a], gm, symbol_bound=2)
+    yield "block_transfer", finite_gibbs_nu(truncate(gm, 2), p, 8), p, 1.1, 6, truncate(gm, 2)
+    star = truncate(star_shift(), 4)
+    p = fiber_count_potential()
+    yield "fiber_explicit", finite_gibbs_nu(star, p, 5), p, 0.4, 4, star
+    mu = bernoulli_measure({1: 0.6, 2: 0.4}, sub2)
+    yield "zero_mass", mu, zero_potential(full), math.log(3.0), 3, sub3
+    # exp(-800) underflows: the measure loses the arc 1 -> 2, the weight keeps it.
+    p = birkhoff_potential(lambda i, j: -800.0 if (i, j) == (1, 2) else 0.1 * (i + j), full)
+    yield "underflow_arc", finite_gibbs_nu(sub2, p, 5), p, 0.2, 4, sub2
+
+
+@pytest.mark.parametrize("case", list(_certificate_cases()), ids=lambda c: c[0])
+def test_batched_certificate_matches_per_word_scan(case):
+    name, mu, p, P, depth, sub = case
+    rows = []
+    cert = verify_gibbs(mu, p, P, depth, sub=sub, row_sink=lambda *row: rows.append(row))
+    expected, tested, passed = _per_word_certificate(mu, p, P, depth, sub)
+    assert cert.words_tested == tested
+    assert cert.passed == passed
+    assert [r[:2] for r in rows] == [r[:2] for r in expected]
+    for got, want in zip(rows, expected):
+        assert got[2] == pytest.approx(want[2], rel=1e-13, abs=0.0)
+        assert got[3] == pytest.approx(want[3], rel=1e-13, abs=1e-13)
+        assert got[4] == pytest.approx(want[4], rel=1e-13, abs=0.0)
+    if name == "uniform_bernoulli":
+        assert {r[4] for r in rows} == {1.0}
+    if name in ("zero_mass", "underflow_arc"):
+        assert not cert.passed and cert.ratio_min == 0.0
+        assert any(r[2] == 0.0 and math.isfinite(r[3]) for r in rows)
+
+
+def test_certificate_memory_is_bounded_by_the_walk():
+    mu = uniform_bernoulli(2)
+    depth = 17
+    # The last level holds 2**17 words, far more than one slice may hold.
+    assert 2 ** depth >= 64 * shift_core._FRONTIER
+    tracemalloc.start()
+    try:
+        cert = verify_gibbs(mu, zero_potential(full_shift()), math.log(2.0), depth)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.words_tested == 2 ** (depth + 1) - 2
+    assert cert.ratio_min == cert.ratio_max == 1.0
+    # Measured 1.8 MB; a walk holding whole levels peaks near 62 MB.
+    assert peak < 5e6, f"peak {peak / 1e6:.1f} MB"
 
 
 # -- entropy and the variational inequality ------------------------------------------

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from helpers import brute_force_preimage_count
-from thermoshift import pressure
+from thermoshift import shift_core
 from thermoshift.numerics import scaled_power_diagonal
 from thermoshift.potentials import (
     PotentialSequence,
@@ -243,7 +243,7 @@ def test_enumeration_memory_is_bounded_by_the_frontier():
     sub = truncate(full_shift(), 2)
     n_max = 17
     # The last level holds 2**16 words, far more than one slice may hold.
-    assert 2 ** (n_max - 1) >= 16 * pressure._FRONTIER
+    assert 2 ** (n_max - 1) >= 16 * shift_core._FRONTIER
     tracemalloc.start()
     try:
         series = partition_series(sub, p, n_max, 1)

@@ -8,6 +8,7 @@ from thermoshift.shift_core import (
     BipCertificate,
     BipFailure,
     DegenerateTruncationError,
+    FiniteSubshift,
     MODEL_REGISTRY,
     SymbolDomainError,
     check_bip,
@@ -149,6 +150,21 @@ def test_neighbor_queries():
     assert sub.in_neighbors(3) == (1, 4)
     assert sub.admits_word((1, 4, 3, 2, 1))
     assert not sub.admits_word((2, 3))
+    with pytest.raises(SymbolDomainError):
+        sub.out_neighbors(9)
+
+
+def test_neighbor_tuples_are_cached_outside_equality():
+    sub = truncate(renewal_shift(), 4)
+    fresh = FiniteSubshift(sub.symbols, sub.matrix, sub.dropped)
+    assert sub.out_neighbors(2) is sub.out_neighbors(2)
+    assert sub.in_neighbors(1) is sub.in_neighbors(1)
+    assert fresh == sub
+    mixed = sub.with_mixing(4)
+    assert mixed.mixing_certificate == 4 and sub.mixing_certificate is None
+    assert mixed.out_neighbors(2) == (1,) and mixed.in_neighbors(1) == (1, 2)
+    assert mixed.out_neighbors(3) == (2,)
+    assert 3 not in sub._out
 
 
 def test_bip_star_shift_certificate():
