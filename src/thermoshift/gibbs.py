@@ -23,7 +23,13 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .numerics import NEG_INF, logsumexp, perron_data
-from .potentials import PotentialSequence, pair_log_table, pair_matrix, transfer_operator
+from .potentials import (
+    PairStructure,
+    PotentialSequence,
+    pair_log_table,
+    pair_matrix,
+    transfer_operator,
+)
 from .shift_core import (
     FiniteSubshift,
     Word,
@@ -188,9 +194,8 @@ def rpf_equilibrium(sub: FiniteSubshift, f) -> tuple[float, MarkovCylinderMeasur
         ps = f.pair_structure()
         if ps is None:
             raise ValueError("potential has no pair structure")
-        pair = ps.pair
     else:
-        pair = f
+        ps = PairStructure(f, lambda n: 0.0)
     mix = sub.mixing_certificate
     if mix is None:
         mix = check_mixing(sub)
@@ -199,7 +204,7 @@ def rpf_equilibrium(sub: FiniteSubshift, f) -> tuple[float, MarkovCylinderMeasur
             "equilibrium eigendata requires a mixing subshift; the truncation "
             f"to {sub.size} symbols is not mixing"
         )
-    W = pair_matrix(sub, pair)
+    W = pair_matrix(sub, ps)
     rho, v, u = perron_data(W)
     p_exact = math.log(rho)
     log_pi = {}
@@ -439,7 +444,7 @@ class _PairWeights:
     """
 
     def __init__(self, sub: FiniteSubshift, ps):
-        self.arcs = pair_log_table(sub, ps.pair)
+        self.arcs = pair_log_table(sub, ps)
         self.hop = self.arcs.max(axis=1)
         self.offset = ps.offset
 

@@ -30,25 +30,40 @@ from .shift_core import (
 
 @dataclass(frozen=True)
 class PairStructure:
-    """Arc-additive decomposition: eval(w) = offset(n) + sum of pair over cyclic arcs."""
+    """Arc-additive decomposition: eval(w) = offset(n) + sum of pair over cyclic arcs.
+
+    row, when given, is a function of i alone with row(i) == pair(i, j) on
+    every arc; the arc tables then call it once per symbol.
+    """
 
     pair: Callable[[int, int], float]
     offset: Callable[[int], float]
+    row: Optional[Callable[[int], float]] = None
 
 
-def pair_log_table(sub: FiniteSubshift, pair: Callable[[int, int], float]) -> np.ndarray:
+def pair_log_table(sub: FiniteSubshift, ps: PairStructure) -> np.ndarray:
     """Arc values L_ij = pair(i, j) on the arcs of the truncation, -inf off them."""
+    if ps.row is not None:
+        rows = np.array([ps.row(s) for s in sub.symbols], dtype=float)
+        return np.where(sub.matrix != 0, rows[:, None], NEG_INF)
     L = np.full((sub.size, sub.size), NEG_INF)
     for ki, kj in zip(*np.nonzero(sub.matrix)):
-        L[ki, kj] = pair(sub.symbols[ki], sub.symbols[kj])
+        L[ki, kj] = ps.pair(sub.symbols[ki], sub.symbols[kj])
     return L
 
 
-def pair_matrix(sub: FiniteSubshift, pair: Callable[[int, int], float]) -> np.ndarray:
-    """Transfer matrix W_ij = exp(pair(i, j)) on the arcs of the truncation."""
+def pair_matrix(sub: FiniteSubshift, ps: PairStructure) -> np.ndarray:
+    """Transfer matrix W_ij = exp(pair(i, j)) on the arcs of the truncation.
+
+    Each weight is math.exp of one arc value, so W rounds as the per-arc
+    loop does; np.exp differs from it in the last bit on some inputs.
+    """
+    if ps.row is not None:
+        rows = np.array([math.exp(ps.row(s)) for s in sub.symbols])
+        return np.where(sub.matrix != 0, rows[:, None], 0.0)
     W = np.zeros((sub.size, sub.size))
     for ki, kj in zip(*np.nonzero(sub.matrix)):
-        W[ki, kj] = math.exp(pair(sub.symbols[ki], sub.symbols[kj]))
+        W[ki, kj] = math.exp(ps.pair(sub.symbols[ki], sub.symbols[kj]))
     return W
 
 
@@ -79,7 +94,7 @@ def transfer_operator(sub: FiniteSubshift, p: PotentialSequence, strategy: str =
     if strategy in ("auto", "pair"):
         ps = p.pair_structure()
         if ps is not None:
-            return "pair", pair_matrix(sub, ps.pair), 1, ps.offset
+            return "pair", pair_matrix(sub, ps), 1, ps.offset
     if strategy in ("auto", "block"):
         structure = p.block_entries()
         if structure is not None:
@@ -221,7 +236,10 @@ class ScaledPotential(PotentialSequence):
         if ps is None:
             return None
         t = self.t
-        return PairStructure(lambda i, j: t * ps.pair(i, j), lambda n: t * ps.offset(n))
+        row = None if ps.row is None else (lambda i: t * ps.row(i))
+        return PairStructure(
+            lambda i, j: t * ps.pair(i, j), lambda n: t * ps.offset(n), row
+        )
 
     def block_entries(self):
         if self.t == 1.0:
@@ -352,7 +370,7 @@ class SymbolWeightPotential(PotentialSequence):
         return math.exp(power * self.log_c(1)) * tail
 
     def pair_structure(self):
-        return PairStructure(lambda i, j: self.log_lam(i), self.log_c)
+        return PairStructure(lambda i, j: self.log_lam(i), self.log_c, self.log_lam)
 
 
 def geometric_tail(base: float) -> Callable[[int, float], float]:

@@ -261,6 +261,26 @@ def _doubling_growths(levels: Sequence[int], values: Sequence[float]) -> list[fl
     return growths
 
 
+def _mixed_truncation(model: TransitionModel, m: int) -> FiniteSubshift:
+    """The model's truncation at m with its mixing certificate, built once.
+
+    It is kept on the model object, so every estimate on that object (each t
+    of a curve, each bisection probe) shares it; its matrix is read-only.
+    """
+    sub = model._mixed.get(m)
+    if sub is None:
+        sub = truncate(model, m)
+        mix = check_mixing(sub)
+        if mix is None:
+            raise NonMixingTruncationError(
+                f"truncation m={m} of model {model.name} is not mixing"
+            )
+        sub = sub.with_mixing(mix)
+        sub.matrix.flags.writeable = False
+        model._mixed[m] = sub
+    return sub
+
+
 def gurevich_pressure(
     model: TransitionModel,
     p: PotentialSequence,
@@ -293,13 +313,7 @@ def gurevich_pressure(
     series = None
     sub = None
     for m in m_list:
-        sub = truncate(model, m)
-        mix = check_mixing(sub)
-        if mix is None:
-            raise NonMixingTruncationError(
-                f"truncation m={m} of model {model.name} is not mixing"
-            )
-        sub = sub.with_mixing(mix)
+        sub = _mixed_truncation(model, m)
         series = partition_series(sub, p, n_max, a, cap=cap)
         value_m, _ = _slope_value(series, slope_window)
         per_level.append((m, value_m))

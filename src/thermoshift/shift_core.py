@@ -39,12 +39,26 @@ class TransitionModel:
         Number of symbols for a finite model, None for a countable one.
     first_symbol : int
         Smallest symbol id (1 for most models, 0 for the star shift X).
+    table : callable or None
+        The rule on arrays: table(rows, cols) broadcasts two integer arrays
+        of symbols and returns a bool array, True exactly where rule holds.
+        truncate evaluates it once per truncation; without it, truncate
+        calls rule once per pair of candidate symbols.
     """
 
     rule: Callable[[int, int], bool]
     alphabet_size: Optional[int] = None
     first_symbol: int = 1
     name: str = "custom"
+    table: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = field(
+        default=None, repr=False, compare=False
+    )
+    # Mixed truncations by m, filled by pressure.gurevich_pressure; they live
+    # as long as this model object.
+    _mixed: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_mixed", {})
 
     def _check_symbol(self, s: int) -> None:
         if not isinstance(s, (int, np.integer)):
@@ -73,11 +87,17 @@ class TransitionModel:
 
 
 def full_shift() -> TransitionModel:
-    return TransitionModel(lambda i, j: True, None, 1, "full")
+    return TransitionModel(
+        lambda i, j: True, None, 1, "full",
+        lambda i, j: np.ones(np.broadcast(i, j).shape, dtype=bool),
+    )
 
 
 def golden_mean_shift() -> TransitionModel:
-    return TransitionModel(lambda i, j: not (i == 2 and j == 2), 2, 1, "golden_mean")
+    return TransitionModel(
+        lambda i, j: not (i == 2 and j == 2), 2, 1, "golden_mean",
+        lambda i, j: (i != 2) | (j != 2),
+    )
 
 
 def star_cover_shift() -> TransitionModel:
@@ -86,17 +106,26 @@ def star_cover_shift() -> TransitionModel:
     Two-to-one cover of star_shift under the symbol pairing
     (2j - 2, 2j - 1) -> j; the fiber-count potential lives downstairs.
     """
-    return TransitionModel(lambda i, j: i == 0 or j == 0, None, 0, "star_cover")
+    return TransitionModel(
+        lambda i, j: i == 0 or j == 0, None, 0, "star_cover",
+        lambda i, j: (i == 0) | (j == 0),
+    )
 
 
 def star_shift() -> TransitionModel:
     """Star shift over 1,2,...: arc i -> j admissible iff i = 1 or j = 1."""
-    return TransitionModel(lambda i, j: i == 1 or j == 1, None, 1, "star")
+    return TransitionModel(
+        lambda i, j: i == 1 or j == 1, None, 1, "star",
+        lambda i, j: (i == 1) | (j == 1),
+    )
 
 
 def renewal_shift() -> TransitionModel:
     """Renewal shift: symbol 1 reaches everything, i steps down to i - 1."""
-    return TransitionModel(lambda i, j: i == 1 or j == i - 1, None, 1, "renewal")
+    return TransitionModel(
+        lambda i, j: i == 1 or j == i - 1, None, 1, "renewal",
+        lambda i, j: (i == 1) | (j == i - 1),
+    )
 
 
 MODEL_REGISTRY: dict[str, Callable[[], TransitionModel]] = {
@@ -106,6 +135,29 @@ MODEL_REGISTRY: dict[str, Callable[[], TransitionModel]] = {
     "star": star_shift,
     "renewal": renewal_shift,
 }
+
+
+def _arc_table(arc_set: set) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """Vectorised membership in an arc set, in memory linear in its size.
+
+    The symbols the arcs use are numbered in increasing order, each arc
+    becomes one key, and a query is binary searches in those sorted arrays.
+    """
+    arcs = sorted(arc_set)
+    ids = np.array(sorted({s for arc in arcs for s in arc}), dtype=np.int64)
+    n = len(ids)
+    ends = np.searchsorted(ids, np.array(arcs, dtype=np.int64))
+    # Arcs in lexicographic order give increasing keys.
+    keys = ends[:, 0] * n + ends[:, 1]
+
+    def table(i, j):
+        ki = np.minimum(np.searchsorted(ids, i), n - 1)
+        kj = np.minimum(np.searchsorted(ids, j), n - 1)
+        key = ki * n + kj
+        at = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+        return (ids[ki] == i) & (ids[kj] == j) & (keys[at] == key)
+
+    return table
 
 
 def model_from_arcs(arcs: Sequence[Sequence[int]]) -> TransitionModel:
@@ -119,7 +171,9 @@ def model_from_arcs(arcs: Sequence[Sequence[int]]) -> TransitionModel:
         top = max(top or 1, i, j)
     if not arc_set:
         raise ValueError("arc list is empty")
-    return TransitionModel(lambda i, j: (i, j) in arc_set, top, 1, "arcs")
+    # Symbols past int64 keep the per-pair rule.
+    table = _arc_table(arc_set) if top < 2 ** 63 else None
+    return TransitionModel(lambda i, j: (i, j) in arc_set, top, 1, "arcs", table)
 
 
 def is_admissible(word: Sequence[int], model: TransitionModel) -> bool:
@@ -193,8 +247,10 @@ class FiniteSubshift:
 def truncate(model: TransitionModel, m: int) -> FiniteSubshift:
     """Restrict the model to its first m symbols and prune dead symbols.
 
-    Symbols whose row or column becomes all zero inside the truncation are
-    removed iteratively until the matrix has no empty row or column.
+    The m x m candidate matrix comes from one call of model.table, or from
+    m**2 calls of model.rule when the model has no table. Symbols whose row
+    or column is all zero among the surviving symbols are then removed,
+    round by round on that one matrix, until no row or column is empty.
 
     Raises
     ------
@@ -202,46 +258,94 @@ def truncate(model: TransitionModel, m: int) -> FiniteSubshift:
         If no symbol survives.
     """
     candidates = model.symbols_for(m)
-    alive = list(candidates)
-    while True:
-        mat = np.array(
-            [[1 if model.rule(i, j) else 0 for j in alive] for i in alive],
-            dtype=np.int8,
+    if model.table is not None:
+        ids = np.array(candidates, dtype=np.int64)
+        full = np.asarray(model.table(ids[:, None], ids[None, :]), dtype=bool)
+    else:
+        full = np.array(
+            [[bool(model.rule(i, j)) for j in candidates] for i in candidates],
+            dtype=bool,
         )
-        rows = mat.sum(axis=1)
-        cols = mat.sum(axis=0)
-        keep = [k for k in range(len(alive)) if rows[k] > 0 and cols[k] > 0]
-        if len(keep) == len(alive):
+    alive = np.arange(len(candidates))
+    mat = full
+    while True:
+        keep = mat.any(axis=1) & mat.any(axis=0)
+        if keep.all():
             break
-        alive = [alive[k] for k in keep]
-        if not alive:
+        alive = alive[keep]
+        if not alive.size:
             raise DegenerateTruncationError(
                 f"degenerate truncation: no symbol of {model.name} survives at m={m}"
             )
-    dropped = tuple(s for s in candidates if s not in set(alive))
-    mat = np.array(
-        [[1 if model.rule(i, j) else 0 for j in alive] for i in alive],
-        dtype=np.int8,
+        mat = full[np.ix_(alive, alive)]
+    survivors = set(alive.tolist())
+    dropped = tuple(s for k, s in enumerate(candidates) if k not in survivors)
+    return FiniteSubshift(
+        tuple(candidates[k] for k in alive.tolist()), mat.astype(np.int8), dropped
     )
-    return FiniteSubshift(tuple(alive), mat, dropped)
+
+
+def _bfs_levels(arcs: np.ndarray) -> np.ndarray:
+    """Arc distance of each vertex from vertex 0, -1 where unreachable; O(size**2)."""
+    level = np.full(len(arcs), -1)
+    frontier = np.zeros(len(arcs), dtype=bool)
+    frontier[0] = True
+    depth = 0
+    while frontier.any():
+        level[frontier] = depth
+        depth += 1
+        frontier = arcs[frontier].any(axis=0) & (level < 0)
+    return level
+
+
+def _primitive(arcs: np.ndarray) -> bool:
+    """Strongly connected with period 1, in O(size**2) for a size x size graph."""
+    level = _bfs_levels(arcs)
+    if (level < 0).any() or (_bfs_levels(arcs.T) < 0).any():
+        return False
+    i, j = np.nonzero(arcs)
+    return np.gcd.reduce(level[i] + 1 - level[j]) == 1
 
 
 def check_mixing(sub: FiniteSubshift, max_exponent: Optional[int] = None) -> Optional[int]:
     """Smallest N with matrix^N entrywise positive, or None if none is found.
 
-    The default exponent bound is the Wielandt bound (size-1)^2 + 1, which is
-    sharp for primitive 0/1 matrices.
+    The search is bounded by max_exponent, by default the Wielandt bound
+    (size-1)^2 + 1, which every primitive 0/1 matrix meets. Some power is
+    positive only if the graph is primitive: strongly connected (a forward
+    and a backward search from vertex 0 reach every vertex) with period 1
+    (the gcd of level[i] + 1 - level[j] over the arcs i -> j, where level is
+    the forward search depth). Both take O(size**2). Only for a primitive
+    graph is N then found, by squaring the matrix until a power is positive
+    and a binary search over the squares (about 2 log2 N boolean products);
+    None is returned when N exceeds max_exponent.
     """
-    size = sub.size
-    if max_exponent is None:
-        max_exponent = (size - 1) ** 2 + 1 if size > 1 else 1
-    A = (sub.matrix > 0)
-    P = A.copy()
-    for n in range(1, max_exponent + 1):
-        if P.all():
-            return n
-        P = (P.astype(np.int16) @ A.astype(np.int16)) > 0
-    return None
+    arcs = sub.matrix != 0
+    if arcs.all():
+        n = 1
+    elif _primitive(arcs):
+        n = _exponent(arcs)
+    else:
+        return None
+    if max_exponent is not None and n > max_exponent:
+        return None
+    return n
+
+
+def _exponent(arcs: np.ndarray) -> int:
+    """Smallest N with arcs^N positive, for a primitive graph."""
+    # squares[k] is arcs^(2**k) as 0/1 floats. From the first positive power
+    # on every power is positive, as every row of a primitive matrix has an arc.
+    squares = [arcs.astype(float)]
+    while not squares[-1].all():
+        squares.append((squares[-1] @ squares[-1] > 0).astype(float))
+    # below: the largest exponent known to give a non-positive power, or 0.
+    below, power = 0, None
+    for k in range(len(squares) - 2, -1, -1):
+        trial = squares[k] if power is None else (power @ squares[k] > 0).astype(float)
+        if not trial.all():
+            below, power = below + 2 ** k, trial
+    return below + 1
 
 
 # Most rows one slice of a word walk holds. The walk keeps at most one slice

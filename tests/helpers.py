@@ -48,6 +48,24 @@ def random_mixing_subshift(rng, max_symbols=5, density=0.6):
             return model, sub
 
 
+def wielandt_exponent(sub, max_exponent=None):
+    """Reference mixing exponent: try every power up to the Wielandt bound.
+
+    Smallest N <= max_exponent (default (size-1)^2 + 1) with matrix^N
+    entrywise positive, else None.
+    """
+    size = sub.size
+    if max_exponent is None:
+        max_exponent = (size - 1) ** 2 + 1 if size > 1 else 1
+    A = (sub.matrix > 0)
+    P = A.copy()
+    for n in range(1, max_exponent + 1):
+        if P.all():
+            return n
+        P = (P.astype(np.int16) @ A.astype(np.int16)) > 0
+    return None
+
+
 def brute_force_preimage_count(word):
     """Independent count over all preimage choices, checked pairwise."""
     choices = [(2 * j - 2, 2 * j - 1) for j in word]

@@ -10,13 +10,17 @@ import numpy as np
 import pytest
 
 from helpers import brute_force_preimage_count
+from thermoshift.dimension import product_construction
 from thermoshift.potentials import (
+    PairStructure,
     birkhoff_potential,
     check_cone_condition,
     cocycle_potential,
     estimate_regularity,
     fiber_count_potential,
     geometric_tail,
+    pair_log_table,
+    pair_matrix,
     summability_report,
     weighted_fullshift_potential,
     zero_potential,
@@ -26,6 +30,7 @@ from thermoshift.shift_core import (
     star_shift,
     full_shift,
     golden_mean_shift,
+    model_from_arcs,
     truncate,
 )
 
@@ -173,6 +178,22 @@ def test_scaled_pair_structure_matches_eval():
         ps.pair(w[k], w[(k + 1) % 3]) for k in range(3)
     )
     assert total == pytest.approx(p.scaled(0.7).eval(w), abs=1e-12)
+
+
+def test_row_hook_tables_equal_the_per_arc_tables():
+    weighted = weighted_fullshift_potential(lambda a: 3.0 ** (-a))
+    ratios = product_construction([0.2, 0.3, 0.45]).potential(full_shift())
+    full = truncate(full_shift(), 40)
+    cycle = truncate(model_from_arcs([(1, 2), (2, 1), (2, 3), (3, 1)]), 3)
+    for p, sub in (
+        (weighted, full), (weighted.scaled(0.7), full), (weighted.scaled(-1.3), full),
+        (ratios, cycle), (ratios.scaled(0.631), cycle),
+    ):
+        ps = p.pair_structure()
+        assert ps.row is not None
+        per_arc = PairStructure(ps.pair, ps.offset)
+        for table in (pair_matrix, pair_log_table):
+            np.testing.assert_array_equal(table(sub, ps), table(sub, per_arc))
 
 
 def test_scaled_declared_constant_uses_absolute_value():

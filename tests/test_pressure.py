@@ -27,6 +27,7 @@ from thermoshift.potentials import (
 from thermoshift.pressure import (
     EnumerationBudgetError,
     NonMixingTruncationError,
+    _mixed_truncation,
     closed_form_fullshift_pressure,
     curve_second_differences,
     geometric_power_sum,
@@ -310,6 +311,35 @@ def test_each_arc_is_weighed_once_per_truncation():
 
     gurevich_pressure(full_shift(), birkhoff_potential(arc, full_shift()), m_list=[8, 16, 32])
     assert len(calls) == 8 ** 2 + 16 ** 2 + 32 ** 2
+
+
+def test_opaque_rule_is_evaluated_once_per_candidate_pair():
+    calls = []
+
+    def rule(i, j):
+        calls.append((i, j))
+        return True
+
+    model = shift_core.TransitionModel(rule, None, 1, "counted")
+    curve = pressure_curve(
+        model, zero_potential(model), [0.5, 0.75, 1.0, 1.25, 1.5], m_list=[8, 16, 32], n_max=6
+    )
+    assert len(curve) == 5
+    assert len(calls) == 8 ** 2 + 16 ** 2 + 32 ** 2
+
+
+def test_mixed_truncations_are_shared_read_only_and_per_model():
+    model, other = full_shift(), full_shift()
+    sub = _mixed_truncation(model, 4)
+    gurevich_pressure(model, zero_potential(model), m_list=[4], n_max=6)
+    assert _mixed_truncation(model, 4) is sub and sub.mixing_certificate == 1
+    with pytest.raises(ValueError):
+        sub.matrix[0, 0] = 0
+    assert sub.out_neighbors(1) == (1, 2, 3, 4)
+    fresh = sub.with_mixing(sub.mixing_certificate)
+    assert fresh._out == {} and fresh._in == {} and 1 in sub._out
+    assert other._mixed == {}
+    assert _mixed_truncation(other, 4) is not sub
 
 
 def test_non_mixing_truncation_is_named():

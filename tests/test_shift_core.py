@@ -1,8 +1,12 @@
 """Tests for transition models, truncations, and periodic-word machinery."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from helpers import wielandt_exponent
 from thermoshift.gibbs import count_admissible_words
 from thermoshift.shift_core import (
     BipCertificate,
@@ -11,6 +15,7 @@ from thermoshift.shift_core import (
     FiniteSubshift,
     MODEL_REGISTRY,
     SymbolDomainError,
+    TransitionModel,
     check_bip,
     check_mixing,
     count_periodic,
@@ -134,6 +139,100 @@ def test_mixing_certificates():
     tagged = gm.with_mixing(check_mixing(gm))
     assert tagged.mixing_certificate == 2
     assert gm.mixing_certificate is None
+
+
+def mixing_cases():
+    rng = np.random.default_rng(20)
+    for k in range(500):
+        size = 1 + k % 9
+        mat = (rng.random((size, size)) < rng.uniform(0.1, 0.9)).astype(np.int8)
+        yield f"random {k}", FiniteSubshift(tuple(range(1, size + 1)), mat)
+    for model in (renewal_shift(), star_shift(), star_cover_shift(), full_shift()):
+        for m in (1, 2, 3, 5, 8, 13):
+            yield f"{model.name} m={m}", truncate(model, m)
+    yield "golden mean", truncate(golden_mean_shift(), 2)
+    perm = [int(s) for s in rng.permutation(48) + 1]
+    cycle = model_from_arcs([(perm[i], perm[(i + 1) % 48]) for i in range(48)])
+    yield "48-cycle", truncate(cycle, 48)
+    yield "period 2", truncate(model_from_arcs([(1, 2), (2, 1)]), 2)
+
+
+def test_mixing_matches_the_wielandt_loop():
+    for name, sub in mixing_cases():
+        assert check_mixing(sub) == wielandt_exponent(sub), name
+
+
+def test_mixing_exponent_respects_a_low_bound():
+    primitive = 0
+    for name, sub in mixing_cases():
+        exponent = wielandt_exponent(sub)
+        if exponent is None:
+            assert check_mixing(sub, 10 ** 6) is None, name
+            continue
+        primitive += 1
+        for bound in (0, exponent - 1, exponent, exponent + 1):
+            assert check_mixing(sub, bound) == wielandt_exponent(sub, bound), (name, bound)
+    assert primitive > 50
+    renewal = truncate(renewal_shift(), 8)
+    assert check_mixing(renewal) == 8 and check_mixing(renewal, 7) is None
+
+
+def truncation_or_none(model, m):
+    try:
+        sub = truncate(model, m)
+    except DegenerateTruncationError:
+        return None
+    assert sub.matrix.dtype == np.int8
+    return sub.symbols, sub.dropped, sub.matrix.tolist()
+
+
+def table_models():
+    for name, build in MODEL_REGISTRY.items():
+        yield name, build()
+    yield "sink", model_from_arcs([(1, 2), (2, 1), (1, 3)])
+    yield "chain", model_from_arcs([(1, 2), (2, 3)])
+    yield "gaps", model_from_arcs([(3, 3), (1, 3), (5, 1), (7, 7), (6, 7), (7, 9), (40, 2)])
+    rng = np.random.default_rng(21)
+    for k in range(12):
+        size = int(rng.integers(3, 45))
+        mat = rng.random((size, size)) < 2.0 / size
+        arcs = [(i + 1, j + 1) for i, j in zip(*np.nonzero(mat))] or [(size, size)]
+        yield f"random arcs {k}", model_from_arcs(arcs)
+
+
+@pytest.mark.parametrize("name, model", list(table_models()))
+def test_table_and_rule_truncate_alike(name, model):
+    by_rule = dataclasses.replace(model, table=None)
+    assert model.table is not None and by_rule.table is None
+    for m in range(1, 41):
+        assert truncation_or_none(model, m) == truncation_or_none(by_rule, m), m
+
+
+def test_pruning_and_degeneracy_are_covered_by_the_table_models():
+    outcomes = [truncation_or_none(model, 40) for _, model in table_models()]
+    assert None in outcomes
+    assert any(out is not None and out[1] for out in outcomes)
+
+
+def test_arc_table_is_sized_by_the_arcs_not_the_symbol_ids():
+    tracemalloc.start()
+    try:
+        model = model_from_arcs([(1, 1), (1, 2), (2, 1), (3, 10 ** 9)])
+        sub = truncate(model, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sub.symbols == (1, 2) and sub.dropped == (3,)
+    assert peak < 1 << 20
+    hits = model.table(np.array([3, 10 ** 9, 4, 2]), np.array([10 ** 9, 3, 4, 10 ** 9]))
+    assert hits.tolist() == [True, False, False, False]
+
+
+def test_model_without_table_uses_its_rule():
+    model = TransitionModel(lambda i, j: i != j, None, 1, "no_loops")
+    sub = truncate(model, 3)
+    np.testing.assert_array_equal(sub.matrix, 1 - np.eye(3))
+    assert check_mixing(sub) == 2
 
 
 def test_count_periodic_has_no_overflow():
