@@ -19,7 +19,9 @@ from .dimension import bowen_dimension
 from .gibbs import NonMixingSubshiftError, finite_gibbs_nu, verify_gibbs
 from .matrix_cocycle import max_lyapunov
 from .modelfile import (
+    PARAM_KEYS,
     ModelFileError,
+    _validate_params,
     build_construction,
     build_family,
     build_measure,
@@ -33,6 +35,7 @@ from .pressure import (
     NonMixingTruncationError,
     curve_second_differences,
     gurevich_pressure,
+    mixed_truncation,
     pressure_curve,
 )
 from .shift_core import BipCertificate, check_bip, truncate
@@ -70,16 +73,13 @@ def _write_csv(path: str, header: Sequence[str], rows) -> None:
 
 
 def _params(data: dict, args: argparse.Namespace) -> dict:
-    """File params overridden by any CLI flag that was set."""
+    """File params overridden by any CLI flag that was set, validated as a file's."""
     merged = dict(data.get("params", {}))
-    for key in (
-        "truncations", "n_max", "t_grid", "tol", "seed", "level", "depth",
-        "samples", "n", "slope_window", "divergence_threshold",
-        "divergence_run", "cap", "ratio_bound", "t_bracket",
-    ):
+    for key in PARAM_KEYS:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
+    _validate_params(merged)
     return merged
 
 
@@ -225,8 +225,8 @@ def cmd_gibbs(data: dict, args: argparse.Namespace, out_dir: str) -> int:
     truncations = params.get("truncations")
     if not truncations:
         raise ModelFileError("params.truncations", "required")
-    sub = truncate(model, truncations[-1])
     pressure_est = gurevich_pressure(model, potential, **_pressure_kwargs(params))
+    sub = mixed_truncation(model, pressure_est.truncation_level)
     if "measure" in data:
         mu = build_measure(data, sub)
     else:

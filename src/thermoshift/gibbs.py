@@ -11,7 +11,9 @@ aggregated explicitly.
 
 Certificates and the Lyapunov functional walk the cylinders a slice at a
 time (shift_core.walk_words). Masses and weights are computed for a whole
-slice at once wherever the measure and the potential have a batched form.
+slice at once wherever the measure and the potential have a batched form:
+Markov tables, log-domain arc sums, and the forward rows of a
+potentials.TransferOperator. Anything else is evaluated word by word.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from .numerics import NEG_INF, logsumexp, perron_data
 from .potentials import (
     PairStructure,
     PotentialSequence,
+    TransferOperator,
+    WordHooks,
     pair_log_table,
     pair_matrix,
     transfer_operator,
@@ -226,51 +230,6 @@ def _normalized(vec: np.ndarray) -> tuple[np.ndarray, float]:
     return vec / s, math.log(s)
 
 
-def _log(x: np.ndarray) -> np.ndarray:
-    """Elementwise log with log 0 = -inf, raising no divide warning."""
-    return np.log(x, out=np.full_like(x, NEG_INF), where=x > 0)
-
-
-def _closing_tails(B: np.ndarray, d: int) -> np.ndarray:
-    """Per position, the sup of the next hop that closes a word ending there.
-
-    These are the row sums of the entrywise max of the position's successor
-    blocks (B is zero off the arcs): the best last arc of a pair potential,
-    and A_a^T 1 for a cocycle.
-    """
-    m = B.shape[0] // d
-    return B.reshape(m, d, m, d).max(axis=2).sum(axis=2).ravel()
-
-
-class _ForwardRows:
-    """Batched forward vectors r_w = 1^T (blocks along w) of a block transfer matrix.
-
-    A state is (r, log_scale): one row of r per word, renormalised to unit
-    sum, and the log of the sums divided out. A word whose sum vanishes keeps
-    a zero row and log_scale -inf.
-    """
-
-    def __init__(self, B: np.ndarray, d: int):
-        m = B.shape[0] // d
-        self.blocks = B.reshape(m, d, m, d)
-        self.d = d
-
-    def start(self, roots):
-        return np.ones((len(roots), self.d)), np.zeros(len(roots))
-
-    def extend(self, state, parent, prev, child):
-        r, log_scale = state
-        r = np.einsum("kd,kde->ke", r[parent], self.blocks[prev, :, child, :])
-        s = r.sum(axis=1)
-        np.divide(r, s[:, None], out=r, where=s[:, None] > 0)
-        return r, log_scale[parent] + _log(s)
-
-    def log_pair(self, state, last, vec):
-        """(log_scale, log of r . vec[block of the last position]) for every row."""
-        r, log_scale = state
-        return log_scale, _log(np.einsum("kd,kd->k", r, vec.reshape(-1, self.d)[last]))
-
-
 class GibbsCylinderMeasure:
     """Finite-approximation measure: level-l masses proportional to cylinder weights.
 
@@ -317,50 +276,49 @@ class _ExplicitGibbs(GibbsCylinderMeasure):
 
 
 class _TransferGibbs(GibbsCylinderMeasure):
-    """Marginals via suffix vectors H_k = B^k tails of a block transfer matrix.
+    """Marginals via suffix vectors H_k = B^k tails of a transfer operator.
 
-    B has d x d blocks, one per arc (d = 1 for pair potentials), and the
-    block of tails at symbol b closes a word that ends at b. A level-l word
-    then weighs exp(offset) 1^T (blocks along w) tails[w_last], so a word w of
-    length n has mass proportional to 1^T (blocks along w) H_{l-n}[w_last].
+    A level-l word w weighs exp(offset(l)) r_w . tails[w_last], its cylinder
+    weight under the operator, so a word w of length n has mass proportional
+    to r_w . H_{l-n}[w_last], with r_w the operator's forward row.
     """
 
-    def __init__(self, sub, p, l, strategy, B, d, tails, offset):
-        hs = [_normalized(tails)]
+    def __init__(self, sub, p, l, op: TransferOperator):
+        hs = [_normalized(op.tails)]
         for _ in range(l - 1):
             vec, scale = hs[-1]
-            nxt, s = _normalized(B @ vec)
+            nxt, s = _normalized(op.B @ vec)
             hs.append((nxt, scale + s))
         top_vec, top_scale = hs[l - 1]
+        offset = op.offset(l)
         log_alpha = offset + top_scale + math.log(top_vec.sum())
-        super().__init__(sub, p, l, strategy, log_alpha)
-        self._B = B
-        self.rows = _ForwardRows(B, d)
+        super().__init__(sub, p, l, op.kind, log_alpha)
+        self.op = op
         self._hs = hs
         self._offset = offset
 
     def log_masses(self, state, last, n):
-        """log masses of a slice of length-n words from its forward rows."""
+        """log masses of a slice of length-n words from their forward rows."""
         vec, scale = self._hs[self.depth - n]
-        r_scale, log_total = self.rows.log_pair(state, last, vec)
+        r_scale, log_total = self.op.log_pair(state, last, vec)
         return self._offset + r_scale + scale + log_total - self.log_alpha
 
     def log_mass(self, word):
         pos = np.array([self.sub.position(a) for a in word], dtype=np.intp)
         row = np.zeros(1, dtype=np.intp)
-        state = self.rows.start(row)
+        state = self.op.start(row)
         for k in range(1, len(pos)):
-            state = self.rows.extend(state, row, pos[k - 1:k], pos[k:k + 1])
+            state = self.op.extend(state, row, pos[k - 1:k], pos[k:k + 1])
         return float(self.log_masses(state, pos[-1:], len(pos))[0])
 
     def level_mass_total(self, n):
         # Forward weights g = 1^T B^(n-1) sum the block products of every
         # length-n word by its last symbol; pairing them with the suffix
         # vectors reproduces the level sum without enumerating words.
-        g = np.ones(self._B.shape[0])
+        g = np.ones(self.op.B.shape[0])
         g_scale = 0.0
         for _ in range(n - 1):
-            g, s = _normalized(g @ self._B)
+            g, s = _normalized(g @ self.op.B)
             g_scale += s
         vec, scale = self._hs[self.depth - n]
         return math.exp(
@@ -395,8 +353,7 @@ def finite_gibbs_nu(
         )
     op = transfer_operator(sub, p)
     if op is not None:
-        kind, B, d, offset = op
-        return _TransferGibbs(sub, p, l, kind, B, d, _closing_tails(B, d), offset(l))
+        return _TransferGibbs(sub, p, l, op)
     total = count_admissible_words(sub, l)
     if total > cap:
         raise NoAdmissibleWordsError(
@@ -422,16 +379,6 @@ def finite_gibbs_nu(
 # A hook carries one state per word of a walk slice: start(roots) and
 # extend(state, parent, prev, child) follow shift_core.walk_words, and
 # close(state, words, last) returns the slice's values.
-
-
-class _PerWord:
-    """Hooks without state: close evaluates each word of the slice on its own."""
-
-    def start(self, roots):
-        return None
-
-    def extend(self, state, parent, prev, child):
-        return None
 
 
 class _PairWeights:
@@ -463,41 +410,12 @@ class _PairWeights:
         return self.offset(words.shape[1]) + (hi + lo) + self.hop[last]
 
 
-class _BlockWeights:
-    """Cylinder weights offset(n) + log(r_w . tails[w_last]) of a block operator."""
-
-    def __init__(self, B: np.ndarray, d: int, offset):
-        self.rows = _ForwardRows(B, d)
-        self.tails = _closing_tails(B, d)
-        self.offset = offset
-        self.start, self.extend = self.rows.start, self.rows.extend
-
-    def close(self, state, words, last):
-        r_scale, log_total = self.rows.log_pair(state, last, self.tails)
-        return self.offset(words.shape[1]) + r_scale + log_total
-
-
-class _WordWeights(_PerWord):
-    def __init__(self, sub: FiniteSubshift, p: PotentialSequence):
-        self.sub, self.p = sub, p
-
-    def close(self, state, words, last):
-        return np.array(
-            [self.p.cylinder_log_weight(w, self.sub) for w in map(tuple, words.tolist())],
-            dtype=float,
-        )
-
-
 def _cylinder_weights(sub: FiniteSubshift, p: PotentialSequence):
     """Weight hooks of p on sub: from its transfer operator, else word by word."""
     ps = p.pair_structure()
     if ps is not None:
         return _PairWeights(sub, ps)
-    op = transfer_operator(sub, p)
-    if op is None:
-        return _WordWeights(sub, p)
-    _, B, d, offset = op
-    return _BlockWeights(B, d, offset)
+    return transfer_operator(sub, p) or WordHooks(lambda w: p.cylinder_log_weight(w, sub))
 
 
 def _plus(table: np.ndarray, P: float) -> np.ndarray:
@@ -536,7 +454,7 @@ class _TransferMasses:
 
     def __init__(self, mu: "_TransferGibbs", P: float):
         self.mu, self.P = mu, P
-        self.start, self.extend = mu.rows.start, mu.rows.extend
+        self.start, self.extend = mu.op.start, mu.op.extend
 
     def close(self, state, words, last):
         n = words.shape[1]
@@ -544,18 +462,19 @@ class _TransferMasses:
         return log_mass, log_mass + n * self.P
 
 
-class _WordMasses(_PerWord):
+class _WordMasses(WordHooks):
     def __init__(self, mu, P: float):
-        self.mu, self.P = mu, P
+        super().__init__(mu.log_mass)
+        self.P = P
         self.grouped = getattr(mu, "log_mass_plus_n_pressure", None)
 
     def close(self, state, words, last):
-        n = words.shape[1]
-        words = list(map(tuple, words.tolist()))
-        log_mass = np.array([self.mu.log_mass(w) for w in words], dtype=float)
+        log_mass = super().close(state, words, last)
         if self.grouped is None:
-            return log_mass, log_mass + n * self.P
-        return log_mass, np.array([self.grouped(w, self.P) for w in words], dtype=float)
+            return log_mass, log_mass + words.shape[1] * self.P
+        return log_mass, np.array(
+            [self.grouped(w, self.P) for w in map(tuple, words.tolist())], dtype=float
+        )
 
 
 def _cylinder_masses(mu, sub: FiniteSubshift, P: float):

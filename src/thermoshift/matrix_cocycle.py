@@ -16,6 +16,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .gibbs import MeasureKindError
+from .numerics import log_norm_of_path, log_norms
 from .potentials import (
     check_cone_condition,
     cocycle_potential,
@@ -112,43 +113,6 @@ class LyapunovEstimate:
 _CHUNK = 256
 
 
-def _log_norms(mats: np.ndarray, blocks, samples: int) -> np.ndarray:
-    """log 1^T A_{w_{n-1}} ... A_{w_0} 1 for each of `samples` paths.
-
-    `mats` stacks the matrices, and `blocks` yields (samples, steps) arrays of
-    indices into it that, concatenated along the steps, hold the paths. Each
-    path carries one vector, v <- A_{w_i} v from v = 1, renormalized to unit
-    entry sum after every step while the logs of the removed factors are
-    summed. A vector that vanishes stays zero and its path reports -inf.
-    """
-    v = np.ones((samples, mats.shape[1], 1))
-    log_scale = np.zeros(samples)
-    with np.errstate(divide="ignore"):
-        for idx in blocks:
-            sums = np.empty(idx.shape)
-            for j in range(idx.shape[1]):
-                v = np.matmul(mats[idx[:, j]], v)
-                s = v.sum(axis=1, keepdims=True)
-                np.divide(v, s, out=v, where=s > 0)
-                sums[:, j] = s[:, 0, 0]
-            log_scale += np.log(sums).sum(axis=1)
-        return log_scale + np.log(v.sum(axis=(1, 2)))
-
-
-def log_norm_of_path(family: MatrixFamily, word: Sequence[int]) -> float:
-    """log of the entry-sum norm of A_{w_{n-1}} ... A_{w_0}.
-
-    Later symbols multiply on the left; the product is applied to the ones
-    vector and renormalized per step, so arbitrarily long words stay in
-    floating-point range.
-    """
-    symbols = sorted(set(word))
-    mats = np.stack([family.matrix(a) for a in symbols])
-    position = {a: i for i, a in enumerate(symbols)}
-    idx = np.array([[position[a] for a in word]], dtype=np.intp)
-    return float(_log_norms(mats, [idx], 1)[0])
-
-
 def _choice_cdf(probs) -> np.ndarray:
     """The table rng.choice(len(probs), p=probs) looks one uniform up in."""
     p = np.array(probs, dtype=float)
@@ -223,7 +187,7 @@ def max_lyapunov(
         return LyapunovEstimate(lam, n, samples, 0.0)
     mats = np.stack([family.matrix(s) for s in symbols])
     paths = _sample_paths(mu, symbols, n, samples, seed)
-    values = (_log_norms(mats, paths, samples) / n).tolist()
+    values = (log_norms(mats, paths, samples) / n).tolist()
     lam = math.fsum(values) / samples
     if samples > 1 and lam != -math.inf:
         var = math.fsum((v - lam) ** 2 for v in values) / (samples - 1)

@@ -320,12 +320,16 @@ def _validate_params(section) -> None:
     for key in ("tol", "divergence_threshold", "ratio_bound"):
         if key in section and not section[key] > 0:
             raise ModelFileError(f"params.{key}", "must be positive")
-    for key in ("n_max", "level", "depth", "samples", "n", "slope_window",
-                "divergence_run", "cap", "seed", "up_to"):
+    for key in ("n_max", "level", "depth", "samples", "n", "cap", "seed", "up_to"):
         if key in section and (
             not isinstance(section[key], int) or section[key] < 0
         ):
             raise ModelFileError(f"params.{key}", "must be a nonnegative integer")
+    for key in ("slope_window", "divergence_run"):
+        if key in section and (
+            not isinstance(section[key], int) or section[key] < 1
+        ):
+            raise ModelFileError(f"params.{key}", "must be a positive integer")
     bracket = section.get("t_bracket")
     if bracket is not None:
         if (

@@ -1,4 +1,5 @@
-"""Shared numerical helpers: stable log-sums, renormalized matrix powers, power iteration.
+"""Shared numerical helpers: stable log-sums, renormalized matrix powers and
+path products, power iteration.
 
 All reductions here are order-insensitive (math.fsum rounds the exact sum),
 so results do not depend on chunking or thread count.
@@ -7,6 +8,7 @@ so results do not depend on chunking or thread count.
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
@@ -54,6 +56,43 @@ def scaled_power_diagonal(W: np.ndarray, index, n_max: int) -> list[float]:
         entry = v[index].sum()
         out.append(log_scale + math.log(entry) if entry > 0 else NEG_INF)
     return out
+
+
+def log_norms(mats: np.ndarray, blocks, samples: int) -> np.ndarray:
+    """log 1^T A_{w_{n-1}} ... A_{w_0} 1 for each of `samples` paths.
+
+    `mats` stacks the matrices, and `blocks` yields (samples, steps) arrays of
+    indices into it that, concatenated along the steps, hold the paths. Each
+    path carries one vector, v <- A_{w_i} v from v = 1, renormalized to unit
+    entry sum after every step while the logs of the removed factors are
+    summed. A vector that vanishes stays zero and its path reports -inf.
+    """
+    v = np.ones((samples, mats.shape[1], 1))
+    log_scale = np.zeros(samples)
+    with np.errstate(divide="ignore"):
+        for idx in blocks:
+            sums = np.empty(idx.shape)
+            for j in range(idx.shape[1]):
+                v = np.matmul(mats[idx[:, j]], v)
+                s = v.sum(axis=1, keepdims=True)
+                np.divide(v, s, out=v, where=s > 0)
+                sums[:, j] = s[:, 0, 0]
+            log_scale += np.log(sums).sum(axis=1)
+        return log_scale + np.log(v.sum(axis=(1, 2)))
+
+
+def log_norm_of_path(family, word: Sequence[int]) -> float:
+    """log of the entry-sum norm of A_{w_{n-1}} ... A_{w_0}, A_a = family.matrix(a).
+
+    Later symbols multiply on the left; the product is applied to the ones
+    vector and renormalized per step, so arbitrarily long words stay in
+    floating-point range.
+    """
+    symbols = sorted(set(word))
+    mats = np.stack([family.matrix(a) for a in symbols])
+    position = {a: i for i, a in enumerate(symbols)}
+    idx = np.array([[position[a] for a in word]], dtype=np.intp)
+    return float(log_norms(mats, [idx], 1)[0])
 
 
 class PowerIterationError(RuntimeError):

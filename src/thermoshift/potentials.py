@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .numerics import NEG_INF
+from .numerics import NEG_INF, log_norm_of_path
 from .shift_core import (
     FiniteSubshift,
     InadmissibleWordError,
@@ -79,30 +80,125 @@ def block_matrix(sub: FiniteSubshift, entries: Callable[[int], np.ndarray], d: i
     return (mask[:, None, :, None] * blocks[:, :, None, :]).reshape(m * d, m * d)
 
 
-def transfer_operator(sub: FiniteSubshift, p: PotentialSequence, strategy: str = "auto"):
-    """The potential's transfer matrix on the truncation, or None.
+class TransferOperator:
+    """A potential's transfer matrix on a truncation, and the walk of its words.
 
-    Returns (kind, B, d, offset). Kind "pair" is the arc matrix of a pair
-    potential (d = 1) with its length offset(n); kind "block" is the block
-    matrix of a matrix-product norm at scale one (d x d blocks, offset 0).
-    Either way a periodic word from a has weight exp(offset(n)) times the
-    entry sum of the diagonal block of a in B^n. Strategy "auto" tries pair,
-    then block, and returns None when neither exists, as does "enumerate".
+    Kind "pair" is the arc matrix of a pair potential (d = 1) with its length
+    offset(n); kind "block" is the block matrix of a matrix-product norm at
+    scale one (d x d blocks, offset 0). Either way B's (i, j) block weighs
+    the arc i -> j and is zero off the arcs, and a periodic word from a has
+    weight exp(offset(n)) times the entry sum of the diagonal block of a in
+    B^n. This class alone knows that block layout.
+
+    start, extend and close are word hooks in the shift_core.walk_words
+    form. A state is (r, log_scale): per word w the forward row
+    r_w = 1^T (blocks along the arcs of w), renormalised to unit sum, and the
+    log of the sums divided out. A word whose sum vanishes keeps a zero row
+    and log_scale -inf. close gives each word's cylinder weight
+    offset(n) + log(r_w . tails[w_last]).
+    """
+
+    def __init__(self, kind: str, B: np.ndarray, d: int, offset: Callable[[int], float]):
+        self.kind, self.B, self.d, self.offset = kind, B, d, offset
+
+    def log_norm(self) -> float:
+        """offset(1) plus the log of the largest column-block sum of B."""
+        m = self.B.shape[0] // self.d
+        columns = self.B.reshape(m, self.d, m, self.d).sum(axis=(0, 1, 3))
+        return self.offset(1) + math.log(columns.max())
+
+    @cached_property
+    def blocks(self) -> np.ndarray:
+        """Contiguous (m, m, d, d) array whose [i, j] is the (i, j) block of B."""
+        m = self.B.shape[0] // self.d
+        return np.ascontiguousarray(
+            self.B.reshape(m, self.d, m, self.d).transpose(0, 2, 1, 3)
+        )
+
+    @cached_property
+    def tails(self) -> np.ndarray:
+        """Per position, the sup of the next hop that closes a word ending there.
+
+        The row sums of the entrywise max of the position's successor blocks:
+        the best last arc of a pair potential, and A_a^T 1 for a cocycle.
+        """
+        return self.blocks.max(axis=1).sum(axis=2).ravel()
+
+    def start(self, roots):
+        return np.ones((len(roots), self.d)), np.zeros(len(roots))
+
+    def extend(self, state, parent, prev, child):
+        r, log_scale = state
+        r = np.matmul(r[parent][:, None, :], self.blocks[prev, child])[:, 0, :]
+        s = r.sum(axis=1)
+        np.divide(r, s[:, None], out=r, where=s[:, None] > 0)
+        return r, log_scale[parent] + _log(s)
+
+    def log_pair(self, state, last, vec: np.ndarray):
+        """(log_scale, log of r . vec[block of the last position]) for every row."""
+        r, log_scale = state
+        return log_scale, _log(np.einsum("kd,kd->k", r, vec.reshape(-1, self.d)[last]))
+
+    def close(self, state, words, last):
+        r_scale, log_total = self.log_pair(state, last, self.tails)
+        return self.offset(words.shape[1]) + r_scale + log_total
+
+
+def _log(x: np.ndarray) -> np.ndarray:
+    """Elementwise log with log 0 = -inf, raising no divide warning."""
+    return np.log(x, out=np.full_like(x, NEG_INF), where=x > 0)
+
+
+def transfer_operator(
+    sub: FiniteSubshift, p: PotentialSequence, strategy: str = "auto"
+) -> Optional[TransferOperator]:
+    """The potential's transfer operator on the truncation, or None.
+
+    Strategy "auto" tries pair, then block, and returns None when neither
+    exists, as does "enumerate". Naming a structure the potential lacks
+    raises ValueError.
     """
     if strategy not in ("auto", "pair", "block", "enumerate"):
         raise ValueError(f"unknown strategy {strategy!r}")
     if strategy in ("auto", "pair"):
         ps = p.pair_structure()
         if ps is not None:
-            return "pair", pair_matrix(sub, ps), 1, ps.offset
+            return TransferOperator("pair", pair_matrix(sub, ps), 1, ps.offset)
     if strategy in ("auto", "block"):
         structure = p.block_entries()
         if structure is not None:
             entries, d = structure
-            return "block", block_matrix(sub, entries, d), d, lambda n: 0.0
+            return TransferOperator("block", block_matrix(sub, entries, d), d, lambda n: 0.0)
     if strategy in ("auto", "enumerate"):
         return None
     raise ValueError(f"strategy {strategy!r} needs {strategy} structure, which {p.name} lacks")
+
+
+class WordHooks:
+    """Word hooks without state: close applies fn to each word of the slice."""
+
+    def __init__(self, fn: Callable[[Word], float]):
+        self.fn = fn
+
+    def start(self, roots):
+        return None
+
+    def extend(self, state, parent, prev, child):
+        return None
+
+    def close(self, state, words, last):
+        return np.array([self.fn(w) for w in map(tuple, words.tolist())], dtype=float)
+
+
+class _ScaledHooks:
+    """A base potential's word hooks with close scaled by t."""
+
+    def __init__(self, base, t: float):
+        self.base, self.t = base, t
+        self.start, self.extend = base.start, base.extend
+
+    def close(self, state, words, last):
+        return self.t * self.base.close(state, words, last)
 
 
 class PotentialSequence:
@@ -158,30 +254,15 @@ class PotentialSequence:
         """(symbol -> positive matrix, d) when eval is a matrix-product norm."""
         return None
 
-    # -- batched prefix state along enumeration -----------------------------
-    # A state holds one row per word of a batch. Enumeration extends whole
-    # levels of words at once; eval may fold the same hooks over a batch of one.
+    def word_hooks(self, sub: FiniteSubshift):
+        """Word hooks (start, extend, close) over sub, in the shift_core.walk_words form.
 
-    def prefix_start(self, a: int):
-        """State of the batch holding the one word (a,)."""
-        return None
-
-    def prefix_extend(self, state, parent: np.ndarray, b: np.ndarray):
-        """State of the words parent-word + (b[k],), row k from row parent[k]."""
-        return None
-
-    def periodic_close(self, state, rows: np.ndarray, words: np.ndarray) -> np.ndarray:
-        """eval of the words in the given rows; words holds one word per row."""
-        return np.array([self.eval(w) for w in map(tuple, words[rows].tolist())], dtype=float)
-
-    def prefix_fold(self, word: Word):
-        """State of the batch holding the one word, extended symbol by symbol."""
-        symbols = np.array(word)
-        row = np.zeros(1, dtype=np.intp)
-        state = self.prefix_start(word[0])
-        for k in range(1, len(word)):
-            state = self.prefix_extend(state, row, symbols[k:k + 1])
-        return state
+        close(state, words, last) gives eval of each word of a slice whose
+        cyclic closure is an arc of sub. A state is None or a tuple of arrays
+        with one row per word, so a caller may close a subset of the rows.
+        The default evaluates word by word.
+        """
+        return WordHooks(self.eval)
 
     def scaled(self, t: float) -> "PotentialSequence":
         if t == 1.0:
@@ -246,14 +327,8 @@ class ScaledPotential(PotentialSequence):
             return self.base.block_entries()
         return None
 
-    def prefix_start(self, a):
-        return self.base.prefix_start(a)
-
-    def prefix_extend(self, state, parent, b):
-        return self.base.prefix_extend(state, parent, b)
-
-    def periodic_close(self, state, rows, words):
-        return self.t * self.base.periodic_close(state, rows, words)
+    def word_hooks(self, sub):
+        return _ScaledHooks(self.base.word_hooks(sub), self.t)
 
     def scaled(self, t):
         return ScaledPotential(self.base, t * self.t)
@@ -434,7 +509,7 @@ class CocyclePotential(PotentialSequence):
         word = tuple(word)
         if not is_admissible(word, self.model):
             raise InadmissibleWordError(f"word {word} is not admissible")
-        return float(self.periodic_close(self.prefix_fold(word), [0], None)[0])
+        return log_norm_of_path(self, word)
 
     def sup_f1(self, a):
         return float(self.matrix(a).sum())
@@ -454,24 +529,8 @@ class CocyclePotential(PotentialSequence):
     def block_entries(self):
         return (self.matrix, self.d)
 
-    # State: (V, log_scale) with A_{w_k} ... A_{w_0} 1 = exp(log_scale[r]) V[r]
-    # for the word w of row r, each V[r] of unit entry sum; the entries are
-    # positive, so no sum vanishes.
-    def prefix_start(self, a):
-        return self.prefix_extend((np.ones((1, self.d)), np.zeros(1)), [0], np.array([a]))
-
-    def prefix_extend(self, state, parent, b):
-        V, log_scale = state
-        V = V[parent]
-        for s in set(b.tolist()):
-            rows = b == s
-            V[rows] = V[rows] @ self.matrix(s).T
-        total = V.sum(axis=1)
-        return V / total[:, None], log_scale[parent] + np.log(total)
-
-    def periodic_close(self, state, rows, words):
-        V, log_scale = state
-        return log_scale[rows] + np.log(V[rows].sum(axis=1))
+    def word_hooks(self, sub):
+        return transfer_operator(sub, self, "block")
 
 
 def cocycle_potential(family, model: TransitionModel,
@@ -506,7 +565,12 @@ class FiberCountPotential(PotentialSequence):
 
     def preimage_word_count(self, word: Sequence[int]) -> int:
         """Exact number of admissible preimage words of the given word."""
-        _, _, lo, hi = self.prefix_fold(tuple(word))
+        hooks = _PreimageCounts(np.array(word))
+        pos = np.arange(len(word))
+        state = hooks.start(pos[:1])
+        for k in range(1, len(word)):
+            state = hooks.extend(state, pos[:1], pos[k - 1:k], pos[k:k + 1])
+        lo, hi = state
         return int(lo[0] + hi[0])
 
     def eval(self, word):
@@ -518,26 +582,38 @@ class FiberCountPotential(PotentialSequence):
     def sup_f1(self, a):
         return 0.5
 
-    # State: (word length n, then per row: current symbol j, count at preimage
-    # 2j-2, count at preimage 2j-1). Arcs between preimages exist iff the
-    # source or target preimage symbol is 0, i.e. the source is the low
-    # preimage of j = 1 or the target is the low preimage of k = 1. Counts are
-    # exact integers: at length n they are at most 2**(n-1), so they move from
-    # int64 to Python ints before they could wrap.
-    def prefix_start(self, a):
-        return 1, np.array([a]), np.ones(1, dtype=np.int64), np.ones(1, dtype=np.int64)
+    def word_hooks(self, sub):
+        return _PreimageCounts(np.asarray(sub.symbols))
 
-    def prefix_extend(self, state, parent, b):
-        n, j, lo, hi = state
-        j, lo, hi = j[parent], lo[parent], hi[parent]
-        if n == 61:
+
+class _PreimageCounts:
+    """Word hooks counting preimage words, over the symbols at each position.
+
+    A state is, per row, the counts of preimage words ending at the low and
+    at the high preimage (2j-2, 2j-1) of the last symbol j. Arcs between
+    preimages exist iff the source or target preimage symbol is 0, i.e. the
+    source is the low preimage of j = 1 or the target is the low preimage of
+    k = 1. Counts are exact integers: they at most double per symbol, so they
+    move from int64 to Python ints before they could wrap. The low count is
+    never below the high one, so it alone is checked.
+    """
+
+    def __init__(self, symbols: np.ndarray):
+        self.symbols = symbols
+
+    def start(self, roots):
+        return np.ones(len(roots), dtype=np.int64), np.ones(len(roots), dtype=np.int64)
+
+    def extend(self, state, parent, prev, child):
+        lo, hi = state[0][parent], state[1][parent]
+        if lo.dtype != object and lo.max(initial=0) >= 2 ** 61:
             lo, hi = lo.astype(object), hi.astype(object)
-        from_zero = np.where(j == 1, lo, 0)
-        return n + 1, b, np.where(b == 1, lo + hi, from_zero), from_zero
+        from_zero = np.where(self.symbols[prev] == 1, lo, 0)
+        return np.where(self.symbols[child] == 1, lo + hi, from_zero), from_zero
 
-    def periodic_close(self, state, rows, words):
-        _, _, lo, hi = state
-        return -np.log((lo[rows] + hi[rows]).astype(float))
+    def close(self, state, words, last):
+        lo, hi = state
+        return -np.log((lo + hi).astype(float))
 
 
 def fiber_count_potential() -> FiberCountPotential:

@@ -2,11 +2,12 @@
 
 The pressure of a potential sequence is approximated on increasing finite
 truncations. Each truncation must be mixing; its partition series log Z_n is
-computed either by iterating the weighted transfer matrix (when the potential
-exposes arc or matrix-product structure) or by direct enumeration of periodic
-words. The growth rate is extracted from trailing slopes log Z_{n+1} - log Z_n,
-which converge geometrically, and is bracketed from below by the
-near-superadditivity bound and from above by the transfer-operator bound.
+computed either by iterating the potential's transfer operator (when it
+exposes arc or matrix-product structure) or by enumerating the periodic
+words with the potential's word hooks. The growth rate is extracted from
+trailing slopes log Z_{n+1} - log Z_n, which converge geometrically, and is
+bracketed from below by the near-superadditivity bound and from above by the
+transfer-operator bound.
 """
 
 from __future__ import annotations
@@ -100,11 +101,10 @@ def partition_series(
         strategy, log_norm = "enumerate", None
         values, prefixes = _enumerated_values(sub, p, n_max, a, cap)
     else:
-        strategy, B, d, offset = op
-        log_norm = _operator_norm(op)
-        diag = scaled_power_diagonal(B, slice(ia * d, (ia + 1) * d), n_max)
+        strategy, log_norm = op.kind, op.log_norm()
+        diag = scaled_power_diagonal(op.B, slice(ia * op.d, (ia + 1) * op.d), n_max)
         values = [
-            offset(n) + v if v != NEG_INF else NEG_INF
+            op.offset(n) + v if v != NEG_INF else NEG_INF
             for n, v in enumerate(diag, start=1)
         ]
     entries = tuple((n, v) for n, v in enumerate(values, start=1))
@@ -124,28 +124,25 @@ def _enumerated_values(sub, p, n_max, a, cap):
     """log Z_n for n = 1..n_max by enumeration, and the prefix extensions made.
 
     Walks the words starting at a with shift_core.walk_words, carrying the
-    potential's batched prefix state, and closes each slice's periodic words
-    with one periodic_close call. The extensions out of each slice are
-    counted before any of its children are built, and the walk stops with
-    EnumerationBudgetError once their total exceeds cap.
+    potential's word hooks, and closes each slice's periodic words with one
+    close call. The extensions out of each slice are counted before any of
+    its children are built, and the walk stops with EnumerationBudgetError
+    once their total exceeds cap.
     """
     ia = sub.position(a)
     closes = sub.matrix[:, ia] != 0
     fanout = (sub.matrix != 0).sum(axis=1)
-    symbols = np.asarray(sub.symbols)
+    hooks = p.word_hooks(sub)
     # Per length, the log-sum of each slice's closed words.
     sums: list[list[float]] = [[] for _ in range(n_max)]
     prefixes = 0
-    walk = walk_words(
-        sub, [ia], n_max,
-        lambda roots: p.prefix_start(a),
-        lambda state, parent, prev, child: p.prefix_extend(state, parent, symbols[child]),
-    )
-    for words, last, state in walk:
+    for words, last, state in walk_words(sub, [ia], n_max, hooks.start, hooks.extend):
         n = words.shape[1]
-        closed = np.flatnonzero(closes[last])
-        if closed.size:
-            sums[n - 1].append(logsumexp(p.periodic_close(state, closed, words)))
+        closing = closes[last]
+        if closing.any():
+            rows = slice(None) if closing.all() else np.flatnonzero(closing)
+            chosen = None if state is None else tuple(x[rows] for x in state)
+            sums[n - 1].append(logsumexp(hooks.close(chosen, words[rows], last[rows])))
         if n < n_max:
             prefixes += int(fanout[last].sum())
             if prefixes > cap:
@@ -153,13 +150,6 @@ def _enumerated_values(sub, p, n_max, a, cap):
                     f"enumeration exceeded {cap} prefix extensions"
                 )
     return [logsumexp(level) for level in sums], prefixes
-
-
-def _operator_norm(op) -> float:
-    _, B, d, offset = op
-    m = B.shape[0] // d
-    columns = B.reshape(m, d, m, d).sum(axis=(0, 1, 3))
-    return offset(1) + math.log(columns.max())
 
 
 def transfer_norm(sub: FiniteSubshift, p: PotentialSequence) -> float:
@@ -172,7 +162,7 @@ def transfer_norm(sub: FiniteSubshift, p: PotentialSequence) -> float:
     """
     op = transfer_operator(sub, p)
     if op is not None:
-        return _operator_norm(op)
+        return op.log_norm()
     return max(
         logsumexp(p.log_sup_f1(z) for z in sub.in_neighbors(x0))
         for x0 in sub.symbols
@@ -261,7 +251,7 @@ def _doubling_growths(levels: Sequence[int], values: Sequence[float]) -> list[fl
     return growths
 
 
-def _mixed_truncation(model: TransitionModel, m: int) -> FiniteSubshift:
+def mixed_truncation(model: TransitionModel, m: int) -> FiniteSubshift:
     """The model's truncation at m with its mixing certificate, built once.
 
     It is kept on the model object, so every estimate on that object (each t
@@ -301,6 +291,9 @@ def gurevich_pressure(
     the truncation estimates stays at or above divergence_threshold for
     divergence_run consecutive steps.
     """
+    for name, value in (("slope_window", slope_window), ("divergence_run", divergence_run)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, not {value}")
     if a is None:
         a = model.first_symbol
     if m_list is None:
@@ -313,7 +306,7 @@ def gurevich_pressure(
     series = None
     sub = None
     for m in m_list:
-        sub = _mixed_truncation(model, m)
+        sub = mixed_truncation(model, m)
         series = partition_series(sub, p, n_max, a, cap=cap)
         value_m, _ = _slope_value(series, slope_window)
         per_level.append((m, value_m))

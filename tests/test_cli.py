@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from thermoshift import cli, pressure, shift_core
 from thermoshift.cli import main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -203,6 +204,39 @@ def test_flag_overrides_change_behaviour(tmp_path, capsys):
         "--out", str(tmp_path), "--tol", "0.1",
     )
     assert code == 0
+
+
+@pytest.mark.parametrize("command, name, flags, key", [
+    ("pressure", "weighted20.json", ["--divergence-run", "0"], "divergence_run"),
+    ("pressure", "weighted20.json", ["--slope-window", "0"], "slope_window"),
+    ("pressure", "gm_zero.json", ["--tol", "-1"], "tol"),
+    ("gibbs", "gibbs_uniform.json", ["--truncations", "4,3"], "truncations"),
+], ids=["divergence_run", "slope_window", "tol", "truncations"])
+def test_flag_overrides_are_validated_like_file_params(
+    tmp_path, capsys, command, name, flags, key
+):
+    code, stdout, stderr = run(
+        capsys, command, "--model", fixture(name), "--out", str(tmp_path), *flags
+    )
+    assert code == 1 and stdout == ""
+    assert f"params.{key}:" in stderr
+
+
+def test_gibbs_truncates_each_level_once(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counting(model, m):
+        calls.append(m)
+        return shift_core.truncate(model, m)
+
+    for module in (cli, pressure):
+        monkeypatch.setattr(module, "truncate", counting)
+    code, stdout, _ = run(
+        capsys, "gibbs", "--model", fixture("weighted20.json"), "--out", str(tmp_path),
+        "--truncations", "3,4",
+    )
+    assert code == 0 and "PASS" in stdout
+    assert calls == [3, 4]
 
 
 def test_artifacts_deterministic_across_thread_counts(tmp_path, capsys):

@@ -11,6 +11,7 @@ import pytest
 
 from helpers import brute_force_preimage_count
 from thermoshift.dimension import product_construction
+from thermoshift.matrix_cocycle import MatrixFamily, log_norm_of_path
 from thermoshift.potentials import (
     PairStructure,
     birkhoff_potential,
@@ -214,25 +215,57 @@ def test_cocycle_eval_on_constant_family():
     assert p.sup_f1(1) == pytest.approx(6.0, rel=1e-12)
 
 
-def test_cocycle_prefix_protocol_matches_eval():
-    rng = np.random.default_rng(11)
-    mats = {a: rng.random((3, 3)) + 0.2 for a in (1, 2)}
-    p = cocycle_potential(lambda a: mats[a], golden_mean_shift(), symbol_bound=2)
-    words = np.array([(1, 1, 2, 1, 2, 1), (1, 2, 1, 1, 2, 1)])
-    # Fold both words as one batch: the first step branches row 0 in two.
-    state = p.prefix_start(1)
-    parent = np.array([0, 0])
-    for k in range(1, words.shape[1]):
-        state = p.prefix_extend(state, parent, words[:, k])
-        parent = np.array([0, 1])
-    closed = p.periodic_close(state, np.array([1, 0]), words)
-    for value, word in zip(closed, words[[1, 0]].tolist()):
-        assert value == pytest.approx(p.eval(word), rel=1e-12)
-        # Independent oracle: plain numpy product in the reversed order.
+def cocycle_oracle(mats, t):
+    """t log of the entry sum of the plain numpy product in the reversed order."""
+    def value(word):
         prod = np.eye(3)
         for a in word:
             prod = mats[a] @ prod
-        assert value == pytest.approx(math.log(prod.sum()), rel=1e-10)
+        return t * math.log(prod.sum())
+    return value
+
+
+def word_hook_cases():
+    rng = np.random.default_rng(11)
+    mats = {a: rng.random((3, 3)) + 0.2 for a in (1, 2)}
+    gm = golden_mean_shift()
+    q = cocycle_potential(lambda a: mats[a], gm, symbol_bound=2)
+    words = np.array([(1, 1, 2, 1, 2, 1), (1, 2, 1, 1, 2, 1)])
+    yield "cocycle", truncate(gm, 2), q, words, cocycle_oracle(mats, 1.0)
+    yield "scaled_cocycle", truncate(gm, 2), q.scaled(0.5), words, cocycle_oracle(mats, 0.5)
+    yield ("fiber_count", truncate(star_shift(), 6), fiber_count_potential(),
+           np.array([(1, 3, 1, 1, 5, 1, 2), (1, 1, 1, 6, 1, 4, 1)]),
+           lambda w: -math.log(brute_force_preimage_count(w)))
+    f = lambda i, j: 0.4 * i - 0.7 * j
+    yield ("per_word", truncate(gm, 2), birkhoff_potential(f, gm), words,
+           lambda w: math.fsum(f(a, b) for a, b in zip(w, w[1:] + w[:1])))
+
+
+@pytest.mark.parametrize("case", list(word_hook_cases()), ids=lambda case: case[0])
+def test_word_hooks_close_matches_eval(case):
+    _, sub, p, words, oracle = case
+    hooks = p.word_hooks(sub)
+    pos = np.array([[sub.position(a) for a in w] for w in words.tolist()])
+    # Walk both words as one batch: the first step branches the root in two.
+    state = hooks.start(pos[:1, 0])
+    parent = np.array([0, 0])
+    for k in range(1, words.shape[1]):
+        state = hooks.extend(state, parent, pos[:, k - 1], pos[:, k])
+        parent = np.array([0, 1])
+    # Close the rows in reverse order, selecting them from the state.
+    rows = np.array([1, 0])
+    chosen = None if state is None else tuple(x[rows] for x in state)
+    closed = hooks.close(chosen, words[rows], pos[rows, -1])
+    for value, word in zip(closed, words[rows].tolist()):
+        assert value == pytest.approx(p.eval(word), rel=1e-12)
+        assert value == pytest.approx(oracle(tuple(word)), rel=1e-10)
+
+
+def test_cocycle_eval_is_the_path_norm():
+    family = MatrixFamily(2, [[[2.0, 1.0], [0.5, 3.0]], [[1.0, 0.25], [2.0, 1.0]]])
+    p = cocycle_potential(family, full_shift(), symbol_bound=2)
+    for word in ((1,), (2, 1), (1, 1, 2, 1, 2, 2, 1)):
+        assert p.eval(word) == log_norm_of_path(family, word)
 
 
 def test_cocycle_rejects_nonpositive_entries():

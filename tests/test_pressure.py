@@ -27,12 +27,12 @@ from thermoshift.potentials import (
 from thermoshift.pressure import (
     EnumerationBudgetError,
     NonMixingTruncationError,
-    _mixed_truncation,
     closed_form_fullshift_pressure,
     curve_second_differences,
     geometric_power_sum,
     growth_floor_margin,
     gurevich_pressure,
+    mixed_truncation,
     near_superadditivity_margin,
     partition_function,
     partition_series,
@@ -330,16 +330,16 @@ def test_opaque_rule_is_evaluated_once_per_candidate_pair():
 
 def test_mixed_truncations_are_shared_read_only_and_per_model():
     model, other = full_shift(), full_shift()
-    sub = _mixed_truncation(model, 4)
+    sub = mixed_truncation(model, 4)
     gurevich_pressure(model, zero_potential(model), m_list=[4], n_max=6)
-    assert _mixed_truncation(model, 4) is sub and sub.mixing_certificate == 1
+    assert mixed_truncation(model, 4) is sub and sub.mixing_certificate == 1
     with pytest.raises(ValueError):
         sub.matrix[0, 0] = 0
     assert sub.out_neighbors(1) == (1, 2, 3, 4)
     fresh = sub.with_mixing(sub.mixing_certificate)
     assert fresh._out == {} and fresh._in == {} and 1 in sub._out
     assert other._mixed == {}
-    assert _mixed_truncation(other, 4) is not sub
+    assert mixed_truncation(other, 4) is not sub
 
 
 def test_non_mixing_truncation_is_named():
@@ -365,6 +365,13 @@ def test_fiber_count_pressure_diverges():
     assert not est.converged
     levels = [m for m, _ in est.truncation_values]
     assert levels == [8, 16, 32, 64]
+
+
+@pytest.mark.parametrize("param", ["slope_window", "divergence_run"])
+def test_slope_window_and_divergence_run_below_one_are_rejected(param):
+    model = full_shift()
+    with pytest.raises(ValueError, match=param):
+        gurevich_pressure(model, zero_potential(model), m_list=[2], n_max=4, **{param: 0})
 
 
 def test_slope_diagnostics_cover_final_window():
