@@ -19,7 +19,7 @@ from .dimension import bowen_dimension
 from .gibbs import NonMixingSubshiftError, finite_gibbs_nu, verify_gibbs
 from .matrix_cocycle import max_lyapunov
 from .modelfile import (
-    PARAM_KEYS,
+    PARAMS,
     ModelFileError,
     _validate_params,
     build_construction,
@@ -47,15 +47,9 @@ EXIT_DIVERGED = 3
 
 log = logging.getLogger("thermoshift")
 
-PRESSURE_PARAM_MAP = {
-    "truncations": "m_list",
-    "n_max": "n_max",
-    "slope_window": "slope_window",
-    "tol": "tol",
-    "divergence_threshold": "divergence_threshold",
-    "divergence_run": "divergence_run",
-    "cap": "cap",
-}
+PRESSURE_KEYS = (
+    "n_max", "slope_window", "tol", "divergence_threshold", "divergence_run", "cap"
+)
 
 
 def _setup_logging() -> None:
@@ -75,20 +69,25 @@ def _write_csv(path: str, header: Sequence[str], rows) -> None:
 def _params(data: dict, args: argparse.Namespace) -> dict:
     """File params overridden by any CLI flag that was set, validated as a file's."""
     merged = dict(data.get("params", {}))
-    for key in PARAM_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
+    merged.update(
+        (key, value)
+        for key, value in vars(args).items()
+        if key in PARAMS and value is not None
+    )
     _validate_params(merged)
     return merged
 
 
+def _given(params: dict, *keys: str) -> dict:
+    """The params among keys that are set, as keyword arguments."""
+    return {key: params[key] for key in keys if key in params}
+
+
 def _pressure_kwargs(params: dict) -> dict:
-    out = {}
-    for key, target in PRESSURE_PARAM_MAP.items():
-        if key in params:
-            out[target] = params[key]
-    return out
+    kwargs = _given(params, *PRESSURE_KEYS)
+    if "truncations" in params:
+        kwargs["m_list"] = params["truncations"]
+    return kwargs
 
 
 def _flag(est) -> str:
@@ -164,12 +163,10 @@ def cmd_dimension(data: dict, args: argparse.Namespace, out_dir: str) -> int:
     model = build_model(data)
     gc = build_construction(data)
     params = _params(data, args)
-    solver = {}
-    if "t_bracket" in params:
-        solver["t_bracket"] = tuple(params["t_bracket"])
-    if "tol" in params:
-        solver["tol"] = params["tol"]
-    res = bowen_dimension(gc, model, **solver, **_pressure_kwargs(params))
+    # tol lands on bowen_dimension's own tol, the root tolerance on |P|, only.
+    res = bowen_dimension(
+        gc, model, **_given(params, "t_bracket"), **_pressure_kwargs(params)
+    )
     _write_csv(
         os.path.join(out_dir, "dimension.csv"),
         ("dim_hat", "bracket_lo", "bracket_hi", "root_found",
@@ -205,9 +202,9 @@ def cmd_lyapunov(data: dict, args: argparse.Namespace, out_dir: str) -> int:
     est = max_lyapunov(
         family,
         mu,
-        int(params.get("n", 100)),
-        int(params.get("samples", 50)),
-        seed=int(params.get("seed", 0)),
+        params.get("n", 100),
+        params.get("samples", 50),
+        **_given(params, "seed"),
     )
     _write_csv(
         os.path.join(out_dir, "lyapunov.csv"),
@@ -230,15 +227,15 @@ def cmd_gibbs(data: dict, args: argparse.Namespace, out_dir: str) -> int:
     if "measure" in data:
         mu = build_measure(data, sub)
     else:
-        mu = finite_gibbs_nu(sub, potential, int(params.get("level", 8)))
+        mu = finite_gibbs_nu(sub, potential, params.get("level", 8))
     rows = []
     cert = verify_gibbs(
         mu,
         potential,
         pressure_est.value,
-        depth=int(params.get("depth", 4)),
+        depth=params.get("depth", 4),
         sub=sub,
-        ratio_bound=float(params.get("ratio_bound", 100.0)),
+        **_given(params, "ratio_bound"),
         row_sink=lambda n, w, m, lw, r: rows.append(
             (n, " ".join(str(s) for s in w), m, lw, r)
         ),
@@ -261,18 +258,13 @@ def cmd_validate(data: dict, args: argparse.Namespace, out_dir: str) -> int:
     model = build_model(data)
     potential = build_potential(data, model)
     params = _params(data, args)
-    truncation = (params.get("truncations") or [8])[-1]
-    reg = estimate_regularity(
-        potential,
-        model,
-        depth=int(params.get("depth", 12)),
-        samples=int(params.get("samples", 200)),
-        seed=int(params.get("seed", 0)),
-        truncation=truncation,
-    )
+    regularity = _given(params, "depth", "samples", "seed")
+    if "truncations" in params:
+        regularity["truncation"] = params["truncations"][-1]
+    reg = estimate_regularity(potential, model, **regularity)
     summ = summability_report(potential)
     witness = params.get("witness", [model.first_symbol])
-    up_to = int(params.get("up_to", 20))
+    up_to = params.get("up_to", 20)
     if model.alphabet_size is not None:
         up_to = min(up_to, model.alphabet_size)
     bip = check_bip(model, witness, up_to)
@@ -305,53 +297,18 @@ COMMANDS = {
 }
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part]
-
-
-def _float_list(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part]
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="thermoshift",
         description="pressure, Gibbs, Lyapunov, and dimension computations "
         "on countable Markov shifts",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        cmd = sub.add_parser(name)
-        cmd.add_argument("--model", required=True, help="model file (JSON)")
-        cmd.add_argument("--out", default=".", help="output directory")
-        cmd.add_argument("--seed", type=int, default=None)
-        cmd.add_argument("--truncations", type=_int_list, default=None)
-        cmd.add_argument("--n-max", dest="n_max", type=int, default=None)
-        cmd.add_argument("--t-grid", dest="t_grid", type=_float_list, default=None)
-        cmd.add_argument("--tol", type=float, default=None)
-        cmd.add_argument("--level", type=int, default=None)
-        cmd.add_argument("--depth", type=int, default=None)
-        cmd.add_argument("--samples", type=int, default=None)
-        cmd.add_argument("--n", type=int, default=None)
-        cmd.add_argument(
-            "--slope-window", dest="slope_window", type=int, default=None
-        )
-        cmd.add_argument(
-            "--divergence-threshold",
-            dest="divergence_threshold",
-            type=float,
-            default=None,
-        )
-        cmd.add_argument(
-            "--divergence-run", dest="divergence_run", type=int, default=None
-        )
-        cmd.add_argument("--cap", type=int, default=None)
-        cmd.add_argument(
-            "--ratio-bound", dest="ratio_bound", type=float, default=None
-        )
-        cmd.add_argument(
-            "--t-bracket", dest="t_bracket", type=_float_list, default=None
-        )
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--model", required=True, help="model file (JSON)")
+    parser.add_argument("--out", default=".", help="output directory")
+    for key, param in PARAMS.items():
+        if param.flag is not None:
+            parser.add_argument("--" + key.replace("_", "-"), dest=key, type=param.flag)
     return parser
 
 

@@ -466,15 +466,10 @@ class _WordMasses(WordHooks):
     def __init__(self, mu, P: float):
         super().__init__(mu.log_mass)
         self.P = P
-        self.grouped = getattr(mu, "log_mass_plus_n_pressure", None)
 
     def close(self, state, words, last):
         log_mass = super().close(state, words, last)
-        if self.grouped is None:
-            return log_mass, log_mass + words.shape[1] * self.P
-        return log_mass, np.array(
-            [self.grouped(w, self.P) for w in map(tuple, words.tolist())], dtype=float
-        )
+        return log_mass, log_mass + words.shape[1] * self.P
 
 
 def _cylinder_masses(mu, sub: FiniteSubshift, P: float):

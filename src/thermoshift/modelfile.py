@@ -8,7 +8,7 @@ typos are how numerical studies go wrong.
 
 import json
 import math
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .dimension import GeometricConstruction, product_construction
 from .gibbs import (
@@ -56,24 +56,74 @@ TOP_LEVEL_KEYS = {
     "params",
 }
 
-PARAM_KEYS = {
-    "truncations",
-    "n_max",
-    "t_grid",
-    "tol",
-    "seed",
-    "level",
-    "depth",
-    "samples",
-    "n",
-    "slope_window",
-    "divergence_threshold",
-    "divergence_run",
-    "cap",
-    "ratio_bound",
-    "t_bracket",
-    "witness",
-    "up_to",
+
+def _int_list(text: str) -> list[int]:
+    return [int(part) for part in text.split(",") if part]
+
+
+def _float_list(text: str) -> list[float]:
+    return [float(part) for part in text.split(",") if part]
+
+
+def _increasing(each: Callable[[object], bool]) -> Callable[[object], bool]:
+    """Check for a nonempty, strictly increasing list of values passing each."""
+    return lambda v: (
+        isinstance(v, list)
+        and bool(v)
+        and all(map(each, v))
+        and all(a < b for a, b in zip(v, v[1:]))
+    )
+
+
+class Param(NamedTuple):
+    """A run parameter: the check its value must pass, and its --flag's parser."""
+
+    check: Callable[[object], bool]
+    must_be: str
+    flag: Optional[Callable[[str], object]]
+
+
+def _number(value) -> bool:
+    # type() rather than isinstance(): JSON true and false are not numbers.
+    return type(value) in (int, float)
+
+
+_COUNT = Param(lambda v: type(v) is int and v >= 1, "a positive integer", int)
+_NATURAL = Param(lambda v: type(v) is int and v >= 0, "a nonnegative integer", int)
+_POSITIVE = Param(lambda v: _number(v) and v > 0, "a positive number", float)
+_NUMBERS = _increasing(_number)
+
+# Every run parameter, in --help order. A flag of None keeps the key file-only.
+PARAMS = {
+    "seed": _NATURAL,
+    "truncations": Param(
+        _increasing(_COUNT.check),
+        "a strictly increasing list of positive integers",
+        _int_list,
+    ),
+    "n_max": _COUNT,
+    "t_grid": Param(_NUMBERS, "a strictly increasing list of numbers", _float_list),
+    "tol": _POSITIVE,
+    "level": _COUNT,
+    "depth": _COUNT,
+    "samples": _COUNT,
+    "n": _COUNT,
+    "slope_window": _COUNT,
+    "divergence_threshold": _POSITIVE,
+    "divergence_run": _COUNT,
+    "cap": _NATURAL,
+    "ratio_bound": _POSITIVE,
+    "t_bracket": Param(
+        lambda v: _NUMBERS(v) and len(v) == 2,
+        "an increasing pair [lo, hi]",
+        _float_list,
+    ),
+    "witness": Param(
+        lambda v: isinstance(v, list) and bool(v) and all(map(_COUNT.check, v)),
+        "a nonempty list of positive integers",
+        None,
+    ),
+    "up_to": _NATURAL._replace(flag=None),
 }
 
 
@@ -296,58 +346,10 @@ def _validate_measure(section) -> None:
 def _validate_params(section) -> None:
     if not isinstance(section, dict):
         raise ModelFileError("params", "must be an object")
-    _require_keys(section, PARAM_KEYS, set(), "params")
-    trunc = section.get("truncations")
-    if trunc is not None:
-        if (
-            not isinstance(trunc, list)
-            or not trunc
-            or not all(isinstance(m, int) and m >= 1 for m in trunc)
-        ):
-            raise ModelFileError(
-                "params.truncations", "must be a list of positive integers"
-            )
-        if any(b <= a for a, b in zip(trunc, trunc[1:])):
-            raise ModelFileError(
-                "params.truncations", "must be strictly increasing"
-            )
-    grid = section.get("t_grid")
-    if grid is not None:
-        if not isinstance(grid, list) or not grid:
-            raise ModelFileError("params.t_grid", "must be a nonempty list")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ModelFileError("params.t_grid", "must be strictly increasing")
-    for key in ("tol", "divergence_threshold", "ratio_bound"):
-        if key in section and not section[key] > 0:
-            raise ModelFileError(f"params.{key}", "must be positive")
-    for key in ("n_max", "level", "depth", "samples", "n", "cap", "seed", "up_to"):
-        if key in section and (
-            not isinstance(section[key], int) or section[key] < 0
-        ):
-            raise ModelFileError(f"params.{key}", "must be a nonnegative integer")
-    for key in ("slope_window", "divergence_run"):
-        if key in section and (
-            not isinstance(section[key], int) or section[key] < 1
-        ):
-            raise ModelFileError(f"params.{key}", "must be a positive integer")
-    bracket = section.get("t_bracket")
-    if bracket is not None:
-        if (
-            not isinstance(bracket, list)
-            or len(bracket) != 2
-            or not bracket[0] < bracket[1]
-        ):
-            raise ModelFileError(
-                "params.t_bracket", "must be an increasing pair [lo, hi]"
-            )
-    witness = section.get("witness")
-    if witness is not None:
-        if not isinstance(witness, list) or not all(
-            isinstance(w, int) and w >= 1 for w in witness
-        ):
-            raise ModelFileError(
-                "params.witness", "must be a list of positive integers"
-            )
+    _require_keys(section, PARAMS, set(), "params")
+    for key, value in section.items():
+        if not PARAMS[key].check(value):
+            raise ModelFileError(f"params.{key}", f"must be {PARAMS[key].must_be}")
 
 
 # -- builders -----------------------------------------------------------------

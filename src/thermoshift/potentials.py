@@ -646,6 +646,10 @@ def estimate_regularity(
     log f_m(shift^n x)| at the periodic point x of w. The maximum is a lower
     estimate of the true constant; it cannot certify the declared one.
     """
+    if depth < 2:
+        raise ValueError(f"depth must be at least 2 to split a word, got {depth}")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     sub = truncate(model, truncation)
     rng = np.random.default_rng(seed)
     symbols = sub.symbols

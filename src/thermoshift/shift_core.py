@@ -475,6 +475,10 @@ def check_bip(model: TransitionModel, witness_set: Sequence[int], up_to: int):
     witness = tuple(sorted(set(int(b) for b in witness_set)))
     if not witness:
         raise ValueError("witness set must be nonempty")
+    if up_to < model.first_symbol:
+        raise ValueError(
+            f"up_to {up_to} is below the first symbol {model.first_symbol}"
+        )
     for b in witness:
         model._check_symbol(b)
     for a in range(model.first_symbol, up_to + 1):

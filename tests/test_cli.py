@@ -144,6 +144,15 @@ def test_dimension_cantor(tmp_path, capsys):
     assert len(trace_rows) >= 3
 
 
+def test_dimension_tol_is_the_root_tolerance(tmp_path, capsys):
+    code, stdout, stderr = run(
+        capsys, "dimension", "--model", fixture("cantor.json"), "--out", str(tmp_path),
+        "--tol", "1e-9",
+    )
+    assert code == 0 and stderr == ""
+    assert float(stdout.split()[1]) == pytest.approx(LOG23, abs=1e-4)
+
+
 def test_lyapunov_single_matrix(tmp_path, capsys):
     out = str(tmp_path)
     code, stdout, _ = run(
@@ -211,7 +220,9 @@ def test_flag_overrides_change_behaviour(tmp_path, capsys):
     ("pressure", "weighted20.json", ["--slope-window", "0"], "slope_window"),
     ("pressure", "gm_zero.json", ["--tol", "-1"], "tol"),
     ("gibbs", "gibbs_uniform.json", ["--truncations", "4,3"], "truncations"),
-], ids=["divergence_run", "slope_window", "tol", "truncations"])
+    ("pressure", "gm_zero.json", ["--n-max", "0"], "n_max"),
+    ("validate", "validate_birkhoff.json", ["--samples", "0"], "samples"),
+], ids=["divergence_run", "slope_window", "tol", "truncations", "n_max", "samples"])
 def test_flag_overrides_are_validated_like_file_params(
     tmp_path, capsys, command, name, flags, key
 ):
@@ -266,3 +277,40 @@ def test_gibbs_deterministic_across_runs(tmp_path, capsys):
         with open(os.path.join(out, "gibbs.csv"), "rb") as handle:
             blobs.append(handle.read())
     assert blobs[0] == blobs[1]
+
+
+# Every command takes every flag: (flag, text, dest, parsed value).
+FLAGS = [
+    ("--seed", "3", "seed", 3),
+    ("--truncations", "5,10", "truncations", [5, 10]),
+    ("--n-max", "40", "n_max", 40),
+    ("--t-grid", "0.5,1", "t_grid", [0.5, 1.0]),
+    ("--tol", "1e-8", "tol", 1e-8),
+    ("--level", "6", "level", 6),
+    ("--depth", "3", "depth", 3),
+    ("--samples", "7", "samples", 7),
+    ("--n", "9", "n", 9),
+    ("--slope-window", "4", "slope_window", 4),
+    ("--divergence-threshold", "0.25", "divergence_threshold", 0.25),
+    ("--divergence-run", "2", "divergence_run", 2),
+    ("--cap", "50", "cap", 50),
+    ("--ratio-bound", "10", "ratio_bound", 10.0),
+    ("--t-bracket", "0,1", "t_bracket", [0.0, 1.0]),
+]
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_every_command_parses_the_same_flags(command, capsys):
+    argv = [command, "--model", "m.json", "--out", "o"]
+    for flag, text, _, _ in FLAGS:
+        argv += [flag, text]
+    args = cli.build_parser().parse_args(argv)
+    assert vars(args) == {
+        "command": command, "model": "m.json", "out": "o",
+        **{dest: value for _, _, dest, value in FLAGS},
+    }
+    # witness and up_to are file-only params
+    for flag in ("--witness", "--up-to"):
+        with pytest.raises(SystemExit) as info:
+            cli.build_parser().parse_args([command, "--model", "m.json", flag, "1"])
+        assert info.value.code == 2

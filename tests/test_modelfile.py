@@ -172,10 +172,14 @@ def test_params_section_validation(tmp_path):
     assert load_error(
         tmp_path, {**base, "params": {"t_bracket": [1.0, 0.5]}}
     ).field_name == "params.t_bracket"
-    for key in ("slope_window", "divergence_run"):
+    for key in ("slope_window", "divergence_run", "n_max", "level", "depth",
+                "samples", "n"):
         assert load_error(
             tmp_path, {**base, "params": {key: 0}}
         ).field_name == f"params.{key}"
+    assert load_error(
+        tmp_path, {**base, "params": {"tol": "abc"}}
+    ).field_name == "params.tol"
     assert load_error(
         tmp_path, {**base, "params": {"witness": [0]}}
     ).field_name == "params.witness"

@@ -152,6 +152,14 @@ def test_length_factor_enters_offset_and_constant():
     assert rep_bad.violates_declared
 
 
+def test_regularity_refuses_to_sample_nothing():
+    p = weighted_fullshift_potential(lambda a: 2.0 ** (-a))
+    with pytest.raises(ValueError, match="depth"):
+        estimate_regularity(p, full_shift(), depth=1)
+    with pytest.raises(ValueError, match="samples"):
+        estimate_regularity(p, full_shift(), samples=0)
+
+
 # -- scaling -----------------------------------------------------------------
 
 def test_scaled_potential_scales_everything():

@@ -285,3 +285,8 @@ def test_bip_renewal_fails_just_past_witnesses():
 def test_bip_full_shift_any_witness():
     cert = check_bip(full_shift(), {7}, up_to=200)
     assert isinstance(cert, BipCertificate)
+
+
+def test_bip_refuses_to_check_no_symbol():
+    with pytest.raises(ValueError, match="up_to 0"):
+        check_bip(full_shift(), {1}, up_to=0)
