@@ -38,7 +38,7 @@ from .pressure import (
     mixed_truncation,
     pressure_curve,
 )
-from .shift_core import BipCertificate, check_bip, truncate
+from .shift_core import BipCertificate, check_bip
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -186,19 +186,9 @@ def cmd_dimension(data: dict, args: argparse.Namespace, out_dir: str) -> int:
 
 
 def cmd_lyapunov(data: dict, args: argparse.Namespace, out_dir: str) -> int:
-    if "matrices" not in data:
-        raise ModelFileError("matrices", "required")
     family = build_family(data)
-    model = build_model(data)
     params = _params(data, args)
-    measure_spec = data.get("measure", {})
-    sub = None
-    if measure_spec.get("kind") in ("bernoulli", "markov"):
-        support = len(
-            measure_spec.get("probs") or measure_spec.get("pi") or ()
-        )
-        sub = truncate(model, support)
-    mu = build_measure(data, sub)
+    mu = build_measure(data)
     est = max_lyapunov(
         family,
         mu,
@@ -281,7 +271,9 @@ def cmd_validate(data: dict, args: argparse.Namespace, out_dir: str) -> int:
         [(reg.C_hat, potential.declared_C, reg.violates_declared, reg.samples,
           reg.depth, summ.verdict, summ.partial_sum, bip_ok, bip_detail)],
     )
-    passed = bip_ok and not reg.violates_declared
+    passed = (
+        bip_ok and not reg.violates_declared and summ.verdict != "not_summable"
+    )
     print(f"{'PASS' if passed else 'FAIL'} C_hat {reg.C_hat!r} "
           f"declared {potential.declared_C!r} summability {summ.verdict}")
     return EXIT_OK if passed else EXIT_FLAG

@@ -96,19 +96,20 @@ class MarkovCylinderMeasure:
         pi_total = math.fsum(math.exp(v) for v in self.log_pi.values())
         if abs(pi_total - 1.0) > tol:
             raise ValueError(f"initial distribution sums to {pi_total}, not 1")
-        for i in self.symbols:
-            row = math.fsum(
-                math.exp(v) for (a, _), v in self.log_p.items() if a == i
-            )
+        # One pass over the arcs: row sums, and the flow pi_i p_ij into each j.
+        rows = {i: [] for i in self.symbols}
+        flows = {j: [] for j in self.symbols}
+        for (i, j), v in self.log_p.items():
+            if i in rows:
+                rows[i].append(math.exp(v))
+                if j in flows:
+                    flows[j].append(math.exp(self.log_pi.get(i, NEG_INF) + v))
+        for i, terms in rows.items():
+            row = math.fsum(terms)
             if abs(row - 1.0) > tol:
                 raise ValueError(f"transition row of symbol {i} sums to {row}")
-        for j in self.symbols:
-            flow = math.fsum(
-                math.exp(self.log_pi[i] + self.log_p[(i, j)])
-                for i in self.symbols
-                if (i, j) in self.log_p
-            )
-            if abs(flow - math.exp(self.log_pi[j])) > tol:
+        for j, terms in flows.items():
+            if abs(math.fsum(terms) - self.pi(j)) > tol:
                 raise ValueError(f"distribution is not stationary at symbol {j}")
         if sub is not None:
             for (i, j) in self.log_p:
@@ -592,7 +593,7 @@ def entropy_markov(mu) -> float:
     for (i, j), lp in mu.log_p.items():
         if lp == NEG_INF:
             continue
-        terms.append(-math.exp(mu.log_pi[i] + lp) * lp)
+        terms.append(-math.exp(mu.log_pi.get(i, NEG_INF) + lp) * lp)
     return math.fsum(terms)
 
 

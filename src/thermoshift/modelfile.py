@@ -32,6 +32,7 @@ from .shift_core import (
     FiniteSubshift,
     TransitionModel,
     model_from_arcs,
+    truncate,
 )
 
 FORMAT_VERSION = 1
@@ -44,17 +45,6 @@ class ModelFileError(ValueError):
         self.field_name = field_name
         self.message = message
         super().__init__(f"{field_name}: {message}")
-
-
-TOP_LEVEL_KEYS = {
-    "version",
-    "model",
-    "potential",
-    "matrices",
-    "construction",
-    "measure",
-    "params",
-}
 
 
 def _int_list(text: str) -> list[int]:
@@ -127,7 +117,9 @@ PARAMS = {
 }
 
 
-def _require_keys(section: dict, allowed: set, required: set, where: str) -> None:
+def _require_keys(section, allowed, required, where: str) -> None:
+    if not isinstance(section, dict):
+        raise ModelFileError(where, "must be an object")
     for key in section:
         if key not in allowed:
             raise ModelFileError(f"{where}.{key}" if where else key, "unknown key")
@@ -147,296 +139,270 @@ def load_model_file(path: str) -> dict:
         raise ModelFileError("model-file", f"invalid JSON: {exc}")
     if not isinstance(data, dict):
         raise ModelFileError("model-file", "top level must be an object")
-    _require_keys(data, TOP_LEVEL_KEYS, {"model"}, "")
+    _require_keys(data, {"version", *SECTIONS, "params"}, ("model",), "")
     version = data.get("version", FORMAT_VERSION)
     if version != FORMAT_VERSION:
         raise ModelFileError("version", f"unsupported format version {version}")
-    _validate_model(data["model"])
-    if "potential" in data:
-        _validate_potential(data["potential"], data)
-    if "matrices" in data:
-        _validate_matrices(data["matrices"])
-    if "construction" in data:
-        _validate_construction(data["construction"])
-    if "measure" in data:
-        _validate_measure(data["measure"])
+    for name, parse in SECTIONS.items():
+        if name in data:
+            parse(data[name], data)
     if "params" in data:
         _validate_params(data["params"])
     return data
 
 
-def _validate_model(section) -> None:
-    if not isinstance(section, dict):
-        raise ModelFileError("model", "must be an object")
-    if "name" in section:
-        _require_keys(section, {"name"}, {"name"}, "model")
-        if section["name"] not in MODEL_REGISTRY:
-            known = ", ".join(sorted(MODEL_REGISTRY))
-            raise ModelFileError(
-                "model.name", f"unknown model {section['name']!r}; known: {known}"
-            )
-    elif "arcs" in section:
-        _require_keys(section, {"arcs"}, {"arcs"}, "model")
-        arcs = section["arcs"]
-        if not isinstance(arcs, list) or not arcs:
-            raise ModelFileError("model.arcs", "must be a nonempty list of [i, j]")
-        for arc in arcs:
-            if (
-                not isinstance(arc, list)
-                or len(arc) != 2
-                or not all(isinstance(x, int) and x >= 1 for x in arc)
-            ):
-                raise ModelFileError(
-                    "model.arcs", f"bad arc {arc!r}, expected [i, j] with i, j >= 1"
-                )
-    else:
-        raise ModelFileError("model", "needs either 'name' or 'arcs'")
-
-
-def _validate_potential(section, data: dict) -> None:
-    if not isinstance(section, dict) or "kind" not in section:
-        raise ModelFileError("potential.kind", "required")
-    kind = section["kind"]
-    if kind == "zero":
-        _require_keys(section, {"kind"}, set(), "potential")
-    elif kind == "birkhoff":
-        _require_keys(section, {"kind", "values"}, {"values"}, "potential")
-        values = section["values"]
-        if not isinstance(values, list) or not all(
-            isinstance(row, list) and len(row) == len(values) for row in values
-        ):
-            raise ModelFileError("potential.values", "must be a square matrix")
-    elif kind == "weighted":
-        _require_keys(section, {"kind", "lambda"}, {"lambda"}, "potential")
-        _validate_weights(section["lambda"], "potential.lambda")
-    elif kind == "fiber_count":
-        _require_keys(section, {"kind"}, set(), "potential")
-        model = data.get("model", {})
-        if model.get("name") != "star":
-            raise ModelFileError(
-                "potential.kind",
-                "fiber_count is defined on the star model only",
-            )
-    elif kind == "cocycle":
-        _require_keys(section, {"kind"}, set(), "potential")
-        if "matrices" not in data:
-            raise ModelFileError("matrices", "required by the cocycle potential")
-    else:
-        raise ModelFileError("potential.kind", f"unknown kind {kind!r}")
-
-
-def _validate_weights(section, where: str) -> None:
-    if not isinstance(section, dict):
-        raise ModelFileError(where, "must be an object")
-    if "geometric" in section:
-        _require_keys(section, {"geometric"}, {"geometric"}, where)
-        geo = section["geometric"]
-        _require_keys(geo, {"base"}, {"base"}, f"{where}.geometric")
-        if not isinstance(geo["base"], (int, float)) or geo["base"] <= 1:
-            raise ModelFileError(f"{where}.geometric.base", "must exceed 1")
-    elif "list" in section:
-        _require_keys(section, {"list"}, {"list"}, where)
-        values = section["list"]
-        if not isinstance(values, list) or not values:
-            raise ModelFileError(f"{where}.list", "must be a nonempty list")
-        for k, v in enumerate(values):
-            if not isinstance(v, (int, float)) or not 0 < v <= 1:
-                raise ModelFileError(
-                    f"{where}.list", f"entry {k + 1} is {v!r}, must lie in (0, 1]"
-                )
-    else:
-        raise ModelFileError(where, "needs either 'geometric' or 'list'")
-
-
-def _validate_matrices(section) -> None:
-    if not isinstance(section, dict):
-        raise ModelFileError("matrices", "must be an object")
-    _require_keys(section, {"d", "list", "tail"}, {"d", "list"}, "matrices")
-    d = section["d"]
-    if not isinstance(d, int) or d < 1:
-        raise ModelFileError("matrices.d", "must be a positive integer")
-    mats = section["list"]
-    if not isinstance(mats, list) or not mats:
-        raise ModelFileError("matrices.list", "must be a nonempty list of matrices")
-    for k, mat in enumerate(mats):
-        ok = (
-            isinstance(mat, list)
-            and len(mat) == d
-            and all(
-                isinstance(row, list)
-                and len(row) == d
-                and all(isinstance(x, (int, float)) for x in row)
-                for row in mat
-            )
-        )
-        if not ok:
-            raise ModelFileError(
-                "matrices.list", f"matrix {k + 1} is not {d}x{d} numeric"
-            )
-    if "tail" in section:
-        tail = section["tail"]
-        _require_keys(tail, {"kind", "ratio"}, {"kind", "ratio"}, "matrices.tail")
-        if tail["kind"] != "geometric":
-            raise ModelFileError(
-                "matrices.tail.kind", f"unknown kind {tail['kind']!r}"
-            )
-        if not isinstance(tail["ratio"], (int, float)) or not 0 < tail["ratio"] < 1:
-            raise ModelFileError("matrices.tail.ratio", "must lie in (0, 1)")
-
-
-def _validate_construction(section) -> None:
-    if not isinstance(section, dict) or "kind" not in section:
-        raise ModelFileError("construction.kind", "required")
-    kind = section["kind"]
-    if kind == "product":
-        _require_keys(section, {"kind", "rho"}, {"rho"}, "construction")
-        rho = section["rho"]
-        if not isinstance(rho, dict) or "geometric" not in rho:
-            raise ModelFileError(
-                "construction.rho", "product kind expects {geometric: {base: b}}"
-            )
-        _require_keys(rho, {"geometric"}, {"geometric"}, "construction.rho")
-        geo = rho["geometric"]
-        _require_keys(geo, {"base"}, {"base"}, "construction.rho.geometric")
-        if not isinstance(geo["base"], (int, float)) or geo["base"] <= 1:
-            raise ModelFileError("construction.rho.geometric.base", "must exceed 1")
-    elif kind == "list":
-        _require_keys(section, {"kind", "rho"}, {"rho"}, "construction")
-        rho = section["rho"]
-        if not isinstance(rho, list) or not rho:
-            raise ModelFileError("construction.rho", "must be a nonempty list")
-        for k, v in enumerate(rho):
-            if not isinstance(v, (int, float)) or not 0 < v < 1:
-                raise ModelFileError(
-                    "construction.rho",
-                    f"entry {k + 1} is {v!r}, must lie in (0, 1)",
-                )
-    else:
-        raise ModelFileError("construction.kind", f"unknown kind {kind!r}")
-
-
-def _validate_measure(section) -> None:
-    if not isinstance(section, dict) or "kind" not in section:
-        raise ModelFileError("measure.kind", "required")
-    kind = section["kind"]
-    if kind == "uniform_bernoulli":
-        _require_keys(section, {"kind", "m"}, {"m"}, "measure")
-        if not isinstance(section["m"], int) or section["m"] < 1:
-            raise ModelFileError("measure.m", "must be a positive integer")
-    elif kind == "bernoulli":
-        _require_keys(section, {"kind", "probs"}, {"probs"}, "measure")
-        probs = section["probs"]
-        if not isinstance(probs, list) or not probs:
-            raise ModelFileError("measure.probs", "must be a nonempty list")
-        if abs(math.fsum(probs) - 1.0) > 1e-9:
-            raise ModelFileError("measure.probs", "must sum to 1")
-    elif kind == "markov":
-        _require_keys(section, {"kind", "pi", "p"}, {"pi", "p"}, "measure")
-        pi, p = section["pi"], section["p"]
-        if not isinstance(pi, list) or not pi:
-            raise ModelFileError("measure.pi", "must be a nonempty list")
-        if not isinstance(p, list) or len(p) != len(pi) or not all(
-            isinstance(row, list) and len(row) == len(pi) for row in p
-        ):
-            raise ModelFileError("measure.p", "must be a square matrix matching pi")
-    else:
-        raise ModelFileError("measure.kind", f"unknown kind {kind!r}")
-
-
 def _validate_params(section) -> None:
-    if not isinstance(section, dict):
-        raise ModelFileError("params", "must be an object")
-    _require_keys(section, PARAMS, set(), "params")
+    _require_keys(section, PARAMS, (), "params")
     for key, value in section.items():
         if not PARAMS[key].check(value):
             raise ModelFileError(f"params.{key}", f"must be {PARAMS[key].must_be}")
 
 
-# -- builders -----------------------------------------------------------------
+# -- section parsers ----------------------------------------------------------
+#
+# Each parser checks its section and returns the callable that builds the
+# section's object, so a file is checked by the same code that builds it.
 
 
-def build_model(data: dict) -> TransitionModel:
-    section = data["model"]
-    if "name" in section:
-        return MODEL_REGISTRY[section["name"]]()
-    return model_from_arcs([tuple(arc) for arc in section["arcs"]])
-
-
-def build_family(data: dict) -> MatrixFamily:
-    section = data["matrices"]
-    tail = None
-    if "tail" in section:
-        # Norms bounded by ratio^i sum to ratio^(m+1)/(1 - ratio) past m.
-        tail = geometric_tail(1.0 / float(section["tail"]["ratio"]))
-    return MatrixFamily(section["d"], section["list"], norm_tail=tail)
-
-
-def build_potential(data: dict, model: TransitionModel) -> PotentialSequence:
-    if "potential" not in data:
-        raise ModelFileError("potential", "required")
-    section = data["potential"]
+def _kind(section, where: str, kinds: dict) -> str:
+    """The section's kind, once the section has exactly that kind's keys."""
+    if not isinstance(section, dict) or "kind" not in section:
+        raise ModelFileError(f"{where}.kind", "required")
     kind = section["kind"]
-    if kind == "zero":
-        return zero_potential(model)
+    if type(kind) is not str or kind not in kinds:
+        raise ModelFileError(f"{where}.kind", f"unknown kind {kind!r}")
+    _require_keys(section, {"kind", *kinds[kind]}, kinds[kind], where)
+    return kind
+
+
+def _geometric_base(spec, where: str) -> float:
+    """The base b of {"geometric": {"base": b}}, which must exceed 1."""
+    _require_keys(spec, {"geometric"}, ("geometric",), where)
+    geo = spec["geometric"]
+    _require_keys(geo, {"base"}, ("base",), f"{where}.geometric")
+    if not _number(geo["base"]) or geo["base"] <= 1:
+        raise ModelFileError(f"{where}.geometric.base", "must exceed 1")
+    return float(geo["base"])
+
+
+def _numbers(values, where: str, ok=lambda v: True, must="be a number") -> list:
+    """A nonempty list of numbers that pass ok, as floats."""
+    if not isinstance(values, list) or not values:
+        raise ModelFileError(where, "must be a nonempty list")
+    for k, v in enumerate(values):
+        if not (_number(v) and ok(v)):
+            raise ModelFileError(where, f"entry {k + 1} is {v!r}, must {must}")
+    return [float(v) for v in values]
+
+
+def _square(value, n: int, each=None) -> bool:
+    """Whether value is an n x n list of lists whose entries all pass each."""
+    return (
+        isinstance(value, list)
+        and len(value) == n
+        and all(
+            isinstance(row, list)
+            and len(row) == n
+            and (each is None or all(map(each, row)))
+            for row in value
+        )
+    )
+
+
+def _parse_model(section, data: dict) -> Callable[[], TransitionModel]:
+    if not isinstance(section, dict):
+        raise ModelFileError("model", "must be an object")
+    if "name" in section:
+        _require_keys(section, {"name"}, ("name",), "model")
+        name = section["name"]
+        if type(name) is not str or name not in MODEL_REGISTRY:
+            known = ", ".join(sorted(MODEL_REGISTRY))
+            raise ModelFileError(
+                "model.name", f"unknown model {name!r}; known: {known}"
+            )
+        return MODEL_REGISTRY[name]
+    if "arcs" not in section:
+        raise ModelFileError("model", "needs either 'name' or 'arcs'")
+    _require_keys(section, {"arcs"}, ("arcs",), "model")
+    arcs = section["arcs"]
+    if not isinstance(arcs, list) or not arcs:
+        raise ModelFileError("model.arcs", "must be a nonempty list of [i, j]")
+    for arc in arcs:
+        if not (isinstance(arc, list) and len(arc) == 2
+                and all(map(_COUNT.check, arc))):
+            raise ModelFileError(
+                "model.arcs", f"bad arc {arc!r}, expected [i, j] with i, j >= 1"
+            )
+    return lambda: model_from_arcs([tuple(arc) for arc in arcs])
+
+
+def _parse_potential(
+    section, data: dict
+) -> Callable[[TransitionModel], PotentialSequence]:
+    kind = _kind(section, "potential", {
+        "zero": (), "birkhoff": ("values",), "weighted": ("lambda",),
+        "fiber_count": (), "cocycle": (),
+    })
     if kind == "birkhoff":
+        # Entries are checked where they are read: a file is parsed at load
+        # and again at build, and a truncation may read few of a large table.
         values = section["values"]
+        if not isinstance(values, list) or not _square(values, len(values)):
+            raise ModelFileError("potential.values", "must be a square matrix")
 
         def arc_value(i: int, j: int) -> float:
             if not (1 <= i <= len(values) and 1 <= j <= len(values)):
                 raise ValueError(f"arc value table has no entry for ({i}, {j})")
             return float(values[i - 1][j - 1])
 
-        return birkhoff_potential(arc_value, model)
+        return lambda model: birkhoff_potential(arc_value, model)
     if kind == "weighted":
-        lam_spec = section["lambda"]
-        if "geometric" in lam_spec:
-            base = float(lam_spec["geometric"]["base"])
-            return weighted_fullshift_potential(
+        lam, where = section["lambda"], "potential.lambda"
+        if not isinstance(lam, dict):
+            raise ModelFileError(where, "must be an object")
+        if "geometric" in lam:
+            base = _geometric_base(lam, where)
+            return lambda model: weighted_fullshift_potential(
                 lambda a: base ** (-a), lam_tail_power=geometric_tail(base)
             )
-        values = lam_spec["list"]
-        table = {k + 1: float(v) for k, v in enumerate(values)}
-        return weighted_fullshift_potential(table.__getitem__)
+        if "list" not in lam:
+            raise ModelFileError(where, "needs either 'geometric' or 'list'")
+        _require_keys(lam, {"list"}, ("list",), where)
+        ratios = _numbers(lam["list"], f"{where}.list", lambda v: 0 < v <= 1,
+                          "lie in (0, 1]")
+        return lambda model: weighted_fullshift_potential(
+            dict(enumerate(ratios, 1)).__getitem__
+        )
     if kind == "fiber_count":
-        return fiber_count_potential()
+        if data["model"].get("name") != "star":
+            raise ModelFileError(
+                "potential.kind", "fiber_count is defined on the star model only"
+            )
+        return lambda model: fiber_count_potential()
     if kind == "cocycle":
-        family = build_family(data)
-        return cocycle_potential(family, model)
-    raise ModelFileError("potential.kind", f"unknown kind {kind!r}")
+        if "matrices" not in data:
+            raise ModelFileError("matrices", "required by the cocycle potential")
+        return lambda model: cocycle_potential(build_family(data), model)
+    return zero_potential
+
+
+def _parse_matrices(section, data: dict) -> Callable[[], MatrixFamily]:
+    _require_keys(section, {"d", "list", "tail"}, ("d", "list"), "matrices")
+    d, mats = section["d"], section["list"]
+    if not _COUNT.check(d):
+        raise ModelFileError("matrices.d", f"must be {_COUNT.must_be}")
+    if not isinstance(mats, list) or not mats:
+        raise ModelFileError("matrices.list", "must be a nonempty list of matrices")
+    for k, mat in enumerate(mats):
+        if not _square(mat, d, _number):
+            raise ModelFileError(
+                "matrices.list", f"matrix {k + 1} is not {d}x{d} numeric"
+            )
+    if "tail" not in section:
+        return lambda: MatrixFamily(d, mats)
+    tail = section["tail"]
+    _require_keys(tail, {"kind", "ratio"}, ("kind", "ratio"), "matrices.tail")
+    if tail["kind"] != "geometric":
+        raise ModelFileError("matrices.tail.kind", f"unknown kind {tail['kind']!r}")
+    ratio = tail["ratio"]
+    if not _number(ratio) or not 0 < ratio < 1:
+        raise ModelFileError("matrices.tail.ratio", "must lie in (0, 1)")
+    # Norms bounded by ratio^i sum to ratio^(m+1)/(1 - ratio) past m.
+    return lambda: MatrixFamily(d, mats, norm_tail=geometric_tail(1.0 / ratio))
+
+
+def _parse_construction(section, data: dict) -> Callable[[], GeometricConstruction]:
+    kind = _kind(section, "construction", {"product": ("rho",), "list": ("rho",)})
+    rho = section["rho"]
+    if kind == "list":
+        ratios = _numbers(rho, "construction.rho", lambda v: 0 < v < 1,
+                          "lie in (0, 1)")
+        return lambda: product_construction(ratios)
+    if not isinstance(rho, dict) or "geometric" not in rho:
+        raise ModelFileError(
+            "construction.rho", "product kind expects {geometric: {base: b}}"
+        )
+    base = _geometric_base(rho, "construction.rho")
+    return lambda: product_construction(
+        lambda a: base ** (-a), tail=geometric_tail(base)
+    )
+
+
+def _parse_measure(
+    section, data: dict
+) -> Callable[[Optional[FiniteSubshift]], MarkovCylinderMeasure]:
+    kind = _kind(section, "measure", {
+        "uniform_bernoulli": ("m",), "bernoulli": ("probs",), "markov": ("pi", "p"),
+    })
+    if kind == "uniform_bernoulli":
+        m = section["m"]
+        if not _COUNT.check(m):
+            raise ModelFileError("measure.m", f"must be {_COUNT.must_be}")
+        return lambda sub: uniform_bernoulli(m)
+
+    def on(sub: Optional[FiniteSubshift], size: int) -> FiniteSubshift:
+        # With no subshift given, arcs are checked on the file's own model.
+        return truncate(build_model(data), size) if sub is None else sub
+
+    if kind == "bernoulli":
+        probs = _numbers(section["probs"], "measure.probs")
+        if abs(math.fsum(probs) - 1.0) > 1e-9:
+            raise ModelFileError("measure.probs", "must sum to 1")
+        return lambda sub: bernoulli_measure(
+            dict(enumerate(probs, 1)), on(sub, len(probs))
+        )
+    pi, p = _numbers(section["pi"], "measure.pi"), section["p"]
+    if not _square(p, len(pi)):
+        raise ModelFileError("measure.p", "must be a square matrix matching pi")
+    if not _square(p, len(pi), _number):
+        raise ModelFileError("measure.p", "entries must be numbers")
+    arcs = {
+        (i + 1, j + 1): float(v)
+        for i, row in enumerate(p)
+        for j, v in enumerate(row)
+        if v
+    }
+    return lambda sub: markov_measure(
+        range(1, len(pi) + 1), dict(enumerate(pi, 1)), arcs, on(sub, len(pi))
+    )
+
+
+SECTIONS = {
+    "model": _parse_model,
+    "potential": _parse_potential,
+    "matrices": _parse_matrices,
+    "construction": _parse_construction,
+    "measure": _parse_measure,
+}
+
+
+# -- builders -----------------------------------------------------------------
+
+
+def _builder(data: dict, name: str) -> Callable:
+    if name not in data:
+        raise ModelFileError(name, "required")
+    return SECTIONS[name](data[name], data)
+
+
+def build_model(data: dict) -> TransitionModel:
+    return _builder(data, "model")()
+
+
+def build_family(data: dict) -> MatrixFamily:
+    return _builder(data, "matrices")()
+
+
+def build_potential(data: dict, model: TransitionModel) -> PotentialSequence:
+    return _builder(data, "potential")(model)
 
 
 def build_construction(data: dict) -> GeometricConstruction:
-    if "construction" not in data:
-        raise ModelFileError("construction", "required")
-    section = data["construction"]
-    if section["kind"] == "product":
-        base = float(section["rho"]["geometric"]["base"])
-        return product_construction(
-            lambda a: base ** (-a), tail=geometric_tail(base)
-        )
-    return product_construction([float(v) for v in section["rho"]])
+    return _builder(data, "construction")()
 
 
 def build_measure(
     data: dict, sub: Optional[FiniteSubshift] = None
 ) -> MarkovCylinderMeasure:
-    if "measure" not in data:
-        raise ModelFileError("measure", "required")
-    section = data["measure"]
-    kind = section["kind"]
-    if kind == "uniform_bernoulli":
-        return uniform_bernoulli(section["m"])
-    if kind == "bernoulli":
-        probs = {k + 1: float(v) for k, v in enumerate(section["probs"])}
-        return bernoulli_measure(probs, sub)
-    if kind == "markov":
-        pi = {k + 1: float(v) for k, v in enumerate(section["pi"])}
-        p = {
-            (i + 1, j + 1): float(v)
-            for i, row in enumerate(section["p"])
-            for j, v in enumerate(row)
-            if v
-        }
-        symbols = tuple(sorted(pi))
-        return markov_measure(symbols, pi, p, sub)
-    raise ModelFileError("measure.kind", f"{kind!r} is not a markov-kind spec")
+    """The file's measure; without sub, checked on the truncated file model."""
+    return _builder(data, "measure")(sub)

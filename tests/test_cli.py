@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from thermoshift import cli, pressure, shift_core
+from thermoshift import cli, modelfile, pressure, shift_core
 from thermoshift.cli import main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -48,12 +48,22 @@ def test_pressure_golden_mean(tmp_path, capsys):
     assert len(series_rows) >= 30
 
 
-def test_pressure_divergence_exit_code(tmp_path, capsys):
+def flag_text(command, out, stdout):
+    """What a run reports of its flags: pressure's stdout, curve's flag column."""
+    if command == "pressure":
+        return stdout
+    _, rows = read_csv(os.path.join(out, "curve.csv"))
+    return " ".join(row[4] for row in rows)
+
+
+@pytest.mark.parametrize("command", ["pressure", "curve"])
+def test_pressure_divergence_exit_code(tmp_path, capsys, command):
     code, stdout, _ = run(
-        capsys, "pressure", "--model", fixture("fiber.json"), "--out", str(tmp_path)
+        capsys, command, "--model", fixture("fiber.json"), "--out", str(tmp_path),
+        "--t-grid", "1",
     )
     assert code == 3
-    assert "diverged" in stdout
+    assert "diverged" in flag_text(command, str(tmp_path), stdout)
 
 
 def test_nonmixing_truncation_and_enumeration_cap_exit_code(tmp_path, capsys):
@@ -70,13 +80,14 @@ def test_nonmixing_truncation_and_enumeration_cap_exit_code(tmp_path, capsys):
     assert stderr.startswith("error: ") and "exceeded 50 " in stderr
 
 
-def test_pressure_unconverged_exit_code(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["pressure", "curve"])
+def test_pressure_unconverged_exit_code(tmp_path, capsys, command):
     code, stdout, _ = run(
-        capsys, "pressure", "--model", fixture("unconverged.json"),
-        "--out", str(tmp_path),
+        capsys, command, "--model", fixture("unconverged.json"),
+        "--out", str(tmp_path), "--t-grid", "1",
     )
     assert code == 2
-    assert "unconverged" in stdout
+    assert "unconverged" in flag_text(command, str(tmp_path), stdout)
 
 
 def test_config_errors_name_the_field(tmp_path, capsys):
@@ -92,6 +103,17 @@ def test_config_errors_name_the_field(tmp_path, capsys):
     )
     assert code == 1
     assert "potentail: unknown key" in stderr
+    bad = tmp_path / "bad.json"
+    bad.write_text(
+        '{"model": {"name": "full"}, '
+        '"potential": {"kind": "weighted", "lambda": {"geometric": 3}}}',
+        encoding="utf-8",
+    )
+    code, _, stderr = run(
+        capsys, "pressure", "--model", str(bad), "--out", str(tmp_path)
+    )
+    assert code == 1
+    assert stderr == "error: potential.lambda.geometric: must be an object\n"
 
 
 def test_curve_matches_weighted_closed_form(tmp_path, capsys):
@@ -206,6 +228,23 @@ def test_validate_birkhoff(tmp_path, capsys):
     assert c_hat <= 1e-12
 
 
+def test_validate_fails_when_not_summable(tmp_path, capsys):
+    # The zero potential on the countable full shift has f_1 = 1 on every
+    # symbol, so its pressure is infinite and validate must not pass it.
+    out = str(tmp_path)
+    code, stdout, _ = run(
+        capsys, "validate", "--model", fixture("gibbs_uniform.json"), "--out", out
+    )
+    assert code == 2
+    assert stdout.startswith("FAIL ") and "summability not_summable" in stdout
+    with open(os.path.join(out, "validate.csv"), encoding="utf-8") as handle:
+        assert handle.read().splitlines() == [
+            "c_hat,declared_c,violates_declared,samples,depth,summability,"
+            "partial_sum,bip_ok,bip_detail",
+            "0.0,0.0,False,200,3,not_summable,64.0,True,witness=1",
+        ]
+
+
 def test_flag_overrides_change_behaviour(tmp_path, capsys):
     # a looser tolerance turns the unconverged run into a clean exit
     code, _, _ = run(
@@ -240,7 +279,7 @@ def test_gibbs_truncates_each_level_once(tmp_path, capsys, monkeypatch):
         calls.append(m)
         return shift_core.truncate(model, m)
 
-    for module in (cli, pressure):
+    for module in (modelfile, pressure):
         monkeypatch.setattr(module, "truncate", counting)
     code, stdout, _ = run(
         capsys, "gibbs", "--model", fixture("weighted20.json"), "--out", str(tmp_path),

@@ -203,6 +203,14 @@ def test_rpf_rank_one_gives_bernoulli():
         for j in (1, 2):
             assert mu.transition(i, j) == pytest.approx(lam[j], abs=1e-12)
         assert mu.pi(i) == pytest.approx(lam[i], abs=1e-12)
+    # A potential with pair structure gives the same eigendata as its arc
+    # function; one without it is refused.
+    P2, mu2 = rpf_equilibrium(
+        sub, birkhoff_potential(lambda i, j: math.log(lam[j]), full_shift())
+    )
+    assert P2 == P and mu2.log_p == mu.log_p
+    with pytest.raises(ValueError, match="no pair structure"):
+        rpf_equilibrium(sub, fiber_count_potential())
 
 
 def test_rpf_uniform_full_shift():
@@ -261,6 +269,13 @@ def test_markov_measure_rejects_bad_data():
             {(1, 1): 0.5, (1, 2): 0.5, (2, 1): 0.5, (2, 2): 0.5},
             gm_sub,
         )
+
+
+def test_markov_measure_accepts_zero_probability_symbol():
+    # Symbol 2 has pi = 0 but an arc into symbol 1; the measure is stationary.
+    mu = markov_measure((1, 2), {1: 1.0, 2: 0.0}, {(1, 1): 1.0, (2, 1): 1.0})
+    assert mu.pi(1) == 1.0 and mu.pi(2) == 0.0
+    assert math.isfinite(entropy_markov(mu))
 
 
 # -- certificates -----------------------------------------------------------------

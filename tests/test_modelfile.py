@@ -91,6 +91,10 @@ def test_potential_section_validation(tmp_path):
                                "lambda": {"geometric": {"base": 0.5}}}},
     ).field_name == "potential.lambda.geometric.base"
     assert load_error(
+        tmp_path,
+        {**base, "potential": {"kind": "weighted", "lambda": {"geometric": 3}}},
+    ).field_name == "potential.lambda.geometric"
+    assert load_error(
         tmp_path, {**base, "potential": {"kind": "fiber_count"}}
     ).field_name == "potential.kind"
     assert load_error(
@@ -116,6 +120,12 @@ def test_matrices_section_validation(tmp_path):
         {**base, "matrices": {"d": 1, "list": [[[1]]],
                               "tail": {"kind": "harmonic", "ratio": 0.5}}},
     ).field_name == "matrices.tail.kind"
+    assert load_error(
+        tmp_path, {**base, "matrices": {"d": 1, "list": [[[1]]], "tail": 0.5}}
+    ).field_name == "matrices.tail"
+    assert load_error(
+        tmp_path, {**base, "matrices": {"d": True, "list": [[[1]]]}}
+    ).field_name == "matrices.d"
 
 
 def test_construction_section_validation(tmp_path):
@@ -129,6 +139,10 @@ def test_construction_section_validation(tmp_path):
     assert load_error(
         tmp_path, {**base, "construction": {"kind": "product", "rho": [0.5]}}
     ).field_name == "construction.rho"
+    assert load_error(
+        tmp_path,
+        {**base, "construction": {"kind": "product", "rho": {"geometric": 3}}},
+    ).field_name == "construction.rho.geometric"
 
 
 def test_measure_section_validation(tmp_path):
@@ -146,6 +160,22 @@ def test_measure_section_validation(tmp_path):
     assert load_error(
         tmp_path, {**base, "measure": {"kind": "uniform_bernoulli", "m": 0}}
     ).field_name == "measure.m"
+    assert load_error(
+        tmp_path, {**base, "measure": {"kind": "uniform_bernoulli", "m": True}}
+    ).field_name == "measure.m"
+    assert load_error(
+        tmp_path, {**base, "measure": {"kind": "bernoulli", "probs": ["a", 1]}}
+    ).field_name == "measure.probs"
+    assert load_error(
+        tmp_path,
+        {**base, "measure": {"kind": "markov", "pi": ["a", 1],
+                             "p": [[1.0, 0.0], [1.0, 0.0]]}},
+    ).field_name == "measure.pi"
+    assert load_error(
+        tmp_path,
+        {**base, "measure": {"kind": "markov", "pi": [1.0, 0.0],
+                             "p": [["a", 0.0], [1.0, 0.0]]}},
+    ).field_name == "measure.p"
     # The finite Gibbs measure is chosen by params.level, not by a measure kind.
     assert load_error(
         tmp_path, {**base, "measure": {"kind": "nu", "level": 3}}
@@ -217,6 +247,12 @@ def test_weighted_and_family_builders(tmp_path):
     fam = build_family(data)
     assert fam.norm(2) == 0.25
     assert fam.norm_tail(0) == pytest.approx(0.5 / (1 - 0.5), abs=1e-15)
+    listed = load_model_file(write(tmp_path, {
+        "model": {"name": "full"},
+        "potential": {"kind": "weighted", "lambda": {"list": [0.5, 0.25]}},
+    }))
+    p = build_potential(listed, build_model(listed))
+    assert p.log_sup_f1(2) == pytest.approx(math.log(0.25), abs=1e-15)
 
 
 def test_construction_builders(tmp_path):
@@ -245,6 +281,16 @@ def test_markov_measure_builder_uses_subshift(tmp_path):
     sub = truncate(model, 2)
     with pytest.raises(ValueError, match="not stationary"):
         build_measure(data, sub)
+    # Without a subshift, the measure is checked on the file's truncated model.
+    with pytest.raises(ValueError, match="not stationary"):
+        build_measure(data)
+    uniform = load_model_file(write(tmp_path, {
+        "model": {"name": "golden_mean"},
+        "measure": {"kind": "markov", "pi": [0.5, 0.5],
+                    "p": [[0.5, 0.5], [0.5, 0.5]]},
+    }))
+    with pytest.raises(ValueError, match="2->2 is not an admissible arc"):
+        build_measure(uniform)
 
 
 def test_missing_sections_raise_named_requirements(tmp_path):
