@@ -48,22 +48,27 @@ def test_pressure_golden_mean(tmp_path, capsys):
     assert len(series_rows) >= 30
 
 
-def flag_text(command, out, stdout):
-    """What a run reports of its flags: pressure's stdout, curve's flag column."""
-    if command == "pressure":
-        return stdout
+def curve_flags(out):
+    """The flag column of a curve run's curve.csv, joined."""
     _, rows = read_csv(os.path.join(out, "curve.csv"))
     return " ".join(row[4] for row in rows)
 
 
-@pytest.mark.parametrize("command", ["pressure", "curve"])
-def test_pressure_divergence_exit_code(tmp_path, capsys, command):
+def test_pressure_divergence_exit_code(tmp_path, capsys):
     code, stdout, _ = run(
-        capsys, command, "--model", fixture("fiber.json"), "--out", str(tmp_path),
+        capsys, "pressure", "--model", fixture("fiber.json"), "--out", str(tmp_path)
+    )
+    assert code == 3
+    assert "diverged" in stdout
+
+
+def test_curve_divergence_exit_code(tmp_path, capsys):
+    code, _, _ = run(
+        capsys, "curve", "--model", fixture("fiber.json"), "--out", str(tmp_path),
         "--t-grid", "1",
     )
     assert code == 3
-    assert "diverged" in flag_text(command, str(tmp_path), stdout)
+    assert "diverged" in curve_flags(str(tmp_path))
 
 
 def test_nonmixing_truncation_and_enumeration_cap_exit_code(tmp_path, capsys):
@@ -80,14 +85,22 @@ def test_nonmixing_truncation_and_enumeration_cap_exit_code(tmp_path, capsys):
     assert stderr.startswith("error: ") and "exceeded 50 " in stderr
 
 
-@pytest.mark.parametrize("command", ["pressure", "curve"])
-def test_pressure_unconverged_exit_code(tmp_path, capsys, command):
+def test_pressure_unconverged_exit_code(tmp_path, capsys):
     code, stdout, _ = run(
-        capsys, command, "--model", fixture("unconverged.json"),
+        capsys, "pressure", "--model", fixture("unconverged.json"),
+        "--out", str(tmp_path),
+    )
+    assert code == 2
+    assert "unconverged" in stdout
+
+
+def test_curve_unconverged_exit_code(tmp_path, capsys):
+    code, _, _ = run(
+        capsys, "curve", "--model", fixture("unconverged.json"),
         "--out", str(tmp_path), "--t-grid", "1",
     )
     assert code == 2
-    assert "unconverged" in flag_text(command, str(tmp_path), stdout)
+    assert "unconverged" in curve_flags(str(tmp_path))
 
 
 def test_config_errors_name_the_field(tmp_path, capsys):
