@@ -15,6 +15,8 @@ import os
 import sys
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .dimension import bowen_dimension
 from .gibbs import NonMixingSubshiftError, finite_gibbs_nu, verify_gibbs
 from .matrix_cocycle import max_lyapunov
@@ -64,6 +66,22 @@ def _write_csv(path: str, header: Sequence[str], rows) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([repr(x) if isinstance(x, float) else x for x in row])
+
+
+def _word_column(words: np.ndarray) -> list:
+    """Each row of a (k, n) symbol array as one space-separated string.
+
+    The strings grow a column at a time: one object-array addition per
+    symbol position, not one join per word.
+    """
+    symbols, codes = np.unique(words, return_inverse=True)
+    codes = codes.reshape(words.shape)
+    names = [str(s) for s in symbols.tolist()]
+    column = np.array(names, dtype=object)[codes[:, 0]]
+    spaced = np.array([" " + name for name in names], dtype=object)
+    for j in range(1, words.shape[1]):
+        column = column + spaced[codes[:, j]]
+    return column.tolist()
 
 
 def _params(data: dict, args: argparse.Namespace) -> dict:
@@ -218,7 +236,7 @@ def cmd_gibbs(data: dict, args: argparse.Namespace, out_dir: str) -> int:
         mu = build_measure(data, sub)
     else:
         mu = finite_gibbs_nu(sub, potential, params.get("level", 8))
-    rows = []
+    lengths = []
     cert = verify_gibbs(
         mu,
         potential,
@@ -226,16 +244,15 @@ def cmd_gibbs(data: dict, args: argparse.Namespace, out_dir: str) -> int:
         depth=params.get("depth", 4),
         sub=sub,
         **_given(params, "ratio_bound"),
-        row_sink=lambda n, w, m, lw, r: rows.append(
-            (n, " ".join(str(s) for s in w), m, lw, r)
-        ),
+        row_sink=lambda *columns: lengths.append(columns),
     )
-    rows.append(("summary", "", cert.words_tested, cert.ratio_min, cert.ratio_max))
-    _write_csv(
-        os.path.join(out_dir, "gibbs.csv"),
-        ("n", "word", "mass", "log_weight", "ratio"),
-        rows,
-    )
+    # The rows are what csv.writer writes: words and repr floats need no quotes.
+    with open(os.path.join(out_dir, "gibbs.csv"), "w", newline="", encoding="utf-8") as fh:
+        fh.write("n,word,mass,log_weight,ratio\r\n")
+        for n, words, mass, log_weight, ratio in lengths:
+            fh.write("".join(map(f"{n},{{}},{{!r}},{{!r}},{{!r}}\r\n".format,
+                                 _word_column(words), mass, log_weight, ratio)))
+        fh.write(f"summary,,{cert.words_tested},{cert.ratio_min!r},{cert.ratio_max!r}\r\n")
     verdict = "PASS" if cert.passed else "FAIL"
     print(
         f"{verdict} ratio_min {cert.ratio_min!r} ratio_max {cert.ratio_max!r} "

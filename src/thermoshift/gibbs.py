@@ -14,6 +14,9 @@ time (shift_core.walk_words). Masses and weights are computed for a whole
 slice at once wherever the measure and the potential have a batched form:
 Markov tables, log-domain arc sums, and the forward rows of a
 potentials.TransferOperator. Anything else is evaluated word by word.
+A certificate hands its rows on a length at a time, as columns (the word
+array and lists of mass, log weight and ratio), so a writer can format a
+whole length at once.
 """
 
 from __future__ import annotations
@@ -512,7 +515,7 @@ def verify_gibbs(
     depth: int,
     sub: Optional[FiniteSubshift] = None,
     ratio_bound: float = 100.0,
-    row_sink: Optional[Callable[[int, Word, float, float, float], None]] = None,
+    row_sink: Optional[Callable[[int, np.ndarray, list, list, list], None]] = None,
 ) -> GibbsCertificate:
     """Scan all admissible cylinders up to depth and bound the Gibbs ratios.
 
@@ -521,9 +524,12 @@ def verify_gibbs(
     finite, positive, and ratio_max/ratio_min <= ratio_bound.
 
     The cylinders are walked a slice at a time, each slice's masses and
-    weights computed at once. row_sink gets (n, w, mass, log weight, ratio)
-    by length, then lexicographically; without it, memory stays bounded by
-    the walk's slices.
+    weights computed at once. row_sink is called once per length n, in
+    increasing n, as row_sink(n, words, mass, log_weight, ratio): words is
+    the (k, n) int array of the length's cylinders in lexicographic order,
+    and mass, log_weight and ratio are lists of k floats, one per row. A
+    zero-mass cylinder has mass and ratio 0.0. Without row_sink, memory
+    stays bounded by the walk's slices.
     """
     if sub is None:
         sub = getattr(mu, "sub", None)
@@ -537,8 +543,8 @@ def verify_gibbs(
     log_hi = -math.inf
     zero_mass_hit = False
     tested = 0
-    # Per length, the sink's rows of each slice, in walk order.
-    rows: list[list] = [[] for _ in range(depth)]
+    # Per length, the sink's columns of each slice, in walk order.
+    columns: list[list] = [[] for _ in range(depth)]
     for words, last, (ws, ms) in _walk_cylinders(sub, depth, weights, masses):
         weight = weights.close(ws, words, last)
         log_mass, numer = masses.close(ms, words, last)
@@ -546,23 +552,22 @@ def verify_gibbs(
         live = numer > NEG_INF
         zero = ~live & (weight > NEG_INF)
         zero_mass_hit = zero_mass_hit or bool(zero.any())
-        log_ratio = np.subtract(numer, weight, out=np.zeros_like(numer), where=live)
+        log_ratio = np.subtract(numer, weight, out=np.full_like(numer, NEG_INF), where=live)
         if live.any():
             log_lo = min(log_lo, float(log_ratio[live].min()))
             log_hi = max(log_hi, float(log_ratio[live].max()))
         if row_sink is not None:
             keep = live | zero
-            rows[words.shape[1] - 1].append(
-                (words[keep], zero[keep], log_mass[keep], weight[keep], log_ratio[keep])
+            log_mass = np.where(live, log_mass, NEG_INF)
+            columns[words.shape[1] - 1].append(
+                (words[keep], log_mass[keep], weight[keep], log_ratio[keep])
             )
-    for n, level in enumerate(rows, start=1):
-        for words, zero, log_mass, weight, log_ratio in level:
-            for w, z, lm, lw, lr in zip(words.tolist(), zero.tolist(), log_mass.tolist(),
-                                        weight.tolist(), log_ratio.tolist()):
-                if z:
-                    row_sink(n, tuple(w), 0.0, lw, 0.0)
-                else:
-                    row_sink(n, tuple(w), math.exp(lm), lw, math.exp(lr))
+    for n, level in enumerate(columns, start=1):
+        if level:
+            words, log_mass, weight, log_ratio = map(np.concatenate, zip(*level))
+            level.clear()  # the slices are copied; keep one copy while the sink runs
+            row_sink(n, words, list(map(math.exp, log_mass.tolist())), weight.tolist(),
+                     list(map(math.exp, log_ratio.tolist())))
     if tested == 0 or log_hi == -math.inf:
         raise NoAdmissibleWordsError("no cylinders with positive mass tested")
     ratio_min = 0.0 if zero_mass_hit else math.exp(log_lo)

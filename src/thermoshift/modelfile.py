@@ -328,6 +328,10 @@ def _parse_construction(section, data: dict) -> Callable[[], GeometricConstructi
     )
 
 
+def _nonnegative(value) -> bool:
+    return _number(value) and value >= 0
+
+
 def _parse_measure(
     section, data: dict
 ) -> Callable[[Optional[FiniteSubshift]], MarkovCylinderMeasure]:
@@ -345,17 +349,20 @@ def _parse_measure(
         return truncate(build_model(data), size) if sub is None else sub
 
     if kind == "bernoulli":
-        probs = _numbers(section["probs"], "measure.probs")
+        probs = _numbers(
+            section["probs"], "measure.probs", _nonnegative, "be a nonnegative number"
+        )
         if abs(math.fsum(probs) - 1.0) > 1e-9:
             raise ModelFileError("measure.probs", "must sum to 1")
         return lambda sub: bernoulli_measure(
             dict(enumerate(probs, 1)), on(sub, len(probs))
         )
-    pi, p = _numbers(section["pi"], "measure.pi"), section["p"]
+    pi = _numbers(section["pi"], "measure.pi", _nonnegative, "be a nonnegative number")
+    p = section["p"]
     if not _square(p, len(pi)):
         raise ModelFileError("measure.p", "must be a square matrix matching pi")
-    if not _square(p, len(pi), _number):
-        raise ModelFileError("measure.p", "entries must be numbers")
+    if not _square(p, len(pi), _nonnegative):
+        raise ModelFileError("measure.p", "entries must be nonnegative numbers")
     arcs = {
         (i + 1, j + 1): float(v)
         for i, row in enumerate(p)

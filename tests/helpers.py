@@ -1,5 +1,7 @@
 """Shared generators and brute-force oracles for property tests."""
 
+import csv
+import io
 import itertools
 import math
 
@@ -95,3 +97,32 @@ def explicit_gibbs_masses(sub, p, level):
         for n in range(1, level + 1):
             parts.setdefault(w[:n], []).append(m)
     return {w: math.fsum(ms) for w, ms in parts.items()}
+
+
+def row_sink(rows):
+    """A verify_gibbs row_sink that appends (n, word, mass, log weight, ratio) per cylinder.
+
+    Each call hands one length's columns, lengths increasing; they are
+    checked for shape and type (floats, which repr as numbers) and flattened
+    into one row per word, in the order they were handed over.
+    """
+    def sink(n, words, mass, log_weight, ratio):
+        assert not rows or rows[-1][0] < n
+        assert words.shape == (len(mass), n)
+        assert len(log_weight) == len(ratio) == len(mass)
+        assert all(type(x) is float for x in itertools.chain(mass, log_weight, ratio))
+        rows.extend(zip([n] * len(mass), map(tuple, words.tolist()), mass, log_weight, ratio))
+    return sink
+
+
+def reference_gibbs_csv(rows, cert):
+    """gibbs.csv written one row at a time by csv.writer: repr per float, words space-joined."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(("n", "word", "mass", "log_weight", "ratio"))
+    for n, w, m, lw, r in rows:
+        row = (n, " ".join(str(s) for s in w), m, lw, r)
+        writer.writerow([repr(x) if isinstance(x, float) else x for x in row])
+    summary = ("summary", "", cert.words_tested, cert.ratio_min, cert.ratio_max)
+    writer.writerow([repr(x) if isinstance(x, float) else x for x in summary])
+    return buf.getvalue()

@@ -1,11 +1,14 @@
 """End-to-end CLI tests: exit codes, stdout summaries, CSV artifacts."""
 
 import csv
+import io
+import json
 import math
 import os
 
 import pytest
 
+from helpers import reference_gibbs_csv, row_sink
 from thermoshift import cli, modelfile, pressure, shift_core
 from thermoshift.cli import main
 
@@ -228,6 +231,32 @@ def test_gibbs_skew_bernoulli_fails(tmp_path, capsys):
     assert "FAIL" in stdout
 
 
+@pytest.mark.parametrize("name", ["gibbs_uniform.json", "gm_zero.json", "gibbs_fail.json"])
+def test_gibbs_csv_matches_row_writer(tmp_path, capsys, monkeypatch, name):
+    # The per-length sink output, written a row at a time by csv.writer,
+    # must give the very bytes cmd_gibbs writes a column at a time.
+    rows, certs = [], []
+    certify = cli.verify_gibbs
+
+    def teeing(*args, **kwargs):
+        sinks = (row_sink(rows), kwargs["row_sink"])
+        kwargs["row_sink"] = lambda *columns: [sink(*columns) for sink in sinks]
+        certs.append(certify(*args, **kwargs))
+        return certs[-1]
+
+    monkeypatch.setattr(cli, "verify_gibbs", teeing)
+    code, _, _ = run(capsys, "gibbs", "--model", fixture(name), "--out", str(tmp_path))
+    assert code == (2 if name == "gibbs_fail.json" else 0)
+    with open(os.path.join(tmp_path, "gibbs.csv"), newline="", encoding="utf-8") as handle:
+        written = handle.read()
+    assert written == reference_gibbs_csv(rows, certs[0])
+    if name == "gibbs_fail.json":
+        assert any(m == 0.0 and r == 0.0 for _, _, m, _, r in rows)
+    copy = io.StringIO(newline="")
+    csv.writer(copy).writerows(csv.reader(io.StringIO(written, newline="")))
+    assert copy.getvalue() == written
+
+
 def test_validate_birkhoff(tmp_path, capsys):
     out = str(tmp_path)
     code, stdout, _ = run(
@@ -283,6 +312,25 @@ def test_flag_overrides_are_validated_like_file_params(
     )
     assert code == 1 and stdout == ""
     assert f"params.{key}:" in stderr
+
+
+@pytest.mark.parametrize("measure, field", [
+    ({"kind": "bernoulli", "probs": [1.5, -0.5]}, "measure.probs"),
+    ({"kind": "markov", "pi": [1.5, -0.5], "p": [[0.5, 0.5], [0.5, 0.5]]}, "measure.pi"),
+    ({"kind": "markov", "pi": [0.5, 0.5], "p": [[1.5, -0.5], [0.5, 0.5]]}, "measure.p"),
+], ids=["probs", "pi", "p"])
+def test_negative_measure_entries_name_the_field(tmp_path, capsys, measure, field):
+    # Each list still sums to 1 where a sum is checked; only the sign is wrong.
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({
+        "model": {"name": "full"}, "potential": {"kind": "zero"},
+        "params": {"truncations": [2]}, "measure": measure,
+    }))
+    code, stdout, stderr = run(
+        capsys, "gibbs", "--model", str(path), "--out", str(tmp_path)
+    )
+    assert code == 1 and stdout == ""
+    assert stderr.startswith(f"error: {field}:")
 
 
 def test_gibbs_truncates_each_level_once(tmp_path, capsys, monkeypatch):

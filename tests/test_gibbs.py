@@ -44,7 +44,12 @@ from thermoshift.shift_core import (
     truncate,
 )
 
-from helpers import explicit_gibbs_masses, random_mixing_subshift, random_stationary_markov
+from helpers import (
+    explicit_gibbs_masses,
+    random_mixing_subshift,
+    random_stationary_markov,
+    row_sink,
+)
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -339,7 +344,7 @@ def test_certificate_row_sink_sees_every_word():
     rows = []
     verify_gibbs(
         nu, zero_potential(golden_mean_shift()), math.log(PHI), depth=3,
-        sub=sub, row_sink=lambda n, w, m, lw, r: rows.append((n, w, m, lw, r)),
+        sub=sub, row_sink=row_sink(rows),
     )
     assert len(rows) == 2 + 3 + 5
     assert all(r[2] > 0 for r in rows)
@@ -407,7 +412,7 @@ def _certificate_cases():
 def test_batched_certificate_matches_per_word_scan(case):
     name, mu, p, P, depth, sub = case
     rows = []
-    cert = verify_gibbs(mu, p, P, depth, sub=sub, row_sink=lambda *row: rows.append(row))
+    cert = verify_gibbs(mu, p, P, depth, sub=sub, row_sink=row_sink(rows))
     expected, tested, passed = _per_word_certificate(mu, p, P, depth, sub)
     assert cert.words_tested == tested
     assert cert.passed == passed
