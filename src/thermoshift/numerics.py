@@ -1,8 +1,11 @@
 """Shared numerical helpers: stable log-sums, renormalized matrix powers and
 path products, power iteration.
 
-All reductions here are order-insensitive (math.fsum rounds the exact sum),
-so results do not depend on chunking or thread count.
+logsumexp rounds the exact sum of its terms (math.fsum), so one call does not
+depend on the order of its input. A value built from several calls does
+depend on how the terms were grouped: an enumerated partition value takes a
+logsumexp per walk slice and another across slices, so it depends on the
+slice layout, which shift_core.walk_words fixes (_FRONTIER rows a slice).
 """
 
 from __future__ import annotations
@@ -31,31 +34,61 @@ def logsumexp(values) -> float:
     return hi + math.log(math.fsum(np.exp(vals - hi).tolist()))
 
 
-def scaled_power_diagonal(W: np.ndarray, index, n_max: int) -> list[float]:
+def scaled_power_diagonal(W: np.ndarray, index, n_max: int):
     """log of the (index, index) entry or block sum of W^n for n = 1..n_max.
 
     index is an int or a slice. The value is 1_S^T W^n 1_S for the index set
     S, computed by iterating W on the indicator vector of S and renormalizing
     each step, so the cost is one matrix-vector product per level.
+
+    W may also be a (T, m, m) stack, and the result is then one list per
+    matrix. Each level takes one np.matmul for the whole stack. Each matrix
+    gets the bits it gets alone: its product, sum and division are the same
+    floating-point operations, and math.log is applied per matrix.
     """
-    total = W.sum()
-    if total <= 0 or not np.isfinite(total):
+    batch = W.shape[:-2]
+    totals = np.add.reduce(W.reshape(batch + (-1,)), axis=-1)
+    if not (totals > 0).all() or not np.isfinite(totals).all():
         raise ValueError("matrix must have a positive finite entry sum")
+    add, count = np.add.reduce, math.prod(batch)
+    block = isinstance(index, slice)
+    # A vector whose sum vanishes turns to nan here; its levels are -inf below.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if count == 1:
+            W = W.reshape(W.shape[-2:])
+            v = np.zeros(W.shape[0])
+            v[index] = 1.0
+            sums, entries = [], []
+            for _ in range(n_max):
+                v = W @ v
+                s = add(v)
+                v /= s
+                sums.append(s)
+                entries.append(add(v[index]) if block else v[index])
+            rows = [(sums, entries)]
+        else:
+            v = np.zeros(W.shape[:-1] + (1,))
+            v[..., index, :] = 1.0
+            sums = np.empty((n_max,) + batch + (1, 1))
+            entries = np.empty((n_max,) + batch)
+            for n in range(n_max):
+                v = np.matmul(W, v)
+                v /= add(v, axis=-2, keepdims=True, out=sums[n])
+                entries[n] = add(v[..., index, 0], axis=-1) if block else v[..., index, 0]
+            rows = zip(
+                sums.reshape(n_max, count).T.tolist(), entries.reshape(n_max, count).T.tolist()
+            )
     out = []
-    v = np.zeros(W.shape[0])
-    v[index] = 1.0
-    log_scale = 0.0
-    for _ in range(n_max):
-        v = W @ v
-        s = v.sum()
-        if s <= 0:
-            out.extend([NEG_INF] * (n_max - len(out)))
-            break
-        v /= s
-        log_scale += math.log(s)
-        entry = v[index].sum()
-        out.append(log_scale + math.log(entry) if entry > 0 else NEG_INF)
-    return out
+    for row_sums, row_entries in rows:
+        log_scale, row = 0.0, []
+        for s, entry in zip(row_sums, row_entries):
+            if not s > 0:
+                row.extend([NEG_INF] * (n_max - len(row)))
+                break
+            log_scale += math.log(s)
+            row.append(log_scale + math.log(entry) if entry > 0 else NEG_INF)
+        out.append(row)
+    return out if batch else out[0]
 
 
 def log_norms(mats: np.ndarray, blocks, samples: int) -> np.ndarray:

@@ -42,30 +42,57 @@ class PairStructure:
     row: Optional[Callable[[int], float]] = None
 
 
+class PairTable:
+    """A pair potential's values on the arcs of a truncation, evaluated once.
+
+    values holds pair per symbol (by_row, when ps.row is given) or per arc in
+    np.nonzero order; on_arcs lays arrays of that layout onto the arcs.
+    """
+
+    def __init__(self, sub: FiniteSubshift, ps: PairStructure):
+        self.arcs = sub.matrix != 0
+        self.by_row = ps.row is not None
+        symbols = sub.symbols
+        if self.by_row:
+            self.values = np.array([ps.row(s) for s in symbols], dtype=float)
+        else:
+            ki, kj = np.nonzero(self.arcs)
+            self.values = np.array(
+                [ps.pair(symbols[i], symbols[j]) for i, j in zip(ki.tolist(), kj.tolist())],
+                dtype=float,
+            )
+
+    def on_arcs(self, values: np.ndarray, fill: float) -> np.ndarray:
+        """values (..., len(self.values)) laid onto the arcs, fill elsewhere."""
+        if self.by_row:
+            return np.where(self.arcs, values[..., :, None], fill)
+        out = np.full(values.shape[:-1] + self.arcs.shape, fill)
+        out[..., self.arcs] = values
+        return out
+
+    def matrices(self, scales: Sequence[float]) -> np.ndarray:
+        """(T, m, m) stack of the transfer matrices exp(t * pair(i, j)), t in scales.
+
+        Each weight is math.exp of one product t * L_ij, which is what the
+        scaled potential's own pair gives, so W rounds as the per-arc loop
+        over that pair does; np.exp differs from math.exp in the last bit on
+        some inputs.
+        """
+        weights = np.array(
+            [list(map(math.exp, (t * self.values).tolist())) for t in scales]
+        ).reshape(len(scales), self.values.size)
+        return self.on_arcs(weights, 0.0)
+
+
 def pair_log_table(sub: FiniteSubshift, ps: PairStructure) -> np.ndarray:
     """Arc values L_ij = pair(i, j) on the arcs of the truncation, -inf off them."""
-    if ps.row is not None:
-        rows = np.array([ps.row(s) for s in sub.symbols], dtype=float)
-        return np.where(sub.matrix != 0, rows[:, None], NEG_INF)
-    L = np.full((sub.size, sub.size), NEG_INF)
-    for ki, kj in zip(*np.nonzero(sub.matrix)):
-        L[ki, kj] = ps.pair(sub.symbols[ki], sub.symbols[kj])
-    return L
+    table = PairTable(sub, ps)
+    return table.on_arcs(table.values, NEG_INF)
 
 
 def pair_matrix(sub: FiniteSubshift, ps: PairStructure) -> np.ndarray:
-    """Transfer matrix W_ij = exp(pair(i, j)) on the arcs of the truncation.
-
-    Each weight is math.exp of one arc value, so W rounds as the per-arc
-    loop does; np.exp differs from it in the last bit on some inputs.
-    """
-    if ps.row is not None:
-        rows = np.array([math.exp(ps.row(s)) for s in sub.symbols])
-        return np.where(sub.matrix != 0, rows[:, None], 0.0)
-    W = np.zeros((sub.size, sub.size))
-    for ki, kj in zip(*np.nonzero(sub.matrix)):
-        W[ki, kj] = math.exp(ps.pair(sub.symbols[ki], sub.symbols[kj]))
-    return W
+    """Transfer matrix W_ij = exp(pair(i, j)) on the arcs of the truncation."""
+    return PairTable(sub, ps).matrices((1.0,))[0]
 
 
 def block_matrix(sub: FiniteSubshift, entries: Callable[[int], np.ndarray], d: int) -> np.ndarray:

@@ -8,7 +8,10 @@ import math
 import numpy as np
 
 from thermoshift.gibbs import markov_measure
-from thermoshift.shift_core import check_mixing, model_from_arcs, truncate
+from thermoshift.numerics import logsumexp
+from thermoshift.potentials import transfer_operator
+from thermoshift.pressure import gurevich_pressure
+from thermoshift.shift_core import check_mixing, model_from_arcs, truncate, walk_words
 
 
 def random_stationary_markov(sub, rng):
@@ -126,3 +129,63 @@ def reference_gibbs_csv(rows, cert):
     summary = ("summary", "", cert.words_tested, cert.ratio_min, cert.ratio_max)
     writer.writerow([repr(x) if isinstance(x, float) else x for x in summary])
     return buf.getvalue()
+
+
+def one_matrix_power_diagonal(W, index, n_max):
+    """log 1_S^T W^n 1_S for n = 1..n_max with one matrix-vector product per level.
+
+    The single-matrix loop: renormalise by v.sum() after each product, add
+    the log of that sum, and stop at the first level whose sum vanishes.
+    """
+    out = []
+    v = np.zeros(W.shape[0])
+    v[index] = 1.0
+    log_scale = 0.0
+    for _ in range(n_max):
+        v = W @ v
+        s = v.sum()
+        if s <= 0:
+            out.extend([-math.inf] * (n_max - len(out)))
+            break
+        v /= s
+        log_scale += math.log(s)
+        entry = v[index].sum()
+        out.append(log_scale + math.log(entry) if entry > 0 else -math.inf)
+    return out
+
+
+def per_potential_series(sub, p, n_max, a):
+    """log Z_1..log Z_n_max of p alone: its own transfer matrix, or a walk with its own hooks.
+
+    A pair potential's matrix is math.exp of its own pair on each arc, and a
+    block potential's is its block matrix; the diagonal comes from
+    one_matrix_power_diagonal. Without either, the words from a are walked
+    with p.word_hooks(sub), and each length takes a logsumexp per walk slice
+    and then one across slices.
+    """
+    ia = sub.position(a)
+    op = transfer_operator(sub, p)
+    if op is not None:
+        B, ps = op.B, p.pair_structure()
+        if ps is not None:
+            B = np.zeros((sub.size, sub.size))
+            for ki, kj in zip(*np.nonzero(sub.matrix)):
+                B[ki, kj] = math.exp(ps.pair(sub.symbols[ki], sub.symbols[kj]))
+        diagonal = one_matrix_power_diagonal(B, slice(ia * op.d, (ia + 1) * op.d), n_max)
+        return [op.offset(n) + v if v != -math.inf else -math.inf
+                for n, v in enumerate(diagonal, start=1)]
+    hooks = p.word_hooks(sub)
+    closes = sub.matrix[:, ia] != 0
+    sums = [[] for _ in range(n_max)]
+    for words, last, state in walk_words(sub, [ia], n_max, hooks.start, hooks.extend):
+        closing = closes[last]
+        if closing.any():
+            rows = slice(None) if closing.all() else np.flatnonzero(closing)
+            chosen = None if state is None else tuple(x[rows] for x in state)
+            sums[words.shape[1] - 1].append(logsumexp(hooks.close(chosen, words[rows], last[rows])))
+    return [logsumexp(level) for level in sums]
+
+
+def per_t_curve(model, p, t_grid, **params):
+    """The pressure curve as one gurevich_pressure call per t."""
+    return [(t, gurevich_pressure(model, p.scaled(t), **params)) for t in t_grid]

@@ -11,7 +11,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import brute_force_preimage_count
+from helpers import (
+    brute_force_preimage_count,
+    one_matrix_power_diagonal,
+    per_potential_series,
+    per_t_curve,
+)
 from thermoshift import shift_core
 from thermoshift.numerics import scaled_power_diagonal
 from thermoshift.potentials import (
@@ -27,6 +32,7 @@ from thermoshift.potentials import (
 from thermoshift.pressure import (
     EnumerationBudgetError,
     NonMixingTruncationError,
+    PartitionSeries,
     closed_form_fullshift_pressure,
     curve_second_differences,
     geometric_power_sum,
@@ -516,6 +522,152 @@ def test_power_law_curve_flags_divergent_points():
     assert by_t[0.2].value == math.inf
     assert not by_t[1.0].diverged
     assert by_t[1.0].value == pytest.approx(LOG_ZETA_3, abs=1e-3)
+
+
+def curve_cases():
+    """(name, model, potential, t grid, params) for the curve bit-equality tests."""
+    yield "weighted geometric", full_shift(), weighted_third(), [-0.5, 0.5, 0.8, 1.0, 1.7], {
+        "m_list": [8, 16, 32], "n_max": 30}
+    yield "weighted geometric scaled", full_shift(), weighted_third().scaled(0.7), [0.5, 1, 2], {
+        "m_list": [8, 16], "n_max": 20}
+    bumpy = weighted_fullshift_potential(
+        lambda a: 3.0 ** (-a), log_c=lambda n: math.log(2.0) if n % 2 == 0 else 0.0,
+        c_regularity=math.log(2.0), lam_tail_power=geometric_tail(3.0),
+    )
+    yield "weighted with length factor", full_shift(), bumpy, [0.5, 1.0, 1.5], {
+        "m_list": [8, 16], "n_max": 20}
+    # At m = 128 a 1 MB stack holds 8 matrices, so ten points take two stacks.
+    grid = [0.5 + 0.1 * k for k in range(10)]
+    yield "weighted geometric m=128", full_shift(), weighted_third(), grid, {
+        "m_list": [128], "n_max": 12}
+    rng = np.random.default_rng(31)
+    table = np.zeros((12, 12))
+    table[0, :] = -0.4 * np.arange(1, 13) + rng.uniform(-0.3, 0.3, 12)
+    for i in range(1, 12):
+        table[i, i - 1] = rng.uniform(-0.1, 0.1)
+    renewal = renewal_shift()
+    p = birkhoff_potential(lambda i, j: float(table[i - 1, j - 1]), renewal)
+    yield "renewal birkhoff table", renewal, p, [0.5, 1.0, 1.5], {"m_list": [6, 12], "n_max": 30}
+    gm = golden_mean_shift()
+    p = birkhoff_potential(lambda i, j: -0.3 * i - 0.2 * j, gm)
+    yield "golden mean", gm, p, [-1.0, 0.0, 0.5, 1.0, 2.0], {"n_max": 25}
+    yield "fiber count", star_shift(), fiber_count_potential(), [0.5, 1.0, 2.0], {
+        "m_list": [8, 16], "n_max": 5, "slope_window": 3}
+    mats = {a: rng.uniform(0.2, 1.0, size=(2, 2)) for a in (1, 2, 3)}
+    k3 = model_from_arcs([(i, j) for i in (1, 2, 3) for j in (1, 2, 3)])
+    p = cocycle_potential(mats.__getitem__, k3, symbol_bound=3)
+    yield "cocycle d=2 k=3", k3, p, [0.5, 1.0, 2.0], {"m_list": [3], "n_max": 9}
+    scalar = {1: np.array([[3.0]]), 2: np.array([[0.5]])}
+    p = cocycle_potential(scalar.__getitem__, full_shift(), symbol_bound=2)
+    yield "scalar cocycle", full_shift(), p, [0.5, 1.0, 2.0], {"m_list": [2], "n_max": 20}
+
+
+def estimate_fields(est):
+    return (est.value, est.lower, est.upper, est.slopes, est.truncation_values,
+            est.series.entries, est.series.strategy, est.series.log_norm,
+            est.series.prefixes, est.series.empty_levels, est.truncation_level,
+            est.converged, est.monotone, est.diverged)
+
+
+@pytest.mark.parametrize("case", list(curve_cases()), ids=lambda case: case[0])
+def test_curve_matches_per_t_loop_bit_for_bit(case):
+    _, model, p, grid, params = case
+    curve = pressure_curve(model, p, grid, **params)
+    reference = per_t_curve(model, p, grid, **params)
+    assert [t for t, _ in curve] == grid
+    for (t, est), (_, ref) in zip(curve, reference):
+        # repr tells -0.0 from 0.0 and shows every bit a CSV would.
+        assert repr(estimate_fields(est)) == repr(estimate_fields(ref)), f"t={t}"
+        sub = mixed_truncation(model, est.truncation_level)
+        alone = per_potential_series(sub, p.scaled(t), est.n_max, est.base_symbol)
+        assert repr([v for _, v in est.series.entries]) == repr(alone), f"t={t}"
+    strategies = {est.series.strategy for _, est in curve}
+    if case[0] == "cocycle d=2 k=3":
+        assert strategies == {"block", "enumerate"}
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 64, 130, 384])
+def test_stacked_power_diagonal_matches_single_matrix(m):
+    rng = np.random.default_rng(m)
+    stack = rng.random((4, m, m)) * (rng.random((4, m, m)) < 0.5)
+    stack[:, :, 0] += 0.1
+    if m > 1:
+        # A nilpotent matrix: its levels from m on are -inf.
+        stack[3] = np.triu(rng.random((m, m)) + 0.1, 1)
+    for index in (0, m - 1):
+        got = scaled_power_diagonal(stack, index, 40)
+        assert len(got) == 4
+        for W, values in zip(stack, got):
+            assert repr(values) == repr(one_matrix_power_diagonal(W, index, 40))
+            assert repr(values) == repr(scaled_power_diagonal(W, index, 40))
+    if m > 1:
+        assert got[3][m - 1:] == [-math.inf] * (41 - m)
+
+
+def test_stacked_power_diagonal_matches_single_matrix_on_blocks():
+    rng = np.random.default_rng(8)
+    sub = truncate(full_shift(), 3)
+    stack = np.stack([
+        block_matrix(sub, {a: rng.uniform(0.1, 1.0, (2, 2)) for a in (1, 2, 3)}.__getitem__, 2)
+        for _ in range(3)
+    ])
+    for index in (slice(0, 2), slice(2, 4)):
+        got = scaled_power_diagonal(stack, index, 30)
+        for W, values in zip(stack, got):
+            assert repr(values) == repr(one_matrix_power_diagonal(W, index, 30))
+
+
+def test_curve_holds_a_bounded_stack_of_pair_matrices():
+    t_grid = [0.5 + 0.02 * k for k in range(40)]
+    tracemalloc.start()
+    try:
+        curve = pressure_curve(full_shift(), weighted_third(), t_grid, m_list=[256], n_max=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(curve) == 40
+    # The 40 matrices at m = 256 take 21 MB; they are iterated 1 MB at a time.
+    assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_curve_weighs_each_arc_once_per_truncation():
+    calls = []
+
+    def arc(i, j):
+        calls.append((i, j))
+        return -0.1 * i - 0.05 * j
+
+    p = birkhoff_potential(arc, full_shift())
+    pressure_curve(full_shift(), p, [0.5, 1.0, 1.5, 2.0], m_list=[8, 16], n_max=10)
+    assert len(calls) == 8 ** 2 + 16 ** 2
+
+
+def test_slopes_are_computed_once_per_series(monkeypatch):
+    calls = []
+    slopes = PartitionSeries.slopes
+    monkeypatch.setattr(PartitionSeries, "slopes", lambda self: calls.append(self) or slopes(self))
+    est = gurevich_pressure(full_shift(), weighted_third(), m_list=[4, 8, 16], n_max=12)
+    assert len(calls) == 3
+    assert est.slopes == slopes(est.series)
+
+
+def test_curve_errors_are_the_named_errors():
+    with pytest.raises(EnumerationBudgetError):
+        pressure_curve(star_shift(), fiber_count_potential(), [0.5, 1.0, 2.0],
+                       m_list=[8], n_max=6, cap=100)
+    # t = 1 takes the block operator, t = 2 enumerates and hits the cap.
+    mats = {1: np.array([[2.0, 1.0], [1.0, 3.0]]), 2: np.array([[1.0, 0.5], [0.5, 1.0]])}
+    p = cocycle_potential(mats.__getitem__, full_shift(), symbol_bound=2)
+    assert pressure_curve(full_shift(), p, [1.0], m_list=[2], n_max=12, cap=100)
+    with pytest.raises(EnumerationBudgetError, match="100"):
+        pressure_curve(full_shift(), p, [1.0, 2.0], m_list=[2], n_max=12, cap=100)
+    period2 = model_from_arcs([(1, 2), (2, 1)])
+    with pytest.raises(NonMixingTruncationError, match="m=2"):
+        pressure_curve(period2, zero_potential(period2), [0.5, 1.0], m_list=[2], n_max=8)
+
+
+def test_empty_curve_is_empty():
+    assert pressure_curve(full_shift(), weighted_third(), []) == []
 
 
 # -- symbol independence -----------------------------------------------------------
