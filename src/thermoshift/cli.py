@@ -332,7 +332,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return COMMANDS[args.command](data, args, args.out)
     except (
         ValueError,
-        KeyError,
         NonMixingTruncationError,
         NonMixingSubshiftError,
         EnumerationBudgetError,

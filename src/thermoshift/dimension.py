@@ -13,7 +13,7 @@ from typing import Callable, Optional, Sequence, Union
 from .gibbs import entropy_markov, lyapunov_functional, rpf_equilibrium
 from .potentials import PotentialSequence, SymbolWeightPotential
 from .pressure import PressureEstimate, gurevich_pressure
-from .shift_core import TransitionModel, Word, truncate
+from .shift_core import TransitionModel, Word, symbol_lookup, truncate
 
 
 class GeometricConstruction:
@@ -89,16 +89,12 @@ def product_construction(
     rho: Union[Callable[[int], float], dict, Sequence[float]],
     tail: Optional[Callable[[int, float], float]] = None,
 ) -> GeometricConstruction:
-    """Construction with r_w equal to the product of per-symbol ratios."""
-    if isinstance(rho, dict):
-        table = {int(a): float(v) for a, v in rho.items()}
-        fn = table.__getitem__
-    elif callable(rho):
-        fn = rho
-    else:
-        table = {k + 1: float(v) for k, v in enumerate(rho)}
-        fn = table.__getitem__
-    return GeometricConstruction("product", rho=fn, rho_tail=tail)
+    """Construction with r_w equal to the product of per-symbol ratios.
+
+    rho is a callable, or a dict or sequence read by shift_core.symbol_lookup.
+    """
+    lookup, _ = symbol_lookup(rho, "rho")
+    return GeometricConstruction("product", rho=lookup, rho_tail=tail)
 
 
 def general_construction(

@@ -618,10 +618,11 @@ def lyapunov_functional(
         raise ValueError(f"n={n} exceeds measure depth {mu.depth}")
     ps = p.pair_structure()
     if getattr(mu, "kind", None) == "markov" and ps is not None:
+        # A symbol of probability zero has no log_pi entry and adds nothing.
         expected = math.fsum(
             math.exp(mu.log_pi[i] + lp) * ps.pair(i, j)
             for (i, j), lp in mu.log_p.items()
-            if lp > NEG_INF
+            if lp > NEG_INF and i in mu.log_pi
         )
         return ps.offset(n) / n + expected
     if sub is None:

@@ -1,103 +1,33 @@
 """Top Lyapunov exponents of positive matrix products and their pressure curves.
 
-A matrix family assigns an entrywise-positive d x d matrix to every symbol.
-The norm of a matrix is the sum of its entries, so the norm of a product
-along a path is a word function that the partition machinery can treat like
-any other potential. Exponents are estimated by averaging renormalized
-products over paths sampled from an explicit Markov measure; scalar families
-are additive, so their exponent is computed in closed form instead.
+A matrix family (`potentials.MatrixFamily`, re-exported here) assigns a
+nonnegative d x d matrix to every symbol. The norm of a matrix is the sum of
+its entries, so the norm of a product along a path is a word function that
+the partition machinery can treat like any other potential. Exponents are
+estimated by averaging renormalized products over paths sampled from an
+explicit Markov measure; scalar families are additive, so their exponent is
+computed in closed form instead. A pressure curve runs on the family's
+cocycle potential, whose cone report, computed once on the probed symbols,
+also gives its almost-additivity constant.
 """
 
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
 from .gibbs import MeasureKindError
 from .numerics import log_norm_of_path, log_norms
 from .potentials import (
-    check_cone_condition,
+    MatrixFamily,
     cocycle_potential,
+    entry_sum_norm,
     summability_report,
 )
 from .pressure import PressureEstimate, pressure_curve
 from .shift_core import TransitionModel
-
-
-class MatrixFamily:
-    """Symbol-indexed family of entrywise-positive square matrices.
-
-    `entries` may be a dict keyed by symbol, a sequence (symbol k maps to
-    entry k-1), or a callable for countable families. Finite families are
-    validated eagerly; callables are validated on first access and cached.
-    Negative entries are rejected; zeros are allowed (identity families are
-    legitimate exponent inputs) but pressure work additionally runs the cone
-    check, which demands strictly positive entries.
-    `norm_tail` is an optional closed-form bound for the summed norms of the
-    symbols beyond a truncation, with the same contract as potential tails.
-    """
-
-    def __init__(
-        self,
-        d: int,
-        entries: Union[dict, Sequence, Callable[[int], np.ndarray]],
-        norm_tail: Optional[Callable[[int], float]] = None,
-        name: str = "matrix-family",
-    ):
-        if d < 1:
-            raise ValueError("matrix dimension must be at least 1")
-        self.d = int(d)
-        self.norm_tail = norm_tail
-        self.name = name
-        self._cache: dict[int, np.ndarray] = {}
-        if callable(entries):
-            self._lookup = entries
-            self._symbols = None
-        else:
-            if isinstance(entries, dict):
-                table = {int(a): entries[a] for a in entries}
-            else:
-                table = {k + 1: a for k, a in enumerate(entries)}
-            self._lookup = table.__getitem__
-            self._symbols = tuple(sorted(table))
-            for a in self._symbols:
-                self.matrix(a)
-
-    @property
-    def symbols(self) -> Optional[tuple[int, ...]]:
-        """Symbols of a finite family, or None for callable families."""
-        return self._symbols
-
-    def matrix(self, a: int) -> np.ndarray:
-        cached = self._cache.get(a)
-        if cached is not None:
-            return cached
-        raw = np.asarray(self._lookup(a), dtype=float)
-        if raw.shape != (self.d, self.d):
-            raise ValueError(
-                f"matrix for symbol {a} has shape {raw.shape}, "
-                f"expected ({self.d}, {self.d})"
-            )
-        if not np.isfinite(raw).all():
-            raise ValueError(f"matrix for symbol {a} has a non-finite entry")
-        if (raw < 0).any():
-            raise ValueError(f"matrix for symbol {a} has a negative entry")
-        if not (raw > 0).any():
-            raise ValueError(f"matrix for symbol {a} has no positive entry")
-        raw.setflags(write=False)
-        self._cache[a] = raw
-        return raw
-
-    def norm(self, a: int) -> float:
-        return entry_sum_norm(self.matrix(a))
-
-
-def entry_sum_norm(a) -> float:
-    """Sum of all matrix entries, the norm 1^T A 1 used throughout."""
-    arr = np.asarray(a, dtype=float)
-    return math.fsum(arr.ravel().tolist())
 
 
 @dataclass(frozen=True)
@@ -206,27 +136,22 @@ def cocycle_pressure(
 ) -> list[tuple[float, PressureEstimate]]:
     """Pressure curve of the norm potential of a positive matrix family.
 
-    Preflight checks the cone condition on the probed symbols and the
-    summability of the per-symbol norms (a warning, not an error, when no
-    tail bound is available). When every probed norm is below 1, the finite
-    part of the curve is verified to be non-increasing on each truncation.
+    Preflight reads the potential's cone report on the probed symbols
+    model.symbols_for(symbol_bound), and checks the summability of the
+    per-symbol norms (a warning, not an error, when no tail bound is
+    available). When every probed norm is below 1, the finite part of the
+    curve is verified to be non-increasing on each truncation.
     """
-    if model.alphabet_size is not None:
-        probe = min(symbol_bound, model.alphabet_size)
-    else:
-        probe = symbol_bound
-    cone = check_cone_condition(family, probe)
+    probe = model.symbols_for(symbol_bound)
+    p = cocycle_potential(family, model, symbol_bound=symbol_bound)
     # A finite family of strictly positive matrices always has a uniform cone
     # constant; the degeneration heuristic inside the report is meaningful
     # only when the probe samples a countable family.
-    finite_probe = (
-        model.alphabet_size is not None and probe == model.alphabet_size
-    )
-    if not (cone.uniform or (finite_probe and cone.best_C > 0.0)):
+    finite_probe = len(probe) == model.alphabet_size
+    if not (p.cone.uniform or (finite_probe and p.cone.best_C > 0.0)):
         raise ValueError(
             "matrix family fails the cone condition on the probed symbols"
         )
-    p = cocycle_potential(family, model, symbol_bound=probe)
     report = summability_report(p)
     if report.verdict != "summable":
         warnings.warn(
@@ -236,7 +161,7 @@ def cocycle_pressure(
             stacklevel=2,
         )
     curve = pressure_curve(model, p, t_grid, **params)
-    if all(family.norm(a) < 1.0 for a in range(1, probe + 1)):
+    if all(p.family.norm(a) < 1.0 for a in probe):
         _check_decreasing(curve)
     return curve
 

@@ -17,8 +17,8 @@ from .gibbs import (
     markov_measure,
     uniform_bernoulli,
 )
-from .matrix_cocycle import MatrixFamily
 from .potentials import (
+    MatrixFamily,
     PotentialSequence,
     birkhoff_potential,
     cocycle_potential,
@@ -32,6 +32,7 @@ from .shift_core import (
     FiniteSubshift,
     TransitionModel,
     model_from_arcs,
+    symbol_lookup,
     truncate,
 )
 
@@ -75,7 +76,8 @@ class Param(NamedTuple):
 
 def _number(value) -> bool:
     # type() rather than isinstance(): JSON true and false are not numbers.
-    return type(value) in (int, float)
+    # json parses NaN and Infinity, which no field accepts.
+    return type(value) is int or (type(value) is float and math.isfinite(value))
 
 
 _COUNT = Param(lambda v: type(v) is int and v >= 1, "a positive integer", int)
@@ -249,11 +251,16 @@ def _parse_potential(
         values = section["values"]
         if not isinstance(values, list) or not _square(values, len(values)):
             raise ModelFileError("potential.values", "must be a square matrix")
+        n = len(values)
 
         def arc_value(i: int, j: int) -> float:
-            if not (1 <= i <= len(values) and 1 <= j <= len(values)):
-                raise ValueError(f"arc value table has no entry for ({i}, {j})")
-            return float(values[i - 1][j - 1])
+            if not (1 <= i <= n and 1 <= j <= n):
+                raise ModelFileError("potential.values", f"no entry for arc ({i}, {j})")
+            v = values[i - 1][j - 1]
+            # _number(v), inlined: a run reads one entry per arc per truncation.
+            if type(v) is float and math.isfinite(v) or type(v) is int:
+                return float(v)
+            raise ModelFileError("potential.values", f"arc ({i}, {j}) is {v!r}, must be a number")
 
         return lambda model: birkhoff_potential(arc_value, model)
     if kind == "weighted":
@@ -270,9 +277,8 @@ def _parse_potential(
         _require_keys(lam, {"list"}, ("list",), where)
         ratios = _numbers(lam["list"], f"{where}.list", lambda v: 0 < v <= 1,
                           "lie in (0, 1]")
-        return lambda model: weighted_fullshift_potential(
-            dict(enumerate(ratios, 1)).__getitem__
-        )
+        lookup, _ = symbol_lookup(ratios, f"{where}.list")
+        return lambda model: weighted_fullshift_potential(lookup)
     if kind == "fiber_count":
         if data["model"].get("name") != "star":
             raise ModelFileError(
@@ -298,17 +304,18 @@ def _parse_matrices(section, data: dict) -> Callable[[], MatrixFamily]:
             raise ModelFileError(
                 "matrices.list", f"matrix {k + 1} is not {d}x{d} numeric"
             )
-    if "tail" not in section:
-        return lambda: MatrixFamily(d, mats)
-    tail = section["tail"]
-    _require_keys(tail, {"kind", "ratio"}, ("kind", "ratio"), "matrices.tail")
-    if tail["kind"] != "geometric":
-        raise ModelFileError("matrices.tail.kind", f"unknown kind {tail['kind']!r}")
-    ratio = tail["ratio"]
-    if not _number(ratio) or not 0 < ratio < 1:
-        raise ModelFileError("matrices.tail.ratio", "must lie in (0, 1)")
-    # Norms bounded by ratio^i sum to ratio^(m+1)/(1 - ratio) past m.
-    return lambda: MatrixFamily(d, mats, norm_tail=geometric_tail(1.0 / ratio))
+    norm_tail = None
+    if "tail" in section:
+        tail = section["tail"]
+        _require_keys(tail, {"kind", "ratio"}, ("kind", "ratio"), "matrices.tail")
+        if tail["kind"] != "geometric":
+            raise ModelFileError("matrices.tail.kind", f"unknown kind {tail['kind']!r}")
+        ratio = tail["ratio"]
+        if not _number(ratio) or not 0 < ratio < 1:
+            raise ModelFileError("matrices.tail.ratio", "must lie in (0, 1)")
+        # Norms bounded by ratio^i sum to ratio^(m+1)/(1 - ratio) past m.
+        norm_tail = geometric_tail(1.0 / ratio)
+    return lambda: MatrixFamily(d, mats, norm_tail, "matrices.list")
 
 
 def _parse_construction(section, data: dict) -> Callable[[], GeometricConstruction]:
@@ -317,7 +324,8 @@ def _parse_construction(section, data: dict) -> Callable[[], GeometricConstructi
     if kind == "list":
         ratios = _numbers(rho, "construction.rho", lambda v: 0 < v < 1,
                           "lie in (0, 1)")
-        return lambda: product_construction(ratios)
+        lookup, _ = symbol_lookup(ratios, "construction.rho")
+        return lambda: product_construction(lookup)
     if not isinstance(rho, dict) or "geometric" not in rho:
         raise ModelFileError(
             "construction.rho", "product kind expects {geometric: {base: b}}"

@@ -4,7 +4,9 @@ Every potential here assigns to each admissible word w of length n the value
 log f_n at the periodic closure of w (for the arc-sum family) or, equivalently
 for the families that are constant on n-cylinders, the cylinder value. Each
 instance declares its almost-additivity constant C and oscillation bound M;
-the declared numbers feed the pressure brackets downstream.
+the declared numbers feed the pressure brackets downstream. A matrix cocycle
+reads its matrices from one MatrixFamily and takes C from its cone report,
+computed once on the probed symbols and kept as the potential's `cone`.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .shift_core import (
     star_shift,
     full_shift,
     is_admissible,
+    symbol_lookup,
     truncate,
 )
 
@@ -499,38 +502,86 @@ def weighted_fullshift_potential(
     )
 
 
-class CocyclePotential(PotentialSequence):
-    """log of the entry-sum norm of reversed matrix products along the word."""
+class MatrixFamily:
+    """Symbol-indexed family of nonnegative square matrices, each kept once.
 
-    def __init__(self, entries: Callable[[int], np.ndarray], model: TransitionModel,
+    `entries` is a dict keyed by symbol, a sequence (symbol k maps to entry
+    k-1) or a callable, read through shift_core.symbol_lookup with `name` as
+    the field. A finite family lists its symbols in `symbols` and is
+    validated eagerly; a callable family has symbols None and is validated
+    on first access. Zero entries are allowed (identity families are
+    legitimate exponent inputs); a cocycle potential demands strictly
+    positive ones. `norm_tail` optionally bounds the summed norms of the
+    symbols beyond a truncation, with the same contract as potential tails.
+    """
+
+    def __init__(self, d: int, entries: dict | Sequence | Callable[[int], np.ndarray],
                  norm_tail: Optional[Callable[[int], float]] = None,
-                 symbol_bound: int = 16):
-        self.model = model
-        self._entries_raw = entries
-        self._cache: dict[int, np.ndarray] = {}
+                 name: str = "matrix-family"):
+        if d < 1:
+            raise ValueError("matrix dimension must be at least 1")
+        self.d = int(d)
         self.norm_tail = norm_tail
-        self.name = "cocycle"
-        probe = model.symbols_for(symbol_bound)
-        first = self.matrix(probe[0])
-        self.d = first.shape[0]
-        ratios = []
-        for a in probe:
-            A = self.matrix(a)
-            ratios.append(A.min() / A.max())
-        cone = min(ratios) / self.d
-        self.declared_C = -math.log(cone)
+        self.name = name
+        self._cache: dict[int, np.ndarray] = {}
+        self._lookup, self.symbols = symbol_lookup(entries, name)
+        for a in self.symbols or ():
+            self.matrix(a)
 
     def matrix(self, a: int) -> np.ndarray:
-        try:
-            return self._cache[a]
-        except KeyError:
-            A = np.asarray(self._entries_raw(a), dtype=float)
-            if A.ndim != 2 or A.shape[0] != A.shape[1]:
-                raise ValueError(f"matrix for symbol {a} is not square")
-            if not (A > 0).all():
-                raise ValueError(f"matrix for symbol {a} has a nonpositive entry")
-            self._cache[a] = A
-            return A
+        cached = self._cache.get(a)
+        if cached is not None:
+            return cached
+        raw = np.asarray(self._lookup(a), dtype=float)
+        if raw.shape != (self.d, self.d):
+            raise ValueError(
+                f"matrix for symbol {a} has shape {raw.shape}, "
+                f"expected ({self.d}, {self.d})"
+            )
+        if not np.isfinite(raw).all():
+            raise ValueError(f"matrix for symbol {a} has a non-finite entry")
+        if (raw < 0).any():
+            raise ValueError(f"matrix for symbol {a} has a negative entry")
+        if not (raw > 0).any():
+            raise ValueError(f"matrix for symbol {a} has no positive entry")
+        raw.setflags(write=False)
+        self._cache[a] = raw
+        return raw
+
+    def norm(self, a: int) -> float:
+        return entry_sum_norm(self.matrix(a))
+
+
+def entry_sum_norm(a) -> float:
+    """Sum of all matrix entries, the norm 1^T A 1 used throughout."""
+    arr = np.asarray(a, dtype=float)
+    return math.fsum(arr.ravel().tolist())
+
+
+class CocyclePotential(PotentialSequence):
+    """log of the entry-sum norm of reversed matrix products along the word.
+
+    Each matrix of the family that the potential uses must be strictly
+    positive. cone is check_cone_condition on the model's first
+    symbol_bound symbols, and declared_C = -log(cone.best_C).
+    """
+
+    def __init__(self, family: MatrixFamily, model: TransitionModel,
+                 norm_tail: Optional[Callable[[int], float]] = None,
+                 symbol_bound: int = 16):
+        self.family = family
+        self.model = model
+        self.d = family.d
+        self.norm_tail = norm_tail
+        self.name = "cocycle"
+        self.cone = check_cone_condition(family, model.symbols_for(symbol_bound))
+        self.declared_C = -math.log(self.cone.best_C)
+
+    def matrix(self, a: int) -> np.ndarray:
+        A = self.family.matrix(a)
+        if not (A > 0).all():
+            raise ValueError(f"matrix for symbol {a} has a nonpositive entry")
+        return A
 
     def eval(self, word):
         word = tuple(word)
@@ -565,15 +616,12 @@ def cocycle_potential(family, model: TransitionModel,
                       symbol_bound: int = 16) -> CocyclePotential:
     """Potential of a family of entrywise-positive matrices indexed by symbols.
 
-    `family` is a callable symbol -> matrix, or an object exposing .matrix().
+    `family` is a MatrixFamily, whose norm_tail is the default, or a
+    callable symbol -> matrix, which is wrapped into one.
     """
-    if hasattr(family, "matrix"):
-        entries = family.matrix
-        if norm_tail is None:
-            norm_tail = getattr(family, "norm_tail", None)
-    else:
-        entries = family
-    return CocyclePotential(entries, model, norm_tail, symbol_bound)
+    if not isinstance(family, MatrixFamily):
+        family = MatrixFamily(len(np.atleast_1d(family(model.first_symbol))), family)
+    return CocyclePotential(family, model, norm_tail or family.norm_tail, symbol_bound)
 
 
 class FiberCountPotential(PotentialSequence):
@@ -722,28 +770,24 @@ class ConeReport:
     best_C: float
 
 
-def check_cone_condition(family, symbol_bound: int) -> ConeReport:
+def check_cone_condition(family, symbols: Sequence[int]) -> ConeReport:
     """Largest C with min-entry / max-entry >= d*C over the probed symbols.
 
+    family is a callable symbol -> matrix or an object exposing .matrix().
     The family is uniform only if the constant does not keep degenerating as
     more symbols are probed; this is detected by comparing the constant on the
-    first half of the probe range against the full range.
+    first half of the probed symbols against all of them.
     """
     entries = family.matrix if hasattr(family, "matrix") else family
-    best = math.inf
-    best_half = math.inf
-    d = None
-    for k in range(1, symbol_bound + 1):
-        A = np.asarray(entries(k), dtype=float)
-        if d is None:
-            d = A.shape[0]
+    ratios = []
+    for a in symbols:
+        A = np.asarray(entries(a), dtype=float)
         if not (A > 0).all():
-            raise ValueError(f"matrix for symbol {k} has a nonpositive entry")
-        c = float(A.min() / A.max()) / d
-        best = min(best, c)
-        if k <= max(1, symbol_bound // 2):
-            best_half = min(best_half, c)
-    degenerating = symbol_bound > 1 and best <= 0.5 * best_half
+            raise ValueError(f"matrix for symbol {a} has a nonpositive entry")
+        ratios.append(float(A.min() / A.max()) / A.shape[0])
+    best = min(ratios, default=math.inf)
+    best_half = min(ratios[: max(1, len(ratios) // 2)], default=math.inf)
+    degenerating = len(ratios) > 1 and best <= 0.5 * best_half
     return ConeReport(uniform=(best > 0.0 and not degenerating), best_C=best)
 
 

@@ -186,6 +186,30 @@ def is_admissible(word: Sequence[int], model: TransitionModel) -> bool:
     return all(model.rule(a, b) for a, b in zip(word, word[1:]))
 
 
+def symbol_lookup(entries, field_name: str):
+    """(lookup, symbols) for a per-symbol family given as a dict, sequence or callable.
+
+    A sequence gives symbol k its entry k - 1. For a dict or a sequence,
+    symbols is the sorted tuple of the family's symbols, and lookup raises
+    ValueError naming field_name and the symbol for any other symbol. A
+    callable is its own lookup, with symbols None.
+    """
+    if callable(entries):
+        return entries, None
+    if isinstance(entries, dict):
+        table = {int(a): v for a, v in entries.items()}
+    else:
+        table = dict(enumerate(entries, 1))
+
+    def lookup(a: int):
+        try:
+            return table[a]
+        except KeyError:
+            raise ValueError(f"{field_name}: no entry for symbol {a}") from None
+
+    return lookup, tuple(sorted(table))
+
+
 @dataclass(frozen=True)
 class FiniteSubshift:
     """Finite truncation of a model: surviving symbols plus a 0/1 matrix."""

@@ -333,6 +333,92 @@ def test_negative_measure_entries_name_the_field(tmp_path, capsys, measure, fiel
     assert stderr.startswith(f"error: {field}:")
 
 
+SHORT_LAMBDA = {"kind": "weighted", "lambda": {"list": [0.5, 0.25]}}
+TWO_MATRICES = {"d": 2, "list": [[[2, 1], [1, 2]], [[1, 0.5], [0.5, 1]]]}
+THREE_ARCS = {"arcs": [[1, 1], [1, 2], [2, 3], [3, 1], [2, 1]]}
+COCYCLE_PARAMS = {"truncations": [3], "n_max": 10, "t_grid": [0.5, 1.0]}
+
+
+@pytest.mark.parametrize("command, payload, field, symbol", [
+    ("pressure", {"model": {"name": "full"}, "potential": SHORT_LAMBDA,
+                  "params": {"truncations": [4]}}, "potential.lambda.list", 3),
+    ("validate", {"model": {"name": "full"}, "potential": SHORT_LAMBDA,
+                  "params": {"truncations": [2]}}, "potential.lambda.list", 3),
+    ("dimension", {"model": {"name": "full"},
+                   "construction": {"kind": "list", "rho": [0.3, 0.2]},
+                   "params": {"truncations": [4]}}, "construction.rho", 3),
+    ("pressure", {"model": THREE_ARCS, "potential": {"kind": "cocycle"},
+                  "matrices": TWO_MATRICES, "params": COCYCLE_PARAMS}, "matrices.list", 3),
+    ("curve", {"model": THREE_ARCS, "potential": {"kind": "cocycle"},
+               "matrices": TWO_MATRICES, "params": COCYCLE_PARAMS}, "matrices.list", 3),
+    ("gibbs", {"model": THREE_ARCS, "potential": {"kind": "cocycle"},
+               "matrices": TWO_MATRICES, "params": COCYCLE_PARAMS}, "matrices.list", 3),
+    ("pressure", {"model": {"name": "full"}, "potential": {"kind": "cocycle"},
+                  "matrices": {**TWO_MATRICES, "tail": {"kind": "geometric", "ratio": 0.5}},
+                  "params": {"truncations": [2]}}, "matrices.list", 3),
+    ("lyapunov", {"model": {"name": "full"}, "matrices": {"d": 1, "list": [[[2.0]]]},
+                  "measure": {"kind": "bernoulli", "probs": [0.5, 0.5]}}, "matrices.list", 2),
+], ids=["lambda-pressure", "lambda-validate", "rho-dimension", "matrices-pressure",
+        "matrices-curve", "matrices-gibbs", "matrices-tail", "matrices-lyapunov"])
+def test_short_symbol_lists_name_the_field_and_symbol(
+    tmp_path, capsys, command, payload, field, symbol
+):
+    # A list section is a family over symbols 1..k; reading past k is an error
+    # of that field, not a bare KeyError.
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload))
+    code, stdout, stderr = run(capsys, command, "--model", str(path), "--out", str(tmp_path))
+    assert code == 1 and stdout == ""
+    assert stderr == f"error: {field}: no entry for symbol {symbol}\n"
+
+
+def edited_fixture(tmp_path, name, edit) -> str:
+    with open(fixture(name), encoding="utf-8") as fh:
+        data = json.load(fh)
+    edit(data)
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def set_params(**params):
+    return lambda data: data["params"].update(params)
+
+
+def set_entry(section, *index, value):
+    def edit(data):
+        table = data[section]["list" if section == "matrices" else "values"]
+        for k in index[:-1]:
+            table = table[k]
+        table[index[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize("command, name, edit, flags, message", [
+    ("curve", "weighted20.json", set_params(t_grid=[0.5, math.inf]), [], "params.t_grid:"),
+    ("curve", "weighted20.json", None, ["--t-grid", "0.5,inf"], "params.t_grid:"),
+    ("dimension", "cantor.json", set_params(t_bracket=[0.0, math.inf]), [], "params.t_bracket:"),
+    ("dimension", "cantor.json", None, ["--t-bracket", "0,inf"], "params.t_bracket:"),
+    ("pressure", "cocycle_single.json", set_entry("matrices", 0, 0, 1, value=math.nan), [],
+     "matrices.list:"),
+    ("pressure", "validate_birkhoff.json", set_entry("potential", 0, 1, value=math.nan), [],
+     "potential.values: arc (1, 2) is nan"),
+    ("pressure", "validate_birkhoff.json", set_entry("potential", 1, 0, value=-math.inf), [],
+     "potential.values: arc (2, 1) is -inf"),
+    ("validate", "validate_birkhoff.json", set_entry("potential", 0, 0, value="x"), [],
+     "potential.values: arc (1, 1) is 'x'"),
+    ("validate", "validate_birkhoff.json",
+     lambda data: data["model"].update(name="full"), [],
+     "potential.values: no entry for arc (1, 3)"),
+], ids=["t_grid", "t_grid-flag", "t_bracket", "t_bracket-flag", "matrix-nan",
+        "birkhoff-nan", "birkhoff-inf", "birkhoff-string", "birkhoff-missing-arc"])
+def test_bad_numbers_name_the_field(tmp_path, capsys, command, name, edit, flags, message):
+    path = fixture(name) if edit is None else edited_fixture(tmp_path, name, edit)
+    code, stdout, stderr = run(capsys, command, "--model", path, "--out", str(tmp_path), *flags)
+    assert code == 1 and stdout == ""
+    assert stderr.startswith(f"error: {message}")
+
+
 def test_gibbs_truncates_each_level_once(tmp_path, capsys, monkeypatch):
     calls = []
 

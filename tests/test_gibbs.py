@@ -283,6 +283,17 @@ def test_markov_measure_accepts_zero_probability_symbol():
     assert math.isfinite(entropy_markov(mu))
 
 
+def test_lyapunov_functional_skips_zero_probability_symbol():
+    # Only the arc 1 -> 1 carries mass, with value 0.3 - 0.1.
+    mu = markov_measure(
+        (1, 2), {1: 1.0, 2: 0.0}, {(1, 1): 1.0, (2, 1): 1.0}, truncate(full_shift(), 2)
+    )
+    p = birkhoff_potential(lambda i, j: 0.3 * i - 0.1 * j, full_shift())
+    assert lyapunov_functional(mu, p, 4) == pytest.approx(0.2, abs=1e-15)
+    h = entropy_markov(mu)
+    assert variational_defect(mu, p, 1.0, 4) == pytest.approx(1.0 - h - 0.2, abs=1e-15)
+
+
 # -- certificates -----------------------------------------------------------------
 
 def test_uniform_bernoulli_certificate_is_exactly_one():

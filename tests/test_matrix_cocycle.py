@@ -28,7 +28,9 @@ from thermoshift.matrix_cocycle import (
     log_norm_of_path,
     max_lyapunov,
 )
+from thermoshift import potentials
 from thermoshift.potentials import (
+    check_cone_condition,
     cocycle_potential,
     estimate_regularity,
     geometric_tail,
@@ -143,7 +145,7 @@ def test_estimator_argument_validation():
     )
     with pytest.raises(MeasureKindError):
         max_lyapunov(fam, nu, 5, 5)
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="no entry for symbol 2"):
         max_lyapunov(MatrixFamily(1, {1: [[2.0]]}), uniform_bernoulli(2), 5, 5)
 
 
@@ -261,6 +263,52 @@ def mixed_family():
             3: np.array([[0.3, 0.2], [0.1, 0.4]]),
         },
     )
+
+
+def cone_families():
+    """(family, model, symbol_bound) for the families the tests here build."""
+    model3 = model_from_arcs([(i + 1, j + 1) for i in range(3) for j in range(3)])
+    return [
+        (MatrixFamily(2, SYMMETRIC), model_from_arcs([(1, 1)]), 1),
+        (mixed_family(), model3, 3),
+        (mixed_family(), model3, 16),
+        (mixed_family(), model_from_arcs([(1, 2), (2, 1), (2, 2)]), 2),
+        (MatrixFamily(1, {1: [[0.5]], 2: [[0.5]]}), full_shift(), 2),
+        (MatrixFamily(1, lambda a: [[3.0 ** (-a)]]), full_shift(), 16),
+        (MatrixFamily(2, lambda a: [[1.0, 4.0 ** (-a)], [1.0, 1.0]]), full_shift(), 16),
+        (MatrixFamily(2, lambda a: np.array([[1.0, 0.5], [0.5, 2.0]]) * a), golden_mean_shift(), 2),
+    ]
+
+
+@pytest.mark.parametrize("family, model, bound", cone_families())
+def test_cocycle_cone_is_the_report_on_the_probed_symbols(family, model, bound):
+    p = cocycle_potential(family, model, symbol_bound=bound)
+    probe = model.symbols_for(bound)
+    assert p.cone == check_cone_condition(family, probe)
+    # The constant as the potential computed it in a loop of its own.
+    ratios = [family.matrix(a).min() / family.matrix(a).max() for a in probe]
+    assert p.declared_C.hex() == (-math.log(min(ratios) / family.d)).hex()
+
+
+def test_cocycle_pressure_runs_one_cone_pass(monkeypatch):
+    calls = []
+
+    def counting(family, symbols):
+        calls.append(list(symbols))
+        return check_cone_condition(family, symbols)
+
+    monkeypatch.setattr(potentials, "check_cone_condition", counting)
+    model = model_from_arcs([(i + 1, j + 1) for i in range(3) for j in range(3)])
+    cocycle_pressure(mixed_family(), model, [0.5, 1.0], m_list=[3], n_max=8)
+    assert calls == [[1, 2, 3]]
+
+
+def test_short_family_names_itself_and_the_symbol():
+    fam = MatrixFamily(2, SYMMETRIC, name="pair")
+    with pytest.raises(ValueError, match="^pair: no entry for symbol 2$"):
+        cocycle_potential(fam, full_shift(), symbol_bound=2)
+    with pytest.raises(ValueError, match="^pair: no entry for symbol 2$"):
+        cocycle_pressure(fam, golden_mean_shift(), [1.0])
 
 
 def test_log_norm_subadditive_over_all_short_words():

@@ -303,11 +303,13 @@ def test_one_dimensional_cocycle_has_pair_structure():
 
 
 def test_cone_condition_reports():
-    good = check_cone_condition(lambda k: np.array([[2.0, 1.0], [1.0, 2.0]]), 10)
+    good = check_cone_condition(
+        lambda k: np.array([[2.0, 1.0], [1.0, 2.0]]), range(1, 11)
+    )
     assert good.uniform
     assert good.best_C == pytest.approx(0.25, rel=1e-12)
     bad = check_cone_condition(
-        lambda k: np.array([[1.0, float(k)], [float(k), 1.0]]), 100
+        lambda k: np.array([[1.0, float(k)], [float(k), 1.0]]), range(1, 101)
     )
     assert not bad.uniform
     assert bad.best_C == pytest.approx(1.0 / 200.0, rel=1e-12)

@@ -27,6 +27,7 @@ from thermoshift.shift_core import (
     is_admissible,
     model_from_arcs,
     renewal_shift,
+    symbol_lookup,
     truncate,
 )
 
@@ -290,3 +291,15 @@ def test_bip_full_shift_any_witness():
 def test_bip_refuses_to_check_no_symbol():
     with pytest.raises(ValueError, match="up_to 0"):
         check_bip(full_shift(), {1}, up_to=0)
+
+
+def test_symbol_lookup_reads_dicts_sequences_and_callables():
+    lookup, symbols = symbol_lookup([0.5, 0.25], "rates")
+    assert symbols == (1, 2) and lookup(2) == 0.25
+    with pytest.raises(ValueError, match="^rates: no entry for symbol 3$"):
+        lookup(3)
+    lookup, symbols = symbol_lookup({4: "d", 2: "b"}, "table")
+    assert symbols == (2, 4) and lookup(4) == "d"
+    with pytest.raises(ValueError, match="^table: no entry for symbol 1$"):
+        lookup(1)
+    assert symbol_lookup(abs, "unused") == (abs, None)
