@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dimension import bowen_dimension
-from .gibbs import NonMixingSubshiftError, finite_gibbs_nu, verify_gibbs
+from .gibbs import finite_gibbs_nu, verify_gibbs
 from .matrix_cocycle import max_lyapunov
 from .modelfile import (
     PARAMS,
@@ -33,14 +33,17 @@ from .modelfile import (
 )
 from .potentials import estimate_regularity, summability_report
 from .pressure import (
-    EnumerationBudgetError,
-    NonMixingTruncationError,
     curve_second_differences,
     gurevich_pressure,
     mixed_truncation,
     pressure_curve,
 )
-from .shift_core import BipCertificate, check_bip
+from .shift_core import (
+    BipCertificate,
+    EnumerationBudgetError,
+    NonMixingTruncationError,
+    check_bip,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -330,12 +333,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         data = load_model_file(args.model)
         os.makedirs(args.out, exist_ok=True)
         return COMMANDS[args.command](data, args, args.out)
-    except (
-        ValueError,
-        NonMixingTruncationError,
-        NonMixingSubshiftError,
-        EnumerationBudgetError,
-    ) as exc:
+    except (ValueError, NonMixingTruncationError, EnumerationBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

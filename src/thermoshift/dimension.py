@@ -287,13 +287,10 @@ def ledrappier_young_check(
         raise ValueError("the identity check needs a located pressure root")
     sub = truncate(model, truncation)
     t_star = dim_result.dim_hat
-
-    def arc_value(i: int, j: int) -> float:
-        return t_star * math.log(gc.symbol_ratio(i))
-
-    _, mu = rpf_equilibrium(sub, arc_value)
+    p = gc.potential(model)
+    _, mu = rpf_equilibrium(sub, p.scaled(t_star))
     h = entropy_markov(mu)
-    lam = lyapunov_functional(mu, gc.potential(model), 8, sub)
+    lam = lyapunov_functional(mu, p, 8, sub)
     if lam >= 0.0:
         raise ValueError(f"mean log contraction is {lam}, ratios must contract")
     rhs = -h / lam

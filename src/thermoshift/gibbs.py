@@ -29,16 +29,16 @@ import numpy as np
 
 from .numerics import NEG_INF, logsumexp, perron_data
 from .potentials import (
-    PairStructure,
     PotentialSequence,
     TransferOperator,
     WordHooks,
     pair_log_table,
-    pair_matrix,
     transfer_operator,
 )
 from .shift_core import (
+    EnumerationBudgetError,
     FiniteSubshift,
+    NonMixingTruncationError,
     Word,
     check_mixing,
     full_shift,
@@ -53,10 +53,6 @@ class NoAdmissibleWordsError(ValueError):
 
 
 class MeasureKindError(TypeError):
-    pass
-
-
-class NonMixingSubshiftError(RuntimeError):
     pass
 
 
@@ -190,29 +186,29 @@ def markov_measure(
     return MarkovCylinderMeasure(tuple(symbols), log_pi, log_p, sub)
 
 
-def rpf_equilibrium(sub: FiniteSubshift, f) -> tuple[float, MarkovCylinderMeasure]:
+def rpf_equilibrium(
+    sub: FiniteSubshift, p: PotentialSequence
+) -> tuple[float, MarkovCylinderMeasure]:
     """Exact pressure and equilibrium Markov measure of a pair potential.
 
-    Classical transfer-matrix construction: with W_ij = arc(i,j) e^{f(i,j)},
-    the pressure is log of the Perron root rho, the equilibrium kernel is
-    p_ij = W_ij v_j / (rho v_i) for the right eigenvector v, and the
-    stationary distribution combines both eigenvectors.
+    Classical transfer-matrix construction: with W_ij = arc(i,j) e^{f(i,j)}
+    the potential's pair transfer matrix, the pressure is log of the Perron
+    root rho, the equilibrium kernel is p_ij = W_ij v_j / (rho v_i) for the
+    right eigenvector v, and the stationary distribution combines both
+    eigenvectors. An arc function f is a potential once wrapped by
+    potentials.birkhoff_potential.
     """
-    if hasattr(f, "pair_structure"):
-        ps = f.pair_structure()
-        if ps is None:
-            raise ValueError("potential has no pair structure")
-    else:
-        ps = PairStructure(f, lambda n: 0.0)
-    mix = sub.mixing_certificate
-    if mix is None:
-        mix = check_mixing(sub)
-    if mix is None:
-        raise NonMixingSubshiftError(
+    if not isinstance(p, PotentialSequence):
+        raise TypeError(f"rpf_equilibrium takes a potential, not {type(p).__name__}")
+    op = transfer_operator(sub, p)
+    if op is None or op.kind != "pair":
+        raise ValueError("potential has no pair structure")
+    if sub.mixing_certificate is None and check_mixing(sub) is None:
+        raise NonMixingTruncationError(
             "equilibrium eigendata requires a mixing subshift; the truncation "
             f"to {sub.size} symbols is not mixing"
         )
-    W = pair_matrix(sub, ps)
+    W = op.B
     rho, v, u = perron_data(W)
     p_exact = math.log(rho)
     log_pi = {}
@@ -360,7 +356,7 @@ def finite_gibbs_nu(
         return _TransferGibbs(sub, p, l, op)
     total = count_admissible_words(sub, l)
     if total > cap:
-        raise NoAdmissibleWordsError(
+        raise EnumerationBudgetError(
             f"level {l} has {total} words, beyond the enumeration cap, and the "
             "potential exposes no structure for marginal recursions"
         )

@@ -20,11 +20,11 @@ from .gibbs import (
 from .potentials import (
     MatrixFamily,
     PotentialSequence,
+    SymbolWeightPotential,
     birkhoff_potential,
     cocycle_potential,
     fiber_count_potential,
     geometric_tail,
-    weighted_fullshift_potential,
     zero_potential,
 )
 from .shift_core import (
@@ -269,8 +269,9 @@ def _parse_potential(
             raise ModelFileError(where, "must be an object")
         if "geometric" in lam:
             base = _geometric_base(lam, where)
-            return lambda model: weighted_fullshift_potential(
-                lambda a: base ** (-a), lam_tail_power=geometric_tail(base)
+            return lambda model: SymbolWeightPotential(
+                lambda a: base ** (-a), model,
+                lam_tail_power=geometric_tail(base), name="weighted",
             )
         if "list" not in lam:
             raise ModelFileError(where, "needs either 'geometric' or 'list'")
@@ -278,7 +279,7 @@ def _parse_potential(
         ratios = _numbers(lam["list"], f"{where}.list", lambda v: 0 < v <= 1,
                           "lie in (0, 1]")
         lookup, _ = symbol_lookup(ratios, f"{where}.list")
-        return lambda model: weighted_fullshift_potential(lookup)
+        return lambda model: SymbolWeightPotential(lookup, model, name="weighted")
     if kind == "fiber_count":
         if data["model"].get("name") != "star":
             raise ModelFileError(
@@ -350,7 +351,18 @@ def _parse_measure(
         m = section["m"]
         if not _COUNT.check(m):
             raise ModelFileError("measure.m", f"must be {_COUNT.must_be}")
-        return lambda sub: uniform_bernoulli(m)
+
+        def uniform(sub: Optional[FiniteSubshift]) -> MarkovCylinderMeasure:
+            mu = uniform_bernoulli(m)
+            # Its masses sum to 1 on each level only on its own full shift.
+            if sub is not None and (sub.symbols != mu.symbols or not sub.matrix.all()):
+                raise ModelFileError("measure.m", (
+                    f"the uniform Bernoulli measure lives on the full shift on {m} "
+                    f"symbols, which the {sub.size}-symbol truncation is not"
+                ))
+            return mu
+
+        return uniform
 
     def on(sub: Optional[FiniteSubshift], size: int) -> FiniteSubshift:
         # With no subshift given, arcs are checked on the file's own model.

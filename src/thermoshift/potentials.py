@@ -179,29 +179,20 @@ def _log(x: np.ndarray) -> np.ndarray:
     return np.log(x, out=np.full_like(x, NEG_INF), where=x > 0)
 
 
-def transfer_operator(
-    sub: FiniteSubshift, p: PotentialSequence, strategy: str = "auto"
-) -> Optional[TransferOperator]:
+def transfer_operator(sub: FiniteSubshift, p: PotentialSequence) -> Optional[TransferOperator]:
     """The potential's transfer operator on the truncation, or None.
 
-    Strategy "auto" tries pair, then block, and returns None when neither
-    exists, as does "enumerate". Naming a structure the potential lacks
-    raises ValueError.
+    A pair structure gives the pair operator, else block entries the block
+    operator; a potential with neither has none and is enumerated.
     """
-    if strategy not in ("auto", "pair", "block", "enumerate"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    if strategy in ("auto", "pair"):
-        ps = p.pair_structure()
-        if ps is not None:
-            return TransferOperator("pair", pair_matrix(sub, ps), 1, ps.offset)
-    if strategy in ("auto", "block"):
-        structure = p.block_entries()
-        if structure is not None:
-            entries, d = structure
-            return TransferOperator("block", block_matrix(sub, entries, d), d, lambda n: 0.0)
-    if strategy in ("auto", "enumerate"):
-        return None
-    raise ValueError(f"strategy {strategy!r} needs {strategy} structure, which {p.name} lacks")
+    ps = p.pair_structure()
+    if ps is not None:
+        return TransferOperator("pair", pair_matrix(sub, ps), 1, ps.offset)
+    structure = p.block_entries()
+    if structure is not None:
+        entries, d = structure
+        return TransferOperator("block", block_matrix(sub, entries, d), d, lambda n: 0.0)
+    return None
 
 
 class WordHooks:
@@ -566,13 +557,10 @@ class CocyclePotential(PotentialSequence):
     symbol_bound symbols, and declared_C = -log(cone.best_C).
     """
 
-    def __init__(self, family: MatrixFamily, model: TransitionModel,
-                 norm_tail: Optional[Callable[[int], float]] = None,
-                 symbol_bound: int = 16):
+    def __init__(self, family: MatrixFamily, model: TransitionModel, symbol_bound: int = 16):
         self.family = family
         self.model = model
         self.d = family.d
-        self.norm_tail = norm_tail
         self.name = "cocycle"
         self.cone = check_cone_condition(family, model.symbols_for(symbol_bound))
         self.declared_C = -math.log(self.cone.best_C)
@@ -593,9 +581,9 @@ class CocyclePotential(PotentialSequence):
         return float(self.matrix(a).sum())
 
     def sup_f1_tail(self, m, power=1.0):
-        if self.norm_tail is None or power != 1.0:
+        if self.family.norm_tail is None or power != 1.0:
             return None
-        return self.norm_tail(m)
+        return self.family.norm_tail(m)
 
     def pair_structure(self):
         if self.d != 1:
@@ -608,20 +596,20 @@ class CocyclePotential(PotentialSequence):
         return (self.matrix, self.d)
 
     def word_hooks(self, sub):
-        return transfer_operator(sub, self, "block")
+        # The block operator even at d = 1, where transfer_operator gives the pair one.
+        B = block_matrix(sub, self.matrix, self.d)
+        return TransferOperator("block", B, self.d, lambda n: 0.0)
 
 
-def cocycle_potential(family, model: TransitionModel,
-                      norm_tail: Optional[Callable[[int], float]] = None,
-                      symbol_bound: int = 16) -> CocyclePotential:
+def cocycle_potential(family, model: TransitionModel, symbol_bound: int = 16) -> CocyclePotential:
     """Potential of a family of entrywise-positive matrices indexed by symbols.
 
-    `family` is a MatrixFamily, whose norm_tail is the default, or a
-    callable symbol -> matrix, which is wrapped into one.
+    `family` is a MatrixFamily, whose norm_tail bounds the potential's tail,
+    or a callable symbol -> matrix, which is wrapped into one without a tail.
     """
     if not isinstance(family, MatrixFamily):
         family = MatrixFamily(len(np.atleast_1d(family(model.first_symbol))), family)
-    return CocyclePotential(family, model, norm_tail or family.norm_tail, symbol_bound)
+    return CocyclePotential(family, model, symbol_bound)
 
 
 class FiberCountPotential(PotentialSequence):

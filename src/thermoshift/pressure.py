@@ -36,7 +36,9 @@ from .potentials import (
     transfer_operator,
 )
 from .shift_core import (
+    EnumerationBudgetError,
     FiniteSubshift,
+    NonMixingTruncationError,
     TransitionModel,
     check_mixing,
     truncate,
@@ -49,14 +51,6 @@ from .shift_core import (
 # larger one slower: 48 matrices at m = 128, n_max = 40, took 9 ms in 1 MB
 # stacks and 15 ms as one stack, on 2 shared x86-64 vCPUs.
 _STACK_BYTES = 1 << 20
-
-
-class NonMixingTruncationError(RuntimeError):
-    pass
-
-
-class EnumerationBudgetError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -105,16 +99,15 @@ def partition_series(
     n_max: int,
     a: int,
     cap: int = 20_000_000,
-    strategy: str = "auto",
 ) -> PartitionSeries:
     """Partition values for all lengths up to n_max in one pass.
 
-    Strategy "auto" prefers the exact weighted-matrix route (arc-structured
-    potentials), then the block-matrix route (matrix-product potentials at
-    scale one), then capped enumeration. Naming "pair" or "block" for a
-    potential without that structure raises ValueError.
+    The route follows from the potential and is reported as the series'
+    strategy: "pair" iterates the weighted matrix of an arc-structured
+    potential, "block" the block matrix of a matrix-product norm at scale
+    one, and "enumerate" walks the words up to cap prefix extensions.
     """
-    return _scaled_series(sub, [p], n_max, a, cap, strategy)[0]
+    return _scaled_series(sub, [p], n_max, a, cap)[0]
 
 
 def _unscaled(p: PotentialSequence) -> tuple[PotentialSequence, float]:
@@ -122,7 +115,7 @@ def _unscaled(p: PotentialSequence) -> tuple[PotentialSequence, float]:
     return (p.base, p.t) if isinstance(p, ScaledPotential) else (p, 1.0)
 
 
-def _scaled_series(sub, potentials, n_max, a, cap, strategy="auto") -> list[PartitionSeries]:
+def _scaled_series(sub, potentials, n_max, a, cap) -> list[PartitionSeries]:
     """partition_series of each potential, all of them scalings t*base of one base.
 
     Each route runs once for all of them. Pair potentials evaluate the base's
@@ -139,7 +132,7 @@ def _scaled_series(sub, potentials, n_max, a, cap, strategy="auto") -> list[Part
     bases, scales = zip(*map(_unscaled, potentials))
     # Per potential: (strategy, log Z values, log_norm, prefixes).
     found = [None] * len(potentials)
-    ps = bases[0].pair_structure() if strategy in ("auto", "pair") else None
+    ps = bases[0].pair_structure()
     if ps is not None:
         table = PairTable(sub, ps)
         per = max(1, _STACK_BYTES // (8 * sub.size ** 2))
@@ -151,7 +144,7 @@ def _scaled_series(sub, potentials, n_max, a, cap, strategy="auto") -> list[Part
                 found[k] = _iterated(TransferOperator("pair", W, 1, offset), diagonal)
     else:
         for k, p in enumerate(potentials):
-            op = transfer_operator(sub, p, strategy)
+            op = transfer_operator(sub, p)
             if op is not None:
                 block = slice(ia * op.d, (ia + 1) * op.d)
                 found[k] = _iterated(op, scaled_power_diagonal(op.B, block, n_max))

@@ -27,6 +27,14 @@ class DegenerateTruncationError(ValueError):
     """Truncation removed every symbol."""
 
 
+class NonMixingTruncationError(RuntimeError):
+    """A finite truncation is not mixing where mixing is required."""
+
+
+class EnumerationBudgetError(RuntimeError):
+    """Enumerating words would exceed its cap."""
+
+
 @dataclass(frozen=True)
 class TransitionModel:
     """Transition rule over integer symbols, finite or countable.

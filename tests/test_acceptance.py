@@ -235,11 +235,9 @@ def test_criterion_6_gibbs_certification():
         (truncate(full_shift(), 3), full_shift(),
          lambda i, j: 0.1 * i * j - 0.2 * j),
     ):
-        P, mu = rpf_equilibrium(sub, f)
-        certs = [
-            verify_gibbs(mu, birkhoff_potential(f, model), P, d, sub=sub)
-            for d in (3, 6)
-        ]
+        p = birkhoff_potential(f, model)
+        P, mu = rpf_equilibrium(sub, p)
+        certs = [verify_gibbs(mu, p, P, d, sub=sub) for d in (3, 6)]
         rpf_ok = rpf_ok and all(c.passed for c in certs)
         worst_drift = max(
             worst_drift,
@@ -262,8 +260,8 @@ def test_criterion_7_variational_principle():
         model, sub = random_mixing_subshift(rng)
         weights = rng.uniform(-1.5, 1.5, (sub.size, sub.size))
         f = lambda i, j, w=weights: float(w[i - 1, j - 1])
-        P, mu_rpf = rpf_equilibrium(sub, f)
         p = birkhoff_potential(f, model)
+        P, mu_rpf = rpf_equilibrium(sub, p)
         worst_rpf = max(worst_rpf, abs(variational_defect(mu_rpf, p, P, 4)))
         for _ in range(100):
             mu = random_stationary_markov(sub, rng)

@@ -334,6 +334,7 @@ def test_negative_measure_entries_name_the_field(tmp_path, capsys, measure, fiel
 
 
 SHORT_LAMBDA = {"kind": "weighted", "lambda": {"list": [0.5, 0.25]}}
+THREE_LAMBDA = {"kind": "weighted", "lambda": {"list": [0.5, 0.25, 0.125]}}
 TWO_MATRICES = {"d": 2, "list": [[[2, 1], [1, 2]], [[1, 0.5], [0.5, 1]]]}
 THREE_ARCS = {"arcs": [[1, 1], [1, 2], [2, 3], [3, 1], [2, 1]]}
 COCYCLE_PARAMS = {"truncations": [3], "n_max": 10, "t_grid": [0.5, 1.0]}
@@ -358,8 +359,14 @@ COCYCLE_PARAMS = {"truncations": [3], "n_max": 10, "t_grid": [0.5, 1.0]}
                   "params": {"truncations": [2]}}, "matrices.list", 3),
     ("lyapunov", {"model": {"name": "full"}, "matrices": {"d": 1, "list": [[[2.0]]]},
                   "measure": {"kind": "bernoulli", "probs": [0.5, 0.5]}}, "matrices.list", 2),
+    # The weighted kind lives on the file's model, whose symbols start at 0 here.
+    ("pressure", {"model": {"name": "star_cover"}, "potential": THREE_LAMBDA,
+                  "params": {"truncations": [3]}}, "potential.lambda.list", 0),
+    ("validate", {"model": {"name": "star_cover"}, "potential": THREE_LAMBDA,
+                  "params": {"truncations": [3]}}, "potential.lambda.list", 0),
 ], ids=["lambda-pressure", "lambda-validate", "rho-dimension", "matrices-pressure",
-        "matrices-curve", "matrices-gibbs", "matrices-tail", "matrices-lyapunov"])
+        "matrices-curve", "matrices-gibbs", "matrices-tail", "matrices-lyapunov",
+        "lambda-star-cover-pressure", "lambda-star-cover-validate"])
 def test_short_symbol_lists_name_the_field_and_symbol(
     tmp_path, capsys, command, payload, field, symbol
 ):
@@ -410,8 +417,12 @@ def set_entry(section, *index, value):
     ("validate", "validate_birkhoff.json",
      lambda data: data["model"].update(name="full"), [],
      "potential.values: no entry for arc (1, 3)"),
+    # A uniform Bernoulli measure lives on the full shift on its m symbols only.
+    ("gibbs", "gibbs_uniform.json", lambda data: data["measure"].update(m=5), [],
+     "measure.m:"),
 ], ids=["t_grid", "t_grid-flag", "t_bracket", "t_bracket-flag", "matrix-nan",
-        "birkhoff-nan", "birkhoff-inf", "birkhoff-string", "birkhoff-missing-arc"])
+        "birkhoff-nan", "birkhoff-inf", "birkhoff-string", "birkhoff-missing-arc",
+        "uniform-bernoulli-m"])
 def test_bad_numbers_name_the_field(tmp_path, capsys, command, name, edit, flags, message):
     path = fixture(name) if edit is None else edited_fixture(tmp_path, name, edit)
     code, stdout, stderr = run(capsys, command, "--model", path, "--out", str(tmp_path), *flags)

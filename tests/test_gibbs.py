@@ -15,8 +15,6 @@ import pytest
 from thermoshift import shift_core
 from thermoshift.gibbs import (
     MeasureKindError,
-    NoAdmissibleWordsError,
-    NonMixingSubshiftError,
     bernoulli_measure,
     count_admissible_words,
     entropy_markov,
@@ -37,6 +35,8 @@ from thermoshift.potentials import (
     zero_potential,
 )
 from thermoshift.shift_core import (
+    EnumerationBudgetError,
+    NonMixingTruncationError,
     full_shift,
     golden_mean_shift,
     model_from_arcs,
@@ -183,7 +183,7 @@ def test_explicit_route_serves_potentials_without_an_operator():
             if n < level:
                 children = math.fsum(nu.mass(w + (j,)) for j in sub.out_neighbors(w[-1]))
                 assert nu.mass(w) == pytest.approx(children, rel=1e-12)
-    with pytest.raises(NoAdmissibleWordsError, match="beyond the enumeration cap"):
+    with pytest.raises(EnumerationBudgetError, match="beyond the enumeration cap"):
         finite_gibbs_nu(sub, p, level, cap=total - 1)
 
 
@@ -191,7 +191,7 @@ def test_explicit_route_serves_potentials_without_an_operator():
 
 def test_rpf_golden_mean_maximal_entropy():
     sub = truncate(golden_mean_shift(), 2)
-    P, mu = rpf_equilibrium(sub, lambda i, j: 0.0)
+    P, mu = rpf_equilibrium(sub, zero_potential(golden_mean_shift()))
     assert P == pytest.approx(math.log(PHI), abs=1e-13)
     assert mu.transition(1, 1) == pytest.approx(1.0 / PHI, abs=1e-12)
     assert mu.transition(1, 2) == pytest.approx(1.0 / PHI ** 2, abs=1e-12)
@@ -202,40 +202,40 @@ def test_rpf_golden_mean_maximal_entropy():
 def test_rpf_rank_one_gives_bernoulli():
     sub = truncate(full_shift(), 2)
     lam = {1: 2.0 / 3.0, 2: 1.0 / 3.0}
-    P, mu = rpf_equilibrium(sub, lambda i, j: math.log(lam[j]))
+    f = lambda i, j: math.log(lam[j])
+    P, mu = rpf_equilibrium(sub, birkhoff_potential(f, full_shift()))
     assert P == pytest.approx(0.0, abs=1e-12)
     for i in (1, 2):
         for j in (1, 2):
             assert mu.transition(i, j) == pytest.approx(lam[j], abs=1e-12)
         assert mu.pi(i) == pytest.approx(lam[i], abs=1e-12)
-    # A potential with pair structure gives the same eigendata as its arc
-    # function; one without it is refused.
-    P2, mu2 = rpf_equilibrium(
-        sub, birkhoff_potential(lambda i, j: math.log(lam[j]), full_shift())
-    )
-    assert P2 == P and mu2.log_p == mu.log_p
+    # A bare arc function is not a potential, and a potential without pair
+    # structure is refused.
+    with pytest.raises(TypeError, match="takes a potential"):
+        rpf_equilibrium(sub, f)
     with pytest.raises(ValueError, match="no pair structure"):
         rpf_equilibrium(sub, fiber_count_potential())
 
 
 def test_rpf_uniform_full_shift():
     sub = truncate(full_shift(), 4)
-    P, mu = rpf_equilibrium(sub, lambda i, j: 0.0)
+    P, mu = rpf_equilibrium(sub, zero_potential(full_shift()))
     assert P == pytest.approx(math.log(4.0), abs=1e-12)
     assert mu.pi(3) == pytest.approx(0.25, abs=1e-12)
     assert mu.transition(2, 4) == pytest.approx(0.25, abs=1e-12)
 
 
 def test_rpf_requires_mixing():
-    period2 = truncate(model_from_arcs([(1, 2), (2, 1)]), 2)
-    with pytest.raises(NonMixingSubshiftError):
-        rpf_equilibrium(period2, lambda i, j: 0.0)
+    model = model_from_arcs([(1, 2), (2, 1)])
+    with pytest.raises(NonMixingTruncationError):
+        rpf_equilibrium(truncate(model, 2), zero_potential(model))
 
 
 def test_rpf_shift_invariance_under_constant():
-    sub = truncate(golden_mean_shift(), 2)
-    P0, mu0 = rpf_equilibrium(sub, lambda i, j: 0.0)
-    P1, mu1 = rpf_equilibrium(sub, lambda i, j: 0.7)
+    gm = golden_mean_shift()
+    sub = truncate(gm, 2)
+    P0, mu0 = rpf_equilibrium(sub, zero_potential(gm))
+    P1, mu1 = rpf_equilibrium(sub, birkhoff_potential(lambda i, j: 0.7, gm))
     assert P1 - P0 == pytest.approx(0.7, abs=1e-12)
     for i in (1, 2):
         for j in (1, 2):
@@ -336,9 +336,8 @@ def test_certificate_fails_on_zero_mass_cylinder():
 
 def test_rpf_measure_certifies_against_its_own_pressure():
     sub = truncate(golden_mean_shift(), 2)
-    f = lambda i, j: 0.3 * i - 0.4 * j
-    P, mu = rpf_equilibrium(sub, f)
-    p = birkhoff_potential(f, golden_mean_shift())
+    p = birkhoff_potential(lambda i, j: 0.3 * i - 0.4 * j, golden_mean_shift())
+    P, mu = rpf_equilibrium(sub, p)
     cert = verify_gibbs(mu, p, P, depth=8, sub=sub, ratio_bound=50.0)
     assert cert.passed
     # Markov-Gibbs identity: ratios are controlled by the eigenvector spread
@@ -394,9 +393,9 @@ def _certificate_cases():
     sub2, sub3 = truncate(full, 2), truncate(full, 3)
     # Level 12 spans two walk slices, so the walk interleaves levels 12 and 13.
     yield "uniform_bernoulli", uniform_bernoulli(2), zero_potential(full), math.log(2.0), 13, sub2
-    f = lambda i, j: 0.3 * i - 0.4 * j
-    P, mu = rpf_equilibrium(truncate(gm, 2), f)
-    yield "rpf_markov", mu, birkhoff_potential(f, gm), P, 7, truncate(gm, 2)
+    p = birkhoff_potential(lambda i, j: 0.3 * i - 0.4 * j, gm)
+    P, mu = rpf_equilibrium(truncate(gm, 2), p)
+    yield "rpf_markov", mu, p, P, 7, truncate(gm, 2)
     table = np.random.default_rng(5).uniform(-0.5, 0.5, (3, 3))
     p = birkhoff_potential(lambda i, j: float(table[i - 1, j - 1]), full)
     P = math.log(np.abs(np.linalg.eigvals(np.exp(table))).max())
@@ -467,7 +466,7 @@ def test_entropy_examples():
     assert entropy_markov(mu) == pytest.approx(expected, abs=1e-14)
     assert expected == pytest.approx(0.636514, abs=1e-6)
     sub = truncate(golden_mean_shift(), 2)
-    _, mu_gm = rpf_equilibrium(sub, lambda i, j: 0.0)
+    _, mu_gm = rpf_equilibrium(sub, zero_potential(golden_mean_shift()))
     assert entropy_markov(mu_gm) == pytest.approx(math.log(PHI), abs=1e-12)
 
 
@@ -529,9 +528,8 @@ def test_variational_defect_examples():
 def test_variational_defect_vanishes_at_equilibrium():
     sub = truncate(golden_mean_shift(), 2)
     gm = golden_mean_shift()
-    f = lambda i, j: 0.3 * i - 0.4 * j
-    P, mu = rpf_equilibrium(sub, f)
-    p = birkhoff_potential(f, gm)
+    p = birkhoff_potential(lambda i, j: 0.3 * i - 0.4 * j, gm)
+    P, mu = rpf_equilibrium(sub, p)
     assert abs(variational_defect(mu, p, P, 8)) < 1e-10
 
 
@@ -542,8 +540,8 @@ def test_variational_inequality_over_random_measures():
         size = sub.size
         weights = rng.uniform(-1.5, 1.5, (size, size))
         f = lambda i, j, w=weights: float(w[i - 1, j - 1])
-        P, _ = rpf_equilibrium(sub, f)
         p = birkhoff_potential(f, model)
+        P, _ = rpf_equilibrium(sub, p)
         mu = random_stationary_markov(sub, rng)
         defect = variational_defect(mu, p, P, 4)
         assert defect >= -1e-9

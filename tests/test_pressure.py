@@ -18,9 +18,13 @@ from helpers import (
     per_t_curve,
 )
 from thermoshift import shift_core
+from thermoshift.gibbs import finite_gibbs_nu
 from thermoshift.numerics import scaled_power_diagonal
 from thermoshift.potentials import (
+    CocyclePotential,
+    MatrixFamily,
     PotentialSequence,
+    TransferOperator,
     birkhoff_potential,
     block_matrix,
     cocycle_potential,
@@ -123,8 +127,8 @@ def test_strategies_agree_pair_vs_enumeration():
     gm = golden_mean_shift()
     sub = truncate(gm, 2)
     p = birkhoff_potential(lambda i, j: 0.4 * i - 0.7 * j, gm)
-    fast = partition_series(sub, p, 12, 1, strategy="pair")
-    slow = partition_series(sub, p, 12, 1, strategy="enumerate")
+    fast = partition_series(sub, p, 12, 1)
+    slow = partition_series(sub, HiddenStructure(p), 12, 1)
     assert fast.strategy == "pair" and slow.strategy == "enumerate"
     for (n, a), (_, b) in zip(fast.entries, slow.entries):
         assert a == pytest.approx(b, abs=1e-10), f"mismatch at n={n}"
@@ -136,8 +140,9 @@ def test_strategies_agree_block_vs_enumeration():
     rng = np.random.default_rng(2)
     mats = {a: rng.random((2, 2)) + 0.3 for a in (1, 2)}
     p = cocycle_potential(lambda a: mats[a], gm, symbol_bound=2)
-    fast = partition_series(sub, p, 10, 1, strategy="block")
-    slow = partition_series(sub, p, 10, 1, strategy="enumerate")
+    fast = partition_series(sub, p, 10, 1)
+    slow = partition_series(sub, HiddenStructure(p), 10, 1)
+    assert fast.strategy == "block" and slow.strategy == "enumerate"
     for (n, a), (_, b) in zip(fast.entries, slow.entries):
         assert a == pytest.approx(b, rel=1e-10), f"mismatch at n={n}"
 
@@ -157,14 +162,41 @@ def test_block_sums_of_vector_iteration_match_matrix_powers():
             assert v == pytest.approx(math.log(block.sum()), rel=1e-12)
 
 
-def test_strategy_the_potential_lacks_is_a_named_error():
-    star = truncate(star_shift(), 6)
-    with pytest.raises(ValueError, match="'pair'"):
-        partition_series(star, fiber_count_potential(), 4, 1, strategy="pair")
-    gm = golden_mean_shift()
-    p = birkhoff_potential(lambda i, j: 0.1 * i, gm)
-    with pytest.raises(ValueError, match="'block'"):
-        partition_series(truncate(gm, 2), p, 4, 1, strategy="block")
+def route_cases():
+    gm, full = golden_mean_shift(), full_shift()
+    table = np.random.default_rng(3).uniform(-0.5, 0.5, (3, 3))
+    birkhoff = birkhoff_potential(lambda i, j: float(table[i - 1, j - 1]), full)
+    yield "birkhoff table", truncate(full, 3), birkhoff, "pair", "pair"
+    yield "weighted shift", truncate(full, 3), weighted_third(), "pair", "pair"
+    mats = {a: np.array([[2.0, 1.0], [1.0, 3.0]]) * a for a in (1, 2)}
+    q = cocycle_potential(mats.__getitem__, gm, symbol_bound=2)
+    yield "cocycle d=2 t=1", truncate(gm, 2), q, "block", "block"
+    yield "cocycle d=2 t=0.5", truncate(gm, 2), q.scaled(0.5), "enumerate", "explicit"
+    scalar = cocycle_potential(lambda a: np.array([[0.5 ** a]]), full, symbol_bound=2)
+    yield "scalar cocycle", truncate(full, 3), scalar, "pair", "pair"
+    yield "fiber count", truncate(star_shift(), 6), fiber_count_potential(), "enumerate", "explicit"
+
+
+@pytest.mark.parametrize("case", list(route_cases()), ids=lambda case: case[0])
+def test_route_follows_from_the_potential(case):
+    _, sub, p, series_route, gibbs_route = case
+    assert partition_series(sub, p, 4, sub.symbols[0]).strategy == series_route
+    assert finite_gibbs_nu(sub, p, 3).strategy == gibbs_route
+    base = getattr(p, "base", p)
+    if isinstance(base, CocyclePotential):
+        # Even at d = 1, where the series takes the pair route, the hooks are the block operator.
+        hooks = base.word_hooks(sub)
+        assert isinstance(hooks, TransferOperator)
+        assert (hooks.kind, hooks.d) == ("block", base.d)
+
+
+def test_cocycle_tail_is_its_family_tail():
+    family = MatrixFamily(1, lambda a: [[3.0 ** (-a)]], norm_tail=geometric_tail(3.0))
+    p = cocycle_potential(family, full_shift(), symbol_bound=2)
+    for m in (1, 5, 20):
+        assert p.sup_f1_tail(m) == family.norm_tail(m)
+    bare = cocycle_potential(lambda a: np.array([[3.0 ** (-a)]]), full_shift(), symbol_bound=2)
+    assert bare.sup_f1_tail(5) is None
 
 
 def test_enumeration_budget_is_enforced():
@@ -218,7 +250,7 @@ def walk_cases():
 @pytest.mark.parametrize("case", list(walk_cases()), ids=lambda case: case[0])
 def test_level_walk_matches_brute_force(case):
     _, sub, p, n_max, a, weight = case
-    series = partition_series(sub, p, n_max, a, strategy="enumerate")
+    series = partition_series(sub, p, n_max, a)
     assert series.strategy == "enumerate"
     for n, value in series.entries:
         expected = brute_log_z(sub, n, a, weight)
