@@ -16,73 +16,18 @@ from .pressure import PressureEstimate, gurevich_pressure
 from .shift_core import TransitionModel, Word, symbol_lookup, truncate
 
 
+@dataclass(frozen=True)
 class GeometricConstruction:
-    """Interval-length ratios indexed by admissible words.
+    """Interval-length ratios r_w of admissible words, held as their log-ratio potential.
 
-    Product-kind constructions multiply per-symbol ratios, so their log
-    ratios are arc sums and inherit the fast matrix path. General-kind
-    constructions evaluate a callback and carry a declared
-    almost-multiplicativity constant instead.
+    potential(model) is the sequence log r_w on model, whose pressure zero is
+    the dimension. Product constructions give a SymbolWeightPotential, so
+    their log ratios are arc sums on the fast matrix path; general ones
+    evaluate a ratio callback word by word and carry a declared
+    almost-multiplicativity constant.
     """
 
-    def __init__(
-        self,
-        kind: str,
-        rho: Optional[Callable[[int], float]] = None,
-        ratio_fn: Optional[Callable[[Word], float]] = None,
-        declared_C: float = 0.0,
-        rho_tail: Optional[Callable[[int, float], float]] = None,
-    ):
-        if kind not in ("product", "general"):
-            raise ValueError(f"unknown construction kind {kind!r}")
-        if kind == "product" and rho is None:
-            raise ValueError("product constructions need per-symbol ratios")
-        if kind == "general" and ratio_fn is None:
-            raise ValueError("general constructions need a ratio callback")
-        self.kind = kind
-        self._rho = rho
-        self._ratio_fn = ratio_fn
-        self.declared_C = float(declared_C)
-        self.rho_tail = rho_tail
-        self._rho_cache: dict[int, float] = {}
-
-    def symbol_ratio(self, a: int) -> float:
-        """Per-symbol contraction ratio (product kind only)."""
-        if self.kind != "product":
-            raise ValueError("per-symbol ratios exist only for product kind")
-        cached = self._rho_cache.get(a)
-        if cached is None:
-            cached = float(self._rho(a))
-            if not (0.0 < cached < 1.0):
-                raise ValueError(f"ratio for symbol {a} is {cached}, not in (0, 1)")
-            self._rho_cache[a] = cached
-        return cached
-
-    def ratio(self, word: Word) -> float:
-        if len(word) == 0:
-            raise ValueError("ratios are defined for nonempty words")
-        if self.kind == "product":
-            return math.exp(self.log_ratio(word))
-        r = float(self._ratio_fn(tuple(word)))
-        if not (0.0 < r < 1.0):
-            raise ValueError(f"ratio of word {tuple(word)} is {r}, not in (0, 1)")
-        return r
-
-    def log_ratio(self, word: Word) -> float:
-        if self.kind == "product":
-            return math.fsum(math.log(self.symbol_ratio(a)) for a in word)
-        return math.log(self.ratio(word))
-
-    def potential(self, model: TransitionModel) -> PotentialSequence:
-        """Log-ratio potential whose pressure zero is the dimension."""
-        if self.kind == "product":
-            return SymbolWeightPotential(
-                self.symbol_ratio,
-                model,
-                lam_tail_power=self.rho_tail,
-                name="ratio-product",
-            )
-        return _GeneralRatioPotential(self)
+    potential: Callable[[TransitionModel], PotentialSequence]
 
 
 def product_construction(
@@ -94,7 +39,16 @@ def product_construction(
     rho is a callable, or a dict or sequence read by shift_core.symbol_lookup.
     """
     lookup, _ = symbol_lookup(rho, "rho")
-    return GeometricConstruction("product", rho=lookup, rho_tail=tail)
+
+    def ratio(a: int) -> float:
+        r = float(lookup(a))
+        if not 0.0 < r < 1.0:
+            raise ValueError(f"ratio for symbol {a} is {r}, not in (0, 1)")
+        return r
+
+    return GeometricConstruction(lambda model: SymbolWeightPotential(
+        ratio, model, lam_tail_power=tail, name="ratio-product"
+    ))
 
 
 def general_construction(
@@ -106,23 +60,32 @@ def general_construction(
     the pressure brackets exactly like a potential's additivity constant.
     """
     return GeometricConstruction(
-        "general", ratio_fn=ratio_fn, declared_C=declared_C
+        lambda model: _GeneralRatioPotential(ratio_fn, declared_C)
     )
 
 
 class _GeneralRatioPotential(PotentialSequence):
-    """log r_w as a word potential for general-kind constructions."""
+    """log r_w as a word potential for a ratio callback."""
 
-    def __init__(self, gc: GeometricConstruction):
-        self.gc = gc
-        self.name = "ratio-general"
-        self.declared_C = gc.declared_C
+    name = "ratio-general"
+
+    def __init__(self, ratio_fn: Callable[[Word], float], declared_C: float):
+        self.ratio_fn = ratio_fn
+        self.declared_C = float(declared_C)
+
+    def _ratio(self, word: Word) -> float:
+        if not word:
+            raise ValueError("ratios are defined for nonempty words")
+        r = float(self.ratio_fn(word))
+        if not 0.0 < r < 1.0:
+            raise ValueError(f"ratio of word {word} is {r}, not in (0, 1)")
+        return r
 
     def eval(self, word):
-        return self.gc.log_ratio(word)
+        return math.log(self._ratio(tuple(word)))
 
     def sup_f1(self, a):
-        return self.gc.ratio((a,))
+        return self._ratio((a,))
 
 
 @dataclass(frozen=True)
@@ -278,16 +241,16 @@ def ledrappier_young_check(
     """Compare dim_hat with -h(mu)/Lambda(mu) at the equilibrium measure.
 
     mu is the transfer-matrix equilibrium of dim_hat * log rho on the given
-    truncation (product kind only); Lambda is its mean log contraction, which
-    must be negative.
+    truncation (product constructions only, whose potential has pair
+    structure); Lambda is its mean log contraction, which must be negative.
     """
-    if gc.kind != "product":
+    p = gc.potential(model)
+    if p.pair_structure() is None:
         raise ValueError("the identity check supports product constructions only")
     if not dim_result.root_found:
         raise ValueError("the identity check needs a located pressure root")
     sub = truncate(model, truncation)
     t_star = dim_result.dim_hat
-    p = gc.potential(model)
     _, mu = rpf_equilibrium(sub, p.scaled(t_star))
     h = entropy_markov(mu)
     lam = lyapunov_functional(mu, p, 8, sub)

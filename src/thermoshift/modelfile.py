@@ -347,15 +347,20 @@ def _parse_measure(
     kind = _kind(section, "measure", {
         "uniform_bernoulli": ("m",), "bernoulli": ("probs",), "markov": ("pi", "p"),
     })
+
+    def on(sub: Optional[FiniteSubshift], size: int) -> FiniteSubshift:
+        # With no subshift given, arcs are checked on the file's own model.
+        return truncate(build_model(data), size) if sub is None else sub
+
     if kind == "uniform_bernoulli":
         m = section["m"]
         if not _COUNT.check(m):
             raise ModelFileError("measure.m", f"must be {_COUNT.must_be}")
 
         def uniform(sub: Optional[FiniteSubshift]) -> MarkovCylinderMeasure:
-            mu = uniform_bernoulli(m)
+            mu, sub = uniform_bernoulli(m), on(sub, m)
             # Its masses sum to 1 on each level only on its own full shift.
-            if sub is not None and (sub.symbols != mu.symbols or not sub.matrix.all()):
+            if sub.symbols != mu.symbols or not sub.matrix.all():
                 raise ModelFileError("measure.m", (
                     f"the uniform Bernoulli measure lives on the full shift on {m} "
                     f"symbols, which the {sub.size}-symbol truncation is not"
@@ -363,19 +368,15 @@ def _parse_measure(
             return mu
 
         return uniform
-
-    def on(sub: Optional[FiniteSubshift], size: int) -> FiniteSubshift:
-        # With no subshift given, arcs are checked on the file's own model.
-        return truncate(build_model(data), size) if sub is None else sub
-
     if kind == "bernoulli":
         probs = _numbers(
             section["probs"], "measure.probs", _nonnegative, "be a nonnegative number"
         )
         if abs(math.fsum(probs) - 1.0) > 1e-9:
             raise ModelFileError("measure.probs", "must sum to 1")
-        return lambda sub: bernoulli_measure(
-            dict(enumerate(probs, 1)), on(sub, len(probs))
+        return lambda sub: _named(
+            lambda msg: "measure.probs", bernoulli_measure,
+            dict(enumerate(probs, 1)), on(sub, len(probs)),
         )
     pi = _numbers(section["pi"], "measure.pi", _nonnegative, "be a nonnegative number")
     p = section["p"]
@@ -389,9 +390,20 @@ def _parse_measure(
         for j, v in enumerate(row)
         if v
     }
-    return lambda sub: markov_measure(
-        range(1, len(pi) + 1), dict(enumerate(pi, 1)), arcs, on(sub, len(pi))
+    # Row and arc checks fault p; sum and stationarity checks fault pi.
+    return lambda sub: _named(
+        lambda msg: "measure.p" if msg.startswith("transition") else "measure.pi",
+        markov_measure, range(1, len(pi) + 1), dict(enumerate(pi, 1)), arcs,
+        on(sub, len(pi)),
     )
+
+
+def _named(field: Callable[[str], str], build: Callable, *args):
+    """build(*args), with its ValueError raised again on the model-file field(message)."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ModelFileError(field(str(exc)), str(exc)) from None
 
 
 SECTIONS = {

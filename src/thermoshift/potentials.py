@@ -231,7 +231,6 @@ class PotentialSequence:
 
     name: str = "potential"
     declared_C: float = 0.0
-    declared_M: float = 1.0
 
     def eval(self, word: Sequence[int]) -> float:
         raise NotImplementedError
@@ -302,7 +301,6 @@ class ScaledPotential(PotentialSequence):
         self.t = float(t)
         self.name = f"{base.name}*{t:g}"
         self.declared_C = abs(self.t) * base.declared_C
-        self.declared_M = base.declared_M
 
     def eval(self, word):
         return self.t * self.base.eval(word)
@@ -355,14 +353,16 @@ class ScaledPotential(PotentialSequence):
         return ScaledPotential(self.base, t * self.t)
 
 
+# Symbols probed for the successors of a cylinder when no truncation is given.
+_SUCCESSOR_PROBE = 128
+
+
 class BirkhoffPotential(PotentialSequence):
     """Cyclic arc sums of a two-symbol function f; exactly additive (C = 0)."""
 
-    def __init__(self, f: Callable[[int, int], float], model: TransitionModel,
-                 probe_bound: int = 128):
+    def __init__(self, f: Callable[[int, int], float], model: TransitionModel):
         self.f = f
         self.model = model
-        self.probe_bound = probe_bound
         self.name = "birkhoff"
         self.declared_C = 0.0
 
@@ -385,7 +385,7 @@ class BirkhoffPotential(PotentialSequence):
     def _out_symbols(self, a, sub):
         if sub is not None:
             return sub.out_neighbors(a)
-        return [j for j in self.model.symbols_for(self.probe_bound)
+        return [j for j in self.model.symbols_for(_SUCCESSOR_PROBE)
                 if self.model.rule(a, j)]
 
     def cylinder_log_weight(self, word, sub=None, lower=False):
@@ -406,10 +406,10 @@ class BirkhoffPotential(PotentialSequence):
         return PairStructure(self.f, lambda n: 0.0)
 
 
-def birkhoff_potential(f: Callable[[int, int], float], model: TransitionModel,
-                       probe_bound: int = 128) -> BirkhoffPotential:
+def birkhoff_potential(f: Callable[[int, int], float],
+                       model: TransitionModel) -> BirkhoffPotential:
     """Potential with log f_n(w) = sum of f over the cyclic arcs of w."""
-    return BirkhoffPotential(f, model, probe_bound)
+    return BirkhoffPotential(f, model)
 
 
 def zero_potential(model: TransitionModel) -> BirkhoffPotential:
@@ -683,10 +683,13 @@ def fiber_count_potential() -> FiberCountPotential:
     return FiberCountPotential()
 
 
+# Sampled defects within this of the declared constant do not count as violations.
+_REGULARITY_SLACK = 1e-9
+
+
 @dataclass(frozen=True)
 class RegularityReport:
     C_hat: float
-    M_hat: float
     samples: int
     depth: int
     violates_declared: bool
@@ -700,7 +703,6 @@ def estimate_regularity(
     samples: int = 200,
     seed: int = 0,
     truncation: int = 8,
-    tolerance: float = 1e-9,
 ) -> RegularityReport:
     """Sampled falsifier for the declared almost-additivity constant.
 
@@ -744,10 +746,9 @@ def estimate_regularity(
             worst = w
     return RegularityReport(
         C_hat=c_hat,
-        M_hat=1.0,
         samples=used,
         depth=depth,
-        violates_declared=c_hat > p.declared_C + tolerance,
+        violates_declared=c_hat > p.declared_C + _REGULARITY_SLACK,
         worst_word=worst,
     )
 

@@ -253,7 +253,7 @@ def near_superadditivity_margin(series: PartitionSeries, k: float) -> float:
 def growth_floor_margin(
     series: PartitionSeries, sub: FiniteSubshift, p: PotentialSequence
 ) -> float:
-    """min over nonempty levels of log Z_n - (n log beta - (n-1) C - log M).
+    """min over nonempty levels of log Z_n - (n log beta - (n-1) C).
 
     beta is the smallest first-level weight on the truncation. The floor only
     makes sense for lengths whose periodic set is nonempty, so empty levels
@@ -261,12 +261,11 @@ def growth_floor_margin(
     """
     log_beta = min(p.log_inf_f1(s, sub) for s in sub.symbols)
     c = p.declared_C
-    log_m = math.log(p.declared_M)
     margin = math.inf
     for n, zn in series.entries:
         if zn == NEG_INF:
             continue
-        margin = min(margin, zn - (n * log_beta - (n - 1) * c - log_m))
+        margin = min(margin, zn - (n * log_beta - (n - 1) * c))
     return margin
 
 
@@ -397,7 +396,7 @@ def _estimates(
         potentials, series_list, slopes_list, fits, per_level
     ):
         converged = span <= tol
-        k = p.declared_C + 2.0 * math.log(p.declared_M)
+        k = p.declared_C
         lower = max(
             ((zn - k) / n for n, zn in series.entries if zn != NEG_INF),
             default=NEG_INF,

@@ -300,7 +300,7 @@ def test_criterion_8_structural_lemmas():
     for name, model, p, params in builtin_fixtures():
         est = gurevich_pressure(model, p, **params)
         sub = truncate(model, params["m_list"][-1])
-        k = p.declared_C + 2.0 * math.log(p.declared_M)
+        k = p.declared_C
         worst_superadd = min(
             worst_superadd, near_superadditivity_margin(est.series, k)
         )

@@ -333,6 +333,33 @@ def test_negative_measure_entries_name_the_field(tmp_path, capsys, measure, fiel
     assert stderr.startswith(f"error: {field}:")
 
 
+@pytest.mark.parametrize("measure, stderr", [
+    ({"kind": "uniform_bernoulli", "m": 2},
+     "measure.m: the uniform Bernoulli measure lives on the full shift on 2 "
+     "symbols, which the 2-symbol truncation is not"),
+    ({"kind": "bernoulli", "probs": [0.5, 0.5]},
+     "measure.probs: transition row of symbol 2 sums to 0.5"),
+    ({"kind": "markov", "pi": [0.5, 0.5], "p": [[0.5, 0.5], [0.5, 0.5]]},
+     "measure.p: transition 2->2 is not an admissible arc"),
+    ({"kind": "markov", "pi": [0.5, 0.5], "p": [[0.5, 0.5], [1.0, 0.0]]},
+     "measure.pi: distribution is not stationary at symbol 1"),
+], ids=["uniform", "bernoulli", "markov-arc", "markov-stationary"])
+def test_lyapunov_measure_errors_name_the_field(tmp_path, capsys, measure, stderr):
+    # The golden mean drops the arc 2 -> 2, which each of these measures charges
+    # or needs; lyapunov checks the measure on the file's own model.
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({
+        "model": {"name": "golden_mean"},
+        "matrices": {"d": 1, "list": [[[2.0]], [[3.0]]]},
+        "measure": measure, "params": {"n": 50, "samples": 3},
+    }))
+    code, stdout, err = run(
+        capsys, "lyapunov", "--model", str(path), "--out", str(tmp_path)
+    )
+    assert code == 1 and stdout == ""
+    assert err == f"error: {stderr}\n"
+
+
 SHORT_LAMBDA = {"kind": "weighted", "lambda": {"list": [0.5, 0.25]}}
 THREE_LAMBDA = {"kind": "weighted", "lambda": {"list": [0.5, 0.25, 0.125]}}
 TWO_MATRICES = {"d": 2, "list": [[[2, 1], [1, 2]], [[1, 0.5], [0.5, 1]]]}

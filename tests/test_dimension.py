@@ -11,7 +11,6 @@ import pytest
 
 from thermoshift.dimension import (
     DimensionResult,
-    GeometricConstruction,
     bowen_dimension,
     general_construction,
     ledrappier_young_check,
@@ -44,30 +43,25 @@ def scalar_root(rhos) -> float:
 # -- construction validation ------------------------------------------------------
 
 def test_construction_validates_ratios():
-    gc = product_construction([0.5, 0.25])
-    assert gc.ratio((1, 2)) == pytest.approx(0.125, abs=1e-15)
-    assert gc.log_ratio((2, 2)) == pytest.approx(math.log(1.0 / 16.0), abs=1e-12)
-    with pytest.raises(ValueError, match="not in"):
-        product_construction({1: 1.5}).symbol_ratio(1)
+    p = product_construction([0.5, 0.25]).potential(full_two())
+    assert math.exp(p.eval((1, 2))) == pytest.approx(0.125, abs=1e-15)
+    assert p.eval((2, 2)) == pytest.approx(math.log(1.0 / 16.0), abs=1e-12)
+    with pytest.raises(ValueError, match="ratio for symbol 1 is 1.5, not in"):
+        product_construction({1: 1.5}).potential(full_two()).eval((1,))
+    general = general_construction(lambda w: 0.5 ** len(w), declared_C=0.0)
     with pytest.raises(ValueError, match="nonempty"):
-        gc.ratio(())
-    with pytest.raises(ValueError, match="unknown construction kind"):
-        GeometricConstruction("affine")
-    with pytest.raises(ValueError, match="per-symbol ratios"):
-        GeometricConstruction("product")
-    with pytest.raises(ValueError, match="callback"):
-        GeometricConstruction("general")
+        general.potential(full_two()).eval(())
     bad = general_construction(lambda w: 2.0, declared_C=0.0)
     with pytest.raises(ValueError, match="not in"):
-        bad.ratio((1,))
+        bad.potential(full_two()).sup_f1(1)
 
 
 def test_general_construction_matches_product_when_multiplicative():
     gc = general_construction(
         lambda w: math.prod(0.5 if a == 1 else 0.25 for a in w), declared_C=0.0
     )
-    assert gc.ratio((1, 2, 1)) == pytest.approx(0.5 * 0.25 * 0.5, abs=1e-15)
     p = gc.potential(full_two())
+    assert math.exp(p.eval((1, 2, 1))) == pytest.approx(0.5 * 0.25 * 0.5, abs=1e-15)
     report = estimate_regularity(p, full_two(), depth=8, samples=60, truncation=2)
     assert report.C_hat <= 1e-12
 
@@ -116,7 +110,8 @@ def test_natural_cover_sums_vanish_above_dimension():
     gc = product_construction(lambda a: 3.0 ** (-a), tail=geometric_tail(3.0))
     res = bowen_dimension(gc, full_shift(), m_list=[20], n_max=12)
     t_plus = res.dim_hat + 0.05
-    per_level = math.fsum(gc.symbol_ratio(a) ** t_plus for a in range(1, 21))
+    p = gc.potential(full_shift())
+    per_level = math.fsum(p.sup_f1(a) ** t_plus for a in range(1, 21))
     assert per_level < 1.0
     covers = [per_level ** n for n in (8, 32, 96)]
     assert covers == sorted(covers, reverse=True)

@@ -230,8 +230,16 @@ def test_builders_produce_working_objects(tmp_path):
     assert not model.rule(2, 2)
     p = build_potential(data, model)
     assert p.eval((1, 2)) == pytest.approx(0.2 + 0.3, abs=1e-15)
-    mu = build_measure(data)
+    # The golden-mean arcs drop 2 -> 2, which the uniform measure charges.
+    with pytest.raises(ModelFileError, match="measure.m: the uniform Bernoulli"):
+        build_measure(data)
+    full = load_model_file(write(tmp_path, {
+        "model": {"arcs": [[1, 1], [1, 2], [2, 1], [2, 2]]},
+        "measure": {"kind": "uniform_bernoulli", "m": 2},
+    }))
+    mu = build_measure(full)
     assert mu.pi(1) == pytest.approx(0.5, abs=1e-15)
+    assert mu.transition(2, 2) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_weighted_and_family_builders(tmp_path):
@@ -260,15 +268,15 @@ def test_construction_builders(tmp_path):
         "model": {"name": "full"},
         "construction": {"kind": "product", "rho": {"geometric": {"base": 3}}},
     }))
-    gc = build_construction(data)
-    assert gc.symbol_ratio(2) == pytest.approx(1.0 / 9.0, abs=1e-15)
-    assert gc.rho_tail is not None
+    p = build_construction(data).potential(build_model(data))
+    assert p.sup_f1(2) == pytest.approx(1.0 / 9.0, abs=1e-15)
+    assert math.isfinite(p.sup_f1_tail(10))
     data2 = load_model_file(write(tmp_path, {
         "model": {"arcs": [[1, 1], [1, 2], [2, 1], [2, 2]]},
         "construction": {"kind": "list", "rho": [0.5, 0.25]},
     }))
-    gc2 = build_construction(data2)
-    assert gc2.ratio((1, 2)) == pytest.approx(0.125, abs=1e-15)
+    p2 = build_construction(data2).potential(build_model(data2))
+    assert math.exp(p2.eval((1, 2))) == pytest.approx(0.125, abs=1e-15)
 
 
 def test_markov_measure_builder_uses_subshift(tmp_path):

@@ -81,7 +81,6 @@ class HiddenStructure(PotentialSequence):
         self.base = base
         self.name = f"hidden({base.name})"
         self.declared_C = base.declared_C
-        self.declared_M = base.declared_M
 
     def eval(self, word):
         return self.base.eval(word)
