@@ -5,10 +5,13 @@ nonnegative d x d matrix to every symbol. The norm of a matrix is the sum of
 its entries, so the norm of a product along a path is a word function that
 the partition machinery can treat like any other potential. Exponents are
 estimated by averaging renormalized products over paths sampled from an
-explicit Markov measure; scalar families are additive, so their exponent is
-computed in closed form instead. A pressure curve runs on the family's
-cocycle potential, whose cone report, computed once on the probed symbols,
-also gives its almost-additivity constant.
+explicit Markov measure, a chunk of steps at a time: one table lookup per
+step samples every path, and each chunk's matrices are multiplied as a
+pairwise product tree (numerics.log_norms), so the estimate depends on that
+grouping as well as on the paths. Scalar families are additive, so their
+exponent is computed in closed form instead. A pressure curve runs on the
+family's cocycle potential, whose cone report, computed once on the probed
+symbols, also gives its almost-additivity constant.
 """
 
 import math
@@ -39,7 +42,7 @@ class LyapunovEstimate:
 
 
 # Steps of uniforms each sample's generator draws at a time, so that memory
-# stays O(samples * (d + _CHUNK)) whatever the path length.
+# stays O(samples * _CHUNK * (k + d^2)) for k symbols whatever the path length.
 _CHUNK = 256
 
 
@@ -58,6 +61,10 @@ def _sample_paths(mu, symbols: tuple, n: int, samples: int, seed: int):
     later one a successor of the current symbol. A draw compares the uniform
     with a cumulative row exactly as rng.choice does, so the paths are the
     ones per-step rng.choice calls would sample.
+
+    A chunk first looks every uniform up in every row, k + 1 searchsorted
+    calls, into a table of the successor each would pick from each symbol;
+    each step is then one gather from that table for all samples at once.
     """
     k = len(symbols)
     # Rows 0..k-1 hold the successors of each symbol, row k the stationary
@@ -72,14 +79,23 @@ def _sample_paths(mu, symbols: tuple, n: int, samples: int, seed: int):
     cdf[k] = _choice_cdf([mu.pi(s) for s in symbols])
     succ[k] = np.arange(k)
     rngs = [np.random.default_rng((seed, i)) for i in range(samples)]
-    cur = np.full(samples, k)
+    # Sample s at a symbol is at flat index s * (k + 1) + symbol of a step's table.
+    offsets = np.arange(samples) * (k + 1)
+    cur = offsets + k
     for start in range(0, n, _CHUNK):
-        u = np.stack([rng.random(min(_CHUNK, n - start)) for rng in rngs])
-        idx = np.empty(u.shape, dtype=np.intp)
-        for j in range(u.shape[1]):
-            cur = succ[cur, (cdf[cur] <= u[:, j, None]).sum(axis=1)]
-            idx[:, j] = cur
-        yield idx
+        u = np.stack([rng.random(min(_CHUNK, n - start)) for rng in rngs], axis=1)
+        # nxt[j, s, i]: the flat index of the successor of symbol i that
+        # uniform u[j, s] draws. Each row of cdf is nondecreasing, so
+        # searchsorted counts its entries at most u, as rng.choice does.
+        nxt = np.empty(u.shape + (k + 1,), dtype=np.intp)
+        for i in range(k + 1):
+            nxt[:, :, i] = succ[i][np.searchsorted(cdf[i], u, side="right")]
+        nxt += offsets[:, None]
+        nxt = nxt.reshape(len(u), -1)
+        steps = np.empty(u.shape, dtype=np.intp)
+        for j in range(len(u)):
+            cur = steps[j] = nxt[j][cur]
+        yield (steps - offsets).T
 
 
 def max_lyapunov(
@@ -93,13 +109,17 @@ def max_lyapunov(
 
     Paths are sampled ancestrally from the Markov measure, each from its own
     generator seeded by (seed, sample index), so results do not depend on
-    evaluation order. All samples advance in lockstep, each carrying one
-    renormalized vector, so the cost is O(n * samples * d^2) and memory does
-    not grow with n. Scalar families are additive: the path average of log
-    norms integrates to the stationary weighted mean exactly at every n, so
-    that value is returned directly with zero standard error. A sampled path
-    has positive mu-probability, so when one product vanishes the exponent is
-    -inf; it is reported with zero standard error.
+    evaluation order. All samples advance in lockstep, _CHUNK steps at a
+    time: a chunk's matrices are multiplied as a pairwise product tree and
+    applied to the sample's renormalized vector, so the cost is
+    O(n * samples * (k log k + d^3)) for k symbols and memory does not grow
+    with n. The value depends on the tree's grouping, fixed by the chunk
+    length, beside the sampled paths (numerics.log_norms). Scalar families
+    are additive: the path average of log norms integrates to the stationary
+    weighted mean exactly at every n, so that value is returned directly
+    with zero standard error. A sampled path has positive mu-probability, so
+    when one product vanishes the exponent is -inf; it is reported with zero
+    standard error.
     """
     if getattr(mu, "kind", None) != "markov":
         raise MeasureKindError("max_lyapunov requires a markov-kind measure")

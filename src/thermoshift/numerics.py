@@ -6,6 +6,10 @@ depend on the order of its input. A value built from several calls does
 depend on how the terms were grouped: an enumerated partition value takes a
 logsumexp per walk slice and another across slices, so it depends on the
 slice layout, which shift_core.walk_words fixes (_FRONTIER rows a slice).
+Path products group the same way: log_norms multiplies each block of a path
+as a pairwise tree, so its value depends on the block layout, which
+matrix_cocycle._CHUNK fixes for max_lyapunov (a word evaluated alone is one
+block).
 """
 
 from __future__ import annotations
@@ -91,35 +95,67 @@ def scaled_power_diagonal(W: np.ndarray, index, n_max: int):
     return out if batch else out[0]
 
 
+_SMALLEST = np.nextafter(0.0, 1.0)
+
+
+def _unit_sum(a: np.ndarray, axes) -> np.ndarray:
+    """Divide a in place by its entry sums over the trailing `axes`; return the sums.
+
+    The sums come back one row per a[i]. A zero sum (all of its entries are
+    0) leaves its entries zero.
+    """
+    s = a.sum(axis=axes, keepdims=True)
+    # Equal to s unless s is 0, where it keeps 0 / s from turning into nan.
+    a /= np.maximum(s, _SMALLEST)
+    return s.reshape(len(a), -1)
+
+
 def log_norms(mats: np.ndarray, blocks, samples: int) -> np.ndarray:
     """log 1^T A_{w_{n-1}} ... A_{w_0} 1 for each of `samples` paths.
 
     `mats` stacks the matrices, and `blocks` yields (samples, steps) arrays of
     indices into it that, concatenated along the steps, hold the paths. Each
-    path carries one vector, v <- A_{w_i} v from v = 1, renormalized to unit
-    entry sum after every step while the logs of the removed factors are
-    summed. A vector that vanishes stays zero and its path reports -inf.
+    block's matrices are multiplied pairwise, the later one on the left, level
+    by level until one product is left, and an odd last factor joins the next
+    level as it is. Every matrix and every product is renormalized to unit
+    entry sum, and the logs of the removed factors are summed; the block's
+    product is then applied to the path's running vector, v = 1 at the start.
+    A block costs O(samples * steps * d^3) time and O(samples * steps * d^2)
+    memory, whatever the number of blocks. A product that vanishes stays zero
+    and its path reports -inf.
+
+    The value depends on that grouping, fixed by the block layout, as a
+    logsumexp value depends on its slices; every path has the same tree, so
+    equal paths give equal bits.
     """
+    mats = np.array(mats, dtype=float)
+    leaf_sums = _unit_sum(mats, (1, 2))[:, 0]
     v = np.ones((samples, mats.shape[1], 1))
     log_scale = np.zeros(samples)
-    with np.errstate(divide="ignore"):
-        for idx in blocks:
-            sums = np.empty(idx.shape)
-            for j in range(idx.shape[1]):
-                v = np.matmul(mats[idx[:, j]], v)
-                s = v.sum(axis=1, keepdims=True)
-                np.divide(v, s, out=v, where=s > 0)
-                sums[:, j] = s[:, 0, 0]
-            log_scale += np.log(sums).sum(axis=1)
-        return log_scale + np.log(v.sum(axis=(1, 2)))
+    for idx in blocks:
+        # Row-major, so that each path's logs are summed in numpy's pairwise order.
+        idx = np.ascontiguousarray(idx)
+        level, sums = mats[idx], [leaf_sums[idx]]
+        while level.shape[1] > 1:
+            pairs = level.shape[1] // 2
+            prods = np.matmul(level[:, 1 : 2 * pairs : 2], level[:, 0 : 2 * pairs : 2])
+            sums.append(_unit_sum(prods, (2, 3)))
+            if level.shape[1] % 2:
+                prods = np.concatenate((prods, level[:, -1:]), axis=1)
+            level = prods
+        v = np.matmul(level[:, 0], v)
+        sums.append(_unit_sum(v, (1, 2)))
+        with np.errstate(divide="ignore"):
+            log_scale += np.log(np.concatenate(sums, axis=1)).sum(axis=1)
+    return log_scale
 
 
 def log_norm_of_path(family, word: Sequence[int]) -> float:
     """log of the entry-sum norm of A_{w_{n-1}} ... A_{w_0}, A_a = family.matrix(a).
 
-    Later symbols multiply on the left; the product is applied to the ones
-    vector and renormalized per step, so arbitrarily long words stay in
-    floating-point range.
+    Later symbols multiply on the left. The word is one block of log_norms:
+    a pairwise product tree renormalized at every node, so arbitrarily long
+    words stay in floating-point range.
     """
     symbols = sorted(set(word))
     mats = np.stack([family.matrix(a) for a in symbols])

@@ -627,14 +627,18 @@ class FiberCountPotential(PotentialSequence):
         self.declared_C = math.log(4.0)
 
     def preimage_word_count(self, word: Sequence[int]) -> int:
-        """Exact number of admissible preimage words of the given word."""
-        hooks = _PreimageCounts(np.array(word))
-        pos = np.arange(len(word))
-        state = hooks.start(pos[:1])
-        for k in range(1, len(word)):
-            state = hooks.extend(state, pos[:1], pos[k - 1:k], pos[k:k + 1])
-        lo, hi = state
-        return int(lo[0] + hi[0])
+        """Exact number of admissible preimage words of the given word.
+
+        The recursion of _PreimageCounts on one word, in Python ints.
+        """
+        word = tuple(word)
+        if not word:
+            raise ValueError("word must be nonempty")
+        lo = hi = 1
+        for prev, child in zip(word, word[1:]):
+            from_zero = lo if prev == 1 else 0
+            lo, hi = (lo + hi if child == 1 else from_zero), from_zero
+        return lo + hi
 
     def eval(self, word):
         word = tuple(word)

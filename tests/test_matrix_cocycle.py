@@ -5,6 +5,7 @@ estimator against spectral closed forms, and the pressure curves against the
 scalar reductions (a 1x1 cocycle is a weighted full shift).
 """
 
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -23,11 +24,13 @@ from thermoshift.gibbs import (
 from thermoshift.matrix_cocycle import (
     LyapunovEstimate,
     MatrixFamily,
+    _sample_paths,
     cocycle_pressure,
     entry_sum_norm,
     log_norm_of_path,
     max_lyapunov,
 )
+from thermoshift.numerics import log_norms
 from thermoshift import potentials
 from thermoshift.potentials import (
     check_cone_condition,
@@ -150,11 +153,11 @@ def test_estimator_argument_validation():
 
 
 
-def reference_lyapunov(family, mu, n, samples, seed):
-    """Per-step rng.choice paths and plain matrix products, for comparison."""
+def reference_paths(mu, n, samples, seed):
+    """Per-step rng.choice paths, each from its own generator seeded by (seed, k)."""
     symbols = tuple(mu.symbols)
     weights = np.array([mu.pi(s) for s in symbols])
-    values = []
+    paths = []
     for k in range(samples):
         rng = np.random.default_rng((seed, k))
         path = [symbols[rng.choice(len(symbols), p=weights / weights.sum())]]
@@ -162,10 +165,20 @@ def reference_lyapunov(family, mu, n, samples, seed):
             outs = [t for t in symbols if mu.transition(path[-1], t) > 0.0]
             probs = np.array([mu.transition(path[-1], t) for t in outs])
             path.append(outs[rng.choice(len(outs), p=probs / probs.sum())])
-        prod = np.eye(family.d)
+        paths.append(path)
+    return paths
+
+
+def reference_lyapunov(family, mu, n, samples, seed):
+    """Estimate and standard error from reference_paths, multiplied a step at a time."""
+    values = []
+    for path in reference_paths(mu, n, samples, seed):
+        prod, log_scale = np.eye(family.d), 0.0
         for s in path:
             prod = family.matrix(s) @ prod
-        values.append(math.log(prod.sum()) / n)
+            log_scale += math.log(prod.sum())
+            prod /= prod.sum()
+        values.append(log_scale / n)
     lam = math.fsum(values) / samples
     var = math.fsum((v - lam) ** 2 for v in values) / (samples - 1)
     return lam, math.sqrt(var / samples)
@@ -185,6 +198,42 @@ def test_estimator_samples_the_paths_of_rng_choice():
         assert est.standard_error == pytest.approx(se, rel=1e-12)
 
 
+def kernel_measure(sub, kernel):
+    """The stationary Markov measure of a kernel on the truncation's symbols."""
+    kernel = np.asarray(kernel, dtype=float)
+    w, vecs = np.linalg.eig(kernel.T)
+    pi = np.real(vecs[:, np.argmin(abs(w - 1.0))])
+    pi /= pi.sum()
+    symbols = sub.symbols
+    return markov_measure(
+        symbols,
+        {s: float(pi[i]) for i, s in enumerate(symbols)},
+        {(a, b): float(kernel[i, j]) for i, a in enumerate(symbols)
+         for j, b in enumerate(symbols) if sub.matrix[i, j]},
+        sub,
+    )
+
+
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 515])
+def test_paths_and_estimate_across_chunk_boundaries(n):
+    # Symbol 2 has the single successor 1, and the admissible arc 1 -> 1 has
+    # probability 0, so it must never be sampled.
+    model = model_from_arcs([(1, 1), (1, 2), (1, 3), (2, 1), (3, 1), (3, 2)])
+    sub = truncate(model, 3)
+    mu = kernel_measure(sub, [[0.0, 0.4, 0.6], [1.0, 0.0, 0.0], [0.3, 0.7, 0.0]])
+    rng = np.random.default_rng(23)
+    fam = MatrixFamily(3, {s: rng.uniform(0.2, 3.0, (3, 3)) for s in (1, 2, 3)})
+    symbols = np.array(mu.symbols)
+    paths = np.concatenate(list(_sample_paths(mu, tuple(mu.symbols), n, 6, 4)), axis=1)
+    expected = reference_paths(mu, n, 6, 4)
+    assert symbols[paths].tolist() == expected
+    assert not any((a, b) == (1, 1) for path in expected for a, b in zip(path, path[1:]))
+    est = max_lyapunov(fam, mu, n, 6, seed=4)
+    lam, se = reference_lyapunov(fam, mu, n, 6, 4)
+    assert est.lambda_hat == pytest.approx(lam, rel=1e-12)
+    assert est.standard_error == pytest.approx(se, rel=1e-12)
+
+
 def test_vanishing_product_reports_zero_standard_error():
     # A_1 A_1 = 0, so every path that repeats symbol 1 has a zero product.
     fam = MatrixFamily(2, {1: [[0.0, 1.0], [0.0, 0.0]], 2: [[1.0, 1.0], [1.0, 1.0]]})
@@ -194,6 +243,71 @@ def test_vanishing_product_reports_zero_standard_error():
     assert est.lambda_hat == -math.inf
     assert est.standard_error == 0.0
     assert log_norm_of_path(fam, [1, 1]) == -math.inf
+
+
+def exact_log_norm(mats, word):
+    """log 1^T A_{w_{n-1}} ... A_{w_0} 1 of float matrices, in exact rationals."""
+    d = len(mats[word[0]])
+    vec = [Fraction(1)] * d
+    for a in word:
+        vec = [sum(Fraction(mats[a][i][j]) * vec[j] for j in range(d)) for i in range(d)]
+    total = sum(vec)
+    return math.log(total.numerator) - math.log(total.denominator)
+
+
+@pytest.mark.parametrize("layout", [[1], [3], [7], [3, 1, 5], [9, 9, 2], [31, 33]])
+def test_log_norms_match_exact_products_for_any_block_layout(layout):
+    rng = np.random.default_rng(len(layout) * 100 + layout[0])
+    mats = rng.uniform(0.1, 2.0, (3, 2, 2))
+    paths = rng.integers(0, 3, (4, sum(layout)))
+    cuts = np.cumsum([0] + layout)
+    blocks = [paths[:, a:b] for a, b in zip(cuts, cuts[1:])]
+    got = log_norms(mats, blocks, 4)
+    for k in range(4):
+        assert got[k] == pytest.approx(exact_log_norm(mats, paths[k]), abs=1e-12)
+
+
+def test_product_vanishing_at_an_inner_tree_level():
+    # A_1 A_2 = A_2 A_1 = 0 while A_1 A_1 = A_1 and A_2 A_2 = A_2. On 1^4 2^4
+    # the tree's first level is nonzero and its second vanishes; on 1^8 2 the
+    # odd last factor is carried up and meets the rest only at the top.
+    fam = MatrixFamily(2, {1: [[1.0, 0.0], [0.0, 0.0]], 2: [[0.0, 0.0], [0.0, 1.0]]})
+    mats = np.stack([fam.matrix(1), fam.matrix(2)])
+    idx = np.array([[0] * 4 + [1] * 4, [0] * 8, [1] * 8])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert log_norms(mats, [idx], 3).tolist() == [-math.inf, 0.0, 0.0]
+        assert log_norm_of_path(fam, [1] * 4 + [2] * 4) == -math.inf
+        assert log_norm_of_path(fam, [1] * 8 + [2]) == -math.inf
+        est = max_lyapunov(fam, uniform_bernoulli(2), 300, 5, seed=2)
+    assert est.lambda_hat == -math.inf
+    assert est.standard_error == 0.0
+
+
+def test_nonnegative_family_with_positive_pair_products_matches_integers():
+    # M_a = [[a, 1], [1, 0]] has a zero entry, but every product of two is
+    # positive: the continued-fraction family.
+    fam = MatrixFamily(2, {a: [[a, 1], [1, 0]] for a in (1, 2)})
+
+    def exact(word):
+        prod = [[1, 0], [0, 1]]
+        for a in word:
+            prod = [[a * prod[0][j] + prod[1][j] for j in range(2)], [prod[0][0], prod[0][1]]]
+        return math.log(sum(prod[0]) + sum(prod[1]))
+
+    words = [w for n in range(1, 9) for w in itertools.product((1, 2), repeat=n)]
+    rng = np.random.default_rng(8)
+    words += [tuple(rng.integers(1, 3, n).tolist()) for n in range(9, 41) for _ in range(4)]
+    for word in words:
+        assert log_norm_of_path(fam, word) == pytest.approx(exact(word), rel=1e-14)
+
+
+def test_log_norm_of_path_keeps_huge_and_tiny_entries_in_range():
+    # c J with J the 2 x 2 ones matrix: (c J)^n has entry sum c^n 2^(n+1).
+    for c in (1e200, 1e-200):
+        fam = MatrixFamily(2, {1: [[c, c], [c, c]]})
+        expected = 40 * math.log(c) + 41 * math.log(2.0)
+        assert log_norm_of_path(fam, [1] * 40) == pytest.approx(expected, rel=1e-14)
 
 
 def test_estimator_memory_does_not_grow_with_n():

@@ -347,6 +347,31 @@ def test_fiber_counts_match_brute_force():
         assert f.preimage_word_count(word) == brute_force_preimage_count(word)
 
 
+def test_fiber_word_count_matches_the_batched_word_hooks():
+    # The route partition sums take: one state row per word, Python ints once
+    # the counts pass 2^61.
+    f = fiber_count_potential()
+    sub = truncate(star_shift(), 6)
+    rng = np.random.default_rng(11)
+    for length in (1, 2, 5, 40, 70, 130):
+        words = []
+        for _ in range(8):
+            word = [int(rng.integers(1, 7))]
+            while len(word) < length:
+                outs = sub.out_neighbors(word[-1])
+                word.append(outs[rng.integers(0, len(outs))])
+            words.append(tuple(word))
+        pos = np.array([[sub.symbols.index(a) for a in w] for w in words])
+        hooks, rows = f.word_hooks(sub), np.arange(len(words))
+        state = hooks.start(pos[:, 0])
+        for k in range(1, length):
+            state = hooks.extend(state, rows, pos[:, k - 1], pos[:, k])
+        counts = [int(c) for c in state[0] + state[1]]
+        assert [f.preimage_word_count(w) for w in words] == counts
+    with pytest.raises(ValueError, match="nonempty"):
+        f.preimage_word_count(())
+
+
 def test_fiber_eval_requires_star_admissibility():
     f = fiber_count_potential()
     with pytest.raises(InadmissibleWordError):
