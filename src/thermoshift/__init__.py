@@ -17,6 +17,11 @@ The package is organized bottom-up:
 - ``dimension``: Bowen-type dimension of geometric constructions by
   bisection on the pressure equation, with a Ledrappier-Young cross-check.
 - ``modelfile`` / ``cli``: JSON model files and the batch front-end.
+
+Fixed limits are module constants: ``dimension._MAX_BISECTIONS`` = 80,
+``numerics._PERRON_TOL`` = 1e-13 and ``_PERRON_MAX_ITER`` = 500 000, and
+``gibbs._MEASURE_TOL`` = 1e-9. The tests' closed-form oracles live in
+tests/helpers.py.
 """
 
 from thermoshift.dimension import (
@@ -66,10 +71,8 @@ from thermoshift.potentials import (
 )
 from thermoshift.pressure import (
     PressureEstimate,
-    closed_form_fullshift_pressure,
     gurevich_pressure,
     pressure_curve,
-    symbol_independence_check,
 )
 from thermoshift.shift_core import (
     MODEL_REGISTRY,
@@ -111,7 +114,6 @@ __all__ = [
     "check_bip",
     "check_cone_condition",
     "check_mixing",
-    "closed_form_fullshift_pressure",
     "cocycle_potential",
     "cocycle_pressure",
     "entropy_markov",
@@ -139,7 +141,6 @@ __all__ = [
     "star_cover_shift",
     "star_shift",
     "summability_report",
-    "symbol_independence_check",
     "truncate",
     "uniform_bernoulli",
     "variational_defect",

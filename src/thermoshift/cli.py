@@ -191,9 +191,9 @@ def cmd_dimension(data: dict, args: argparse.Namespace, out_dir: str) -> int:
     _write_csv(
         os.path.join(out_dir, "dimension.csv"),
         ("dim_hat", "bracket_lo", "bracket_hi", "root_found",
-         "pressure_at_dim", "uncertain", "experimental"),
+         "pressure_at_dim", "uncertain"),
         [(res.dim_hat, res.bracket[0], res.bracket[1], res.root_found,
-          res.pressure_at_dim, res.uncertain, res.experimental)],
+          res.pressure_at_dim, res.uncertain)],
     )
     _write_csv(
         os.path.join(out_dir, "trace.csv"),

@@ -98,7 +98,7 @@ class DimensionResult:
     case dim_hat still reports the infimum boundary). uncertain is set when
     an endpoint was classified while the pressure estimate's own error
     bracket straddled zero; probes near a genuine root straddle by nature and
-    do not trip it. experimental marks Markov-constrained constructions.
+    do not trip it.
     """
 
     dim_hat: float
@@ -106,19 +106,10 @@ class DimensionResult:
     root_found: bool
     pressure_at_dim: float
     uncertain: bool
-    experimental: bool
     trace: tuple[tuple[float, float, float, float, bool], ...]
 
 
-def _is_full_model(model: TransitionModel, probe: int = 6) -> bool:
-    bound = probe
-    if model.alphabet_size is not None:
-        bound = min(probe, model.alphabet_size)
-    return all(
-        model.rule(i, j)
-        for i in range(1, bound + 1)
-        for j in range(1, bound + 1)
-    )
+_MAX_BISECTIONS = 80
 
 
 def bowen_dimension(
@@ -126,7 +117,6 @@ def bowen_dimension(
     model: TransitionModel,
     t_bracket: tuple[float, float] = (0.0, 1.0),
     tol: float = 1e-8,
-    max_iter: int = 80,
     evaluator: Optional[Callable[[float], PressureEstimate]] = None,
     **pressure_params,
 ) -> DimensionResult:
@@ -134,9 +124,10 @@ def bowen_dimension(
 
     tol is the pressure tolerance: a root is declared when |P| <= tol at the
     probed t. The endpoints must straddle (pressure positive at t_lo, at or
-    below zero at t_hi) or a ValueError reports the measured values.
-    `evaluator` overrides the pressure computation per t; by default each
-    probe runs the truncation estimator on the scaled ratio potential.
+    below zero at t_hi) or a ValueError reports the measured values. At most
+    _MAX_BISECTIONS = 80 midpoints are probed. `evaluator` overrides the
+    pressure computation per t; by default each probe runs the truncation
+    estimator on the scaled ratio potential.
     """
     t_lo, t_hi = float(t_bracket[0]), float(t_bracket[1])
     if not t_lo < t_hi:
@@ -162,7 +153,6 @@ def bowen_dimension(
             and est.lower <= 0.0 <= est.upper
         )
 
-    experimental = not _is_full_model(model)
     est_hi = probe(t_hi)
     if est_hi.value > tol:
         raise ValueError(
@@ -177,7 +167,6 @@ def bowen_dimension(
             root_found=True,
             pressure_at_dim=est_lo.value,
             uncertain=straddles(est_lo),
-            experimental=experimental,
             trace=tuple(trace),
         )
     if est_lo.value < 0.0:
@@ -190,7 +179,7 @@ def bowen_dimension(
 
     lo, hi = t_lo, t_hi
     hi_est = est_hi
-    for _ in range(max_iter):
+    for _ in range(_MAX_BISECTIONS):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
@@ -202,7 +191,6 @@ def bowen_dimension(
                 root_found=True,
                 pressure_at_dim=est.value,
                 uncertain=uncertain,
-                experimental=experimental,
                 trace=tuple(trace),
             )
         if est.value > 0.0:
@@ -216,7 +204,6 @@ def bowen_dimension(
         root_found=False,
         pressure_at_dim=hi_est.value,
         uncertain=uncertain,
-        experimental=experimental,
         trace=tuple(trace),
     )
 

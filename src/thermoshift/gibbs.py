@@ -69,13 +69,16 @@ def count_admissible_words(sub: FiniteSubshift, n: int) -> int:
     return int(walk_counts(sub, n - 1, ones).sum())
 
 
+_MEASURE_TOL = 1e-9
+
+
 class MarkovCylinderMeasure:
     """Stationary Markov measure stored as log-probabilities.
 
     Masses of cylinders are exact products; the representation keeps the log
     values supplied at construction so that certificates built from matching
     logs (for example uniform Bernoulli against the zero potential) cancel
-    exactly instead of to rounding.
+    exactly instead of to rounding. Sums and stationarity hold to _MEASURE_TOL = 1e-9.
     """
 
     kind = "markov"
@@ -86,14 +89,13 @@ class MarkovCylinderMeasure:
         log_pi: dict[int, float],
         log_p: dict[tuple[int, int], float],
         sub: Optional[FiniteSubshift] = None,
-        tol: float = 1e-9,
     ):
         self.symbols = tuple(symbols)
         self.log_pi = dict(log_pi)
         self.log_p = dict(log_p)
         self.sub = sub
         pi_total = math.fsum(math.exp(v) for v in self.log_pi.values())
-        if abs(pi_total - 1.0) > tol:
+        if abs(pi_total - 1.0) > _MEASURE_TOL:
             raise ValueError(f"initial distribution sums to {pi_total}, not 1")
         # One pass over the arcs: row sums, and the flow pi_i p_ij into each j.
         rows = {i: [] for i in self.symbols}
@@ -105,10 +107,10 @@ class MarkovCylinderMeasure:
                     flows[j].append(math.exp(self.log_pi.get(i, NEG_INF) + v))
         for i, terms in rows.items():
             row = math.fsum(terms)
-            if abs(row - 1.0) > tol:
+            if abs(row - 1.0) > _MEASURE_TOL:
                 raise ValueError(f"transition row of symbol {i} sums to {row}")
         for j, terms in flows.items():
-            if abs(math.fsum(terms) - self.pi(j)) > tol:
+            if abs(math.fsum(terms) - self.pi(j)) > _MEASURE_TOL:
                 raise ValueError(f"distribution is not stationary at symbol {j}")
         if sub is not None:
             for (i, j) in self.log_p:

@@ -168,18 +168,23 @@ class PowerIterationError(RuntimeError):
     pass
 
 
-def perron_data(W: np.ndarray, tol: float = 1e-13, max_iter: int = 500_000):
+_PERRON_TOL = 1e-13
+_PERRON_MAX_ITER = 500_000
+
+
+def perron_data(W: np.ndarray):
     """Perron root and positive left/right eigenvectors of a primitive matrix.
 
-    Plain power iteration on W and W.T until the iterates move less than tol
-    in sup norm; the returned root is the two-sided Rayleigh quotient, which
-    squares the eigenvector error. Vectors are normalized to unit sum.
+    Plain power iteration on W and W.T until the iterates move at most
+    _PERRON_TOL = 1e-13 in sup norm, within _PERRON_MAX_ITER = 500 000 steps;
+    the returned root is the two-sided Rayleigh quotient, which squares the
+    eigenvector error. Vectors are normalized to unit sum.
     """
     W = np.asarray(W, dtype=float)
     m = W.shape[0]
     v = np.full(m, 1.0 / m)
     u = np.full(m, 1.0 / m)
-    for _ in range(max_iter):
+    for _ in range(_PERRON_MAX_ITER):
         v_new = W @ v
         sv = v_new.sum()
         if sv <= 0:
@@ -189,11 +194,11 @@ def perron_data(W: np.ndarray, tol: float = 1e-13, max_iter: int = 500_000):
         u_new /= u_new.sum()
         moved = max(np.abs(v_new - v).max(), np.abs(u_new - u).max())
         v, u = v_new, u_new
-        if moved <= tol:
+        if moved <= _PERRON_TOL:
             break
     else:
         raise PowerIterationError(
-            f"power iteration did not reach tol={tol} in {max_iter} steps"
+            f"power iteration did not reach tol={_PERRON_TOL} in {_PERRON_MAX_ITER} steps"
         )
     rho = float(u @ W @ v) / float(u @ v)
     return rho, v, u

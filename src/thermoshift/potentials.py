@@ -211,17 +211,6 @@ class WordHooks:
         return np.array([self.fn(w) for w in map(tuple, words.tolist())], dtype=float)
 
 
-class _ScaledHooks:
-    """A base potential's word hooks with close scaled by t."""
-
-    def __init__(self, base, t: float):
-        self.base, self.t = base, t
-        self.start, self.extend = base.start, base.extend
-
-    def close(self, state, words, last):
-        return self.t * self.base.close(state, words, last)
-
-
 class PotentialSequence:
     """Base class for log-weight sequences on words.
 
@@ -345,9 +334,6 @@ class ScaledPotential(PotentialSequence):
         if self.t == 1.0:
             return self.base.block_entries()
         return None
-
-    def word_hooks(self, sub):
-        return _ScaledHooks(self.base.word_hooks(sub), self.t)
 
     def scaled(self, t):
         return ScaledPotential(self.base, t * self.t)

@@ -83,16 +83,6 @@ class PartitionSeries:
         return tuple(out)
 
 
-def partition_function(sub: FiniteSubshift, p: PotentialSequence, n: int, a: int) -> float:
-    """log of the sum of exp(eval(w)) over periodic words of length n from a.
-
-    Returns -inf when the periodic set is empty; emptiness is signalled by
-    the value itself, not an exception.
-    """
-    series = partition_series(sub, p, n, a)
-    return series.log_z(n)
-
-
 def partition_series(
     sub: FiniteSubshift,
     p: PotentialSequence,
@@ -446,44 +436,6 @@ def _estimates(
     return out
 
 
-def closed_form_fullshift_pressure(gamma: float, lambda_sum: float, t: float) -> float:
-    """t*gamma + log(lambda_sum) where lambda_sum is the exact sum of lambda^t.
-
-    The caller supplies the power sum in closed form; a nonfinite or
-    nonpositive-divergent sum yields +inf.
-    """
-    if lambda_sum == math.inf:
-        return math.inf
-    if not (lambda_sum > 0):
-        raise ValueError("lambda power sum must be positive or +inf")
-    return t * gamma + math.log(lambda_sum)
-
-
-def geometric_power_sum(r: float, t: float) -> float:
-    """Sum over j >= 1 of (r^j)^t for 0 < r < 1; +inf when t <= 0."""
-    if not (0.0 < r < 1.0):
-        raise ValueError("geometric ratio must lie in (0, 1)")
-    if t <= 0:
-        return math.inf
-    rt = r ** t
-    return rt / (1.0 - rt)
-
-
-def power_law_sum(s: float, t: float, terms: int = 20_000) -> float:
-    """Sum over j >= 1 of j^(-s*t), +inf when s*t <= 1.
-
-    Partial sum plus the midpoint of the integral tail bracket; the bracket
-    width is far below 1e-9 for s*t >= 2 at the default term count.
-    """
-    st = s * t
-    if st <= 1.0:
-        return math.inf
-    partial = math.fsum((j + 1.0) ** (-st) for j in range(terms))
-    hi = (terms ** (1.0 - st)) / (st - 1.0)
-    lo = ((terms + 1.0) ** (1.0 - st)) / (st - 1.0)
-    return partial + 0.5 * (hi + lo)
-
-
 def pressure_curve(
     model: TransitionModel,
     p: PotentialSequence,
@@ -519,16 +471,3 @@ def curve_second_differences(
         d12 = (v2 - v1) / (t2 - t1)
         out.append(d12 - d01)
     return out
-
-
-def symbol_independence_check(
-    model: TransitionModel,
-    p: PotentialSequence,
-    symbols: Sequence[int],
-    **params,
-) -> float:
-    """Max pairwise deviation of pressure estimates across base symbols."""
-    if len(symbols) < 2:
-        raise ValueError("need at least two symbols to compare")
-    values = [gurevich_pressure(model, p, a=s, **params).value for s in symbols]
-    return max(abs(x - y) for x in values for y in values)

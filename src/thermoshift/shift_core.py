@@ -269,9 +269,6 @@ class FiniteSubshift:
             out = self._in[j] = tuple(self.symbols[k] for k in np.nonzero(col)[0])
             return out
 
-    def admits_word(self, word: Sequence[int]) -> bool:
-        return all(self.arc(a, b) for a, b in zip(word, word[1:]))
-
     def with_mixing(self, n: Optional[int]) -> "FiniteSubshift":
         return replace(self, mixing_certificate=n)
 
@@ -446,40 +443,12 @@ def walk_words(
             pending.append(child_slices(*piece))
 
 
-def enumerate_periodic_words(sub: FiniteSubshift, n: int, a: int) -> Iterator[Word]:
-    """All length-n words starting at a whose cyclic closure is admissible.
-
-    The stream is deterministic and lexicographically sorted.
-    """
-    if n < 1:
-        raise ValueError("word length must be at least 1")
-    ia = sub.position(a)
-    closes = sub.matrix[:, ia] != 0
-    for words, last, _ in walk_words(sub, [ia], n):
-        if words.shape[1] == n:
-            yield from map(tuple, words[closes[last]].tolist())
-
-
 def walk_counts(sub: FiniteSubshift, n: int, v: np.ndarray) -> np.ndarray:
     """Exact matrix^n @ v for an object-dtype v of Python ints; never overflows."""
     A = sub.matrix.astype(object)
     for _ in range(n):
         v = A.dot(v)
     return v
-
-
-def count_periodic(sub: FiniteSubshift, n: int, a: int) -> int:
-    """Exact number of periodic words of length n starting at a.
-
-    Equals the (a, a) entry of the n-th matrix power, computed with exact
-    integer arithmetic, so there is no overflow at any n.
-    """
-    if n < 1:
-        raise ValueError("word length must be at least 1")
-    ia = sub.position(a)
-    start = np.zeros(sub.size, dtype=object)
-    start[ia] = 1
-    return int(walk_counts(sub, n, start)[ia])
 
 
 @dataclass(frozen=True)

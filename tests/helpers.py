@@ -1,4 +1,4 @@
-"""Shared generators and brute-force oracles for property tests."""
+"""Shared generators, brute-force references and closed-form oracles for the tests."""
 
 import csv
 import io
@@ -9,9 +9,15 @@ import numpy as np
 
 from thermoshift.gibbs import markov_measure
 from thermoshift.numerics import logsumexp
-from thermoshift.potentials import transfer_operator
+from thermoshift.potentials import ScaledPotential, transfer_operator
 from thermoshift.pressure import gurevich_pressure
-from thermoshift.shift_core import check_mixing, model_from_arcs, truncate, walk_words
+from thermoshift.shift_core import (
+    check_mixing,
+    model_from_arcs,
+    truncate,
+    walk_counts,
+    walk_words,
+)
 
 
 def random_stationary_markov(sub, rng):
@@ -81,6 +87,85 @@ def brute_force_preimage_count(word):
     return count
 
 
+def admits_word(sub, word):
+    """True iff every consecutive pair of the word is an arc of the truncation."""
+    return all(sub.arc(a, b) for a, b in zip(word, word[1:]))
+
+
+def enumerate_periodic_words(sub, n, a):
+    """All length-n words starting at a whose cyclic closure is admissible.
+
+    The stream is deterministic and lexicographically sorted.
+    """
+    if n < 1:
+        raise ValueError("word length must be at least 1")
+    ia = sub.position(a)
+    closes = sub.matrix[:, ia] != 0
+    for words, last, _ in walk_words(sub, [ia], n):
+        if words.shape[1] == n:
+            yield from map(tuple, words[closes[last]].tolist())
+
+
+def count_periodic(sub, n, a):
+    """Exact number of periodic words of length n starting at a.
+
+    Equals the (a, a) entry of the n-th matrix power, computed with exact
+    integer arithmetic, so there is no overflow at any n.
+    """
+    if n < 1:
+        raise ValueError("word length must be at least 1")
+    ia = sub.position(a)
+    start = np.zeros(sub.size, dtype=object)
+    start[ia] = 1
+    return int(walk_counts(sub, n, start)[ia])
+
+
+def closed_form_fullshift_pressure(gamma, lambda_sum, t):
+    """t*gamma + log(lambda_sum) where lambda_sum is the exact sum of lambda^t.
+
+    The caller supplies the power sum in closed form; a nonfinite or
+    nonpositive-divergent sum yields +inf.
+    """
+    if lambda_sum == math.inf:
+        return math.inf
+    if not (lambda_sum > 0):
+        raise ValueError("lambda power sum must be positive or +inf")
+    return t * gamma + math.log(lambda_sum)
+
+
+def geometric_power_sum(r, t):
+    """Sum over j >= 1 of (r^j)^t for 0 < r < 1; +inf when t <= 0."""
+    if not (0.0 < r < 1.0):
+        raise ValueError("geometric ratio must lie in (0, 1)")
+    if t <= 0:
+        return math.inf
+    rt = r ** t
+    return rt / (1.0 - rt)
+
+
+def power_law_sum(s, t, terms=20_000):
+    """Sum over j >= 1 of j^(-s*t), +inf when s*t <= 1.
+
+    Partial sum plus the midpoint of the integral tail bracket; the bracket
+    width is far below 1e-9 for s*t >= 2 at the default term count.
+    """
+    st = s * t
+    if st <= 1.0:
+        return math.inf
+    partial = math.fsum((j + 1.0) ** (-st) for j in range(terms))
+    hi = (terms ** (1.0 - st)) / (st - 1.0)
+    lo = ((terms + 1.0) ** (1.0 - st)) / (st - 1.0)
+    return partial + 0.5 * (hi + lo)
+
+
+def symbol_independence_check(model, p, symbols, **params):
+    """Max pairwise deviation of pressure estimates across base symbols."""
+    if len(symbols) < 2:
+        raise ValueError("need at least two symbols to compare")
+    values = [gurevich_pressure(model, p, a=s, **params).value for s in symbols]
+    return max(abs(x - y) for x in values for y in values)
+
+
 def explicit_gibbs_masses(sub, p, level):
     """Brute-force finite-approximation measure on every word up to the level.
 
@@ -89,7 +174,7 @@ def explicit_gibbs_masses(sub, p, level):
     sum over the level words it prefixes. Returns {word: mass}.
     """
     words = [
-        w for w in itertools.product(sub.symbols, repeat=level) if sub.admits_word(w)
+        w for w in itertools.product(sub.symbols, repeat=level) if admits_word(sub, w)
     ]
     weights = [p.cylinder_log_weight(w, sub) for w in words]
     top = max(weights)
@@ -154,13 +239,19 @@ def one_matrix_power_diagonal(W, index, n_max):
     return out
 
 
+def unscaled(p):
+    """(base, t) with p = t * base: a ScaledPotential's parts, else (p, 1.0)."""
+    return (p.base, p.t) if isinstance(p, ScaledPotential) else (p, 1.0)
+
+
 def per_potential_series(sub, p, n_max, a):
     """log Z_1..log Z_n_max of p alone: its own transfer matrix, or a walk with its own hooks.
 
     A pair potential's matrix is math.exp of its own pair on each arc, and a
     block potential's is its block matrix; the diagonal comes from
     one_matrix_power_diagonal. Without either, the words from a are walked
-    with p.word_hooks(sub), and each length takes a logsumexp per walk slice
+    with the hooks of p's base, each slice closes to t times the base's
+    values (p = t * base), and each length takes a logsumexp per walk slice
     and then one across slices.
     """
     ia = sub.position(a)
@@ -174,7 +265,8 @@ def per_potential_series(sub, p, n_max, a):
         diagonal = one_matrix_power_diagonal(B, slice(ia * op.d, (ia + 1) * op.d), n_max)
         return [op.offset(n) + v if v != -math.inf else -math.inf
                 for n, v in enumerate(diagonal, start=1)]
-    hooks = p.word_hooks(sub)
+    base, t = unscaled(p)
+    hooks = base.word_hooks(sub)
     closes = sub.matrix[:, ia] != 0
     sums = [[] for _ in range(n_max)]
     for words, last, state in walk_words(sub, [ia], n_max, hooks.start, hooks.extend):
@@ -182,7 +274,8 @@ def per_potential_series(sub, p, n_max, a):
         if closing.any():
             rows = slice(None) if closing.all() else np.flatnonzero(closing)
             chosen = None if state is None else tuple(x[rows] for x in state)
-            sums[words.shape[1] - 1].append(logsumexp(hooks.close(chosen, words[rows], last[rows])))
+            closed = t * hooks.close(chosen, words[rows], last[rows])
+            sums[words.shape[1] - 1].append(logsumexp(closed))
     return [logsumexp(level) for level in sums]
 
 

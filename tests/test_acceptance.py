@@ -12,7 +12,11 @@ import time
 import numpy as np
 import pytest
 
-from helpers import random_mixing_subshift, random_stationary_markov
+from helpers import (
+    random_mixing_subshift,
+    random_stationary_markov,
+    symbol_independence_check,
+)
 from thermoshift.dimension import (
     bowen_dimension,
     ledrappier_young_check,
@@ -42,7 +46,6 @@ from thermoshift.pressure import (
     gurevich_pressure,
     near_superadditivity_margin,
     pressure_curve,
-    symbol_independence_check,
 )
 from thermoshift.shift_core import (
     star_cover_shift,

@@ -176,7 +176,9 @@ def test_dimension_cantor(tmp_path, capsys):
     )
     assert code == 0
     header, rows = read_csv(os.path.join(out, "dimension.csv"))
-    assert header[0] == "dim_hat"
+    assert header == [
+        "dim_hat", "bracket_lo", "bracket_hi", "root_found", "pressure_at_dim", "uncertain",
+    ]
     assert float(rows[0][0]) == pytest.approx(LOG23, abs=1e-4)
     _, trace_rows = read_csv(os.path.join(out, "trace.csv"))
     assert len(trace_rows) >= 3

@@ -73,7 +73,6 @@ def test_middle_third_cantor_dimension():
     assert abs(res.dim_hat - LOG2_OVER_LOG3) < 1e-4
     assert res.root_found
     assert not res.uncertain
-    assert not res.experimental
     assert abs(res.pressure_at_dim) <= 1e-8
     assert res.bracket[0] <= res.dim_hat <= res.bracket[1]
 
@@ -118,14 +117,13 @@ def test_natural_cover_sums_vanish_above_dimension():
     assert covers[-1] < 1e-3
 
 
-def test_markov_constrained_construction_is_experimental():
+def test_markov_constrained_construction_root_is_log_phi_over_log_3():
     res = bowen_dimension(
         product_construction([1 / 3, 1 / 3]),
         golden_mean_shift(),
         m_list=[2],
         n_max=40,
     )
-    assert res.experimental
     assert res.root_found
     # The weighted golden-mean matrix [[x, x], [x, 0]] has spectral radius
     # x * phi, so the pressure zero sits at 3^-t = 1/phi.
@@ -227,7 +225,6 @@ def test_identity_check_requires_root_and_product_kind():
         root_found=False,
         pressure_at_dim=res.pressure_at_dim,
         uncertain=False,
-        experimental=False,
         trace=(),
     )
     with pytest.raises(ValueError, match="root"):

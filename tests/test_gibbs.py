@@ -45,6 +45,7 @@ from thermoshift.shift_core import (
 )
 
 from helpers import (
+    admits_word,
     explicit_gibbs_masses,
     random_mixing_subshift,
     random_stationary_markov,
@@ -369,7 +370,7 @@ def _per_word_certificate(mu, p, P, depth, sub, ratio_bound=100.0):
     grouped = getattr(mu, "log_mass_plus_n_pressure", None)
     for n in range(1, depth + 1):
         for w in itertools.product(sub.symbols, repeat=n):
-            if not sub.admits_word(w):
+            if not admits_word(sub, w):
                 continue
             weight = p.cylinder_log_weight(w, sub)
             numer = grouped(w, P) if grouped is not None else mu.log_mass(w) + n * P

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import brute_force_preimage_count
+from helpers import brute_force_preimage_count, unscaled
 from thermoshift.dimension import product_construction
 from thermoshift.matrix_cocycle import MatrixFamily, log_norm_of_path
 from thermoshift.potentials import (
@@ -252,7 +252,10 @@ def word_hook_cases():
 @pytest.mark.parametrize("case", list(word_hook_cases()), ids=lambda case: case[0])
 def test_word_hooks_close_matches_eval(case):
     _, sub, p, words, oracle = case
-    hooks = p.word_hooks(sub)
+    # A scaled potential is walked as the partition series walks it: with its
+    # base's hooks, each closed value times t.
+    base, t = unscaled(p)
+    hooks = base.word_hooks(sub)
     pos = np.array([[sub.position(a) for a in w] for w in words.tolist()])
     # Walk both words as one batch: the first step branches the root in two.
     state = hooks.start(pos[:1, 0])
@@ -263,7 +266,7 @@ def test_word_hooks_close_matches_eval(case):
     # Close the rows in reverse order, selecting them from the state.
     rows = np.array([1, 0])
     chosen = None if state is None else tuple(x[rows] for x in state)
-    closed = hooks.close(chosen, words[rows], pos[rows, -1])
+    closed = t * hooks.close(chosen, words[rows], pos[rows, -1])
     for value, word in zip(closed, words[rows].tolist()):
         assert value == pytest.approx(p.eval(word), rel=1e-12)
         assert value == pytest.approx(oracle(tuple(word)), rel=1e-10)

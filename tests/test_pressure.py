@@ -13,9 +13,14 @@ import pytest
 
 from helpers import (
     brute_force_preimage_count,
+    closed_form_fullshift_pressure,
+    enumerate_periodic_words,
+    geometric_power_sum,
     one_matrix_power_diagonal,
     per_potential_series,
     per_t_curve,
+    power_law_sum,
+    symbol_independence_check,
 )
 from thermoshift import shift_core
 from thermoshift.gibbs import finite_gibbs_nu
@@ -37,22 +42,16 @@ from thermoshift.pressure import (
     EnumerationBudgetError,
     NonMixingTruncationError,
     PartitionSeries,
-    closed_form_fullshift_pressure,
     curve_second_differences,
-    geometric_power_sum,
     growth_floor_margin,
     gurevich_pressure,
     mixed_truncation,
     near_superadditivity_margin,
-    partition_function,
     partition_series,
-    power_law_sum,
     pressure_curve,
-    symbol_independence_check,
     transfer_norm,
 )
 from thermoshift.shift_core import (
-    enumerate_periodic_words,
     star_shift,
     full_shift,
     golden_mean_shift,
@@ -94,19 +93,19 @@ class HiddenStructure(PotentialSequence):
 def test_partition_function_counts_full_shift():
     sub = truncate(full_shift(), 2)
     z = zero_potential(full_shift())
-    assert partition_function(sub, z, 4, 1) == pytest.approx(math.log(8.0), abs=1e-12)
+    assert partition_series(sub, z, 4, 1).log_z(4) == pytest.approx(math.log(8.0), abs=1e-12)
 
 
 def test_partition_function_counts_golden_mean():
     sub = truncate(golden_mean_shift(), 2)
     z = zero_potential(golden_mean_shift())
-    assert partition_function(sub, z, 5, 1) == pytest.approx(math.log(8.0), abs=1e-12)
+    assert partition_series(sub, z, 5, 1).log_z(5) == pytest.approx(math.log(8.0), abs=1e-12)
 
 
 def test_partition_function_weighted_two_symbols():
     sub = truncate(full_shift(), 2)
     # Words (1,1) and (1,2): 3^-2 + 3^-3 = 4/27.
-    assert partition_function(sub, weighted_third(), 2, 1) == pytest.approx(
+    assert partition_series(sub, weighted_third(), 2, 1).log_z(2) == pytest.approx(
         math.log(4.0 / 27.0), abs=1e-12
     )
 
