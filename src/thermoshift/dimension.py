@@ -12,7 +12,7 @@ from typing import Callable, Optional, Sequence, Union
 
 from .gibbs import entropy_markov, lyapunov_functional, rpf_equilibrium
 from .potentials import PotentialSequence, SymbolWeightPotential
-from .pressure import PressureEstimate, gurevich_pressure
+from .pressure import PressureEstimate, check_estimate_params, gurevich_pressure
 from .shift_core import TransitionModel, Word, symbol_lookup, truncate
 
 
@@ -129,6 +129,7 @@ def bowen_dimension(
     pressure computation per t; by default each probe runs the truncation
     estimator on the scaled ratio potential.
     """
+    check_estimate_params("bowen_dimension", pressure_params)
     t_lo, t_hi = float(t_bracket[0]), float(t_bracket[1])
     if not t_lo < t_hi:
         raise ValueError("t_bracket must be an increasing pair")

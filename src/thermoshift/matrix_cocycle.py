@@ -29,7 +29,7 @@ from .potentials import (
     entry_sum_norm,
     summability_report,
 )
-from .pressure import PressureEstimate, pressure_curve
+from .pressure import PressureEstimate, check_estimate_params, pressure_curve
 from .shift_core import TransitionModel
 
 
@@ -162,6 +162,7 @@ def cocycle_pressure(
     available). When every probed norm is below 1, the finite part of the
     curve is verified to be non-increasing on each truncation.
     """
+    check_estimate_params("cocycle_pressure", params)
     probe = model.symbols_for(symbol_bound)
     p = cocycle_potential(family, model, symbol_bound=symbol_bound)
     # A finite family of strictly positive matrices always has a uniform cone

@@ -2,10 +2,14 @@
 path products, power iteration.
 
 logsumexp rounds the exact sum of its terms (math.fsum), so one call does not
-depend on the order of its input. A value built from several calls does
-depend on how the terms were grouped: an enumerated partition value takes a
-logsumexp per walk slice and another across slices, so it depends on the
-slice layout, which shift_core.walk_words fixes (_FRONTIER rows a slice).
+depend on the order of its input; a term with a count adds exactly what that
+many copies add. A value built from several calls does depend on how the
+terms were grouped: an enumerated partition value takes a logsumexp per walk
+slice and another across slices, so it depends on the slice layout, which
+shift_core.walk_words fixes (_FRONTIER rows a slice). Where rows of equal
+state are merged (shift_core.walk_states) it depends on the merge too: a
+merged slice holds the words of several word slices, so the value can move
+in its last bits from the word walk's, though not within one slice.
 Path products group the same way: log_norms multiplies each block of a path
 as a pairwise tree, so its value depends on the block layout, which
 matrix_cocycle._CHUNK fixes for max_lyapunov (a word evaluated alone is one
@@ -22,20 +26,50 @@ import numpy as np
 NEG_INF = float("-inf")
 
 
-def logsumexp(values) -> float:
-    """Stable log of a sum of exponentials.
+def logsumexp(values, counts=None) -> float:
+    """Stable log of a sum of exponentials, each term taken counts[k] times.
 
     Accepts a float array or any iterable of floats, possibly containing
-    -inf. Returns -inf for an empty input or when every term is -inf.
+    -inf, and optionally an int64 array of counts, one per value. Returns
+    -inf for an empty input or when every term is -inf. The sum is exact
+    before its one rounding, counts included: a term taken c times adds
+    what c copies of it add.
     """
     vals = values if isinstance(values, np.ndarray) else np.fromiter(values, dtype=float)
-    vals = vals[vals != NEG_INF]
+    finite = vals != NEG_INF
+    vals = vals[finite]
     if not vals.size:
         return NEG_INF
     hi = float(vals.max())
     if hi == math.inf:
         return hi
-    return hi + math.log(math.fsum(np.exp(vals - hi).tolist()))
+    terms = np.exp(vals - hi)
+    if counts is not None:
+        terms = _exact_products(terms, counts[finite])
+    return hi + math.log(math.fsum(terms.tolist()))
+
+
+# Veltkamp's splitter: x * _SPLIT cuts a double into two halves of at most 26
+# significant bits each, whose products with a 26-bit integer are exact.
+_SPLIT = 2.0 ** 27 + 1
+
+
+def _exact_products(x: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Doubles whose exact sum is the sum of counts[k] * x[k], for x in [0, 1].
+
+    Each x is split into two halves and each count into 26-bit digits; every
+    digit times a half is exact unless it underflows, far below the last bit
+    of a sum whose largest term is 1.
+    """
+    p = x * _SPLIT
+    x_hi = p - (p - x)
+    halves = (x_hi, x - x_hi)
+    parts = []
+    for shift in (0, 26, 52):
+        digit = ((counts >> shift) & ((1 << 26) - 1)).astype(float) * 2.0 ** shift
+        if digit.any():
+            parts.extend(digit * half for half in halves)
+    return np.concatenate(parts)
 
 
 def scaled_power_diagonal(W: np.ndarray, index, n_max: int):

@@ -269,7 +269,10 @@ class PotentialSequence:
         close(state, words, last) gives eval of each word of a slice whose
         cyclic closure is an arc of sub. A state is None or a tuple of arrays
         with one row per word, so a caller may close a subset of the rows.
-        The default evaluates word by word.
+        A state of integer arrays promises that, with the last position, it
+        fixes every future of its row: extend and close read nothing else.
+        The enumeration then merges equal rows and closes them with words
+        None. The default evaluates word by word.
         """
         return WordHooks(self.eval)
 
@@ -649,6 +652,15 @@ class _PreimageCounts:
     k = 1. Counts are exact integers: they at most double per symbol, so they
     move from int64 to Python ints before they could wrap. The low count is
     never below the high one, so it alone is checked.
+
+    extend reads only the counts and the two positions, and close only the
+    counts, so rows with the same last position and counts have the same
+    futures: the enumeration (shift_core.walk_states) merges them within a
+    slice and walks one row per (last, lo, hi) with its number of words. At
+    m = 64 only 650 rows stand for the 290 688 words up to length 6. Ties
+    are exact because the counts are integers; the cocycle's float rows,
+    renormalised at every step, almost never tie, so they are not merged.
+    Counts that moved to Python ints are carried unmerged.
     """
 
     def __init__(self, symbols: np.ndarray):

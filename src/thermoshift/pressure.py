@@ -14,13 +14,17 @@ t at once, in ascending m; gurevich_pressure is its one-t case. Pair
 potentials evaluate the base's arc values once per truncation, weigh each t
 by math.exp(t * L), and iterate the T transfer matrices as (T, m, m) stacks
 that fit in cache, one np.matmul per level. Potentials that are enumerated
-(the fiber count, a cocycle at t != 1) walk their words once: each slice is
+(the fiber count, a cocycle at t != 1) are walked once: each slice is
 closed once and each t takes the logsumexp of t times the closed values.
-Every t gets the bits it gets when estimated alone.
+The fiber count's walk merges rows of equal last symbol and preimage
+counts, each row counting once per word it stands for, so its values group
+by the merged slices, not the word slices. Every t gets the bits it gets
+when estimated alone.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -42,6 +46,7 @@ from .shift_core import (
     TransitionModel,
     check_mixing,
     truncate,
+    walk_states,
     walk_words,
 )
 
@@ -111,9 +116,9 @@ def _scaled_series(sub, potentials, n_max, a, cap) -> list[PartitionSeries]:
     Each route runs once for all of them. Pair potentials evaluate the base's
     arc values once and iterate their transfer matrices as (T, m, m) stacks
     of at most _STACK_BYTES. A block potential (a matrix-product norm at
-    scale one) iterates its own matrix. The rest share one walk over the
-    words: the base's hooks close each slice once, and each t takes the
-    logsumexp of t times those values. Each series has the bits it has when
+    scale one) iterates its own matrix. The rest share one walk (over the
+    words, or over merged integer states): the base's hooks close each slice
+    once, and each t takes the logsumexp of t times those values. Each series has the bits it has when
     computed alone.
     """
     if n_max < 1:
@@ -172,30 +177,54 @@ def _iterated(op: TransferOperator, diagonal: list[float]):
 def _enumerated_values(sub, hooks, scales, n_max, a, cap):
     """log Z_n for n = 1..n_max by enumeration, per scale, and the prefix extensions made.
 
-    Walks the words starting at a with shift_core.walk_words, carrying the
-    base potential's word hooks, and closes each slice's periodic words with
-    one close call; each scale t takes the logsumexp of t times the closed
-    values per slice, then across the slices of each length. The extensions
-    out of each slice are counted before any of its children are built, and
-    the walk stops with EnumerationBudgetError once their total exceeds cap.
+    Walks the words starting at a, carrying the base potential's word hooks,
+    and closes each slice's periodic words with one close call; each scale t
+    takes the logsumexp of t times the closed values per slice, then across
+    the slices of each length. Hooks whose state is of exact integers (the
+    fiber count's preimage counts) walk with shift_core.walk_states: rows of
+    a slice that agree on their last position and state are one row, closed
+    once without words, whose term counts once per word. Float states (the
+    cocycle's renormalised rows) almost never tie, so sorting them for ties
+    would cost as much as walking them, and they walk word by word with
+    shift_core.walk_words, as do hooks without state. The extensions out of
+    each slice (words, not rows) are counted before any of its children are
+    built, and the walk stops with EnumerationBudgetError once their total
+    exceeds cap.
     """
     ia = sub.position(a)
     closes = sub.matrix[:, ia] != 0
     fanout = (sub.matrix != 0).sum(axis=1)
+    root = hooks.start(np.array([ia]))
+    # A multiplicity never exceeds the extensions counted before its row is
+    # built, at most cap, so int64 holds it below 2**63.
+    if cap < 2 ** 63 and root is not None and all(
+        np.issubdtype(x.dtype, np.integer) for x in root
+    ):
+        pieces = (
+            (n, None, last, state, mult)
+            for n, last, state, mult in walk_states(sub, [ia], n_max, hooks.start, hooks.extend)
+        )
+    else:
+        pieces = (
+            (words.shape[1], words, last, state, None)
+            for words, last, state in walk_words(sub, [ia], n_max, hooks.start, hooks.extend)
+        )
     # Per scale and length, the log-sum of each slice's closed words.
     sums: list[list[list[float]]] = [[[] for _ in range(n_max)] for _ in scales]
     prefixes = 0
-    for words, last, state in walk_words(sub, [ia], n_max, hooks.start, hooks.extend):
-        n = words.shape[1]
+    for n, words, last, state, mult in pieces:
         closing = closes[last]
         if closing.any():
             rows = slice(None) if closing.all() else np.flatnonzero(closing)
             chosen = None if state is None else tuple(x[rows] for x in state)
-            closed = hooks.close(chosen, words[rows], last[rows])
+            closed = hooks.close(chosen, None if words is None else words[rows], last[rows])
+            counts = None if mult is None else mult[rows]
             for t, levels in zip(scales, sums):
-                levels[n - 1].append(logsumexp(t * closed))
+                levels[n - 1].append(logsumexp(t * closed, counts))
         if n < n_max:
-            prefixes += int(fanout[last].sum())
+            # In Python ints: multiplicities times fanouts may pass 2**63.
+            extensions = fanout[last] if mult is None else mult.astype(object) * fanout[last]
+            prefixes += int(extensions.sum())
             if prefixes > cap:
                 raise EnumerationBudgetError(
                     f"enumeration exceeded {cap} prefix extensions"
@@ -338,6 +367,7 @@ def gurevich_pressure(
     divergence_run consecutive steps. This is the one-potential case of the
     estimator behind pressure_curve.
     """
+    check_estimate_params("gurevich_pressure", params)
     return _estimates(model, [p], **params)[0]
 
 
@@ -436,6 +466,22 @@ def _estimates(
     return out
 
 
+# The keyword parameters of gurevich_pressure and pressure_curve.
+_ESTIMATE_PARAMS = tuple(inspect.signature(_estimates).parameters)[2:]
+
+
+def check_estimate_params(caller: str, params) -> None:
+    """Raise TypeError naming caller for a keyword that no estimator parameter has.
+
+    gurevich_pressure, pressure_curve and the functions that pass their
+    keywords on to them check before any work, so that the error names the
+    function called and not the private estimator.
+    """
+    for name in params:
+        if name not in _ESTIMATE_PARAMS:
+            raise TypeError(f"{caller}() got an unexpected keyword argument {name!r}")
+
+
 def pressure_curve(
     model: TransitionModel,
     p: PotentialSequence,
@@ -448,8 +494,9 @@ def pressure_curve(
     estimate gurevich_pressure(model, p.scaled(t), **params) gives, bit for
     bit. The work is shared: each truncation is built once and serves every
     t, pair potentials iterate their transfer matrices as stacks, and
-    potentials that are enumerated walk their words once for all t.
+    potentials that are enumerated are walked once for all t.
     """
+    check_estimate_params("pressure_curve", params)
     ts = list(t_grid)
     if ts != sorted(ts):
         raise ValueError("t_grid must be ascending")

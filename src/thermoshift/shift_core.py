@@ -417,11 +417,9 @@ def walk_words(
             yield symbols[last][:, None], last, start(last) if start else None
 
     def child_slices(words, last, state):
-        ends = np.cumsum(fanout[last])
-        lo = 0
-        while lo < len(ends):
-            done = ends[lo - 1] if lo else 0
-            hi = max(lo + 1, int(np.searchsorted(ends, done + _FRONTIER, side="right")))
+        if words.shape[1] == depth:
+            return
+        for lo, hi in _chunks(fanout[last]):
             parent, child = np.nonzero(arcs[last[lo:hi]])
             parent += lo
             longer = np.empty((len(child), words.shape[1] + 1), dtype=words.dtype)
@@ -430,17 +428,88 @@ def walk_words(
             yield longer, child, (
                 extend(state, parent, last[parent], child) if extend else None
             )
-            lo = hi
 
-    pending = [root_slices()] if depth >= 1 else []
+    return _depth_first(root_slices() if depth >= 1 else iter(()), child_slices)
+
+
+def walk_states(
+    sub: FiniteSubshift,
+    roots: Sequence[int],
+    depth: int,
+    start: Callable,
+    extend: Callable,
+) -> Iterator[tuple[int, np.ndarray, tuple, np.ndarray]]:
+    """walk_words for hooks whose state of exact integers fixes each row's future.
+
+    Yields (n, last, state, mult) per slice: the word length, and one row
+    per distinct (last position, state) among the slice's words, with mult
+    (int64) the number of words it stands for. The hooks are walk_words',
+    and extend must read nothing but the state and the two positions, so
+    rows that agree on both have the same children and are merged. No words
+    are built. Child slices are cut from the merged parents as walk_words
+    cuts them and merged before they are yielded, so none holds more than
+    _FRONTIER rows; rows of different slices are not merged. A state that
+    moved to Python ints (object arrays) is carried unmerged, its rows
+    keeping their multiplicities.
+    """
+    arcs = sub.matrix != 0
+    fanout = arcs.sum(axis=1)
+    roots = np.asarray(roots, dtype=np.intp)
+
+    def root_slices():
+        for lo in range(0, len(roots), _FRONTIER):
+            last = roots[lo:lo + _FRONTIER]
+            yield 1, last, start(last), np.ones(len(last), dtype=np.int64)
+
+    def child_slices(n, last, state, mult):
+        if n == depth:
+            return
+        for lo, hi in _chunks(fanout[last]):
+            parent, child = np.nonzero(arcs[last[lo:hi]])
+            parent += lo
+            yield (n + 1,) + _merged(
+                child, extend(state, parent, last[parent], child), mult[parent]
+            )
+
+    return _depth_first(root_slices() if depth >= 1 else iter(()), child_slices)
+
+
+def _merged(last: np.ndarray, state: tuple, mult: np.ndarray):
+    """(last, state, mult) with one row per distinct (last, state), its mult summed."""
+    keys = (last,) + tuple(state)
+    if len(last) < 2 or any(key.dtype == object for key in keys):
+        return last, state, mult
+    order = np.lexsort(keys[::-1])
+    keys = [key[order] for key in keys]
+    new = np.zeros(len(order), dtype=bool)
+    new[0] = True
+    for key in keys:
+        new[1:] |= key[1:] != key[:-1]
+    firsts = np.flatnonzero(new)
+    return keys[0][firsts], tuple(key[firsts] for key in keys[1:]), np.add.reduceat(mult[order], firsts)
+
+
+def _chunks(counts: np.ndarray) -> Iterator[tuple[int, int]]:
+    """Runs [lo, hi) of rows whose counts sum to at most _FRONTIER; a larger row runs alone."""
+    ends = np.cumsum(counts)
+    lo = 0
+    while lo < len(ends):
+        done = ends[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, done + _FRONTIER, side="right")))
+        yield lo, hi
+        lo = hi
+
+
+def _depth_first(roots: Iterator, children: Callable) -> Iterator:
+    """Each slice of roots, and after each slice its children(*slice), depth first."""
+    pending = [roots]
     while pending:
         piece = next(pending[-1], None)
         if piece is None:
             pending.pop()
             continue
         yield piece
-        if piece[0].shape[1] < depth:
-            pending.append(child_slices(*piece))
+        pending.append(children(*piece))
 
 
 def walk_counts(sub: FiniteSubshift, n: int, v: np.ndarray) -> np.ndarray:

@@ -5,8 +5,10 @@ radii from numpy eigendecompositions) serve as independent oracles for the
 enumeration and slope-estimation code paths.
 """
 
+import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,7 +26,9 @@ from helpers import (
 )
 from thermoshift import shift_core
 from thermoshift.gibbs import finite_gibbs_nu
-from thermoshift.numerics import scaled_power_diagonal
+from thermoshift.dimension import bowen_dimension, product_construction
+from thermoshift.matrix_cocycle import cocycle_pressure
+from thermoshift.numerics import logsumexp, scaled_power_diagonal
 from thermoshift.potentials import (
     CocyclePotential,
     MatrixFamily,
@@ -290,6 +294,76 @@ def test_enumeration_memory_is_bounded_by_the_frontier():
     assert series.prefixes == 2 ** n_max - 2
     # Measured 1.4 MB; a walk holding whole levels peaks near 30 MB.
     assert peak < 5e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def star_fiber_partition(m, n):
+    """Z_n(1) of the fiber count on the star truncation at m, as an exact fraction.
+
+    A periodic word from 1 is a {1, *} pattern with no ** that starts at 1,
+    each * one of the m - 1 symbols other than 1, and its preimage count
+    depends on the pattern alone (2 stands for every *).
+    """
+    total = Fraction(0)
+    for tail in itertools.product((1, 2), repeat=n - 1):
+        word = (1,) + tail
+        if any(u == v == 2 for u, v in zip(word, word[1:])):
+            continue
+        total += Fraction((m - 1) ** word.count(2), brute_force_preimage_count(word))
+    return total
+
+
+@pytest.mark.parametrize("m, n_max", [(8, 10), (64, 8), (1000, 5)])
+def test_fiber_series_matches_exact_pattern_sum(m, n_max):
+    sub = truncate(star_shift(), m)
+    series = partition_series(sub, fiber_count_potential(), n_max, 1)
+    for n, value in series.entries:
+        assert value == pytest.approx(math.log(star_fiber_partition(m, n)), rel=1e-13), f"n={n}"
+    ones = np.ones(sub.size, dtype=object)
+    words = sum(walk_counts(sub, k, ones)[sub.position(1)] for k in range(1, n_max))
+    assert series.prefixes == words
+    # (64, 8) makes 19.6 M extensions, just under the default cap.
+    assert words <= 20_000_000
+
+
+def test_fiber_enumeration_counts_words_not_rows():
+    sub = truncate(star_shift(), 64)
+    p = fiber_count_potential()
+    assert partition_series(sub, p, 6, 1).prefixes == 290687
+    assert partition_series(sub, p, 6, 1, cap=290687).prefixes == 290687
+    with pytest.raises(EnumerationBudgetError, match="^enumeration exceeded 290686 prefix extensions$"):
+        partition_series(sub, p, 6, 1, cap=290686)
+    tracemalloc.start()
+    try:
+        series = partition_series(sub, p, 8, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert series.prefixes == 19644352
+    # Measured 0.2 MB; the 18.3 M words of length 8 alone take 1.2 GB as int64 rows.
+    assert peak < 5e6, f"peak {peak / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize("m", [8, 16, 32, 64])
+def test_fiber_series_matches_the_word_walk(m):
+    sub = truncate(star_shift(), m)
+    for t in (0.5, 1.0, 2.0):
+        p = fiber_count_potential().scaled(t)
+        merged = [v for _, v in partition_series(sub, p, 6, 1).entries]
+        # The word walk closes the same words in more slices, so it may round differently.
+        assert merged == pytest.approx(per_potential_series(sub, p, 6, 1), rel=1e-15, abs=0)
+
+
+def test_counted_logsumexp_adds_every_copy():
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        values = rng.normal(0.0, 20.0, 12)
+        values[0] = -math.inf
+        counts = rng.integers(1, 40, 12)
+        assert logsumexp(values, counts) == logsumexp(np.repeat(values, counts))
+        counts = rng.integers(1, 2 ** 62, 12)
+        hi = values.max()
+        exact = sum(Fraction(int(c)) * Fraction(float(x)) for c, x in zip(counts, np.exp(values - hi)))
+        assert logsumexp(values, counts) == hi + math.log(float(exact))
 
 
 # -- pressure estimates ----------------------------------------------------------
@@ -694,6 +768,33 @@ def test_curve_errors_are_the_named_errors():
     period2 = model_from_arcs([(1, 2), (2, 1)])
     with pytest.raises(NonMixingTruncationError, match="m=2"):
         pressure_curve(period2, zero_potential(period2), [0.5, 1.0], m_list=[2], n_max=8)
+
+
+def test_fiber_curve_matches_per_t_estimates_bit_for_bit():
+    grid = [0.5, 1.0, 2.0]
+    params = {"m_list": [8, 16, 32, 64], "n_max": 6, "slope_window": 4}
+    curve = pressure_curve(star_shift(), fiber_count_potential(), grid, **params)
+    for t, est in curve:
+        alone = gurevich_pressure(star_shift(), fiber_count_potential().scaled(t), **params)
+        assert repr(estimate_fields(est)) == repr(estimate_fields(alone)), f"t={t}"
+        assert est.series.strategy == "enumerate" and est.series.prefixes == 290687
+
+
+def unknown_keyword_calls():
+    pair = MatrixFamily(1, lambda a: [[0.5 ** a]])
+    yield "gurevich_pressure", lambda: gurevich_pressure(full_shift(), weighted_third(), max_iter=5)
+    yield "pressure_curve", lambda: pressure_curve(full_shift(), weighted_third(), [1.0], max_iter=5)
+    yield "cocycle_pressure", lambda: cocycle_pressure(pair, full_shift(), [1.0], max_iter=5)
+    yield "bowen_dimension", lambda: bowen_dimension(
+        product_construction([1 / 3, 1 / 3]), full_shift(), max_iter=5, m_list=[2]
+    )
+
+
+@pytest.mark.parametrize("case", list(unknown_keyword_calls()), ids=lambda case: case[0])
+def test_unknown_keyword_names_the_public_function(case):
+    name, call = case
+    with pytest.raises(TypeError, match=rf"^{name}\(\) got an unexpected keyword argument 'max_iter'$"):
+        call()
 
 
 def test_empty_curve_is_empty():
