@@ -33,6 +33,7 @@ from .modelfile import (
 )
 from .potentials import estimate_regularity, summability_report
 from .pressure import (
+    _ESTIMATE_PARAMS,
     curve_second_differences,
     gurevich_pressure,
     mixed_truncation,
@@ -52,9 +53,7 @@ EXIT_DIVERGED = 3
 
 log = logging.getLogger("thermoshift")
 
-PRESSURE_KEYS = (
-    "n_max", "slope_window", "tol", "divergence_threshold", "divergence_run", "cap"
-)
+PRESSURE_KEYS = tuple(key for key in _ESTIMATE_PARAMS if key in PARAMS)
 
 
 def _setup_logging() -> None:

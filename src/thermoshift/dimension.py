@@ -126,10 +126,14 @@ def bowen_dimension(
     probed t. The endpoints must straddle (pressure positive at t_lo, at or
     below zero at t_hi) or a ValueError reports the measured values. At most
     _MAX_BISECTIONS = 80 midpoints are probed. `evaluator` overrides the
-    pressure computation per t; by default each probe runs the truncation
-    estimator on the scaled ratio potential.
+    pressure computation per t and takes no pressure keyword (TypeError);
+    by default each probe runs the truncation estimator on the scaled ratio
+    potential.
     """
     check_estimate_params("bowen_dimension", pressure_params)
+    if evaluator is not None and pressure_params:
+        names = ", ".join(map(repr, pressure_params))
+        raise TypeError(f"bowen_dimension() got pressure keywords {names} beside an evaluator")
     t_lo, t_hi = float(t_bracket[0]), float(t_bracket[1])
     if not t_lo < t_hi:
         raise ValueError("t_bracket must be an increasing pair")

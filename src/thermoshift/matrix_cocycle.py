@@ -151,38 +151,26 @@ def cocycle_pressure(
     family: MatrixFamily,
     model: TransitionModel,
     t_grid: Sequence[float],
-    symbol_bound: int = 16,
     **params,
 ) -> list[tuple[float, PressureEstimate]]:
     """Pressure curve of the norm potential of a positive matrix family.
 
-    Preflight reads the potential's cone report on the probed symbols
-    model.symbols_for(symbol_bound), and checks the summability of the
+    Preflight requires the potential's cone report to be uniform on its
+    probe (potentials.CocyclePotential), and checks the summability of the
     per-symbol norms (a warning, not an error, when no tail bound is
     available). When every probed norm is below 1, the finite part of the
     curve is verified to be non-increasing on each truncation.
     """
     check_estimate_params("cocycle_pressure", params)
-    probe = model.symbols_for(symbol_bound)
-    p = cocycle_potential(family, model, symbol_bound=symbol_bound)
-    # A finite family of strictly positive matrices always has a uniform cone
-    # constant; the degeneration heuristic inside the report is meaningful
-    # only when the probe samples a countable family.
-    finite_probe = len(probe) == model.alphabet_size
-    if not (p.cone.uniform or (finite_probe and p.cone.best_C > 0.0)):
-        raise ValueError(
-            "matrix family fails the cone condition on the probed symbols"
-        )
-    report = summability_report(p)
-    if report.verdict != "summable":
-        warnings.warn(
-            f"summed matrix norms are {report.verdict} over the probe range; "
-            "results describe truncations only",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    p = cocycle_potential(family, model)
+    if not p.cone.uniform:
+        raise ValueError("matrix family fails the cone condition on the probed symbols")
+    verdict = summability_report(p).verdict
+    if verdict != "summable":
+        warnings.warn(f"summed matrix norms are {verdict} over the probe range; "
+                      "results describe truncations only", RuntimeWarning, stacklevel=2)
     curve = pressure_curve(model, p, t_grid, **params)
-    if all(p.family.norm(a) < 1.0 for a in probe):
+    if all(p.family.norm(a) < 1.0 for a in p.probe):
         _check_decreasing(curve)
     return curve
 

@@ -342,8 +342,10 @@ class ScaledPotential(PotentialSequence):
         return ScaledPotential(self.base, t * self.t)
 
 
-# Symbols probed for the successors of a cylinder when no truncation is given.
+# Symbols probed for successors without a truncation, a callable family's cone and summability.
 _SUCCESSOR_PROBE = 128
+_CONE_PROBE = 16
+_SUMMABILITY_PROBE = 64
 
 
 class BirkhoffPotential(PotentialSequence):
@@ -542,16 +544,24 @@ class CocyclePotential(PotentialSequence):
     """log of the entry-sum norm of reversed matrix products along the word.
 
     Each matrix of the family that the potential uses must be strictly
-    positive. cone is check_cone_condition on the model's first
-    symbol_bound symbols, and declared_C = -log(cone.best_C).
+    positive. cone is the cone report on probe: the listed symbols the model
+    has (else its first symbol, whose lookup then fails) or, for a callable
+    family, the model's first _CONE_PROBE. Only a probe that samples a larger
+    family meets the report's degeneration heuristic; a whole one is uniform
+    iff best_C > 0. declared_C = -log(cone.best_C).
     """
 
-    def __init__(self, family: MatrixFamily, model: TransitionModel, symbol_bound: int = 16):
+    def __init__(self, family: MatrixFamily, model: TransitionModel):
         self.family = family
         self.model = model
         self.d = family.d
         self.name = "cocycle"
-        self.cone = check_cone_condition(family, model.symbols_for(symbol_bound))
+        first, end = model.first_symbol, model.first_symbol + (model.alphabet_size or math.inf)
+        self.probe = (model.symbols_for(_CONE_PROBE) if family.symbols is None
+                      else [a for a in family.symbols if first <= a < end] or [first])
+        cone = check_cone_condition(family, self.probe)
+        whole = family.symbols is not None or len(self.probe) == model.alphabet_size
+        self.cone = ConeReport(cone.best_C > 0.0, cone.best_C) if whole else cone
         self.declared_C = -math.log(self.cone.best_C)
 
     def matrix(self, a: int) -> np.ndarray:
@@ -590,15 +600,17 @@ class CocyclePotential(PotentialSequence):
         return TransferOperator("block", B, self.d, lambda n: 0.0)
 
 
-def cocycle_potential(family, model: TransitionModel, symbol_bound: int = 16) -> CocyclePotential:
+def cocycle_potential(family, model: TransitionModel) -> CocyclePotential:
     """Potential of a family of entrywise-positive matrices indexed by symbols.
 
     `family` is a MatrixFamily, whose norm_tail bounds the potential's tail,
-    or a callable symbol -> matrix, which is wrapped into one without a tail.
+    or a callable symbol -> matrix, which is wrapped into one without a tail
+    or listed symbols. A listed family that lacks a symbol of the model
+    fails at the first truncation that holds it.
     """
     if not isinstance(family, MatrixFamily):
         family = MatrixFamily(len(np.atleast_1d(family(model.first_symbol))), family)
-    return CocyclePotential(family, model, symbol_bound)
+    return CocyclePotential(family, model)
 
 
 class FiberCountPotential(PotentialSequence):
@@ -767,7 +779,8 @@ def check_cone_condition(family, symbols: Sequence[int]) -> ConeReport:
     family is a callable symbol -> matrix or an object exposing .matrix().
     The family is uniform only if the constant does not keep degenerating as
     more symbols are probed; this is detected by comparing the constant on the
-    first half of the probed symbols against all of them.
+    first half of the probed symbols against all of them, which judges only
+    a sample of a larger family (a whole one: see CocyclePotential).
     """
     entries = family.matrix if hasattr(family, "matrix") else family
     ratios = []
@@ -790,21 +803,22 @@ class SummabilityReport:
     verdict: str  # "summable", "not_summable", or "inconclusive"
 
 
-def summability_report(p: PotentialSequence, probe_bound: int = 64) -> SummabilityReport:
+def summability_report(p: PotentialSequence) -> SummabilityReport:
     """Partial sums of sup f_1 per symbol plus a closed-form tail when known.
 
-    A "summable" verdict requires a finite alphabet or a tail bound; terms
-    that stay above 1e-9 across the probed range yield "not_summable", and
-    anything else is "inconclusive".
+    The sum runs over the model's first _SUMMABILITY_PROBE symbols. A finite
+    alphabet is "summable", with a tail and total when the probe covers it;
+    a countable one needs a tail bound. Terms that stay above 1e-9 across
+    the probe yield "not_summable", and anything else is "inconclusive".
     """
     model = getattr(p, "model", None) or full_shift()
-    symbols = model.symbols_for(probe_bound)
+    symbols = model.symbols_for(_SUMMABILITY_PROBE)
     terms = [p.sup_f1(a) for a in symbols]
     partial = math.fsum(terms)
-    finite_alphabet = model.alphabet_size is not None and model.alphabet_size <= probe_bound
-    if finite_alphabet:
-        return SummabilityReport(partial, 0.0, partial, "summable")
-    tail = p.sup_f1_tail(probe_bound)
+    if model.alphabet_size is not None:
+        fits = model.alphabet_size <= _SUMMABILITY_PROBE
+        return SummabilityReport(partial, 0.0 if fits else None, partial if fits else None, "summable")
+    tail = p.sup_f1_tail(_SUMMABILITY_PROBE)
     if tail is not None and math.isfinite(tail):
         return SummabilityReport(partial, tail, partial + tail, "summable")
     last_quarter = terms[-max(1, len(terms) // 4):]

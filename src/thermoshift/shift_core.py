@@ -336,29 +336,23 @@ def _primitive(arcs: np.ndarray) -> bool:
     return np.gcd.reduce(level[i] + 1 - level[j]) == 1
 
 
-def check_mixing(sub: FiniteSubshift, max_exponent: Optional[int] = None) -> Optional[int]:
-    """Smallest N with matrix^N entrywise positive, or None if none is found.
+def check_mixing(sub: FiniteSubshift) -> Optional[int]:
+    """Smallest N with matrix^N entrywise positive, or None if there is none.
 
-    The search is bounded by max_exponent, by default the Wielandt bound
-    (size-1)^2 + 1, which every primitive 0/1 matrix meets. Some power is
-    positive only if the graph is primitive: strongly connected (a forward
-    and a backward search from vertex 0 reach every vertex) with period 1
-    (the gcd of level[i] + 1 - level[j] over the arcs i -> j, where level is
-    the forward search depth). Both take O(size**2). Only for a primitive
-    graph is N then found, by squaring the matrix until a power is positive
-    and a binary search over the squares (about 2 log2 N boolean products);
-    None is returned when N exceeds max_exponent.
+    Some power is positive only if the graph is primitive: strongly
+    connected (a forward and a backward search from vertex 0 reach every
+    vertex) with period 1 (the gcd of level[i] + 1 - level[j] over the arcs
+    i -> j, where level is the forward search depth). Both take O(size**2).
+    Only for a primitive graph is N then found, by squaring the matrix until
+    a power is positive and a binary search over the squares (about 2 log2 N
+    boolean products); N is at most the Wielandt bound (size-1)^2 + 1.
     """
     arcs = sub.matrix != 0
     if arcs.all():
-        n = 1
-    elif _primitive(arcs):
-        n = _exponent(arcs)
-    else:
-        return None
-    if max_exponent is not None and n > max_exponent:
-        return None
-    return n
+        return 1
+    if _primitive(arcs):
+        return _exponent(arcs)
+    return None
 
 
 def _exponent(arcs: np.ndarray) -> int:

@@ -59,15 +59,13 @@ def random_mixing_subshift(rng, max_symbols=5, density=0.6):
             return model, sub
 
 
-def wielandt_exponent(sub, max_exponent=None):
+def wielandt_exponent(sub):
     """Reference mixing exponent: try every power up to the Wielandt bound.
 
-    Smallest N <= max_exponent (default (size-1)^2 + 1) with matrix^N
-    entrywise positive, else None.
+    Smallest N <= (size-1)^2 + 1 with matrix^N entrywise positive, else None.
     """
     size = sub.size
-    if max_exponent is None:
-        max_exponent = (size - 1) ** 2 + 1 if size > 1 else 1
+    max_exponent = (size - 1) ** 2 + 1 if size > 1 else 1
     A = (sub.matrix > 0)
     P = A.copy()
     for n in range(1, max_exponent + 1):

@@ -291,7 +291,7 @@ def builtin_fixtures():
         ("renewal/zero", renewal_shift(), zero_potential(renewal_shift()),
          dict(m_list=[8], n_max=20)),
         ("single/cocycle", single,
-         cocycle_potential(lambda a: np.array(A), single, symbol_bound=1),
+         cocycle_potential(lambda a: np.array(A), single),
          dict(m_list=[1], n_max=30)),
     ]
 
@@ -338,9 +338,7 @@ def test_criterion_8_structural_lemmas():
     single = model_from_arcs([(1, 1)])
     cocycle_curve = pressure_curve(
         single,
-        cocycle_potential(
-            lambda a: np.array([[2.0, 1.0], [1.0, 2.0]]), single, symbol_bound=1
-        ),
+        cocycle_potential(lambda a: np.array([[2.0, 1.0], [1.0, 2.0]]), single),
         [0.5, 1.0, 1.5, 2.0],
         m_list=[1],
         n_max=30,

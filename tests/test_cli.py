@@ -386,7 +386,7 @@ COCYCLE_PARAMS = {"truncations": [3], "n_max": 10, "t_grid": [0.5, 1.0]}
                "matrices": TWO_MATRICES, "params": COCYCLE_PARAMS}, "matrices.list", 3),
     ("pressure", {"model": {"name": "full"}, "potential": {"kind": "cocycle"},
                   "matrices": {**TWO_MATRICES, "tail": {"kind": "geometric", "ratio": 0.5}},
-                  "params": {"truncations": [2]}}, "matrices.list", 3),
+                  "params": {"truncations": [2, 3]}}, "matrices.list", 3),
     ("lyapunov", {"model": {"name": "full"}, "matrices": {"d": 1, "list": [[[2.0]]]},
                   "measure": {"kind": "bernoulli", "probs": [0.5, 0.5]}}, "matrices.list", 2),
     # The weighted kind lives on the file's model, whose symbols start at 0 here.

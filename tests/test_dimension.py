@@ -172,6 +172,19 @@ def test_jump_without_root_reports_infimum_boundary():
     assert res.trace[-1][0] == res.bracket[1] or res.trace[-1][0] == res.bracket[0]
 
 
+def test_evaluator_takes_no_pressure_keywords():
+    probes = []
+
+    def ev(t: float) -> PressureEstimate:
+        probes.append(t)
+        raise AssertionError("probed")
+
+    with pytest.raises(TypeError, match=r"^bowen_dimension\(\).*'m_list', 'n_max'"):
+        bowen_dimension(product_construction([1 / 3, 1 / 3]), full_shift(), evaluator=ev,
+                        m_list=[64], n_max=3)
+    assert probes == []
+
+
 def test_trace_records_every_probe():
     res = bowen_dimension(product_construction([1 / 3, 1 / 3]), full_two(), n_max=20)
     assert len(res.trace) >= 3

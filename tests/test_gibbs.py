@@ -155,7 +155,7 @@ def test_block_recursion_matches_explicit_enumeration():
         1: np.array([[2.0, 1.0], [1.0, 2.0]]),
         2: np.array([[1.0, 0.5], [0.5, 3.0]]),
     }
-    p = cocycle_potential(lambda a: mats[a], golden_mean_shift(), symbol_bound=2)
+    p = cocycle_potential(lambda a: mats[a], golden_mean_shift())
     recursive = finite_gibbs_nu(sub, p, 8)
     assert recursive.strategy == "block"
     explicit = explicit_gibbs_masses(sub, p, 8)
@@ -407,7 +407,7 @@ def _certificate_cases():
     p = weighted_fullshift_potential(lambda a: 3.0 ** (-a))
     yield "symbol_weight", finite_gibbs_nu(truncate(full, 4), p, 5), p, -1.2, 4, truncate(full, 4)
     mats = {1: np.array([[2.0, 1.0], [1.0, 2.0]]), 2: np.array([[1.0, 0.5], [0.5, 3.0]])}
-    p = cocycle_potential(lambda a: mats[a], gm, symbol_bound=2)
+    p = cocycle_potential(lambda a: mats[a], gm)
     yield "block_transfer", finite_gibbs_nu(truncate(gm, 2), p, 8), p, 1.1, 6, truncate(gm, 2)
     star = truncate(star_shift(), 4)
     p = fiber_count_potential()

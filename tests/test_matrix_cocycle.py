@@ -31,6 +31,7 @@ from thermoshift.matrix_cocycle import (
     max_lyapunov,
 )
 from thermoshift.numerics import log_norms
+from thermoshift.pressure import gurevich_pressure
 from thermoshift import potentials
 from thermoshift.potentials import (
     check_cone_condition,
@@ -379,29 +380,70 @@ def mixed_family():
     )
 
 
+def complete_model(k):
+    return model_from_arcs([(i + 1, j + 1) for i in range(k) for j in range(k)])
+
+
 def cone_families():
-    """(family, model, symbol_bound) for the families the tests here build."""
-    model3 = model_from_arcs([(i + 1, j + 1) for i in range(3) for j in range(3)])
+    """(family, model, k) for the families the tests here build.
+
+    The cone report probes the model's first k symbols: every listed symbol
+    the model has, or the first 16 for a callable family.
+    """
+    degenerating = {1: [[1.0, 0.5], [0.5, 1.0]], 2: [[1.0, 1e-3], [1.0, 1.0]]}
     return [
         (MatrixFamily(2, SYMMETRIC), model_from_arcs([(1, 1)]), 1),
-        (mixed_family(), model3, 3),
-        (mixed_family(), model3, 16),
+        (mixed_family(), complete_model(3), 3),
+        (MatrixFamily(2, lambda a: [[1.0, 4.0 ** (-a)], [1.0, 1.0]]), complete_model(20), 16),
         (mixed_family(), model_from_arcs([(1, 2), (2, 1), (2, 2)]), 2),
         (MatrixFamily(1, {1: [[0.5]], 2: [[0.5]]}), full_shift(), 2),
         (MatrixFamily(1, lambda a: [[3.0 ** (-a)]]), full_shift(), 16),
         (MatrixFamily(2, lambda a: [[1.0, 4.0 ** (-a)], [1.0, 1.0]]), full_shift(), 16),
         (MatrixFamily(2, lambda a: np.array([[1.0, 0.5], [0.5, 2.0]]) * a), golden_mean_shift(), 2),
+        (MatrixFamily(2, degenerating), full_shift(), 2),
+        (MatrixFamily(2, lambda a: [[1.0, 4.0 ** (-a)], [1.0, 1.0]]), complete_model(3), 3),
+        (mixed_family(), golden_mean_shift(), 2),
     ]
 
 
-@pytest.mark.parametrize("family, model, bound", cone_families())
-def test_cocycle_cone_is_the_report_on_the_probed_symbols(family, model, bound):
-    p = cocycle_potential(family, model, symbol_bound=bound)
-    probe = model.symbols_for(bound)
-    assert p.cone == check_cone_condition(family, probe)
+@pytest.mark.parametrize("family, model, k", cone_families())
+def test_cocycle_cone_is_the_report_on_the_probed_symbols(family, model, k):
+    p = cocycle_potential(family, model)
+    assert p.probe == model.symbols_for(k)
+    report = check_cone_condition(family, p.probe)
+    assert p.cone.best_C == report.best_C
+    # A probe of the whole family or finite model is uniform whenever the
+    # constant is positive; only a sample of a larger family is judged by
+    # the degeneration heuristic.
+    whole = family.symbols is not None or k == model.alphabet_size
+    assert p.cone.uniform == (whole or report.uniform)
     # The constant as the potential computed it in a loop of its own.
-    ratios = [family.matrix(a).min() / family.matrix(a).max() for a in probe]
+    ratios = [family.matrix(a).min() / family.matrix(a).max() for a in p.probe]
     assert p.declared_C.hex() == (-math.log(min(ratios) / family.d)).hex()
+
+
+def test_listed_family_declares_its_constant_from_every_matrix():
+    # Twenty listed matrices on the complete graph: the last one alone has
+    # entry ratio 1e-3, so C = -log(1e-3 / 2), whatever the first sixteen say.
+    family = MatrixFamily(2, [[[2.0, 1.0], [1.0, 2.0]]] * 19 + [[[1.0, 1e-3], [1.0, 1.0]]])
+    model = complete_model(20)
+    p = cocycle_potential(family, model)
+    assert p.probe == list(range(1, 21))
+    assert p.cone.uniform and p.cone.best_C == 0.0005
+    assert p.declared_C == -math.log(0.0005)
+    # The upper bracket adds that C to the transfer norm, itself at least the value.
+    [(_, est)] = cocycle_pressure(family, model, [1.0], m_list=[20], n_max=4)
+    assert est.upper >= -math.log(0.0005) + est.value
+
+
+def test_listed_family_on_a_countable_model_probes_its_own_symbols():
+    A = np.array([[2.0, 1.0], [1.0, 2.0]])
+    B = np.array([[1.0, 0.5], [0.5, 3.0]])
+    p = cocycle_potential(MatrixFamily(2, [A, B]), full_shift())
+    assert p.cone.uniform and p.probe == [1, 2]
+    est = gurevich_pressure(full_shift(), p, m_list=[2])
+    rho = max(abs(np.linalg.eigvals(A + B)))
+    assert abs(est.value - math.log(rho)) <= 1e-8
 
 
 def test_cocycle_pressure_runs_one_cone_pass(monkeypatch):
@@ -419,10 +461,15 @@ def test_cocycle_pressure_runs_one_cone_pass(monkeypatch):
 
 def test_short_family_names_itself_and_the_symbol():
     fam = MatrixFamily(2, SYMMETRIC, name="pair")
+    p = cocycle_potential(fam, full_shift())
+    assert gurevich_pressure(full_shift(), p, m_list=[1]).value == pytest.approx(math.log(3.0))
     with pytest.raises(ValueError, match="^pair: no entry for symbol 2$"):
-        cocycle_potential(fam, full_shift(), symbol_bound=2)
+        gurevich_pressure(full_shift(), p, m_list=[1, 2])
     with pytest.raises(ValueError, match="^pair: no entry for symbol 2$"):
         cocycle_pressure(fam, golden_mean_shift(), [1.0])
+    # A list that has none of the model's symbols is probed on the first one.
+    with pytest.raises(ValueError, match="^pair: no entry for symbol 1$"):
+        cocycle_potential(MatrixFamily(2, {5: SYMMETRIC[1]}, name="pair"), golden_mean_shift())
 
 
 def test_log_norm_subadditive_over_all_short_words():
@@ -465,9 +512,7 @@ def test_renormalized_products_match_exact_rationals():
 
 def test_cone_family_regularity_bounded_across_depths():
     single_model = model_from_arcs([(1, 1)])
-    p1 = cocycle_potential(
-        MatrixFamily(2, SYMMETRIC), single_model, symbol_bound=1
-    )
+    p1 = cocycle_potential(MatrixFamily(2, SYMMETRIC), single_model)
     depths = (4, 6, 8, 10, 12)
     chats1 = [
         estimate_regularity(
@@ -479,8 +524,8 @@ def test_cone_family_regularity_bounded_across_depths():
     # defect at every split is exactly log 2.
     for c in chats1:
         assert c == pytest.approx(math.log(2.0), abs=1e-12)
-    model3 = model_from_arcs([(i + 1, j + 1) for i in range(3) for j in range(3)])
-    p3 = cocycle_potential(mixed_family(), model3, symbol_bound=3)
+    model3 = complete_model(3)
+    p3 = cocycle_potential(mixed_family(), model3)
     chats3 = [
         estimate_regularity(
             p3, model3, depth=d, samples=200, seed=0, truncation=3

@@ -114,25 +114,35 @@ def test_weighted_summability_report():
     p = weighted_fullshift_potential(
         lambda a: 3.0 ** (-a), lam_tail_power=geometric_tail(3.0)
     )
-    rep = summability_report(p, probe_bound=10)
+    rep = summability_report(p)
     assert rep.verdict == "summable"
-    assert rep.partial_sum == pytest.approx(0.5 - 3.0 ** (-10) / 2, rel=1e-12)
-    assert rep.tail_bound == pytest.approx(3.0 ** (-10) / 2, rel=1e-12)
+    assert rep.partial_sum == pytest.approx(0.5 - 3.0 ** (-64) / 2, rel=1e-12)
+    assert rep.tail_bound == pytest.approx(3.0 ** (-64) / 2, rel=1e-12)
     assert rep.total_bound == pytest.approx(0.5, rel=1e-12)
 
 
 def test_constant_weight_is_not_summable():
     p = weighted_fullshift_potential(lambda a: 1.0)
-    rep = summability_report(p, probe_bound=64)
+    rep = summability_report(p)
     assert rep.verdict == "not_summable"
     assert rep.partial_sum == pytest.approx(64.0, abs=1e-9)
 
 
 def test_finite_alphabet_is_always_summable():
     p = zero_potential(golden_mean_shift())
-    rep = summability_report(p, probe_bound=64)
+    rep = summability_report(p)
     assert rep.verdict == "summable"
     assert rep.total_bound == pytest.approx(2.0, abs=1e-12)
+
+
+def test_finite_alphabet_beyond_the_probe_is_summable():
+    k = 70
+    model = model_from_arcs([(i, j) for i in range(1, k + 1) for j in range(1, k + 1)])
+    rep = summability_report(zero_potential(model))
+    assert rep.verdict == "summable"
+    # The probe sums the first 64 symbols; the other six leave tail and total unknown.
+    assert rep.partial_sum == 64.0
+    assert rep.tail_bound is None and rep.total_bound is None
 
 
 def test_length_factor_enters_offset_and_constant():
@@ -215,7 +225,7 @@ def test_scaled_declared_constant_uses_absolute_value():
 
 def test_cocycle_eval_on_constant_family():
     A = np.array([[2.0, 1.0], [1.0, 2.0]])
-    p = cocycle_potential(lambda a: A, golden_mean_shift(), symbol_bound=2)
+    p = cocycle_potential(lambda a: A, golden_mean_shift())
     assert p.eval((1,)) == pytest.approx(math.log(6.0), rel=1e-12)
     assert p.eval((1, 2)) == pytest.approx(math.log(18.0), rel=1e-12)
     assert p.eval((1, 2, 1)) == pytest.approx(math.log(54.0), rel=1e-12)
@@ -237,7 +247,7 @@ def word_hook_cases():
     rng = np.random.default_rng(11)
     mats = {a: rng.random((3, 3)) + 0.2 for a in (1, 2)}
     gm = golden_mean_shift()
-    q = cocycle_potential(lambda a: mats[a], gm, symbol_bound=2)
+    q = cocycle_potential(lambda a: mats[a], gm)
     words = np.array([(1, 1, 2, 1, 2, 1), (1, 2, 1, 1, 2, 1)])
     yield "cocycle", truncate(gm, 2), q, words, cocycle_oracle(mats, 1.0)
     yield "scaled_cocycle", truncate(gm, 2), q.scaled(0.5), words, cocycle_oracle(mats, 0.5)
@@ -274,29 +284,23 @@ def test_word_hooks_close_matches_eval(case):
 
 def test_cocycle_eval_is_the_path_norm():
     family = MatrixFamily(2, [[[2.0, 1.0], [0.5, 3.0]], [[1.0, 0.25], [2.0, 1.0]]])
-    p = cocycle_potential(family, full_shift(), symbol_bound=2)
+    p = cocycle_potential(family, full_shift())
     for word in ((1,), (2, 1), (1, 1, 2, 1, 2, 2, 1)):
         assert p.eval(word) == log_norm_of_path(family, word)
 
 
 def test_cocycle_rejects_nonpositive_entries():
     with pytest.raises(ValueError):
-        cocycle_potential(
-            lambda a: np.array([[1.0, 0.0], [1.0, 1.0]]),
-            golden_mean_shift(),
-            symbol_bound=1,
-        )
+        cocycle_potential(lambda a: np.array([[1.0, 0.0], [1.0, 1.0]]), golden_mean_shift())
 
 
 def test_one_dimensional_cocycle_has_pair_structure():
-    p = cocycle_potential(
-        lambda a: np.array([[3.0 ** (-a)]]), full_shift(), symbol_bound=8
-    )
+    p = cocycle_potential(lambda a: np.array([[3.0 ** (-a)]]), full_shift())
     ps = p.pair_structure()
     assert ps is not None
     assert ps.pair(2, 1) == pytest.approx(-2 * math.log(3.0), rel=1e-12)
     A2 = np.array([[2.0, 1.0], [1.0, 2.0]])
-    q = cocycle_potential(lambda a: A2, golden_mean_shift(), symbol_bound=2)
+    q = cocycle_potential(lambda a: A2, golden_mean_shift())
     assert q.pair_structure() is None
     entries, d = q.block_entries()
     assert d == 2
@@ -394,13 +398,13 @@ def test_fiber_regularity_within_declared_constant():
 def test_fiber_sup_is_one_half_everywhere():
     f = fiber_count_potential()
     assert all(f.sup_f1(a) == 0.5 for a in (1, 2, 7, 40))
-    rep = summability_report(f, probe_bound=64)
+    rep = summability_report(f)
     assert rep.verdict == "not_summable"
 
 
 def test_cocycle_regularity_bounded_by_cone_constant():
     A = np.array([[2.0, 1.0], [1.0, 2.0]])
-    p = cocycle_potential(lambda a: A, golden_mean_shift(), symbol_bound=2)
+    p = cocycle_potential(lambda a: A, golden_mean_shift())
     rep = estimate_regularity(
         p, golden_mean_shift(), depth=12, samples=300, seed=4
     )

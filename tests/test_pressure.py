@@ -141,7 +141,7 @@ def test_strategies_agree_block_vs_enumeration():
     sub = truncate(gm, 2)
     rng = np.random.default_rng(2)
     mats = {a: rng.random((2, 2)) + 0.3 for a in (1, 2)}
-    p = cocycle_potential(lambda a: mats[a], gm, symbol_bound=2)
+    p = cocycle_potential(lambda a: mats[a], gm)
     fast = partition_series(sub, p, 10, 1)
     slow = partition_series(sub, HiddenStructure(p), 10, 1)
     assert fast.strategy == "block" and slow.strategy == "enumerate"
@@ -171,10 +171,10 @@ def route_cases():
     yield "birkhoff table", truncate(full, 3), birkhoff, "pair", "pair"
     yield "weighted shift", truncate(full, 3), weighted_third(), "pair", "pair"
     mats = {a: np.array([[2.0, 1.0], [1.0, 3.0]]) * a for a in (1, 2)}
-    q = cocycle_potential(mats.__getitem__, gm, symbol_bound=2)
+    q = cocycle_potential(mats.__getitem__, gm)
     yield "cocycle d=2 t=1", truncate(gm, 2), q, "block", "block"
     yield "cocycle d=2 t=0.5", truncate(gm, 2), q.scaled(0.5), "enumerate", "explicit"
-    scalar = cocycle_potential(lambda a: np.array([[0.5 ** a]]), full, symbol_bound=2)
+    scalar = cocycle_potential(lambda a: np.array([[0.5 ** a]]), full)
     yield "scalar cocycle", truncate(full, 3), scalar, "pair", "pair"
     yield "fiber count", truncate(star_shift(), 6), fiber_count_potential(), "enumerate", "explicit"
 
@@ -194,10 +194,10 @@ def test_route_follows_from_the_potential(case):
 
 def test_cocycle_tail_is_its_family_tail():
     family = MatrixFamily(1, lambda a: [[3.0 ** (-a)]], norm_tail=geometric_tail(3.0))
-    p = cocycle_potential(family, full_shift(), symbol_bound=2)
+    p = cocycle_potential(family, full_shift())
     for m in (1, 5, 20):
         assert p.sup_f1_tail(m) == family.norm_tail(m)
-    bare = cocycle_potential(lambda a: np.array([[3.0 ** (-a)]]), full_shift(), symbol_bound=2)
+    bare = cocycle_potential(lambda a: np.array([[3.0 ** (-a)]]), full_shift())
     assert bare.sup_f1_tail(5) is None
 
 
@@ -238,7 +238,7 @@ def walk_cases():
     gm = golden_mean_shift()
     rng = np.random.default_rng(23)
     mats = {a: rng.uniform(0.1, 1.5, size=(3, 3)) for a in (1, 2)}
-    q = cocycle_potential(mats.__getitem__, gm, symbol_bound=2)
+    q = cocycle_potential(mats.__getitem__, gm)
     # From a = 2 the closing arc matters: words ending in 2 do not close.
     for t in (0.5, 1.7):
         for a in (1, 2):
@@ -264,7 +264,7 @@ def test_level_walk_matches_brute_force(case):
 
 def test_enumeration_counts_its_prefix_extensions():
     gm = golden_mean_shift()
-    q = cocycle_potential(lambda a: np.array([[1.0, 0.5], [0.5, 2.0]]) * a, gm, symbol_bound=2)
+    q = cocycle_potential(lambda a: np.array([[1.0, 0.5], [0.5, 2.0]]) * a, gm)
     for sub, p, n_max, a in (
         (truncate(star_shift(), 8), fiber_count_potential(), 6, 1),
         (truncate(gm, 2), q.scaled(0.5), 15, 2),
@@ -280,7 +280,7 @@ def test_enumeration_counts_its_prefix_extensions():
 
 def test_enumeration_memory_is_bounded_by_the_frontier():
     mats = {1: np.array([[2.0, 1.0], [1.0, 3.0]]), 2: np.array([[1.0, 0.5], [0.5, 1.0]])}
-    p = cocycle_potential(mats.__getitem__, full_shift(), symbol_bound=2).scaled(0.5)
+    p = cocycle_potential(MatrixFamily(2, mats), full_shift()).scaled(0.5)
     sub = truncate(full_shift(), 2)
     n_max = 17
     # The last level holds 2**16 words, far more than one slice may hold.
@@ -556,7 +556,7 @@ def test_transfer_norm_is_the_largest_column_sum():
     columns = (math.exp(0.4) + math.exp(0.7), math.exp(0.5))
     assert transfer_norm(sub, p) == pytest.approx(math.log(max(columns)), rel=1e-15)
     mats = {1: np.array([[2.0, 1.0], [1.0, 2.0]]), 2: np.array([[1.0, 0.5], [0.5, 3.0]])}
-    q = cocycle_potential(lambda a: mats[a], gm, symbol_bound=2)
+    q = cocycle_potential(lambda a: mats[a], gm)
     norms = {a: mats[a].sum() for a in mats}
     columns = (norms[1] + norms[2], norms[1])
     assert transfer_norm(sub, q) == pytest.approx(math.log(max(columns)), rel=1e-15)
@@ -659,10 +659,10 @@ def curve_cases():
         "m_list": [8, 16], "n_max": 5, "slope_window": 3}
     mats = {a: rng.uniform(0.2, 1.0, size=(2, 2)) for a in (1, 2, 3)}
     k3 = model_from_arcs([(i, j) for i in (1, 2, 3) for j in (1, 2, 3)])
-    p = cocycle_potential(mats.__getitem__, k3, symbol_bound=3)
+    p = cocycle_potential(mats.__getitem__, k3)
     yield "cocycle d=2 k=3", k3, p, [0.5, 1.0, 2.0], {"m_list": [3], "n_max": 9}
     scalar = {1: np.array([[3.0]]), 2: np.array([[0.5]])}
-    p = cocycle_potential(scalar.__getitem__, full_shift(), symbol_bound=2)
+    p = cocycle_potential(MatrixFamily(1, scalar), full_shift())
     yield "scalar cocycle", full_shift(), p, [0.5, 1.0, 2.0], {"m_list": [2], "n_max": 20}
 
 
@@ -761,7 +761,7 @@ def test_curve_errors_are_the_named_errors():
                        m_list=[8], n_max=6, cap=100)
     # t = 1 takes the block operator, t = 2 enumerates and hits the cap.
     mats = {1: np.array([[2.0, 1.0], [1.0, 3.0]]), 2: np.array([[1.0, 0.5], [0.5, 1.0]])}
-    p = cocycle_potential(mats.__getitem__, full_shift(), symbol_bound=2)
+    p = cocycle_potential(MatrixFamily(2, mats), full_shift())
     assert pressure_curve(full_shift(), p, [1.0], m_list=[2], n_max=12, cap=100)
     with pytest.raises(EnumerationBudgetError, match="100"):
         pressure_curve(full_shift(), p, [1.0, 2.0], m_list=[2], n_max=12, cap=100)
