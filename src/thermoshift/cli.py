@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dimension import bowen_dimension
+from .dimension import NoStraddleError, bowen_dimension
 from .gibbs import finite_gibbs_nu, verify_gibbs
 from .matrix_cocycle import max_lyapunov
 from .modelfile import (
@@ -34,6 +34,7 @@ from .modelfile import (
 from .potentials import estimate_regularity, summability_report
 from .pressure import (
     _ESTIMATE_PARAMS,
+    ENUMERATION_CAP,
     curve_second_differences,
     gurevich_pressure,
     mixed_truncation,
@@ -44,6 +45,7 @@ from .shift_core import (
     EnumerationBudgetError,
     NonMixingTruncationError,
     check_bip,
+    walk_counts,
 )
 
 EXIT_OK = 0
@@ -184,9 +186,12 @@ def cmd_dimension(data: dict, args: argparse.Namespace, out_dir: str) -> int:
     gc = build_construction(data)
     params = _params(data, args)
     # tol lands on bowen_dimension's own tol, the root tolerance on |P|, only.
-    res = bowen_dimension(
-        gc, model, **_given(params, "t_bracket"), **_pressure_kwargs(params)
-    )
+    try:
+        res = bowen_dimension(
+            gc, model, **_given(params, "t_bracket"), **_pressure_kwargs(params)
+        )
+    except NoStraddleError as exc:
+        raise ModelFileError("params.t_bracket", str(exc)) from None
     _write_csv(
         os.path.join(out_dir, "dimension.csv"),
         ("dim_hat", "bracket_lo", "bracket_hi", "root_found",
@@ -234,16 +239,28 @@ def cmd_gibbs(data: dict, args: argparse.Namespace, out_dir: str) -> int:
         raise ModelFileError("params.truncations", "required")
     pressure_est = gurevich_pressure(model, potential, **_pressure_kwargs(params))
     sub = mixed_truncation(model, pressure_est.truncation_level)
+    depth, cap = params.get("depth", 4), params.get("cap", ENUMERATION_CAP)
+    # The certificate walks every cylinder of length 1..depth; count them first.
+    cylinders, counts = 0, np.ones(sub.size, dtype=object)
+    for n in range(1, depth + 1):
+        cylinders += int(counts.sum())
+        if cylinders > cap:
+            raise ModelFileError("params.depth", f"{depth} is too deep: the {cylinders} "
+                                 f"cylinders of length 1..{n} alone exceed params.cap {cap}")
+        counts = walk_counts(sub, 1, counts)
     if "measure" in data:
         mu = build_measure(data, sub)
     else:
-        mu = finite_gibbs_nu(sub, potential, params.get("level", 8))
+        level = params.get("level", 8)
+        if depth > level:
+            raise ModelFileError("params.depth", f"{depth} exceeds params.level {level}")
+        mu = finite_gibbs_nu(sub, potential, level)
     lengths = []
     cert = verify_gibbs(
         mu,
         potential,
         pressure_est.value,
-        depth=params.get("depth", 4),
+        depth=depth,
         sub=sub,
         **_given(params, "ratio_bound"),
         row_sink=lambda *columns: lengths.append(columns),
@@ -290,9 +307,9 @@ def cmd_validate(data: dict, args: argparse.Namespace, out_dir: str) -> int:
         [(reg.C_hat, potential.declared_C, reg.violates_declared, reg.samples,
           reg.depth, summ.verdict, summ.partial_sum, bip_ok, bip_detail)],
     )
-    passed = (
-        bip_ok and not reg.violates_declared and summ.verdict != "not_summable"
-    )
+    # A regularity estimate from no sampled word is no evidence.
+    passed = (bip_ok and reg.samples > 0 and not reg.violates_declared
+              and summ.verdict != "not_summable")
     print(f"{'PASS' if passed else 'FAIL'} C_hat {reg.C_hat!r} "
           f"declared {potential.declared_C!r} summability {summ.verdict}")
     return EXIT_OK if passed else EXIT_FLAG

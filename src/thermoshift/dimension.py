@@ -112,6 +112,10 @@ class DimensionResult:
 _MAX_BISECTIONS = 80
 
 
+class NoStraddleError(ValueError):
+    """The pressure does not change sign between the ends of t_bracket."""
+
+
 def bowen_dimension(
     gc: GeometricConstruction,
     model: TransitionModel,
@@ -124,7 +128,7 @@ def bowen_dimension(
 
     tol is the pressure tolerance: a root is declared when |P| <= tol at the
     probed t. The endpoints must straddle (pressure positive at t_lo, at or
-    below zero at t_hi) or a ValueError reports the measured values. At most
+    below zero at t_hi) or a NoStraddleError reports the measured values. At most
     _MAX_BISECTIONS = 80 midpoints are probed. `evaluator` overrides the
     pressure computation per t and takes no pressure keyword (TypeError);
     by default each probe runs the truncation estimator on the scaled ratio
@@ -160,7 +164,7 @@ def bowen_dimension(
 
     est_hi = probe(t_hi)
     if est_hi.value > tol:
-        raise ValueError(
+        raise NoStraddleError(
             "bracket does not straddle: pressure at "
             f"t_hi={t_hi} is {est_hi.value}, still positive"
         )
@@ -175,7 +179,7 @@ def bowen_dimension(
             trace=tuple(trace),
         )
     if est_lo.value < 0.0:
-        raise ValueError(
+        raise NoStraddleError(
             "bracket does not straddle: pressure at "
             f"t_lo={t_lo} is {est_lo.value}, already negative "
             f"(t_hi gives {est_hi.value})"

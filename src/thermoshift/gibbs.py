@@ -10,8 +10,9 @@ recursions; any other potential has its level enumerated, up to a cap, and
 aggregated explicitly.
 
 Certificates and the Lyapunov functional walk the cylinders a slice at a
-time (shift_core.walk_words). Masses and weights are computed for a whole
-slice at once wherever the measure and the potential have a batched form:
+time (shift_core.walk), and a certificate carries the words for its rows as
+one more hook (potentials.WordHooks). Masses and weights are computed for a
+whole slice at once wherever the measure and the potential have a batched form:
 Markov tables, log-domain arc sums, and the forward rows of a
 potentials.TransferOperator. Anything else is evaluated word by word.
 A certificate hands its rows on a length at a time, as columns (the word
@@ -43,8 +44,8 @@ from .shift_core import (
     check_mixing,
     full_shift,
     truncate,
+    walk,
     walk_counts,
-    walk_words,
 )
 
 
@@ -58,8 +59,9 @@ class MeasureKindError(TypeError):
 
 def iter_admissible_words(sub: FiniteSubshift, n: int) -> Iterator[Word]:
     """All admissible words of length n, in lexicographic symbol order."""
-    for words, _, _ in walk_words(sub, range(sub.size), n):
-        if words.shape[1] == n:
+    hooks = WordHooks(sub)
+    for k, _, (words,), _ in walk(sub, range(sub.size), n, hooks.start, hooks.extend):
+        if k == n:
             yield from map(tuple, words.tolist())
 
 
@@ -379,8 +381,8 @@ def finite_gibbs_nu(
 
 # -- batched cylinder hooks ---------------------------------------------------
 # A hook carries one state per word of a walk slice: start(roots) and
-# extend(state, parent, prev, child) follow shift_core.walk_words, and
-# close(state, words, last) returns the slice's values.
+# extend(state, parent, prev, child) follow shift_core.walk, and
+# close(state, n, last) returns the values of the slice's length-n words.
 
 
 class _PairWeights:
@@ -407,9 +409,9 @@ class _PairWeights:
         back = total - hi
         return total, lo + ((hi - (total - back)) + (step - back))
 
-    def close(self, state, words, last):
+    def close(self, state, n, last):
         hi, lo = state
-        return self.offset(words.shape[1]) + (hi + lo) + self.hop[last]
+        return self.offset(n) + (hi + lo) + self.hop[last]
 
 
 def _cylinder_weights(sub: FiniteSubshift, p: PotentialSequence):
@@ -417,7 +419,7 @@ def _cylinder_weights(sub: FiniteSubshift, p: PotentialSequence):
     ps = p.pair_structure()
     if ps is not None:
         return _PairWeights(sub, ps)
-    return transfer_operator(sub, p) or WordHooks(lambda w: p.cylinder_log_weight(w, sub))
+    return transfer_operator(sub, p) or WordHooks(sub, lambda w: p.cylinder_log_weight(w, sub))
 
 
 def _plus(table: np.ndarray, P: float) -> np.ndarray:
@@ -447,7 +449,7 @@ class _MarkovMasses:
         return (plain[parent] + self.log_p[prev, child],
                 grouped[parent] + self.p_plus[prev, child])
 
-    def close(self, state, words, last):
+    def close(self, state, n, last):
         return state
 
 
@@ -458,20 +460,19 @@ class _TransferMasses:
         self.mu, self.P = mu, P
         self.start, self.extend = mu.op.start, mu.op.extend
 
-    def close(self, state, words, last):
-        n = words.shape[1]
+    def close(self, state, n, last):
         log_mass = self.mu.log_masses(state, last, n)
         return log_mass, log_mass + n * self.P
 
 
 class _WordMasses(WordHooks):
-    def __init__(self, mu, P: float):
-        super().__init__(mu.log_mass)
+    def __init__(self, sub: FiniteSubshift, mu, P: float):
+        super().__init__(sub, mu.log_mass)
         self.P = P
 
-    def close(self, state, words, last):
-        log_mass = super().close(state, words, last)
-        return log_mass, log_mass + words.shape[1] * self.P
+    def close(self, state, n, last):
+        log_mass = super().close(state, n, last)
+        return log_mass, log_mass + n * self.P
 
 
 def _cylinder_masses(mu, sub: FiniteSubshift, P: float):
@@ -480,12 +481,12 @@ def _cylinder_masses(mu, sub: FiniteSubshift, P: float):
         return _MarkovMasses(mu, sub, P)
     if isinstance(mu, _TransferGibbs) and mu.sub.symbols == sub.symbols:
         return _TransferMasses(mu, P)
-    return _WordMasses(mu, P)
+    return _WordMasses(sub, mu, P)
 
 
 def _walk_cylinders(sub: FiniteSubshift, depth: int, *hooks):
-    """walk_words from every symbol, carrying each hook's state side by side."""
-    return walk_words(
+    """shift_core.walk from every symbol, the hooks' states side by side in an unmerged list."""
+    return walk(
         sub, range(sub.size), depth,
         lambda roots: [h.start(roots) for h in hooks],
         lambda states, parent, prev, child: [
@@ -543,9 +544,11 @@ def verify_gibbs(
     tested = 0
     # Per length, the sink's columns of each slice, in walk order.
     columns: list[list] = [[] for _ in range(depth)]
-    for words, last, (ws, ms) in _walk_cylinders(sub, depth, weights, masses):
-        weight = weights.close(ws, words, last)
-        log_mass, numer = masses.close(ms, words, last)
+    for n, last, (ws, ms, (words,)), _ in _walk_cylinders(
+        sub, depth, weights, masses, WordHooks(sub)
+    ):
+        weight = weights.close(ws, n, last)
+        log_mass, numer = masses.close(ms, n, last)
         tested += len(words)
         live = numer > NEG_INF
         zero = ~live & (weight > NEG_INF)
@@ -557,7 +560,7 @@ def verify_gibbs(
         if row_sink is not None:
             keep = live | zero
             log_mass = np.where(live, log_mass, NEG_INF)
-            columns[words.shape[1] - 1].append(
+            columns[n - 1].append(
                 (words[keep], log_mass[keep], weight[keep], log_ratio[keep])
             )
     for n, level in enumerate(columns, start=1):
@@ -630,11 +633,11 @@ def lyapunov_functional(
     weights = _cylinder_weights(sub, p)
     masses = _cylinder_masses(mu, sub, 0.0)
     terms = []
-    for words, last, (ws, ms) in _walk_cylinders(sub, n, weights, masses):
-        if words.shape[1] == n:
-            mass = np.exp(masses.close(ms, words, last)[0])
+    for k, last, (ws, ms), _ in _walk_cylinders(sub, n, weights, masses):
+        if k == n:
+            mass = np.exp(masses.close(ms, n, last)[0])
             pos = mass > 0
-            terms.extend((mass[pos] * weights.close(ws, words, last)[pos]).tolist())
+            terms.extend((mass[pos] * weights.close(ws, n, last)[pos]).tolist())
     return math.fsum(terms) / n
 
 

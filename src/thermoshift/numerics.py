@@ -6,10 +6,10 @@ depend on the order of its input; a term with a count adds exactly what that
 many copies add. A value built from several calls does depend on how the
 terms were grouped: an enumerated partition value takes a logsumexp per walk
 slice and another across slices, so it depends on the slice layout, which
-shift_core.walk_words fixes (_FRONTIER rows a slice). Where rows of equal
-state are merged (shift_core.walk_states) it depends on the merge too: a
-merged slice holds the words of several word slices, so the value can move
-in its last bits from the word walk's, though not within one slice.
+shift_core.walk fixes (_FRONTIER rows a slice). Where the walk merges rows of
+equal state it depends on the merge too: a merged slice holds the words of
+several unmerged slices, so the value can move in its last bits from a walk
+with one row per word, though not within one slice.
 Path products group the same way: log_norms multiplies each block of a path
 as a pairwise tree, so its value depends on the block layout, which
 matrix_cocycle._CHUNK fixes for max_lyapunov (a word evaluated alone is one

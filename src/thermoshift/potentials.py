@@ -120,8 +120,8 @@ class TransferOperator:
     weight exp(offset(n)) times the entry sum of the diagonal block of a in
     B^n. This class alone knows that block layout.
 
-    start, extend and close are word hooks in the shift_core.walk_words
-    form. A state is (r, log_scale): per word w the forward row
+    start, extend and close are word hooks in the shift_core.walk form,
+    close(state, n, last). A state is (r, log_scale): per word w the forward row
     r_w = 1^T (blocks along the arcs of w), renormalised to unit sum, and the
     log of the sums divided out. A word whose sum vanishes keeps a zero row
     and log_scale -inf. close gives each word's cylinder weight
@@ -169,9 +169,9 @@ class TransferOperator:
         r, log_scale = state
         return log_scale, _log(np.einsum("kd,kd->k", r, vec.reshape(-1, self.d)[last]))
 
-    def close(self, state, words, last):
+    def close(self, state, n, last):
         r_scale, log_total = self.log_pair(state, last, self.tails)
-        return self.offset(words.shape[1]) + r_scale + log_total
+        return self.offset(n) + r_scale + log_total
 
 
 def _log(x: np.ndarray) -> np.ndarray:
@@ -196,19 +196,28 @@ def transfer_operator(sub: FiniteSubshift, p: PotentialSequence) -> Optional[Tra
 
 
 class WordHooks:
-    """Word hooks without state: close applies fn to each word of the slice."""
+    """Word hooks whose state is the words: close applies fn to each word of the slice.
 
-    def __init__(self, fn: Callable[[Word], float]):
+    A state is (words,), one row of symbols of sub per word, so a walk
+    carrying these hooks yields its words in the state.
+    """
+
+    def __init__(self, sub: FiniteSubshift, fn: Optional[Callable[[Word], float]] = None):
+        self.symbols = np.asarray(sub.symbols)
         self.fn = fn
 
     def start(self, roots):
-        return None
+        return (self.symbols[roots][:, None],)
 
     def extend(self, state, parent, prev, child):
-        return None
+        words = state[0]
+        longer = np.empty((len(child), words.shape[1] + 1), dtype=words.dtype)
+        longer[:, :-1] = words[parent]
+        longer[:, -1] = self.symbols[child]
+        return (longer,)
 
-    def close(self, state, words, last):
-        return np.array([self.fn(w) for w in map(tuple, words.tolist())], dtype=float)
+    def close(self, state, n, last):
+        return np.array([self.fn(w) for w in map(tuple, state[0].tolist())], dtype=float)
 
 
 class PotentialSequence:
@@ -264,17 +273,17 @@ class PotentialSequence:
         return None
 
     def word_hooks(self, sub: FiniteSubshift):
-        """Word hooks (start, extend, close) over sub, in the shift_core.walk_words form.
+        """Word hooks (start, extend, close) over sub, in the shift_core.walk form.
 
-        close(state, words, last) gives eval of each word of a slice whose
-        cyclic closure is an arc of sub. A state is None or a tuple of arrays
-        with one row per word, so a caller may close a subset of the rows.
-        A state of integer arrays promises that, with the last position, it
-        fixes every future of its row: extend and close read nothing else.
-        The enumeration then merges equal rows and closes them with words
-        None. The default evaluates word by word.
+        close(state, n, last) gives eval of each length-n row of a slice
+        whose cyclic closure is an arc of sub. A state is a tuple of arrays
+        with one row per walk row, so a caller may close a subset of the
+        rows. A state of 1-D integer arrays promises that, with the last
+        position, it fixes every future of its row: extend and close read
+        nothing else, and the walk merges equal rows. The default carries
+        the words and evaluates them one by one (WordHooks).
         """
-        return WordHooks(self.eval)
+        return WordHooks(sub, self.eval)
 
     def scaled(self, t: float) -> "PotentialSequence":
         if t == 1.0:
@@ -667,8 +676,8 @@ class _PreimageCounts:
 
     extend reads only the counts and the two positions, and close only the
     counts, so rows with the same last position and counts have the same
-    futures: the enumeration (shift_core.walk_states) merges them within a
-    slice and walks one row per (last, lo, hi) with its number of words. At
+    futures: shift_core.walk merges them within a slice and walks one row
+    per (last, lo, hi) with its number of words. At
     m = 64 only 650 rows stand for the 290 688 words up to length 6. Ties
     are exact because the counts are integers; the cocycle's float rows,
     renormalised at every step, almost never tie, so they are not merged.
@@ -688,7 +697,7 @@ class _PreimageCounts:
         from_zero = np.where(self.symbols[prev] == 1, lo, 0)
         return np.where(self.symbols[child] == 1, lo + hi, from_zero), from_zero
 
-    def close(self, state, words, last):
+    def close(self, state, n, last):
         lo, hi = state
         return -np.log((lo + hi).astype(float))
 

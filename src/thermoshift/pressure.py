@@ -14,12 +14,12 @@ t at once, in ascending m; gurevich_pressure is its one-t case. Pair
 potentials evaluate the base's arc values once per truncation, weigh each t
 by math.exp(t * L), and iterate the T transfer matrices as (T, m, m) stacks
 that fit in cache, one np.matmul per level. Potentials that are enumerated
-(the fiber count, a cocycle at t != 1) are walked once: each slice is
-closed once and each t takes the logsumexp of t times the closed values.
-The fiber count's walk merges rows of equal last symbol and preimage
-counts, each row counting once per word it stands for, so its values group
-by the merged slices, not the word slices. Every t gets the bits it gets
-when estimated alone.
+(the fiber count, a cocycle at t != 1) are walked once (shift_core.walk):
+each slice is closed once and each t takes the logsumexp of t times the
+closed values. The walk merges the fiber count's rows of equal last symbol
+and preimage counts, each row counting once per word it stands for, so its
+values group by the merged slices, not by slices of one row per word. Every
+t gets the bits it gets when estimated alone.
 """
 
 from __future__ import annotations
@@ -46,8 +46,7 @@ from .shift_core import (
     TransitionModel,
     check_mixing,
     truncate,
-    walk_states,
-    walk_words,
+    walk,
 )
 
 
@@ -56,6 +55,9 @@ from .shift_core import (
 # larger one slower: 48 matrices at m = 128, n_max = 40, took 9 ms in 1 MB
 # stacks and 15 ms as one stack, on 2 shared x86-64 vCPUs.
 _STACK_BYTES = 1 << 20
+
+# The default enumeration budget: prefix extensions a word walk may make.
+ENUMERATION_CAP = 20_000_000
 
 
 @dataclass(frozen=True)
@@ -93,7 +95,7 @@ def partition_series(
     p: PotentialSequence,
     n_max: int,
     a: int,
-    cap: int = 20_000_000,
+    cap: int = ENUMERATION_CAP,
 ) -> PartitionSeries:
     """Partition values for all lengths up to n_max in one pass.
 
@@ -116,10 +118,9 @@ def _scaled_series(sub, potentials, n_max, a, cap) -> list[PartitionSeries]:
     Each route runs once for all of them. Pair potentials evaluate the base's
     arc values once and iterate their transfer matrices as (T, m, m) stacks
     of at most _STACK_BYTES. A block potential (a matrix-product norm at
-    scale one) iterates its own matrix. The rest share one walk (over the
-    words, or over merged integer states): the base's hooks close each slice
-    once, and each t takes the logsumexp of t times those values. Each series has the bits it has when
-    computed alone.
+    scale one) iterates its own matrix. The rest share one walk: the base's
+    hooks close each slice once, and each t takes the logsumexp of t times
+    those values. Each series has the bits it has when computed alone.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
@@ -177,47 +178,30 @@ def _iterated(op: TransferOperator, diagonal: list[float]):
 def _enumerated_values(sub, hooks, scales, n_max, a, cap):
     """log Z_n for n = 1..n_max by enumeration, per scale, and the prefix extensions made.
 
-    Walks the words starting at a, carrying the base potential's word hooks,
-    and closes each slice's periodic words with one close call; each scale t
-    takes the logsumexp of t times the closed values per slice, then across
-    the slices of each length. Hooks whose state is of exact integers (the
-    fiber count's preimage counts) walk with shift_core.walk_states: rows of
-    a slice that agree on their last position and state are one row, closed
-    once without words, whose term counts once per word. Float states (the
-    cocycle's renormalised rows) almost never tie, so sorting them for ties
-    would cost as much as walking them, and they walk word by word with
-    shift_core.walk_words, as do hooks without state. The extensions out of
-    each slice (words, not rows) are counted before any of its children are
-    built, and the walk stops with EnumerationBudgetError once their total
-    exceeds cap.
+    Walks the words starting at a with shift_core.walk, carrying the base
+    potential's word hooks, and closes each slice's periodic rows with one
+    close call; each scale t takes the logsumexp of t times the closed values
+    per slice, each row counted once per word it stands for (mult), then
+    across the slices of each length. The extensions out of each slice
+    (words, not rows) are counted before any of its children are built, and
+    the walk stops with EnumerationBudgetError once their total exceeds cap.
+    A child row's words are extensions out of its parent slice, so they
+    never outnumber the extensions counted before it is built; since the
+    count stops the walk past 2**63 - 1 whatever cap is, int64 holds every
+    multiplicity exactly.
     """
     ia = sub.position(a)
     closes = sub.matrix[:, ia] != 0
     fanout = (sub.matrix != 0).sum(axis=1)
-    root = hooks.start(np.array([ia]))
-    # A multiplicity never exceeds the extensions counted before its row is
-    # built, at most cap, so int64 holds it below 2**63.
-    if cap < 2 ** 63 and root is not None and all(
-        np.issubdtype(x.dtype, np.integer) for x in root
-    ):
-        pieces = (
-            (n, None, last, state, mult)
-            for n, last, state, mult in walk_states(sub, [ia], n_max, hooks.start, hooks.extend)
-        )
-    else:
-        pieces = (
-            (words.shape[1], words, last, state, None)
-            for words, last, state in walk_words(sub, [ia], n_max, hooks.start, hooks.extend)
-        )
+    budget = min(cap, 2 ** 63 - 1)
     # Per scale and length, the log-sum of each slice's closed words.
     sums: list[list[list[float]]] = [[[] for _ in range(n_max)] for _ in scales]
     prefixes = 0
-    for n, words, last, state, mult in pieces:
+    for n, last, state, mult in walk(sub, [ia], n_max, hooks.start, hooks.extend):
         closing = closes[last]
         if closing.any():
             rows = slice(None) if closing.all() else np.flatnonzero(closing)
-            chosen = None if state is None else tuple(x[rows] for x in state)
-            closed = hooks.close(chosen, None if words is None else words[rows], last[rows])
+            closed = hooks.close(tuple(x[rows] for x in state), n, last[rows])
             counts = None if mult is None else mult[rows]
             for t, levels in zip(scales, sums):
                 levels[n - 1].append(logsumexp(t * closed, counts))
@@ -225,9 +209,9 @@ def _enumerated_values(sub, hooks, scales, n_max, a, cap):
             # In Python ints: multiplicities times fanouts may pass 2**63.
             extensions = fanout[last] if mult is None else mult.astype(object) * fanout[last]
             prefixes += int(extensions.sum())
-            if prefixes > cap:
+            if prefixes > budget:
                 raise EnumerationBudgetError(
-                    f"enumeration exceeded {cap} prefix extensions"
+                    f"enumeration exceeded {budget} prefix extensions"
                 )
     return [[logsumexp(level) for level in levels] for levels in sums], prefixes
 
@@ -358,7 +342,7 @@ def gurevich_pressure(
     first symbol), the truncations m_list (default the finite alphabet, else
     [8, 16, 32]), n_max = 30, slope_window = 5, tol = 1e-6,
     divergence_threshold = 0.5, divergence_run = 3 and the enumeration cap =
-    20_000_000.
+    ENUMERATION_CAP.
 
     Every truncation must be mixing (raises NonMixingTruncationError naming
     the level otherwise). The value is the trailing-slope estimate at the
@@ -381,7 +365,7 @@ def _estimates(
     tol: float = 1e-6,
     divergence_threshold: float = 0.5,
     divergence_run: int = 3,
-    cap: int = 20_000_000,
+    cap: int = ENUMERATION_CAP,
 ) -> list[PressureEstimate]:
     """gurevich_pressure of each potential, all of them scalings of one base.
 

@@ -2,7 +2,9 @@
 
 A shift is described by a transition rule over integer symbols. Finite
 truncations carry an explicit 0/1 matrix and are the objects every estimator
-actually runs on; words are plain tuples of symbol ids.
+actually runs on; words are plain tuples of symbol ids. walk is the one
+walk of a truncation's words: it carries the caller's hook states a slice of
+numpy rows at a time, merging rows whose integer state fixes their future.
 """
 
 from __future__ import annotations
@@ -377,74 +379,36 @@ def _exponent(arcs: np.ndarray) -> int:
 _FRONTIER = 1 << 10
 
 
-def walk_words(
-    sub: FiniteSubshift,
-    roots: Sequence[int],
-    depth: int,
-    start: Optional[Callable] = None,
-    extend: Optional[Callable] = None,
-) -> Iterator[tuple[np.ndarray, np.ndarray, object]]:
-    """Slices of the admissible words of length 1..depth from the root positions.
-
-    Yields (words, last, state) per slice: the words as one row of symbols
-    each, the position of each row's last symbol, and the caller's batched
-    state for the rows (None without hooks). start(positions) gives the state
-    of a slice of roots; extend(state, parent, prev, child) gives the state
-    of the children, where row k extends row parent[k], whose last position
-    is prev[k], by the position child[k].
-
-    Children follow the arcs in row-major order, so for sorted roots every
-    length is yielded in lexicographic order. The walk is depth first: a
-    slice holds at most _FRONTIER rows (a parent with more children gets a
-    slice of its own), and its children are built only when the walk resumes
-    after yielding it, each child slice walked to depth before the next one
-    is built.
-    """
-    arcs = sub.matrix != 0
-    fanout = arcs.sum(axis=1)
-    symbols = np.asarray(sub.symbols)
-    roots = np.asarray(roots, dtype=np.intp)
-
-    def root_slices():
-        for lo in range(0, len(roots), _FRONTIER):
-            last = roots[lo:lo + _FRONTIER]
-            yield symbols[last][:, None], last, start(last) if start else None
-
-    def child_slices(words, last, state):
-        if words.shape[1] == depth:
-            return
-        for lo, hi in _chunks(fanout[last]):
-            parent, child = np.nonzero(arcs[last[lo:hi]])
-            parent += lo
-            longer = np.empty((len(child), words.shape[1] + 1), dtype=words.dtype)
-            longer[:, :-1] = words[parent]
-            longer[:, -1] = symbols[child]
-            yield longer, child, (
-                extend(state, parent, last[parent], child) if extend else None
-            )
-
-    return _depth_first(root_slices() if depth >= 1 else iter(()), child_slices)
-
-
-def walk_states(
+def walk(
     sub: FiniteSubshift,
     roots: Sequence[int],
     depth: int,
     start: Callable,
     extend: Callable,
-) -> Iterator[tuple[int, np.ndarray, tuple, np.ndarray]]:
-    """walk_words for hooks whose state of exact integers fixes each row's future.
+) -> Iterator[tuple[int, np.ndarray, object, Optional[np.ndarray]]]:
+    """Slices of the admissible words of length 1..depth from the root positions.
 
-    Yields (n, last, state, mult) per slice: the word length, and one row
-    per distinct (last position, state) among the slice's words, with mult
-    (int64) the number of words it stands for. The hooks are walk_words',
-    and extend must read nothing but the state and the two positions, so
-    rows that agree on both have the same children and are merged. No words
-    are built. Child slices are cut from the merged parents as walk_words
-    cuts them and merged before they are yielded, so none holds more than
-    _FRONTIER rows; rows of different slices are not merged. A state that
-    moved to Python ints (object arrays) is carried unmerged, its rows
-    keeping their multiplicities.
+    Yields (n, last, state, mult) per slice: the word length, the position of
+    each row's last symbol, the caller's batched state for the rows, and the
+    number of words each row stands for. start(positions) gives the state of
+    a slice of roots; extend(state, parent, prev, child) gives the state of
+    the children, where row k extends row parent[k], whose last position is
+    prev[k], by the position child[k]. The walk builds no words: a hook that
+    reads them carries them in its state (potentials.WordHooks).
+
+    A state that is a tuple of 1-D integer arrays promises that, with the
+    last position, it fixes every future of its row: extend reads nothing
+    else. Rows of a slice that agree on both are then one row, and mult
+    (int64) counts its words; a state that moved to Python ints (object
+    arrays) is carried unmerged, its rows keeping their multiplicities. Any
+    other state has one row per word and mult None.
+
+    Children follow the arcs in row-major order, so for sorted roots and
+    unmerged rows every length is yielded in lexicographic order. The walk
+    is depth first: a slice holds at most _FRONTIER rows (a parent with more
+    children gets a slice of its own), and its children are built, then
+    merged, only when the walk resumes after yielding it, each child slice
+    walked to depth before the next one is built.
     """
     arcs = sub.matrix != 0
     fanout = arcs.sum(axis=1)
@@ -453,7 +417,11 @@ def walk_states(
     def root_slices():
         for lo in range(0, len(roots), _FRONTIER):
             last = roots[lo:lo + _FRONTIER]
-            yield 1, last, start(last), np.ones(len(last), dtype=np.int64)
+            state = start(last)
+            merged = isinstance(state, tuple) and all(
+                x.ndim == 1 and np.issubdtype(x.dtype, np.integer) for x in state
+            )
+            yield 1, last, state, np.ones(len(last), dtype=np.int64) if merged else None
 
     def child_slices(n, last, state, mult):
         if n == depth:
@@ -461,18 +429,17 @@ def walk_states(
         for lo, hi in _chunks(fanout[last]):
             parent, child = np.nonzero(arcs[last[lo:hi]])
             parent += lo
-            yield (n + 1,) + _merged(
-                child, extend(state, parent, last[parent], child), mult[parent]
-            )
+            children = extend(state, parent, last[parent], child)
+            yield (n + 1,) + _merged(child, children, mult if mult is None else mult[parent])
 
     return _depth_first(root_slices() if depth >= 1 else iter(()), child_slices)
 
 
 def _merged(last: np.ndarray, state: tuple, mult: np.ndarray):
-    """(last, state, mult) with one row per distinct (last, state), its mult summed."""
-    keys = (last,) + tuple(state)
-    if len(last) < 2 or any(key.dtype == object for key in keys):
+    """One row per distinct (last, state), its mult summed; as given without mult or Python ints."""
+    if mult is None or len(last) < 2 or any(x.dtype == object for x in state):
         return last, state, mult
+    keys = (last,) + tuple(state)
     order = np.lexsort(keys[::-1])
     keys = [key[order] for key in keys]
     new = np.zeros(len(order), dtype=bool)

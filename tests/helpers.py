@@ -9,14 +9,14 @@ import numpy as np
 
 from thermoshift.gibbs import markov_measure
 from thermoshift.numerics import logsumexp
-from thermoshift.potentials import ScaledPotential, transfer_operator
+from thermoshift.potentials import ScaledPotential, WordHooks, transfer_operator
 from thermoshift.pressure import gurevich_pressure
 from thermoshift.shift_core import (
     check_mixing,
     model_from_arcs,
     truncate,
+    walk,
     walk_counts,
-    walk_words,
 )
 
 
@@ -99,8 +99,9 @@ def enumerate_periodic_words(sub, n, a):
         raise ValueError("word length must be at least 1")
     ia = sub.position(a)
     closes = sub.matrix[:, ia] != 0
-    for words, last, _ in walk_words(sub, [ia], n):
-        if words.shape[1] == n:
+    hooks = WordHooks(sub)
+    for k, last, (words,), _ in walk(sub, [ia], n, hooks.start, hooks.extend):
+        if k == n:
             yield from map(tuple, words[closes[last]].tolist())
 
 
@@ -250,7 +251,8 @@ def per_potential_series(sub, p, n_max, a):
     one_matrix_power_diagonal. Without either, the words from a are walked
     with the hooks of p's base, each slice closes to t times the base's
     values (p = t * base), and each length takes a logsumexp per walk slice
-    and then one across slices.
+    and then one across slices. The hooks' state rides in a list, which the
+    walk never merges, so every row is one word.
     """
     ia = sub.position(a)
     op = transfer_operator(sub, p)
@@ -267,13 +269,14 @@ def per_potential_series(sub, p, n_max, a):
     hooks = base.word_hooks(sub)
     closes = sub.matrix[:, ia] != 0
     sums = [[] for _ in range(n_max)]
-    for words, last, state in walk_words(sub, [ia], n_max, hooks.start, hooks.extend):
+    start = lambda roots: [hooks.start(roots)]
+    extend = lambda states, *step: [hooks.extend(states[0], *step)]
+    for n, last, [state], _ in walk(sub, [ia], n_max, start, extend):
         closing = closes[last]
         if closing.any():
             rows = slice(None) if closing.all() else np.flatnonzero(closing)
-            chosen = None if state is None else tuple(x[rows] for x in state)
-            closed = t * hooks.close(chosen, words[rows], last[rows])
-            sums[words.shape[1] - 1].append(logsumexp(closed))
+            closed = t * hooks.close(tuple(x[rows] for x in state), n, last[rows])
+            sums[n - 1].append(logsumexp(closed))
     return [logsumexp(level) for level in sums]
 
 

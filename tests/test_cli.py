@@ -290,6 +290,42 @@ def test_validate_fails_when_not_summable(tmp_path, capsys):
         ]
 
 
+def test_validate_fails_when_no_word_was_sampled(tmp_path, capsys):
+    # A 3-cycle has no closed word of length 2, so --depth 2 samples nothing.
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps({
+        "model": {"arcs": [[1, 2], [2, 3], [3, 1]]},
+        "potential": {"kind": "birkhoff", "values": [[0, 1, 0], [0, 0, 1], [1, 0, 0]]},
+        "params": {"witness": [1, 2, 3]},
+    }))
+    code, stdout, _ = run(
+        capsys, "validate", "--model", str(path), "--depth", "2", "--out", str(tmp_path)
+    )
+    assert code == 2 and stdout.startswith("FAIL ")
+    header, rows = read_csv(os.path.join(tmp_path, "validate.csv"))
+    assert header[3] == "samples" and rows[0][3] == "0"
+    code, stdout, _ = run(
+        capsys, "validate", "--model", str(path), "--depth", "3", "--out", str(tmp_path)
+    )
+    assert code == 0 and stdout.startswith("PASS ")
+
+
+@pytest.mark.parametrize("command, name, flags, fields", [
+    ("gibbs", "gibbs_uniform.json", ["--depth", "50"], ["params.depth:", "params.cap"]),
+    ("gibbs", "gm_zero.json", ["--level", "3", "--depth", "5"],
+     ["params.depth:", "params.level 3"]),
+    ("dimension", "cantor.json", ["--t-bracket", "0.7,0.8"], ["params.t_bracket:"]),
+], ids=["depth-past-cap", "depth-past-level", "t_bracket-not-straddling"])
+def test_run_errors_name_their_field(tmp_path, capsys, command, name, flags, fields):
+    code, stdout, stderr = run(
+        capsys, command, "--model", fixture(name), "--out", str(tmp_path), *flags
+    )
+    assert code == 1 and stdout == ""
+    assert stderr.startswith("error: " + fields[0])
+    assert all(field in stderr for field in fields)
+    assert not os.path.exists(os.path.join(tmp_path, "gibbs.csv"))
+
+
 def test_flag_overrides_change_behaviour(tmp_path, capsys):
     # a looser tolerance turns the unconverged run into a clean exit
     code, _, _ = run(

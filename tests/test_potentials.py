@@ -275,8 +275,7 @@ def test_word_hooks_close_matches_eval(case):
         parent = np.array([0, 1])
     # Close the rows in reverse order, selecting them from the state.
     rows = np.array([1, 0])
-    chosen = None if state is None else tuple(x[rows] for x in state)
-    closed = t * hooks.close(chosen, words[rows], pos[rows, -1])
+    closed = t * hooks.close(tuple(x[rows] for x in state), words.shape[1], pos[rows, -1])
     for value, word in zip(closed, words[rows].tolist()):
         assert value == pytest.approx(p.eval(word), rel=1e-12)
         assert value == pytest.approx(oracle(tuple(word)), rel=1e-10)

@@ -353,6 +353,16 @@ def test_fiber_series_matches_the_word_walk(m):
         assert merged == pytest.approx(per_potential_series(sub, p, 6, 1), rel=1e-15, abs=0)
 
 
+def test_fiber_series_is_merged_whatever_the_cap():
+    # Multiplicities stay int64 past cap = 2**63: the walk stops first.
+    sub = truncate(star_shift(), 16)
+    p = fiber_count_potential().scaled(2.0)
+    default = partition_series(sub, p, 7, 1)
+    huge = partition_series(sub, p, 7, 1, cap=2 ** 64)
+    assert repr(huge.entries) == repr(default.entries)
+    assert huge.prefixes == default.prefixes
+
+
 def test_counted_logsumexp_adds_every_copy():
     rng = np.random.default_rng(5)
     for _ in range(50):

@@ -1,6 +1,7 @@
 """Tests for transition models, truncations, and periodic-word machinery."""
 
 import dataclasses
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from helpers import count_periodic, enumerate_periodic_words, wielandt_exponent
 from thermoshift.gibbs import count_admissible_words
+from thermoshift.potentials import WordHooks, fiber_count_potential
 from thermoshift.shift_core import (
     BipCertificate,
     BipFailure,
@@ -27,6 +29,8 @@ from thermoshift.shift_core import (
     renewal_shift,
     symbol_lookup,
     truncate,
+    walk,
+    walk_counts,
 )
 
 
@@ -291,3 +295,54 @@ def test_symbol_lookup_reads_dicts_sequences_and_callables():
     with pytest.raises(ValueError, match="^table: no entry for symbol 1$"):
         lookup(1)
     assert symbol_lookup(abs, "unused") == (abs, None)
+
+
+def test_walk_merges_the_fiber_counts_into_rows_with_multiplicities():
+    sub = truncate(star_shift(), 64)
+    hooks = fiber_count_potential().word_hooks(sub)
+    rows, words = 0, [0] * 6
+    for n, last, (lo, hi), mult in walk(sub, [0], 6, hooks.start, hooks.extend):
+        assert mult.dtype == np.int64 and len(mult) == len(last) == len(lo) == len(hi)
+        rows += len(last)
+        words[n - 1] += int(mult.sum())
+    assert rows == 650
+    assert sum(words) == 290688
+    ones = np.zeros(sub.size, dtype=object)
+    ones[0] = 1
+    assert words == [int(walk_counts(sub, n - 1, ones).sum()) for n in range(1, 7)]
+
+
+def test_walk_with_word_hooks_yields_every_length_in_lexicographic_order():
+    model = model_from_arcs([[i, j] for i in range(1, 7) for j in range(1, 7) if (i + j) % 4])
+    sub = truncate(model, 6)
+    hooks = WordHooks(sub)
+    found = {n: [] for n in range(1, 6)}
+    slices = [0] * 6
+    for n, last, (words,), mult in walk(sub, range(sub.size), 5, hooks.start, hooks.extend):
+        assert mult is None and words.shape == (len(last), n)
+        assert words[:, -1].tolist() == [sub.symbols[k] for k in last]
+        found[n].extend(map(tuple, words.tolist()))
+        slices[n] += 1
+    assert slices[5] > 1  # the longest words span several slices
+    for n, words in found.items():
+        brute = [w for w in itertools.product(sub.symbols, repeat=n) if is_admissible(w, model)]
+        assert words == brute
+
+
+def test_walk_carries_python_int_states_unmerged_with_their_multiplicities():
+    sub = truncate(full_shift(), 3)
+
+    def extend(state, parent, prev, child):
+        # The length as the state, moving to Python ints from length 4 on.
+        c = state[0][parent] + 1
+        return (c.astype(object) if c.max() >= 4 else c,)
+
+    start = lambda roots: (np.ones(len(roots), dtype=np.int64),)
+    seen = []
+    for n, last, (c,), mult in walk(sub, [0], 6, start, extend):
+        assert mult.dtype == np.int64 and c.tolist() == [n] * len(last)
+        seen.append((n, len(last), sorted(set(mult.tolist())), int(mult.sum())))
+    # Merged by last symbol up to length 3, then one row per parent and arc,
+    # each keeping the 3 words its length-3 parent stood for.
+    assert seen == [(1, 1, [1], 1), (2, 3, [1], 3), (3, 3, [3], 9),
+                    (4, 9, [3], 27), (5, 27, [3], 81), (6, 81, [3], 243)]
