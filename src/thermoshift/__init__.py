@@ -14,13 +14,15 @@ The package is organized bottom-up:
   variational defect.
 - ``matrix_cocycle``: norm potentials of matrix products, Lyapunov
   exponents by Monte Carlo over Markov measures, cocycle pressure curves.
-- ``dimension``: Bowen-type dimension of geometric constructions by
-  bisection on the pressure equation, with a Ledrappier-Young cross-check.
+- ``dimension``: Bowen-type dimension of geometric constructions by a
+  safeguarded secant on the pressure equation, with a Ledrappier-Young
+  cross-check.
 - ``modelfile`` / ``cli``: JSON model files and the batch front-end.
 
-Fixed limits are module constants: ``dimension._MAX_BISECTIONS`` = 80,
-``numerics._PERRON_TOL`` = 1e-13 and ``_PERRON_MAX_ITER`` = 500 000,
-``gibbs._MEASURE_TOL`` = 1e-9, and the probes ``potentials._CONE_PROBE`` = 16
+Fixed limits are module constants: ``dimension._MAX_PROBES`` = 80 and
+``_SECANT_SLACK`` = 5, ``numerics._PERRON_TOL`` = 1e-13 and
+``_PERRON_MAX_ITER`` = 500 000, ``gibbs._MEASURE_TOL`` = 1e-9, and the
+probes ``potentials._CONE_PROBE`` = 16
 (a callable matrix family's cone) and ``_SUMMABILITY_PROBE`` = 64 symbols.
 The tests' closed-form oracles live in tests/helpers.py.
 """

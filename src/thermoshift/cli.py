@@ -254,7 +254,10 @@ def cmd_gibbs(data: dict, args: argparse.Namespace, out_dir: str) -> int:
         level = params.get("level", 8)
         if depth > level:
             raise ModelFileError("params.depth", f"{depth} exceeds params.level {level}")
-        mu = finite_gibbs_nu(sub, potential, level)
+        try:
+            mu = finite_gibbs_nu(sub, potential, level, **_given(params, "cap"))
+        except EnumerationBudgetError as exc:
+            raise ModelFileError("params.level", f"{exc}; params.cap sets the cap") from None
     lengths = []
     cert = verify_gibbs(
         mu,

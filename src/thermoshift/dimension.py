@@ -2,8 +2,10 @@
 
 A geometric construction assigns to every admissible word the length ratio of
 its interval. The dimension of the limit set is the infimum of t with
-P(t log r) <= 0; for contracting ratios the pressure is strictly decreasing
-in t, so the infimum is located by bisection on the pressure estimate.
+P(t log r) <= 0; for contracting ratios the pressure is convex and strictly
+decreasing in t, so the infimum is located by a safeguarded secant (Illinois)
+on the pressure estimate, which falls back to the midpoint where the secant
+stalls.
 """
 
 import math
@@ -90,15 +92,16 @@ class _GeneralRatioPotential(PotentialSequence):
 
 @dataclass(frozen=True)
 class DimensionResult:
-    """Outcome of the bisection on t with the final bracket and diagnostics.
+    """Outcome of the root search on t with the final bracket and diagnostics.
 
-    dim_hat is the smallest probed t whose pressure is certified at or below
-    zero; root_found reports whether the pressure magnitude there is within
-    the solver tolerance (it is not when the curve jumps past zero, in which
-    case dim_hat still reports the infimum boundary). uncertain is set when
-    an endpoint was classified while the pressure estimate's own error
-    bracket straddled zero; probes near a genuine root straddle by nature and
-    do not trip it.
+    dim_hat is the first probed t whose pressure is within the solver
+    tolerance of zero, and root_found says such a t was found; when none is
+    (the curve jumps past zero), dim_hat is the upper bracket end, the
+    infimum boundary. The bracket ends are probes with P above tol and below
+    -tol (t_hi only needs P <= tol, and a root at t_lo is its own bracket).
+    uncertain is set when an endpoint was classified while the pressure
+    estimate's own error bracket straddled zero; probes near a genuine root
+    straddle by nature and do not trip it.
     """
 
     dim_hat: float
@@ -109,7 +112,8 @@ class DimensionResult:
     trace: tuple[tuple[float, float, float, float, bool], ...]
 
 
-_MAX_BISECTIONS = 80
+_MAX_PROBES = 80
+_SECANT_SLACK = 5
 
 
 class NoStraddleError(ValueError):
@@ -124,15 +128,26 @@ def bowen_dimension(
     evaluator: Optional[Callable[[float], PressureEstimate]] = None,
     **pressure_params,
 ) -> DimensionResult:
-    """Locate inf{t : P(t log r) <= 0} by bisection on the pressure value.
+    """Locate inf{t : P(t log r) <= 0} by a safeguarded secant on the pressure value.
 
     tol is the pressure tolerance: a root is declared when |P| <= tol at the
     probed t. The endpoints must straddle (pressure positive at t_lo, at or
-    below zero at t_hi) or a NoStraddleError reports the measured values. At most
-    _MAX_BISECTIONS = 80 midpoints are probed. `evaluator` overrides the
-    pressure computation per t and takes no pressure keyword (TypeError);
-    by default each probe runs the truncation estimator on the scaled ratio
-    potential.
+    below zero at t_hi) or a NoStraddleError reports the measured values.
+    Between them the bracket (lo, hi) keeps P(lo) > tol and P(hi) < -tol
+    (t_hi itself only needs P <= tol). Each probe is the regula-falsi point
+    of the bracket, where an end kept by two steps in a row has its value
+    halved (Illinois). The midpoint is probed instead when an end value is
+    not finite, when the secant point leaves (lo, hi), or when the bracket
+    is more than 2^_SECANT_SLACK = 32 times as wide as bisection alone would
+    have left it, so the secant costs at most _SECANT_SLACK probes more than
+    bisection to reach any width. At most _MAX_PROBES = 80 probes follow the
+    two ends. The first probe with |P| <= tol gives dim_hat but is no
+    bracket end: each end farther than 2h from it, h = 2 tol / |s| for the
+    slope s of the chord between the ends, is closed by one probe at
+    distance h, which replaces the end on its side of zero only where
+    |P| > tol. `evaluator` overrides the pressure computation per t and
+    takes no pressure keyword (TypeError); by default each probe runs the
+    truncation estimator on the scaled ratio potential.
     """
     check_estimate_params("bowen_dimension", pressure_params)
     if evaluator is not None and pressure_params:
@@ -187,31 +202,63 @@ def bowen_dimension(
     uncertain = straddles(est_lo) or straddles(est_hi)
 
     lo, hi = t_lo, t_hi
-    hi_est = est_hi
-    for _ in range(_MAX_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
+    lo_value, hi_est = est_lo.value, est_hi
+    # The secant weights: the end values, an end's halved each time it is
+    # kept twice in a row. The probe at t_lo kept hi.
+    w_lo, w_hi = est_lo.value, est_hi.value
+    kept_lo, root = False, None
+    # After k probes, bisection alone leaves budget / 2^_SECANT_SLACK.
+    budget = (hi - lo) * 2.0 ** _SECANT_SLACK
+    for _ in range(_MAX_PROBES):
+        t = 0.5 * (lo + hi)
+        if t == lo or t == hi:
             break
-        est = probe(mid)
+        budget *= 0.5
+        # 0 < w_lo - w_hi < inf holds for finite weights only.
+        if hi - lo <= budget and 0.0 < w_lo - w_hi < math.inf:
+            secant = lo + w_lo * (hi - lo) / (w_lo - w_hi)
+            if lo < secant < hi:
+                t = secant
+        est = probe(t)
         if abs(est.value) <= tol:
-            return DimensionResult(
-                dim_hat=mid,
-                bracket=(lo, hi),
-                root_found=True,
-                pressure_at_dim=est.value,
-                uncertain=uncertain,
-                trace=tuple(trace),
-            )
+            root = (t, est)
+            break
         if est.value > 0.0:
-            lo = mid
+            lo, lo_value, w_lo = t, est.value, est.value
+            if not kept_lo:
+                w_hi *= 0.5
         else:
-            hi = mid
-            hi_est = est
+            hi, hi_est, w_hi = t, est, est.value
+            if kept_lo:
+                w_lo *= 0.5
+        kept_lo = est.value < 0.0
+    if root is None:
+        return DimensionResult(
+            dim_hat=hi,
+            bracket=(lo, hi),
+            root_found=False,
+            pressure_at_dim=hi_est.value,
+            uncertain=uncertain,
+            trace=tuple(trace),
+        )
+    # A probe within tol of zero is no end: it may sit on either side of the
+    # root. Probes h away, where the chord drops by 2 tol, close in instead.
+    t_root, est_root = root
+    h = 2.0 * tol * (hi - lo) / (lo_value - hi_est.value)
+    for side in (-1.0, 1.0):
+        end = lo if side < 0.0 else hi
+        if h > 0.0 and abs(end - t_root) > 2.0 * h:
+            t = t_root + side * h
+            est = probe(t)
+            if est.value > tol:
+                lo = t
+            elif est.value < -tol:
+                hi = t
     return DimensionResult(
-        dim_hat=hi,
+        dim_hat=t_root,
         bracket=(lo, hi),
-        root_found=False,
-        pressure_at_dim=hi_est.value,
+        root_found=True,
+        pressure_at_dim=est_root.value,
         uncertain=uncertain,
         trace=tuple(trace),
     )

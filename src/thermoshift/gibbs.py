@@ -361,8 +361,8 @@ def finite_gibbs_nu(
     total = count_admissible_words(sub, l)
     if total > cap:
         raise EnumerationBudgetError(
-            f"level {l} has {total} words, beyond the enumeration cap, and the "
-            "potential exposes no structure for marginal recursions"
+            f"level {l} has {total} words, beyond the enumeration cap {cap}, and "
+            "the potential exposes no structure for marginal recursions"
         )
     weights: dict[Word, float] = {}
     for w in iter_admissible_words(sub, l):

@@ -229,6 +229,8 @@ class PotentialSequence:
 
     name: str = "potential"
     declared_C: float = 0.0
+    # The model's symbols the potential defines, when that is a finite list.
+    defined_symbols: Optional[tuple[int, ...]] = None
 
     def eval(self, word: Sequence[int]) -> float:
         raise NotImplementedError
@@ -554,10 +556,11 @@ class CocyclePotential(PotentialSequence):
 
     Each matrix of the family that the potential uses must be strictly
     positive. cone is the cone report on probe: the listed symbols the model
-    has (else its first symbol, whose lookup then fails) or, for a callable
-    family, the model's first _CONE_PROBE. Only a probe that samples a larger
-    family meets the report's degeneration heuristic; a whole one is uniform
-    iff best_C > 0. declared_C = -log(cone.best_C).
+    has, which are also defined_symbols (else its first symbol, whose lookup
+    then fails), or, for a callable family, the model's first _CONE_PROBE.
+    Only a probe that samples a larger family meets the report's
+    degeneration heuristic; a whole one is uniform iff best_C > 0.
+    declared_C = -log(cone.best_C).
     """
 
     def __init__(self, family: MatrixFamily, model: TransitionModel):
@@ -566,8 +569,11 @@ class CocyclePotential(PotentialSequence):
         self.d = family.d
         self.name = "cocycle"
         first, end = model.first_symbol, model.first_symbol + (model.alphabet_size or math.inf)
-        self.probe = (model.symbols_for(_CONE_PROBE) if family.symbols is None
-                      else [a for a in family.symbols if first <= a < end] or [first])
+        if family.symbols is None:
+            self.probe = model.symbols_for(_CONE_PROBE)
+        else:
+            self.defined_symbols = tuple(a for a in family.symbols if first <= a < end)
+            self.probe = list(self.defined_symbols) or [first]
         cone = check_cone_condition(family, self.probe)
         whole = family.symbols is not None or len(self.probe) == model.alphabet_size
         self.cone = ConeReport(cone.best_C > 0.0, cone.best_C) if whole else cone
@@ -815,11 +821,18 @@ class SummabilityReport:
 def summability_report(p: PotentialSequence) -> SummabilityReport:
     """Partial sums of sup f_1 per symbol plus a closed-form tail when known.
 
-    The sum runs over the model's first _SUMMABILITY_PROBE symbols. A finite
-    alphabet is "summable", with a tail and total when the probe covers it;
-    a countable one needs a tail bound. Terms that stay above 1e-9 across
-    the probe yield "not_summable", and anything else is "inconclusive".
+    A potential that defines finitely many of the model's symbols
+    (defined_symbols: a listed matrix family's symbols) sums exactly those
+    and is "summable" with tail 0, as no truncation can hold another symbol
+    without failing. Otherwise the sum runs over the model's first
+    _SUMMABILITY_PROBE symbols. A finite alphabet is "summable", with a tail
+    and total when the probe covers it; a countable one needs a tail bound.
+    Terms that stay above 1e-9 across the probe yield "not_summable", and
+    anything else is "inconclusive".
     """
+    if p.defined_symbols is not None:
+        partial = math.fsum(p.sup_f1(a) for a in p.defined_symbols)
+        return SummabilityReport(partial, 0.0, partial, "summable")
     model = getattr(p, "model", None) or full_shift()
     symbols = model.symbols_for(_SUMMABILITY_PROBE)
     terms = [p.sup_f1(a) for a in symbols]

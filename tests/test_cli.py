@@ -326,6 +326,32 @@ def test_run_errors_name_their_field(tmp_path, capsys, command, name, flags, fie
     assert not os.path.exists(os.path.join(tmp_path, "gibbs.csv"))
 
 
+def test_gibbs_explicit_measure_takes_params_cap(tmp_path, capsys):
+    # A fiber-count measure stores every word of its level: 205 920 at level 10
+    # and 2 111 201 at level 12 on the 8-symbol star, past the 200 000 default.
+    path = tmp_path / "fiber.json"
+    path.write_text(json.dumps({
+        "model": {"name": "star"},
+        "potential": {"kind": "fiber_count"},
+        "params": {"truncations": [8], "n_max": 10, "level": 12, "depth": 4},
+    }))
+    out = str(tmp_path / "out")
+    for level in ("10", "12"):
+        code, stdout, stderr = run(
+            capsys, "gibbs", "--model", str(path), "--level", level, "--out", out
+        )
+        assert code == 1 and stdout == ""
+        assert stderr.startswith(f"error: params.level: level {level} has ")
+        assert "params.cap" in stderr
+    assert not os.path.exists(os.path.join(out, "gibbs.csv"))
+    code, stdout, _ = run(
+        capsys, "gibbs", "--model", str(path), "--level", "10", "--cap", "100000000",
+        "--out", out,
+    )
+    assert code == 0 and stdout.startswith("PASS ")
+    assert os.path.exists(os.path.join(out, "gibbs.csv"))
+
+
 def test_flag_overrides_change_behaviour(tmp_path, capsys):
     # a looser tolerance turns the unconverged run into a clean exit
     code, _, _ = run(

@@ -196,6 +196,98 @@ def test_trace_records_every_probe():
             assert value <= upper + 1e-12
 
 
+# -- solver cost and bracket ----------------------------------------------------------
+
+GEOMETRIC = product_construction(lambda a: 3.0 ** (-a), tail=geometric_tail(3.0))
+
+SOLVER_CASES = {
+    "cantor": (product_construction([1 / 3, 1 / 3]), full_two(), {"n_max": 30}),
+    "two_ratio": (product_construction([0.5, 0.25]), full_two(), {"n_max": 30}),
+    "golden_mean": (product_construction([1 / 3, 1 / 3]), golden_mean_shift(),
+                    {"m_list": [2], "n_max": 40}),
+    "geometric_m5": (GEOMETRIC, full_shift(), {"m_list": [5], "n_max": 12}),
+    "geometric_m20": (GEOMETRIC, full_shift(), {"m_list": [20], "n_max": 12}),
+    "geometric_m16_32": (GEOMETRIC, full_shift(), {"m_list": [16, 32], "n_max": 30}),
+}
+
+
+def fake_estimate(v: float) -> PressureEstimate:
+    return PressureEstimate(
+        v, v - 1e-3, v + 1e-3, 8, 6, 1, (),
+        True, True, False, ((8, v),), None,
+    )
+
+
+def bisection_probes(pressure, lo: float, hi: float, tol: float = 1e-8) -> int:
+    """Probes plain bisection spends on the same stopping rule: two ends, then midpoints."""
+    probes = 2
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return probes
+        probes += 1
+        value = pressure(mid)
+        if abs(value) <= tol:
+            return probes
+        if value > 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
+def assert_bracket_invariant(res: DimensionResult, tol: float = 1e-8) -> None:
+    values = {t: value for t, value, *_ in res.trace}
+    lo, hi = res.bracket
+    assert lo in values and hi in values
+    assert values[lo] > tol
+    assert values[hi] < -tol
+    assert lo <= res.dim_hat <= hi
+
+
+@pytest.mark.parametrize("case, budget", [
+    ("cantor", 6), ("golden_mean", 8), ("geometric_m20", 14),
+])
+def test_probe_budget(case, budget):
+    gc, model, params = SOLVER_CASES[case]
+    res = bowen_dimension(gc, model, **params)
+    assert res.root_found
+    assert len(res.trace) <= budget
+
+
+@pytest.mark.parametrize("case", sorted(SOLVER_CASES))
+def test_bracket_ends_are_probes_beyond_the_tolerance(case):
+    gc, model, params = SOLVER_CASES[case]
+    res = bowen_dimension(gc, model, **params)
+    assert res.root_found
+    assert_bracket_invariant(res)
+
+
+def test_cantor_root_and_bracket_at_tight_tolerance():
+    res = bowen_dimension(
+        product_construction([1 / 3, 1 / 3]), full_two(), tol=1e-9, n_max=30
+    )
+    assert abs(res.dim_hat - LOG2_OVER_LOG3) < 1e-14
+    assert res.bracket[0] <= LOG2_OVER_LOG3 <= res.bracket[1]
+    assert_bracket_invariant(res, tol=1e-9)
+
+
+@pytest.mark.parametrize("name, pressure", [
+    # Flat at its root: the secant creeps along the tangent.
+    ("cubic", lambda t: (0.4 - t) ** 3 + 1e-12),
+    # Slopes -100 and -1 meet at the root: chords across the kink undershoot.
+    ("kink", lambda t: (0.3 - t) * (100.0 if t < 0.3 else 1.0)),
+])
+def test_stalling_secant_costs_at_most_ten_probes_over_bisection(name, pressure):
+    res = bowen_dimension(
+        product_construction([1 / 3, 1 / 3]), full_two(),
+        evaluator=lambda t: fake_estimate(pressure(t)),
+    )
+    assert res.root_found
+    assert abs(res.pressure_at_dim) <= 1e-8
+    assert_bracket_invariant(res)
+    assert len(res.trace) <= bisection_probes(pressure, 0.0, 1.0) + 10
+
+
 # -- entropy over contraction identity ------------------------------------------------
 
 def test_identity_for_countable_geometric():

@@ -361,6 +361,25 @@ def test_missing_tail_warns_but_computes():
     assert curve[0][1].value == pytest.approx(-math.log(2.0), abs=1e-4)
 
 
+def test_listed_family_sums_only_its_symbols():
+    # Two listed symbols on the countable full shift: the potential defines
+    # no other, so their norms are the whole sum and no tail is missing.
+    fam = MatrixFamily(2, [SYMMETRIC[1], SYMMETRIC[1]])
+    p = cocycle_potential(fam, full_shift())
+    assert p.defined_symbols == (1, 2)
+    report = potentials.summability_report(p)
+    assert (report.partial_sum, report.tail_bound, report.total_bound) == (12.0, 0.0, 12.0)
+    assert report.verdict == "summable"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        curve = cocycle_pressure(fam, full_shift(), [1.0], m_list=[2])
+    est = gurevich_pressure(full_shift(), p, m_list=[2])
+    assert curve[0][1].value == est.value
+    assert curve[0][1].value == pytest.approx(math.log(6.0), abs=1e-6)
+    # A callable family defines every symbol and keeps the probe.
+    assert cocycle_potential(MatrixFamily(2, lambda a: SYMMETRIC[1]), full_shift()).defined_symbols is None
+
+
 def test_degenerating_family_fails_cone_preflight():
     fam = MatrixFamily(2, lambda a: [[1.0, 4.0 ** (-a)], [1.0, 1.0]])
     with pytest.raises(ValueError, match="cone condition"):
