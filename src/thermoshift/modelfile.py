@@ -278,8 +278,10 @@ def _parse_potential(
         _require_keys(lam, {"list"}, ("list",), where)
         ratios = _numbers(lam["list"], f"{where}.list", lambda v: 0 < v <= 1,
                           "lie in (0, 1]")
-        lookup, _ = symbol_lookup(ratios, f"{where}.list")
-        return lambda model: SymbolWeightPotential(lookup, model, name="weighted")
+        lookup, symbols = symbol_lookup(ratios, f"{where}.list")
+        return lambda model: SymbolWeightPotential(
+            lookup, model, name="weighted", symbols=symbols
+        )
     if kind == "fiber_count":
         if data["model"].get("name") != "star":
             raise ModelFileError(

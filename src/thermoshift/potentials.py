@@ -353,10 +353,20 @@ class ScaledPotential(PotentialSequence):
         return ScaledPotential(self.base, t * self.t)
 
 
-# Symbols probed for successors without a truncation, a callable family's cone and summability.
+# Symbols of a countable model probed for successors without a truncation,
+# and of any model for a callable family's cone and for summability.
 _SUCCESSOR_PROBE = 128
 _CONE_PROBE = 16
 _SUMMABILITY_PROBE = 64
+# Symbols of a finite alphabet one model.table call checks for successors.
+_SUCCESSOR_CHUNK = 1 << 16
+
+
+def _in_alphabet(symbols: Sequence[int], model: TransitionModel) -> tuple[int, ...]:
+    """The given symbols that lie in the model's alphabet, in their order."""
+    first = model.first_symbol
+    end = first + (model.alphabet_size or math.inf)
+    return tuple(a for a in symbols if first <= a < end)
 
 
 class BirkhoffPotential(PotentialSequence):
@@ -385,10 +395,24 @@ class BirkhoffPotential(PotentialSequence):
         return math.fsum(self.f(cycle[j % L], cycle[(j + 1) % L]) for j in range(k))
 
     def _out_symbols(self, a, sub):
+        """Successors of a: in sub when given, else in the model's whole alphabet.
+
+        A countable model is searched on its first _SUCCESSOR_PROBE symbols.
+        A finite one is searched whole, through model.table when it has one,
+        _SUCCESSOR_CHUNK symbols a call.
+        """
         if sub is not None:
             return sub.out_neighbors(a)
-        return [j for j in self.model.symbols_for(_SUCCESSOR_PROBE)
-                if self.model.rule(a, j)]
+        model = self.model
+        first = model.first_symbol
+        end = first + (model.alphabet_size or _SUCCESSOR_PROBE)
+        if model.table is None:
+            return [j for j in range(first, end) if model.rule(a, j)]
+        out = []
+        for lo in range(first, end, _SUCCESSOR_CHUNK):
+            ids = np.arange(lo, min(lo + _SUCCESSOR_CHUNK, end), dtype=np.int64)
+            out += ids[np.asarray(model.table(np.int64(a), ids), dtype=bool)].tolist()
+        return out
 
     def cylinder_log_weight(self, word, sub=None, lower=False):
         word = tuple(word)
@@ -422,14 +446,21 @@ def zero_potential(model: TransitionModel) -> BirkhoffPotential:
 
 
 class SymbolWeightPotential(PotentialSequence):
-    """Products of per-symbol weights times a length-dependent factor c_n."""
+    """Products of per-symbol weights times a length-dependent factor c_n.
+
+    symbols, when lam is defined on finitely many symbols (a listed
+    family), names them; those the model has are defined_symbols.
+    """
 
     def __init__(self, lam: Callable[[int], float], model: TransitionModel,
                  log_c: Optional[Callable[[int], float]] = None,
                  c_regularity: float = 0.0,
                  lam_tail_power: Optional[Callable[[int, float], float]] = None,
-                 name: str = "symbol_weight"):
+                 name: str = "symbol_weight",
+                 symbols: Optional[Sequence[int]] = None):
         self.model = model
+        if symbols is not None:
+            self.defined_symbols = _in_alphabet(symbols, model)
         self._lam_raw = lam
         self._log_lam_cache: dict[int, float] = {}
         self.log_c = log_c or (lambda n: 0.0)
@@ -568,12 +599,11 @@ class CocyclePotential(PotentialSequence):
         self.model = model
         self.d = family.d
         self.name = "cocycle"
-        first, end = model.first_symbol, model.first_symbol + (model.alphabet_size or math.inf)
         if family.symbols is None:
             self.probe = model.symbols_for(_CONE_PROBE)
         else:
-            self.defined_symbols = tuple(a for a in family.symbols if first <= a < end)
-            self.probe = list(self.defined_symbols) or [first]
+            self.defined_symbols = _in_alphabet(family.symbols, model)
+            self.probe = list(self.defined_symbols) or [model.first_symbol]
         cone = check_cone_condition(family, self.probe)
         whole = family.symbols is not None or len(self.probe) == model.alphabet_size
         self.cone = ConeReport(cone.best_C > 0.0, cone.best_C) if whole else cone
@@ -714,6 +744,11 @@ def fiber_count_potential() -> FiberCountPotential:
 
 # Sampled defects within this of the declared constant do not count as violations.
 _REGULARITY_SLACK = 1e-9
+# Most word positions one block of regularity samples holds: a block has
+# max(1, _SAMPLE_BLOCK // depth) samples, so memory follows the block, not samples.
+_SAMPLE_BLOCK = 1 << 16
+# Draws of a sample's word before the sample is dropped for not closing.
+_CLOSE_ATTEMPTS = 64
 
 
 @dataclass(frozen=True)
@@ -735,10 +770,31 @@ def estimate_regularity(
 ) -> RegularityReport:
     """Sampled falsifier for the declared almost-additivity constant.
 
-    Draws cyclically admissible words w of length up to `depth`, splits them
-    at a random position n, and records |log f_{n+m}(x) - log f_n(x) -
-    log f_m(shift^n x)| at the periodic point x of w. The maximum is a lower
-    estimate of the true constant; it cannot certify the declared one.
+    Draws cyclically admissible words w on the truncation to `truncation`
+    symbols, splits each at a position n, and records the defect |log
+    f_L(x) - log f_n(x) - log f_{L-n}(shift^n x)| at the periodic point x
+    of w, L = len(w). The maximum is a lower estimate of the true constant;
+    it cannot certify the declared one. worst_word is the first sample
+    that attains it (None while every defect is 0).
+
+    The law of a sample: L is uniform on [2, depth]; the first symbol is
+    uniform on the truncation, and each next one uniform among the
+    out-neighbours of the one before, conditioned on the arc from the last
+    symbol back to the first; n is uniform on [1, L - 1]. A word that does
+    not close is redrawn with the same L, and a sample whose
+    _CLOSE_ATTEMPTS words all fail is dropped and not counted in
+    `samples`. truncate prunes every symbol without a successor, so a walk
+    never ends early.
+
+    Samples are drawn max(1, _SAMPLE_BLOCK // depth) at a time, every
+    length, first symbol, successor and split of a block as one array,
+    with one draw and one gather on a successor table per step. A
+    potential with a pair structure has its three terms summed from one
+    gather on its arc table: offset(L) plus the pair over all L cyclic
+    arcs, offset(n) plus the first n arcs, and offset(L - n) plus the other
+    L - n; each is its own sum. Any other potential is called through
+    eval and eval_point on each drawn word. Both routes see the same
+    words for a seed.
     """
     if depth < 2:
         raise ValueError(f"depth must be at least 2 to split a word, got {depth}")
@@ -746,33 +802,49 @@ def estimate_regularity(
         raise ValueError(f"samples must be at least 1, got {samples}")
     sub = truncate(model, truncation)
     rng = np.random.default_rng(seed)
-    symbols = sub.symbols
+    symbols = np.asarray(sub.symbols)
+    arcs = sub.matrix != 0
+    # Row i of successors lists the positions i has an arc to, in its first fanout[i] entries.
+    fanout = arcs.sum(axis=1)
+    successors = np.argsort(~arcs, axis=1, kind="stable")
+    ps = p.pair_structure()
+    if ps is None:
+        defects = _word_defects(p, symbols)
+    else:
+        defects = _pair_defects(pair_log_table(sub, ps), ps.offset, depth)
     c_hat = 0.0
     worst = None
     used = 0
-    for _ in range(samples):
-        length = int(rng.integers(2, depth + 1))
-        for _attempt in range(64):
-            word = [symbols[rng.integers(0, len(symbols))]]
-            ok = True
-            for _k in range(length - 1):
-                outs = sub.out_neighbors(word[-1])
-                if not outs:
-                    ok = False
-                    break
-                word.append(outs[rng.integers(0, len(outs))])
-            if ok and sub.arc(word[-1], word[0]):
+    block = max(1, _SAMPLE_BLOCK // depth)
+    for lo in range(0, samples, block):
+        lengths = rng.integers(2, depth + 1, size=min(block, samples - lo))
+        words = np.zeros((len(lengths), depth), dtype=np.intp)
+        closed = np.zeros(len(lengths), dtype=bool)
+        pending = np.arange(len(lengths))
+        for _attempt in range(_CLOSE_ATTEMPTS):
+            if not pending.size:
                 break
-        else:
+            ends = lengths[pending] - 1
+            drawn = np.zeros((len(pending), ends.max() + 1), dtype=np.intp)
+            drawn[:, 0] = rng.integers(0, sub.size, size=len(pending))
+            for k in range(1, drawn.shape[1]):
+                prev = drawn[:, k - 1]
+                drawn[:, k] = successors[prev, rng.integers(0, fanout[prev])]
+            ok = arcs[drawn[np.arange(len(pending)), ends], drawn[:, 0]]
+            words[pending[ok], :drawn.shape[1]] = drawn[ok]
+            closed[pending[ok]] = True
+            pending = pending[~ok]
+        words, lengths = words[closed], lengths[closed]
+        splits = rng.integers(1, lengths)
+        used += len(lengths)
+        found = defects(words, lengths, splits)
+        if not found.size:
             continue
-        used += 1
-        n = int(rng.integers(1, length))
-        w = tuple(word)
-        rotated = w[n:] + w[:n]
-        defect = abs(p.eval(w) - p.eval_point(w, n) - p.eval_point(rotated, length - n))
-        if defect > c_hat:
-            c_hat = defect
-            worst = w
+        # A NaN defect counts as none.
+        k = int(np.argmax(np.where(np.isnan(found), 0.0, found)))
+        if found[k] > c_hat:
+            c_hat = float(found[k])
+            worst = tuple(symbols[words[k, :lengths[k]]].tolist())
     return RegularityReport(
         C_hat=c_hat,
         samples=used,
@@ -780,6 +852,42 @@ def estimate_regularity(
         violates_declared=c_hat > p.declared_C + _REGULARITY_SLACK,
         worst_word=worst,
     )
+
+
+def _pair_defects(table: np.ndarray, offset: Callable[[int], float], depth: int) -> Callable:
+    """defects(words, lengths, splits) of a pair potential from its arc table.
+
+    words holds positions, row k a word in its first lengths[k] entries.
+    """
+    offsets = np.array([0.0] + [offset(n) for n in range(1, depth + 1)])
+
+    def defects(words, lengths, splits):
+        at = np.arange(words.shape[1])
+        heads = np.where(at + 1 < lengths[:, None], np.roll(words, -1, axis=1), words[:, :1])
+        values = table[words, heads]
+        on = at < lengths[:, None]
+        first = at < splits[:, None]
+        whole = offsets[lengths] + np.where(on, values, 0.0).sum(axis=1)
+        head = offsets[splits] + np.where(first, values, 0.0).sum(axis=1)
+        tail = offsets[lengths - splits] + np.where(on & ~first, values, 0.0).sum(axis=1)
+        return np.abs(whole - head - tail)
+
+    return defects
+
+
+def _word_defects(p: PotentialSequence, symbols: np.ndarray) -> Callable:
+    """defects(words, lengths, splits) from p.eval and p.eval_point, word by word."""
+
+    def defects(words, lengths, splits):
+        out = np.empty(len(lengths))
+        rows = zip(symbols[words].tolist(), lengths.tolist(), splits.tolist())
+        for k, (row, length, n) in enumerate(rows):
+            w = tuple(row[:length])
+            rotated = w[n:] + w[:n]
+            out[k] = abs(p.eval(w) - p.eval_point(w, n) - p.eval_point(rotated, length - n))
+        return out
+
+    return defects
 
 
 @dataclass(frozen=True)
@@ -822,11 +930,12 @@ def summability_report(p: PotentialSequence) -> SummabilityReport:
     """Partial sums of sup f_1 per symbol plus a closed-form tail when known.
 
     A potential that defines finitely many of the model's symbols
-    (defined_symbols: a listed matrix family's symbols) sums exactly those
-    and is "summable" with tail 0, as no truncation can hold another symbol
-    without failing. Otherwise the sum runs over the model's first
-    _SUMMABILITY_PROBE symbols. A finite alphabet is "summable", with a tail
-    and total when the probe covers it; a countable one needs a tail bound.
+    (defined_symbols: the symbols of a listed matrix family or weight list)
+    sums exactly those and is "summable" with tail 0, as no truncation can
+    hold another symbol without failing. Otherwise the sum runs over the
+    model's first _SUMMABILITY_PROBE symbols. A finite alphabet is
+    "summable", with a tail and total when the probe covers it; a countable
+    one needs a tail bound.
     Terms that stay above 1e-9 across the probe yield "not_summable", and
     anything else is "inconclusive".
     """

@@ -9,7 +9,7 @@ import numpy as np
 
 from thermoshift.gibbs import markov_measure
 from thermoshift.numerics import logsumexp
-from thermoshift.potentials import ScaledPotential, WordHooks, transfer_operator
+from thermoshift.potentials import PotentialSequence, ScaledPotential, WordHooks, transfer_operator
 from thermoshift.pressure import gurevich_pressure
 from thermoshift.shift_core import (
     check_mixing,
@@ -83,6 +83,24 @@ def brute_force_preimage_count(word):
         if all(u == 0 or v == 0 for u, v in zip(combo, combo[1:])):
             count += 1
     return count
+
+
+class HiddenStructure(PotentialSequence):
+    """Facade that hides a potential's exact structure, so callers take the word route."""
+
+    def __init__(self, base):
+        self.base = base
+        self.name = f"hidden({base.name})"
+        self.declared_C = base.declared_C
+
+    def eval(self, word):
+        return self.base.eval(word)
+
+    def eval_point(self, cycle, k):
+        return self.base.eval_point(cycle, k)
+
+    def sup_f1(self, a):
+        return self.base.sup_f1(a)
 
 
 def admits_word(sub, word):

@@ -273,6 +273,18 @@ def test_validate_birkhoff(tmp_path, capsys):
     assert c_hat <= 1e-12
 
 
+def test_validate_weighted_list_sums_its_symbols(tmp_path, capsys):
+    # The list defines symbols 1 and 2, so summability sums those two.
+    out = str(tmp_path)
+    code, stdout, _ = run(
+        capsys, "validate", "--model", fixture("weighted_list.json"), "--out", out
+    )
+    assert code == 0 and stdout.startswith("PASS ")
+    header, rows = read_csv(os.path.join(out, "validate.csv"))
+    row = dict(zip(header, rows[0]))
+    assert row["summability"] == "summable" and float(row["partial_sum"]) == 0.75
+
+
 def test_validate_fails_when_not_summable(tmp_path, capsys):
     # The zero potential on the countable full shift has f_1 = 1 on every
     # symbol, so its pressure is infinite and validate must not pass it.
@@ -435,8 +447,6 @@ COCYCLE_PARAMS = {"truncations": [3], "n_max": 10, "t_grid": [0.5, 1.0]}
 @pytest.mark.parametrize("command, payload, field, symbol", [
     ("pressure", {"model": {"name": "full"}, "potential": SHORT_LAMBDA,
                   "params": {"truncations": [4]}}, "potential.lambda.list", 3),
-    ("validate", {"model": {"name": "full"}, "potential": SHORT_LAMBDA,
-                  "params": {"truncations": [2]}}, "potential.lambda.list", 3),
     ("dimension", {"model": {"name": "full"},
                    "construction": {"kind": "list", "rho": [0.3, 0.2]},
                    "params": {"truncations": [4]}}, "construction.rho", 3),
@@ -456,7 +466,7 @@ COCYCLE_PARAMS = {"truncations": [3], "n_max": 10, "t_grid": [0.5, 1.0]}
                   "params": {"truncations": [3]}}, "potential.lambda.list", 0),
     ("validate", {"model": {"name": "star_cover"}, "potential": THREE_LAMBDA,
                   "params": {"truncations": [3]}}, "potential.lambda.list", 0),
-], ids=["lambda-pressure", "lambda-validate", "rho-dimension", "matrices-pressure",
+], ids=["lambda-pressure", "rho-dimension", "matrices-pressure",
         "matrices-curve", "matrices-gibbs", "matrices-tail", "matrices-lyapunov",
         "lambda-star-cover-pressure", "lambda-star-cover-validate"])
 def test_short_symbol_lists_name_the_field_and_symbol(

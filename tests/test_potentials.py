@@ -4,16 +4,19 @@ Expected values are frozen from hand computation or from an independent
 brute-force enumeration inside the test.
 """
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import brute_force_preimage_count, unscaled
+from helpers import HiddenStructure, admits_word, brute_force_preimage_count, unscaled
 from thermoshift.dimension import product_construction
 from thermoshift.matrix_cocycle import MatrixFamily, log_norm_of_path
 from thermoshift.potentials import (
     PairStructure,
+    PotentialSequence,
     birkhoff_potential,
     check_cone_condition,
     cocycle_potential,
@@ -28,6 +31,7 @@ from thermoshift.potentials import (
 )
 from thermoshift.shift_core import (
     InadmissibleWordError,
+    TransitionModel,
     star_shift,
     full_shift,
     golden_mean_shift,
@@ -67,6 +71,20 @@ def test_birkhoff_is_exactly_additive_at_periodic_points():
         rotated = w[n:] + w[:n]
         total = p.eval_point(w, n) + p.eval_point(rotated, len(w) - n)
         assert p.eval(w) == pytest.approx(total, abs=1e-12)
+
+
+def test_birkhoff_sup_searches_a_finite_alphabet_whole():
+    # The only arc worth 1 leads to symbol 200, past the 128-symbol successor
+    # probe of a countable model; with and without model.table.
+    def f(i, j):
+        return 1.0 if j == 200 else 0.0
+
+    with_table = model_from_arcs([(i, j) for i in range(1, 201) for j in range(1, 201)])
+    rule_only = TransitionModel(lambda i, j: True, 200, 1, "complete200")
+    for model in (with_table, rule_only):
+        p = birkhoff_potential(f, model)
+        assert p.sup_f1(1) == math.e
+        assert p.log_inf_f1(1) == 0.0
 
 
 def test_birkhoff_cylinder_weight_optimizes_last_hop():
@@ -425,3 +443,92 @@ def test_regularity_of_exactly_additive_families_is_zero():
     w = weighted_fullshift_potential(lambda a: 2.0 ** (-a))
     rep_w = estimate_regularity(w, full_shift(), depth=12, samples=200, seed=1)
     assert rep_w.C_hat <= 1e-12
+
+
+class Recorder(PotentialSequence):
+    """Zero potential without a pair structure that records what it is called on."""
+
+    def __init__(self):
+        self.words, self.points = [], []
+
+    def eval(self, word):
+        self.words.append(tuple(word))
+        return 0.0
+
+    def eval_point(self, cycle, k):
+        self.points.append((tuple(cycle), k))
+        return 0.0
+
+
+def test_regularity_samples_follow_their_law():
+    # Length uniform on [2, depth]; first symbol uniform, each successor
+    # uniform among out-neighbours, conditioned on the closing arc; split
+    # uniform on [1, L - 1]. Each (word, split) frequency is checked within
+    # five binomial standard deviations of its exact probability.
+    depth, count = 3, 20_000
+    sub = truncate(golden_mean_shift(), 2)
+    law = {}
+    for length in range(2, depth + 1):
+        weights = {}
+        for w in itertools.product(sub.symbols, repeat=length):
+            if admits_word(sub, w) and sub.arc(w[-1], w[0]):
+                weights[w] = math.prod(1 / len(sub.out_neighbors(a)) for a in w[:-1])
+        total = math.fsum(weights.values())
+        for w, q in weights.items():
+            for n in range(1, length):
+                law[(w, n)] = q / total / (depth - 1) / (length - 1)
+    rec = Recorder()
+    rep = estimate_regularity(rec, golden_mean_shift(), depth=depth, samples=count,
+                              seed=0, truncation=2)
+    assert rep.samples == count == len(rec.words)
+    splits = rec.points[0::2]
+    assert [w for w, _ in splits] == rec.words
+    assert rec.points[1::2] == [(w[n:] + w[:n], len(w) - n) for w, n in splits]
+    seen = {}
+    for cell in splits:
+        seen[cell] = seen.get(cell, 0) + 1
+    assert set(seen) <= set(law)
+    for cell, prob in law.items():
+        freq = seen.get(cell, 0) / count
+        assert abs(freq - prob) <= 5 * math.sqrt(prob * (1 - prob) / count), cell
+
+
+@pytest.mark.parametrize("potential", [
+    birkhoff_potential(affine_arc, golden_mean_shift()),
+    # Defects |log c_L - log c_n - log c_{L-n}| that vary with (L, n).
+    weighted_fullshift_potential(lambda a: 2.0 ** (-a), log_c=math.sin, c_regularity=3.0),
+], ids=["birkhoff", "length-factor"])
+def test_regularity_routes_agree(potential):
+    model = potential.model
+    pair = estimate_regularity(potential, model, depth=12, samples=300, seed=5, truncation=3)
+    word = estimate_regularity(
+        HiddenStructure(potential), model, depth=12, samples=300, seed=5, truncation=3
+    )
+    assert pair.samples == word.samples > 0
+    assert abs(pair.C_hat - word.C_hat) <= 1e-12
+    # Defects that tie to rounding may pick different worst words: every
+    # birkhoff defect is rounding, and a length factor's depends on (L, n) alone.
+    if pair.C_hat > 1e-9:
+        assert len(pair.worst_word) == len(word.worst_word)
+
+
+def test_regularity_without_closed_words_uses_no_sample():
+    # A 3-cycle has no closed word of length 2.
+    model = model_from_arcs([(1, 2), (2, 3), (3, 1)])
+    for p in (zero_potential(model), Recorder()):
+        rep = estimate_regularity(p, model, depth=2, samples=50, truncation=3)
+        assert rep.samples == 0 and rep.C_hat == 0.0 and rep.worst_word is None
+
+
+def test_regularity_memory_follows_the_block_not_the_samples():
+    # 200 000 words of length up to 64 hold 12.8 million symbols, 100 MB as
+    # int64; a block holds 65 536.
+    p = birkhoff_potential(affine_arc, full_shift())
+    tracemalloc.start()
+    try:
+        rep = estimate_regularity(p, full_shift(), depth=64, samples=200_000, truncation=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.samples == 200_000 and rep.C_hat <= 1e-12
+    assert peak < 8 << 20

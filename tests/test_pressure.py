@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    HiddenStructure,
     brute_force_preimage_count,
     closed_form_fullshift_pressure,
     enumerate_periodic_words,
@@ -32,7 +33,6 @@ from thermoshift.numerics import logsumexp, scaled_power_diagonal
 from thermoshift.potentials import (
     CocyclePotential,
     MatrixFamily,
-    PotentialSequence,
     TransferOperator,
     birkhoff_potential,
     block_matrix,
@@ -75,21 +75,6 @@ def weighted_third():
     return weighted_fullshift_potential(
         lambda a: 3.0 ** (-a), lam_tail_power=geometric_tail(3.0)
     )
-
-
-class HiddenStructure(PotentialSequence):
-    """Facade that hides a potential's exact structure to force enumeration."""
-
-    def __init__(self, base):
-        self.base = base
-        self.name = f"hidden({base.name})"
-        self.declared_C = base.declared_C
-
-    def eval(self, word):
-        return self.base.eval(word)
-
-    def sup_f1(self, a):
-        return self.base.sup_f1(a)
 
 
 # -- partition functions -------------------------------------------------------
