@@ -1,7 +1,8 @@
 """Batch front-end: load a model file, run one computation, emit CSV tables.
 
 Exit codes: 0 on success, 1 on configuration errors (the message names the
-offending field, the non-mixing truncation level, or the enumeration cap
+offending field, the truncation level that is not mixing or that pruned the
+base symbol, or the enumeration cap
 that was exceeded), 2 when a convergence or certification flag failed, 3
 when the divergence policy fired. All numeric CSV cells use the shortest
 float representation that parses back to the same value.

@@ -207,7 +207,7 @@ def rpf_equilibrium(
     op = transfer_operator(sub, p)
     if op is None or op.kind != "pair":
         raise ValueError("potential has no pair structure")
-    if sub.mixing_certificate is None and check_mixing(sub) is None:
+    if not check_mixing(sub):
         raise NonMixingTruncationError(
             "equilibrium eigendata requires a mixing subshift; the truncation "
             f"to {sub.size} symbols is not mixing"

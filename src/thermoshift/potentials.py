@@ -788,7 +788,7 @@ def estimate_regularity(
 
     Samples are drawn max(1, _SAMPLE_BLOCK // depth) at a time, every
     length, first symbol, successor and split of a block as one array,
-    with one draw and one gather on a successor table per step. A
+    with one draw and one gather on sub.successors per step. A
     potential with a pair structure has its three terms summed from one
     gather on its arc table: offset(L) plus the pair over all L cyclic
     arcs, offset(n) plus the first n arcs, and offset(L - n) plus the other
@@ -804,9 +804,8 @@ def estimate_regularity(
     rng = np.random.default_rng(seed)
     symbols = np.asarray(sub.symbols)
     arcs = sub.matrix != 0
-    # Row i of successors lists the positions i has an arc to, in its first fanout[i] entries.
-    fanout = arcs.sum(axis=1)
-    successors = np.argsort(~arcs, axis=1, kind="stable")
+    start, succ = sub.successors
+    fanout = np.diff(start)
     ps = p.pair_structure()
     if ps is None:
         defects = _word_defects(p, symbols)
@@ -829,7 +828,7 @@ def estimate_regularity(
             drawn[:, 0] = rng.integers(0, sub.size, size=len(pending))
             for k in range(1, drawn.shape[1]):
                 prev = drawn[:, k - 1]
-                drawn[:, k] = successors[prev, rng.integers(0, fanout[prev])]
+                drawn[:, k] = succ[start[prev] + rng.integers(0, fanout[prev])]
             ok = arcs[drawn[np.arange(len(pending)), ends], drawn[:, 0]]
             words[pending[ok], :drawn.shape[1]] = drawn[ok]
             closed[pending[ok]] = True

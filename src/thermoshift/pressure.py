@@ -43,6 +43,7 @@ from .shift_core import (
     EnumerationBudgetError,
     FiniteSubshift,
     NonMixingTruncationError,
+    SymbolDomainError,
     TransitionModel,
     check_mixing,
     truncate,
@@ -192,7 +193,7 @@ def _enumerated_values(sub, hooks, scales, n_max, a, cap):
     """
     ia = sub.position(a)
     closes = sub.matrix[:, ia] != 0
-    fanout = (sub.matrix != 0).sum(axis=1)
+    fanout = np.diff(sub.successors[0])
     budget = min(cap, 2 ** 63 - 1)
     # Per scale and length, the log-sum of each slice's closed words.
     sums: list[list[list[float]]] = [[[] for _ in range(n_max)] for _ in scales]
@@ -314,20 +315,20 @@ def _doubling_growths(levels: Sequence[int], values: Sequence[float]) -> list[fl
 
 
 def mixed_truncation(model: TransitionModel, m: int) -> FiniteSubshift:
-    """The model's truncation at m with its mixing certificate, built once.
+    """The model's truncation at m, checked to be mixing, built once.
 
-    It is kept on the model object, so every estimate on that object (each t
-    of a curve, each bisection probe) shares it; its matrix is read-only.
+    Raises NonMixingTruncationError when check_mixing finds it is not. It
+    is kept on the model object, so every estimate on that object (each t
+    of a curve, each bisection probe) shares it and its successor lists;
+    its matrix is read-only.
     """
     sub = model._mixed.get(m)
     if sub is None:
         sub = truncate(model, m)
-        mix = check_mixing(sub)
-        if mix is None:
+        if not check_mixing(sub):
             raise NonMixingTruncationError(
                 f"truncation m={m} of model {model.name} is not mixing"
             )
-        sub = sub.with_mixing(mix)
         sub.matrix.flags.writeable = False
         model._mixed[m] = sub
     return sub
@@ -345,10 +346,11 @@ def gurevich_pressure(
     ENUMERATION_CAP.
 
     Every truncation must be mixing (raises NonMixingTruncationError naming
-    the level otherwise). The value is the trailing-slope estimate at the
-    largest truncation; it is declared +inf when the per-doubling growth of
-    the truncation estimates stays at or above divergence_threshold for
-    divergence_run consecutive steps. This is the one-potential case of the
+    the level otherwise) and keep the base symbol (raises SymbolDomainError
+    naming the level where truncate pruned it). The value is the
+    trailing-slope estimate at the largest truncation; it is declared +inf
+    when the per-doubling growth of the truncation estimates stays at or
+    above divergence_threshold for divergence_run consecutive steps. This is the one-potential case of the
     estimator behind pressure_curve.
     """
     check_estimate_params("gurevich_pressure", params)
@@ -389,6 +391,11 @@ def _estimates(
     per_level: list[list[tuple[int, float]]] = [[] for _ in potentials]
     for m in m_list:
         sub = mixed_truncation(model, m)
+        if a in sub.dropped:
+            raise SymbolDomainError(
+                f"base symbol {a} was pruned from the truncation at m={m}: "
+                "no surviving symbol leads to it, or none follows it"
+            )
         series_list = _scaled_series(sub, potentials, n_max, a, cap)
         slopes_list = [series.slopes() for series in series_list]
         fits = [_slope_value(slopes, slope_window) for slopes in slopes_list]

@@ -1,15 +1,18 @@
 """Countable Markov shifts, finite truncations, and periodic-word machinery.
 
 A shift is described by a transition rule over integer symbols. Finite
-truncations carry an explicit 0/1 matrix and are the objects every estimator
-actually runs on; words are plain tuples of symbol ids. walk is the one
-walk of a truncation's words: it carries the caller's hook states a slice of
-numpy rows at a time, merging rows whose integer state fixes their future.
+truncations carry an explicit 0/1 matrix, with its successor lists cached
+once (FiniteSubshift.successors), and are the objects every estimator
+actually runs on; check_mixing says whether one is mixing, True or False.
+Words are plain tuples of symbol ids. walk is the one walk of a
+truncation's words: it carries the caller's hook states a slice of numpy
+rows at a time, merging rows whose integer state fixes their future.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -227,22 +230,30 @@ class FiniteSubshift:
     symbols: tuple[int, ...]
     matrix: np.ndarray
     dropped: tuple[int, ...] = ()
-    mixing_certificate: Optional[int] = None
     _index: dict = field(default_factory=dict, repr=False, compare=False)
-    # Neighbour tuples by symbol, filled on first use.
-    _out: dict = field(init=False, repr=False, compare=False)
-    _in: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(
             self, "_index", {s: k for k, s in enumerate(self.symbols)}
         )
-        object.__setattr__(self, "_out", {})
-        object.__setattr__(self, "_in", {})
 
     @property
     def size(self) -> int:
         return len(self.symbols)
+
+    @cached_property
+    def successors(self) -> tuple[np.ndarray, np.ndarray]:
+        """(start, succ): position k's successors are succ[start[k]:start[k + 1]], ascending.
+
+        Taken once from np.nonzero(matrix), so succ lists the arcs' heads in
+        row-major order and start[k + 1] - start[k] is k's fanout. Both
+        arrays are read-only; they are cached outside __init__ and equality.
+        """
+        rows, succ = np.nonzero(self.matrix)
+        start = np.zeros(self.size + 1, dtype=np.intp)
+        np.cumsum(np.bincount(rows, minlength=self.size), out=start[1:])
+        start.flags.writeable = succ.flags.writeable = False
+        return start, succ
 
     def position(self, symbol: int) -> int:
         try:
@@ -256,32 +267,24 @@ class FiniteSubshift:
         return bool(self.matrix[self.position(i), self.position(j)])
 
     def out_neighbors(self, i: int) -> tuple[int, ...]:
-        try:
-            return self._out[i]
-        except KeyError:
-            row = self.matrix[self.position(i)]
-            out = self._out[i] = tuple(self.symbols[k] for k in np.nonzero(row)[0])
-            return out
+        start, succ = self.successors
+        k = self.position(i)
+        return tuple(self.symbols[j] for j in succ[start[k]:start[k + 1]].tolist())
 
     def in_neighbors(self, j: int) -> tuple[int, ...]:
-        try:
-            return self._in[j]
-        except KeyError:
-            col = self.matrix[:, self.position(j)]
-            out = self._in[j] = tuple(self.symbols[k] for k in np.nonzero(col)[0])
-            return out
-
-    def with_mixing(self, n: Optional[int]) -> "FiniteSubshift":
-        return replace(self, mixing_certificate=n)
+        col = self.matrix[:, self.position(j)]
+        return tuple(self.symbols[k] for k in np.flatnonzero(col).tolist())
 
 
 def truncate(model: TransitionModel, m: int) -> FiniteSubshift:
     """Restrict the model to its first m symbols and prune dead symbols.
 
     The m x m candidate matrix comes from one call of model.table, or from
-    m**2 calls of model.rule when the model has no table. Symbols whose row
-    or column is all zero among the surviving symbols are then removed,
-    round by round on that one matrix, until no row or column is empty.
+    m**2 calls of model.rule when the model has no table. A symbol is dead
+    when no surviving symbol leads to it or none follows it. Each dead
+    symbol is popped once and decrements the in- and out-degree counts of
+    its surviving neighbours, which may die in turn: O(m) per dead symbol,
+    O(m**2) in all. dropped lists the dead symbols in the model's order.
 
     Raises
     ------
@@ -297,22 +300,27 @@ def truncate(model: TransitionModel, m: int) -> FiniteSubshift:
             [[bool(model.rule(i, j)) for j in candidates] for i in candidates],
             dtype=bool,
         )
-    alive = np.arange(len(candidates))
-    mat = full
-    while True:
-        keep = mat.any(axis=1) & mat.any(axis=0)
-        if keep.all():
-            break
-        alive = alive[keep]
-        if not alive.size:
-            raise DegenerateTruncationError(
-                f"degenerate truncation: no symbol of {model.name} survives at m={m}"
-            )
-        mat = full[np.ix_(alive, alive)]
-    survivors = set(alive.tolist())
-    dropped = tuple(s for k, s in enumerate(candidates) if k not in survivors)
+    outdeg, indeg = full.sum(axis=1), full.sum(axis=0)
+    alive = (outdeg > 0) & (indeg > 0)
+    dead = np.flatnonzero(~alive).tolist()
+    while dead:
+        k = dead.pop()
+        # k's live successors lose a predecessor, its live predecessors a successor.
+        for degree, arcs in ((indeg, full[k]), (outdeg, full[:, k])):
+            hit = np.flatnonzero(arcs & alive)
+            degree[hit] -= 1
+            gone = hit[degree[hit] == 0]
+            alive[gone] = False
+            dead += gone.tolist()
+    if not alive.any():
+        raise DegenerateTruncationError(
+            f"degenerate truncation: no symbol of {model.name} survives at m={m}"
+        )
+    keep = np.flatnonzero(alive)
+    mat = full if alive.all() else full[np.ix_(keep, keep)]
+    dropped = tuple(s for s, live in zip(candidates, alive.tolist()) if not live)
     return FiniteSubshift(
-        tuple(candidates[k] for k in alive.tolist()), mat.astype(np.int8), dropped
+        tuple(candidates[k] for k in keep.tolist()), mat.astype(np.int8), dropped
     )
 
 
@@ -338,39 +346,18 @@ def _primitive(arcs: np.ndarray) -> bool:
     return np.gcd.reduce(level[i] + 1 - level[j]) == 1
 
 
-def check_mixing(sub: FiniteSubshift) -> Optional[int]:
-    """Smallest N with matrix^N entrywise positive, or None if there is none.
+def check_mixing(sub: FiniteSubshift) -> bool:
+    """True iff the truncation is mixing: some power of its matrix is positive.
 
-    Some power is positive only if the graph is primitive: strongly
-    connected (a forward and a backward search from vertex 0 reach every
-    vertex) with period 1 (the gcd of level[i] + 1 - level[j] over the arcs
-    i -> j, where level is the forward search depth). Both take O(size**2).
-    Only for a primitive graph is N then found, by squaring the matrix until
-    a power is positive and a binary search over the squares (about 2 log2 N
-    boolean products); N is at most the Wielandt bound (size-1)^2 + 1.
+    That holds iff the graph is primitive: strongly connected (a forward and
+    a backward search from vertex 0 reach every vertex) with period 1 (the
+    gcd of level[i] + 1 - level[j] over the arcs i -> j, where level is the
+    forward search depth). Both take O(size**2); a positive matrix skips
+    them. The exponent, the smallest positive power, is not computed; it is
+    at most the Wielandt bound (size-1)^2 + 1.
     """
     arcs = sub.matrix != 0
-    if arcs.all():
-        return 1
-    if _primitive(arcs):
-        return _exponent(arcs)
-    return None
-
-
-def _exponent(arcs: np.ndarray) -> int:
-    """Smallest N with arcs^N positive, for a primitive graph."""
-    # squares[k] is arcs^(2**k) as 0/1 floats. From the first positive power
-    # on every power is positive, as every row of a primitive matrix has an arc.
-    squares = [arcs.astype(float)]
-    while not squares[-1].all():
-        squares.append((squares[-1] @ squares[-1] > 0).astype(float))
-    # below: the largest exponent known to give a non-positive power, or 0.
-    below, power = 0, None
-    for k in range(len(squares) - 2, -1, -1):
-        trial = squares[k] if power is None else (power @ squares[k] > 0).astype(float)
-        if not trial.all():
-            below, power = below + 2 ** k, trial
-    return below + 1
+    return bool(arcs.all() or _primitive(arcs))
 
 
 # Most rows one slice of a word walk holds. The walk keeps at most one slice
@@ -403,15 +390,16 @@ def walk(
     arrays) is carried unmerged, its rows keeping their multiplicities. Any
     other state has one row per word and mult None.
 
-    Children follow the arcs in row-major order, so for sorted roots and
-    unmerged rows every length is yielded in lexicographic order. The walk
-    is depth first: a slice holds at most _FRONTIER rows (a parent with more
-    children gets a slice of its own), and its children are built, then
-    merged, only when the walk resumes after yielding it, each child slice
-    walked to depth before the next one is built.
+    Children are gathered from sub.successors in O(children), in the arcs'
+    row-major order, so for sorted roots and unmerged rows every length is
+    yielded in lexicographic order. The walk is depth first: a slice holds
+    at most _FRONTIER rows (a parent with more children gets a slice of its
+    own), and its children are built, then merged, only when the walk
+    resumes after yielding it, each child slice walked to depth before the
+    next one is built.
     """
-    arcs = sub.matrix != 0
-    fanout = arcs.sum(axis=1)
+    start_at, succ = sub.successors
+    fanout = np.diff(start_at)
     roots = np.asarray(roots, dtype=np.intp)
 
     def root_slices():
@@ -427,8 +415,12 @@ def walk(
         if n == depth:
             return
         for lo, hi in _chunks(fanout[last]):
-            parent, child = np.nonzero(arcs[last[lo:hi]])
-            parent += lo
+            rows = last[lo:hi]
+            counts = fanout[rows]
+            parent = np.repeat(np.arange(lo, hi), counts)
+            # Each row's children are its run of succ, placed after the runs before it.
+            skip = start_at[rows] - (np.cumsum(counts) - counts)
+            child = succ[np.arange(len(parent)) + np.repeat(skip, counts)]
             children = extend(state, parent, last[parent], child)
             yield (n + 1,) + _merged(child, children, mult if mult is None else mult[parent])
 

@@ -55,7 +55,7 @@ def random_mixing_subshift(rng, max_symbols=5, density=0.6):
         ]
         model = model_from_arcs(arcs)
         sub = truncate(model, size)
-        if check_mixing(sub) is not None:
+        if check_mixing(sub):
             return model, sub
 
 

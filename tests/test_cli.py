@@ -88,6 +88,16 @@ def test_nonmixing_truncation_and_enumeration_cap_exit_code(tmp_path, capsys):
     assert stderr.startswith("error: ") and "exceeded 50 " in stderr
 
 
+def test_pruned_base_symbol_is_named(tmp_path, capsys):
+    # 1 -> 2 -> ... -> 64 with a loop at 64: only 64 survives truncation.
+    path = tmp_path / "chain.json"
+    arcs = [[i, i + 1] for i in range(1, 64)] + [[64, 64]]
+    path.write_text(json.dumps({"model": {"arcs": arcs}, "potential": {"kind": "zero"}}))
+    code, _, stderr = run(capsys, "pressure", "--model", str(path), "--out", str(tmp_path))
+    assert code == 1
+    assert stderr.startswith("error: base symbol 1 was pruned") and "at m=64" in stderr
+
+
 def test_pressure_unconverged_exit_code(tmp_path, capsys):
     code, stdout, _ = run(
         capsys, "pressure", "--model", fixture("unconverged.json"),

@@ -125,24 +125,30 @@ def test_truncation_can_degenerate():
         truncate(model_from_arcs([(1, 2), (2, 3)]), 3)
 
 
+def test_long_chains_prune_to_their_loop():
+    m = 2048
+    forward = truncate(model_from_arcs([(i, i + 1) for i in range(1, m)] + [(m, m)]), m)
+    assert forward.symbols == (m,) and forward.dropped == tuple(range(1, m))
+    backward = truncate(model_from_arcs([(i + 1, i) for i in range(1, m)] + [(1, 1)]), m)
+    assert backward.symbols == (1,) and backward.dropped == tuple(range(2, m + 1))
+    assert forward.matrix.tolist() == backward.matrix.tolist() == [[1]]
+
+
 def test_renewal_truncation_and_mixing():
     sub = truncate(renewal_shift(), 3)
     assert sub.symbols == (1, 2, 3)
     np.testing.assert_array_equal(sub.matrix, [[1, 1, 1], [1, 0, 0], [0, 1, 0]])
-    assert check_mixing(sub) == 3
-    assert check_mixing(truncate(renewal_shift(), 8)) == 8
+    assert check_mixing(sub) is True
+    assert check_mixing(truncate(renewal_shift(), 8)) is True
 
 
 def test_mixing_certificates():
     gm = truncate(golden_mean_shift(), 2)
-    assert check_mixing(gm) == 2
+    assert check_mixing(gm) is True
     full3 = truncate(full_shift(), 3)
-    assert check_mixing(full3) == 1
+    assert check_mixing(full3) is True
     period2 = truncate(model_from_arcs([(1, 2), (2, 1)]), 2)
-    assert check_mixing(period2) is None
-    tagged = gm.with_mixing(check_mixing(gm))
-    assert tagged.mixing_certificate == 2
-    assert gm.mixing_certificate is None
+    assert check_mixing(period2) is False
 
 
 def mixing_cases():
@@ -164,9 +170,9 @@ def mixing_cases():
 def test_mixing_matches_the_wielandt_loop():
     primitive = 0
     for name, sub in mixing_cases():
-        exponent = check_mixing(sub)
-        assert exponent == wielandt_exponent(sub), name
-        primitive += exponent is not None
+        mixing = check_mixing(sub)
+        assert mixing == (wielandt_exponent(sub) is not None), name
+        primitive += mixing
     assert primitive > 50
 
 
@@ -225,7 +231,7 @@ def test_model_without_table_uses_its_rule():
     model = TransitionModel(lambda i, j: i != j, None, 1, "no_loops")
     sub = truncate(model, 3)
     np.testing.assert_array_equal(sub.matrix, 1 - np.eye(3))
-    assert check_mixing(sub) == 2
+    assert check_mixing(sub) is True
 
 
 def test_count_periodic_has_no_overflow():
@@ -246,17 +252,22 @@ def test_neighbor_queries():
         sub.out_neighbors(9)
 
 
-def test_neighbor_tuples_are_cached_outside_equality():
+def test_successor_layout_is_cached_outside_equality():
     sub = truncate(renewal_shift(), 4)
+    start, succ = sub.successors
+    assert start.tolist() == [0, 4, 5, 6, 7] and succ.tolist() == [0, 1, 2, 3, 0, 1, 2]
+    assert sub.successors is sub.successors
+    with pytest.raises(ValueError):
+        succ[0] = 1
+    for k, s in enumerate(sub.symbols):
+        assert tuple(sub.symbols[j] for j in succ[start[k]:start[k + 1]]) == sub.out_neighbors(s)
+    # A position without successors has an empty run.
+    hollow = FiniteSubshift((1, 2, 3), np.array([[0, 1, 1], [0, 0, 0], [1, 0, 0]], dtype=np.int8))
+    assert [a.tolist() for a in hollow.successors] == [[0, 2, 2, 3], [1, 2, 0]]
+    assert hollow.out_neighbors(2) == () and hollow.in_neighbors(1) == (3,)
     fresh = FiniteSubshift(sub.symbols, sub.matrix, sub.dropped)
-    assert sub.out_neighbors(2) is sub.out_neighbors(2)
-    assert sub.in_neighbors(1) is sub.in_neighbors(1)
-    assert fresh == sub
-    mixed = sub.with_mixing(4)
-    assert mixed.mixing_certificate == 4 and sub.mixing_certificate is None
-    assert mixed.out_neighbors(2) == (1,) and mixed.in_neighbors(1) == (1, 2)
-    assert mixed.out_neighbors(3) == (2,)
-    assert 3 not in sub._out
+    assert "successors" not in {f.name for f in dataclasses.fields(sub)}
+    assert "successors" not in vars(fresh) and fresh == sub
 
 
 def test_bip_star_shift_certificate():
@@ -314,19 +325,28 @@ def test_walk_merges_the_fiber_counts_into_rows_with_multiplicities():
 
 def test_walk_with_word_hooks_yields_every_length_in_lexicographic_order():
     model = model_from_arcs([[i, j] for i in range(1, 7) for j in range(1, 7) if (i + j) % 4])
-    sub = truncate(model, 6)
-    hooks = WordHooks(sub)
-    found = {n: [] for n in range(1, 6)}
-    slices = [0] * 6
-    for n, last, (words,), mult in walk(sub, range(sub.size), 5, hooks.start, hooks.extend):
-        assert mult is None and words.shape == (len(last), n)
-        assert words[:, -1].tolist() == [sub.symbols[k] for k in last]
-        found[n].extend(map(tuple, words.tolist()))
-        slices[n] += 1
-    assert slices[5] > 1  # the longest words span several slices
-    for n, words in found.items():
-        brute = [w for w in itertools.product(sub.symbols, repeat=n) if is_admissible(w, model)]
-        assert words == brute
+    cases = [(truncate(model, 6), 5)]
+    # Hand-built subshifts with empty rows and columns: parents without children.
+    cases += [(sub, 4) for _, sub in mixing_cases() if sub.size <= 6]
+    for sub, depth in cases:
+        hooks = WordHooks(sub)
+        found = {n: [] for n in range(1, depth + 1)}
+        slices = [0] * (depth + 1)
+        for n, last, (words,), mult in walk(sub, range(sub.size), depth, hooks.start, hooks.extend):
+            assert mult is None and words.shape == (len(last), n)
+            assert words[:, -1].tolist() == [sub.symbols[k] for k in last]
+            found[n].extend(map(tuple, words.tolist()))
+            slices[n] += 1
+        arcs = sub.matrix.tolist()
+        for n, words in found.items():
+            brute = [
+                tuple(sub.symbols[k] for k in w)
+                for w in itertools.product(range(sub.size), repeat=n)
+                if all(arcs[a][b] for a, b in zip(w, w[1:]))
+            ]
+            assert words == brute, (sub, n)
+        if depth == 5:
+            assert slices[5] > 1  # the longest words of the first case span several slices
 
 
 def test_walk_carries_python_int_states_unmerged_with_their_multiplicities():
