@@ -10,6 +10,7 @@ float representation that parses back to the same value.
 
 import argparse
 import csv
+import functools
 import logging
 import math
 import os
@@ -329,7 +330,9 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; each parse gets a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="thermoshift",
         description="pressure, Gibbs, Lyapunov, and dimension computations "

@@ -71,10 +71,16 @@ def _sample_paths(mu, symbols: tuple, n: int, samples: int, seed: int):
     # start; past its last entry a row is padded with 2.0, above any uniform.
     cdf = np.full((k + 1, k), 2.0)
     succ = np.zeros((k + 1, k), dtype=np.intp)
-    for i, s in enumerate(symbols):
-        probs = [mu.transition(s, t) for t in symbols]
-        outs = [j for j, p in enumerate(probs) if p > 0.0]
-        cdf[i, : len(outs)] = _choice_cdf([probs[j] for j in outs])
+    # One pass over the measure's arcs fills the transition matrix; an arc
+    # with an end outside the symbols lands in the spare row or column k.
+    position = {s: i for i, s in enumerate(symbols)}
+    probs = np.zeros((k + 1, k + 1))
+    probs.flat[[position.get(s, k) * (k + 1) + position.get(t, k) for s, t in mu.log_p]] = [
+        math.exp(v) for v in mu.log_p.values()
+    ]
+    for i, row in enumerate(probs[:k, :k]):
+        outs = np.flatnonzero(row > 0.0)
+        cdf[i, : len(outs)] = _choice_cdf(row[outs])
         succ[i, : len(outs)] = outs
     cdf[k] = _choice_cdf([mu.pi(s) for s in symbols])
     succ[k] = np.arange(k)

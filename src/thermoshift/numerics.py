@@ -13,7 +13,11 @@ with one row per word, though not within one slice.
 Path products group the same way: log_norms multiplies each block of a path
 as a pairwise tree, so its value depends on the block layout, which
 matrix_cocycle._CHUNK fixes for max_lyapunov (a word evaluated alone is one
-block).
+block). The tree's lowest levels are looked up in per-call tables of
+products of symbol words, one entry per pair of words, while a table holds
+no more matrices than the level it replaces; each entry is the same product
+of the same two operands as the node it replaces, so the lookups leave the
+bits unchanged.
 """
 
 from __future__ import annotations
@@ -144,6 +148,13 @@ def _unit_sum(a: np.ndarray, axes) -> np.ndarray:
     return s.reshape(len(a), -1)
 
 
+def _pair_table(table: np.ndarray):
+    """Every product table[a] @ table[b], at index a * K + b, unit-summed, with its sums."""
+    k = len(table)
+    prods = np.matmul(table[:, None], table[None, :]).reshape((k * k,) + table.shape[1:])
+    return prods, _unit_sum(prods, (1, 2))[:, 0]
+
+
 def log_norms(mats: np.ndarray, blocks, samples: int) -> np.ndarray:
     """log 1^T A_{w_{n-1}} ... A_{w_0} 1 for each of `samples` paths.
 
@@ -158,18 +169,42 @@ def log_norms(mats: np.ndarray, blocks, samples: int) -> np.ndarray:
     memory, whatever the number of blocks. A product that vanishes stays zero
     and its path reports -inf.
 
+    The lowest levels are looked up, not multiplied. Table 0 holds the
+    unit-sum matrices; table j + 1 holds, at index a * K + b for the K words
+    of table j, the unit-sum product of word a (the later) times word b, with
+    its entry sum beside it. A block climbs to table j + 1 while its level
+    has even length and K^2 is at most the number of nodes at the next level;
+    its codes become codes[:, 1::2] * K + codes[:, 0::2], and the level's
+    sums are gathered from the table. Each table is built once per call,
+    when a block first needs it, and holds no more matrices than the level
+    it replaces, so the memory bound stands. The tree then continues from
+    the gathered level, odd carries included; with K^2 above the node count
+    (many symbols) it starts from the leaves as before.
+
     The value depends on that grouping, fixed by the block layout, as a
     logsumexp value depends on its slices; every path has the same tree, so
-    equal paths give equal bits.
+    equal paths give equal bits. The tables do not change the bits: each
+    table entry is the same matmul and _unit_sum of the same two operands
+    as the tree node it stands for, and the sums are concatenated in the
+    same level order.
     """
     mats = np.array(mats, dtype=float)
-    leaf_sums = _unit_sum(mats, (1, 2))[:, 0]
+    tables = [(mats, _unit_sum(mats, (1, 2))[:, 0])]
     v = np.ones((samples, mats.shape[1], 1))
     log_scale = np.zeros(samples)
     for idx in blocks:
         # Row-major, so that each path's logs are summed in numpy's pairwise order.
-        idx = np.ascontiguousarray(idx)
-        level, sums = mats[idx], [leaf_sums[idx]]
+        codes = np.ascontiguousarray(idx)
+        table, table_sums = tables[0]
+        sums, j = [table_sums[codes]], 0
+        while codes.shape[1] % 2 == 0 and len(table) ** 2 <= codes.size // 2:
+            j += 1
+            if j == len(tables):
+                tables.append(_pair_table(table))
+            codes = codes[:, 1::2] * len(table) + codes[:, 0::2]
+            table, table_sums = tables[j]
+            sums.append(table_sums[codes])
+        level = table[codes]
         while level.shape[1] > 1:
             pairs = level.shape[1] // 2
             prods = np.matmul(level[:, 1 : 2 * pairs : 2], level[:, 0 : 2 * pairs : 2])

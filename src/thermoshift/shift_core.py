@@ -237,6 +237,16 @@ class FiniteSubshift:
             self, "_index", {s: k for k, s in enumerate(self.symbols)}
         )
 
+    def __eq__(self, other):
+        """Equal symbols, dropped symbols and matrix entries; the arrays may be separate."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.symbols == other.symbols
+            and self.dropped == other.dropped
+            and (self.matrix is other.matrix or np.array_equal(self.matrix, other.matrix))
+        )
+
     @property
     def size(self) -> int:
         return len(self.symbols)

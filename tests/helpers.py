@@ -301,3 +301,37 @@ def per_potential_series(sub, p, n_max, a):
 def per_t_curve(model, p, t_grid, **params):
     """The pressure curve as one gurevich_pressure call per t."""
     return [(t, gurevich_pressure(model, p.scaled(t), **params)) for t in t_grid]
+
+
+def plain_tree_log_norms(mats, blocks, samples):
+    """Reference numerics.log_norms: every level of every block's tree multiplied.
+
+    Each block's unit-sum matrices are multiplied pairwise, the later on the
+    left, level by level, an odd last factor carried up as it is; the logs of
+    the removed entry sums are concatenated level by level and summed per path.
+    """
+
+    def unit_sum(a, axes):
+        s = a.sum(axis=axes, keepdims=True)
+        a /= np.maximum(s, np.nextafter(0.0, 1.0))
+        return s.reshape(len(a), -1)
+
+    mats = np.array(mats, dtype=float)
+    leaf_sums = unit_sum(mats, (1, 2))[:, 0]
+    v = np.ones((samples, mats.shape[1], 1))
+    log_scale = np.zeros(samples)
+    for idx in blocks:
+        idx = np.ascontiguousarray(idx)
+        level, sums = mats[idx], [leaf_sums[idx]]
+        while level.shape[1] > 1:
+            pairs = level.shape[1] // 2
+            prods = np.matmul(level[:, 1 : 2 * pairs : 2], level[:, 0 : 2 * pairs : 2])
+            sums.append(unit_sum(prods, (2, 3)))
+            if level.shape[1] % 2:
+                prods = np.concatenate((prods, level[:, -1:]), axis=1)
+            level = prods
+        v = np.matmul(level[:, 0], v)
+        sums.append(unit_sum(v, (1, 2)))
+        with np.errstate(divide="ignore"):
+            log_scale += np.log(np.concatenate(sums, axis=1)).sum(axis=1)
+    return log_scale

@@ -51,6 +51,19 @@ def test_pressure_golden_mean(tmp_path, capsys):
     assert len(series_rows) >= 30
 
 
+def test_one_parser_serves_every_run_without_keeping_flags(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    first, second = str(tmp_path / "first"), str(tmp_path / "second")
+    model = fixture("gm_zero.json")
+    # Five levels are too few for the slope window: the run is flagged unconverged.
+    assert run(capsys, "pressure", "--model", model, "--n-max", "5", "--out", first)[0] == 2
+    assert run(capsys, "pressure", "--model", model, "--out", second)[0] == 0
+    # The second run reads n_max 40 from the file, not the first run's flag.
+    for out, n_max in ((first, 5), (second, 40)):
+        _, rows = read_csv(os.path.join(out, "series.csv"))
+        assert max(int(row[1]) for row in rows) == n_max
+
+
 def curve_flags(out):
     """The flag column of a curve run's curve.csv, joined."""
     _, rows = read_csv(os.path.join(out, "curve.csv"))

@@ -30,6 +30,7 @@ from thermoshift.matrix_cocycle import (
     log_norm_of_path,
     max_lyapunov,
 )
+from thermoshift import numerics
 from thermoshift.numerics import log_norms
 from thermoshift.pressure import gurevich_pressure
 from thermoshift import potentials
@@ -47,7 +48,7 @@ from thermoshift.shift_core import (
     truncate,
 )
 
-from helpers import random_stationary_markov
+from helpers import plain_tree_log_norms, random_stationary_markov
 
 SYMMETRIC = {1: [[2.0, 1.0], [1.0, 2.0]]}
 
@@ -321,6 +322,64 @@ def test_estimator_memory_does_not_grow_with_n():
         tracemalloc.stop()
     # Drawing every uniform up front would take 40_000 * 128 * 8 B = 41 MB.
     assert peak < 8 * 2**20
+
+def table_sweep_family(rng, d, k, kind):
+    """k random d x d matrices: positive, sparse, vanishing across symbols, or scaled."""
+    mats = rng.uniform(0.1, 3.0, (k, d, d))
+    if kind == "sparse":
+        mats[rng.random((k, d, d)) < 0.4] = 0.0
+    elif kind == "vanishing":
+        # Even symbols live on the first coordinates, odd ones on the rest:
+        # a product mixing the two vanishes, at whatever level they meet.
+        half = max(d // 2, 1)
+        mats[0::2, half:, :] = mats[0::2, :, half:] = 0.0
+        mats[1::2, :half, :] = mats[1::2, :, :half] = 0.0
+    elif kind == "scaled":
+        mats *= 10.0 ** rng.choice([-150.0, 150.0], (k, 1, 1))
+    return mats
+
+
+def test_log_norms_tables_give_the_plain_tree_bits(monkeypatch):
+    built = []
+    pair_table = numerics._pair_table
+    monkeypatch.setattr(numerics, "_pair_table", lambda t: built.append(len(t)) or pair_table(t))
+    rng = np.random.default_rng(31)
+    layouts = ([256, 256, 88], [255, 1, 37], [1, 1, 1], [2], [64, 63, 2, 1], [128, 128])
+    kinds = ("positive", "sparse", "vanishing", "scaled")
+    for case in range(160):
+        d, k = 1 + case % 8, 1 + case // 8 % 5
+        samples = int(rng.integers(1, 41))
+        layout = layouts[case % len(layouts)] if case % 3 else rng.integers(1, 200, 3).tolist()
+        mats = table_sweep_family(rng, d, k, kinds[case % len(kinds)])
+        paths = rng.integers(0, k, (samples, sum(layout)))
+        if case % 5 == 0:
+            # Runs of one symbol, so the vanishing family meets zero only at inner levels.
+            paths = np.repeat(paths[:, :: 8], 8, axis=1)[:, : paths.shape[1]]
+        cuts = np.cumsum([0] + list(layout))
+        blocks = [paths[:, a:b] for a, b in zip(cuts, cuts[1:])]
+        with np.errstate(over="ignore", under="ignore"):
+            got = log_norms(mats, blocks, samples)
+            want = plain_tree_log_norms(mats, blocks, samples)
+            assert np.array_equal(got, want), (case, d, k, samples, layout)
+            if not mats.reshape(k, -1).any(axis=1).all():
+                continue  # a family needs a positive entry in every matrix
+            fam = MatrixFamily(d, {a + 1: mats[a] for a in range(k)})
+            symbols = sorted(set(paths[0].tolist()))
+            path = np.searchsorted(symbols, paths[0])[None, :]
+            want = plain_tree_log_norms(mats[symbols], [path], 1)[0]
+            assert log_norm_of_path(fam, (paths[0] + 1).tolist()) == want, case
+    # Tables of 1, 2, 3 and 4 words were built, so the sweep climbed them.
+    assert {1, 2, 3, 4} <= set(built)
+
+
+def test_a_block_with_more_symbols_than_nodes_builds_no_table(monkeypatch):
+    monkeypatch.setattr(numerics, "_pair_table", None)
+    rng = np.random.default_rng(5)
+    mats = rng.uniform(0.1, 2.0, (40, 2, 2))
+    paths = rng.integers(0, 40, (3, 300))
+    blocks = [paths[:, :256], paths[:, 256:]]
+    assert np.array_equal(log_norms(mats, blocks, 3), plain_tree_log_norms(mats, blocks, 3))
+
 
 # -- pressure curves ---------------------------------------------------------------
 

@@ -270,6 +270,18 @@ def test_successor_layout_is_cached_outside_equality():
     assert "successors" not in vars(fresh) and fresh == sub
 
 
+def test_subshifts_compare_by_value():
+    ones = FiniteSubshift((1, 2), np.ones((2, 2), dtype=np.int8))
+    assert ones == FiniteSubshift((1, 2), np.ones((2, 2), dtype=np.int8))
+    assert ones != FiniteSubshift((1, 2), np.eye(2, dtype=np.int8))
+    assert ones != FiniteSubshift((1, 3), np.ones((2, 2), dtype=np.int8))
+    assert ones != FiniteSubshift((1, 2), np.ones((2, 2), dtype=np.int8), dropped=(3,))
+    assert ones != FiniteSubshift((1,), np.ones((1, 1), dtype=np.int8))
+    assert ones != (1, 2)
+    with pytest.raises(TypeError):
+        hash(ones)
+
+
 def test_bip_star_shift_certificate():
     cert = check_bip(star_shift(), {1}, up_to=50)
     assert isinstance(cert, BipCertificate)
