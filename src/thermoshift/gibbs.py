@@ -1,7 +1,9 @@
 """Cylinder measures, Gibbs certification, and the variational inequality.
 
 Two measure representations cover everything the toolkit certifies. Markov
-measures store log-probabilities and give exact cylinder masses at any depth.
+measures store a vector of log stationary probabilities and a matrix of log
+transition probabilities over their own symbols, and give exact cylinder
+masses at any depth.
 Finite-approximation measures put mass proportional to the cylinder weight
 exp(sup log f_l) on every admissible word of length l; shallower masses are
 exact marginal sums. A potential with a transfer operator (arc or
@@ -75,12 +77,15 @@ _MEASURE_TOL = 1e-9
 
 
 class MarkovCylinderMeasure:
-    """Stationary Markov measure stored as log-probabilities.
+    """Stationary Markov measure stored as log-probabilities over its own symbols.
 
-    Masses of cylinders are exact products; the representation keeps the log
-    values supplied at construction so that certificates built from matching
-    logs (for example uniform Bernoulli against the zero potential) cancel
-    exactly instead of to rounding. Sums and stationarity hold to _MEASURE_TOL = 1e-9.
+    log_pi has one entry per symbol and log_p one row and column per symbol,
+    in the order of symbols, with -inf off the arcs; p is exp(log_p) and
+    index maps a symbol to its row. Masses of cylinders are exact products;
+    the representation keeps the log values supplied at construction so that
+    certificates built from matching logs (for example uniform Bernoulli
+    against the zero potential) cancel exactly instead of to rounding. Sums
+    and stationarity hold to _MEASURE_TOL = 1e-9.
     """
 
     kind = "markov"
@@ -88,106 +93,126 @@ class MarkovCylinderMeasure:
     def __init__(
         self,
         symbols: Sequence[int],
-        log_pi: dict[int, float],
-        log_p: dict[tuple[int, int], float],
+        log_pi: np.ndarray,
+        log_p: np.ndarray,
         sub: Optional[FiniteSubshift] = None,
     ):
         self.symbols = tuple(symbols)
-        self.log_pi = dict(log_pi)
-        self.log_p = dict(log_p)
+        self.index = {s: k for k, s in enumerate(self.symbols)}
+        self.log_pi = np.array(log_pi, dtype=float)
+        self.log_p = np.array(log_p, dtype=float)
         self.sub = sub
-        pi_total = math.fsum(math.exp(v) for v in self.log_pi.values())
+        arcs = self.log_p > NEG_INF
+        self.p = _mapped(math.exp, self.log_p, arcs, 0.0)
+        for table in (self.log_pi, self.log_p, self.p):
+            table.flags.writeable = False
+        pi_total = math.fsum(map(math.exp, self.log_pi.tolist()))
         if abs(pi_total - 1.0) > _MEASURE_TOL:
             raise ValueError(f"initial distribution sums to {pi_total}, not 1")
-        # One pass over the arcs: row sums, and the flow pi_i p_ij into each j.
-        rows = {i: [] for i in self.symbols}
-        flows = {j: [] for j in self.symbols}
-        for (i, j), v in self.log_p.items():
-            if i in rows:
-                rows[i].append(math.exp(v))
-                if j in flows:
-                    flows[j].append(math.exp(self.log_pi.get(i, NEG_INF) + v))
-        for i, terms in rows.items():
-            row = math.fsum(terms)
-            if abs(row - 1.0) > _MEASURE_TOL:
-                raise ValueError(f"transition row of symbol {i} sums to {row}")
-        for j, terms in flows.items():
-            if abs(math.fsum(terms) - self.pi(j)) > _MEASURE_TOL:
+        for i, row in zip(self.symbols, self.p.tolist()):
+            total = math.fsum(row)
+            if abs(total - 1.0) > _MEASURE_TOL:
+                raise ValueError(f"transition row of symbol {i} sums to {total}")
+        # The flow pi_i p_ij into each j, each term the exp of a log sum.
+        flows = _mapped(math.exp, self.log_pi[:, None] + self.log_p, arcs, 0.0)
+        for j, terms, log_pi_j in zip(self.symbols, flows.T.tolist(), self.log_pi.tolist()):
+            if abs(math.fsum(terms) - math.exp(log_pi_j)) > _MEASURE_TOL:
                 raise ValueError(f"distribution is not stationary at symbol {j}")
         if sub is not None:
-            for (i, j) in self.log_p:
-                if not sub.arc(i, j):
-                    raise ValueError(
-                        f"transition {i}->{j} is not an admissible arc"
-                    )
+            # Positions in sub; a symbol outside it, at -1, has no arcs there.
+            at = np.array([sub._index.get(s, -1) for s in self.symbols])
+            inside = at >= 0
+            admissible = (sub.matrix[at[:, None], at] != 0) & np.outer(inside, inside)
+            bad = np.argwhere(arcs & ~admissible)
+            if len(bad):
+                i, j = (self.symbols[k] for k in bad[0])
+                sub.arc(i, j)  # raises for a symbol outside the truncation
+                raise ValueError(f"transition {i}->{j} is not an admissible arc")
 
     @property
     def depth(self) -> float:
         return math.inf
 
     def pi(self, a: int) -> float:
-        return math.exp(self.log_pi.get(a, NEG_INF))
+        k = self.index.get(a)
+        return 0.0 if k is None else math.exp(self.log_pi[k])
 
     def transition(self, i: int, j: int) -> float:
-        return math.exp(self.log_p.get((i, j), NEG_INF))
+        ki, kj = self.index.get(i), self.index.get(j)
+        return 0.0 if ki is None or kj is None else float(self.p[ki, kj])
 
     def log_mass(self, word: Sequence[int]) -> float:
-        word = tuple(word)
-        total = self.log_pi.get(word[0], NEG_INF)
-        for i, j in zip(word, word[1:]):
-            total += self.log_p.get((i, j), NEG_INF)
-        return total
+        at = [self.index.get(a) for a in word]
+        if None in at:
+            return NEG_INF
+        total = self.log_pi[at[0]]
+        for i, j in zip(at, at[1:]):
+            total += self.log_p[i, j]
+        return float(total)
 
     def mass(self, word: Sequence[int]) -> float:
         return math.exp(self.log_mass(word))
 
-    def log_mass_plus_n_pressure(self, word: Sequence[int], P: float) -> float:
-        """log mass(w) + n*P, grouped per symbol so matching logs cancel exactly."""
-        word = tuple(word)
-        terms = [self.log_pi.get(word[0], NEG_INF) + P]
-        terms.extend(
-            self.log_p.get((i, j), NEG_INF) + P for i, j in zip(word, word[1:])
-        )
-        if NEG_INF in terms:
-            return NEG_INF
-        return math.fsum(terms)
+
+def _mapped(f: Callable[[float], float], values: np.ndarray, where, fill: float) -> np.ndarray:
+    """f of each entry of values where `where` holds, fill elsewhere.
+
+    f is a math function called per entry, so each entry rounds as f rounds
+    it alone; numpy's vectorized exp and log can differ in the last bit.
+    """
+    out = np.full(values.shape, fill)
+    out[where] = list(map(f, values[where].tolist()))
+    return out
 
 
 def uniform_bernoulli(m: int) -> MarkovCylinderMeasure:
     """Uniform Bernoulli measure on the m-symbol full-shift truncation."""
     sub = truncate(full_shift(), m)
     log_u = -math.log(m)
-    log_pi = {a: log_u for a in sub.symbols}
-    log_p = {(i, j): log_u for i in sub.symbols for j in sub.symbols}
-    return MarkovCylinderMeasure(sub.symbols, log_pi, log_p, sub)
+    return MarkovCylinderMeasure(sub.symbols, np.full(m, log_u), np.full((m, m), log_u), sub)
 
 
 def bernoulli_measure(
     probs: dict[int, float], sub: Optional[FiniteSubshift] = None
 ) -> MarkovCylinderMeasure:
-    """Product measure with the given symbol probabilities."""
+    """Product measure over the symbols of positive probability in probs."""
     if sub is None:
         sub = truncate(full_shift(), max(probs))
-    log_pi = {a: math.log(p) for a, p in probs.items() if p > 0}
-    log_p = {
-        (i, j): log_pi[j]
-        for i in log_pi
-        for j in log_pi
-        if sub.arc(i, j)
-    }
-    return MarkovCylinderMeasure(tuple(sorted(log_pi)), log_pi, log_p, sub)
+    symbols = sorted(a for a, p in probs.items() if p > 0)
+    log_pi = np.array([math.log(probs[a]) for a in symbols])
+    at = np.array([sub.position(a) for a in symbols], dtype=np.intp)
+    arcs = sub.matrix[at[:, None], at] != 0
+    return MarkovCylinderMeasure(symbols, log_pi, np.where(arcs, log_pi, NEG_INF), sub)
 
 
 def markov_measure(
     symbols: Sequence[int],
-    pi: dict[int, float],
-    p: dict[tuple[int, int], float],
+    pi: Sequence[float],
+    p: Sequence[Sequence[float]],
     sub: Optional[FiniteSubshift] = None,
 ) -> MarkovCylinderMeasure:
-    """Markov measure from plain probabilities (validated for stationarity)."""
-    log_pi = {a: math.log(v) for a, v in pi.items() if v > 0}
-    log_p = {arc: math.log(v) for arc, v in p.items() if v > 0}
-    return MarkovCylinderMeasure(tuple(symbols), log_pi, log_p, sub)
+    """Markov measure from plain probabilities (validated for stationarity).
+
+    pi holds one probability per symbol and p is the (k, k) transition
+    matrix over the k symbols, both in the order of symbols.
+    """
+    k = len(symbols)
+    pi, p = _probabilities("pi", pi, (k,)), _probabilities("p", p, (k, k))
+    return MarkovCylinderMeasure(
+        symbols, _mapped(math.log, pi, pi > 0, NEG_INF), _mapped(math.log, p, p > 0, NEG_INF), sub
+    )
+
+
+def _probabilities(name: str, values, shape: tuple) -> np.ndarray:
+    try:
+        table = np.array(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        table = None
+    if table is None or table.shape != shape or not np.isfinite(table).all():
+        raise ValueError(
+            f"{name} must be an array of finite numbers of shape {shape}, for {shape[0]} symbols"
+        )
+    return table
 
 
 def rpf_equilibrium(
@@ -214,17 +239,10 @@ def rpf_equilibrium(
         )
     W = op.B
     rho, v, u = perron_data(W)
-    p_exact = math.log(rho)
-    log_pi = {}
-    log_p = {}
     weights = u * v
-    total = weights.sum()
-    for ki, i in enumerate(sub.symbols):
-        log_pi[i] = math.log(weights[ki] / total)
-        for kj, j in enumerate(sub.symbols):
-            if sub.matrix[ki, kj]:
-                log_p[(i, j)] = math.log(W[ki, kj] * v[kj] / (rho * v[ki]))
-    return p_exact, MarkovCylinderMeasure(sub.symbols, log_pi, log_p, sub)
+    log_pi = np.array(list(map(math.log, (weights / weights.sum()).tolist())))
+    log_p = _mapped(math.log, W * v / (rho * v[:, None]), sub.matrix != 0, NEG_INF)
+    return math.log(rho), MarkovCylinderMeasure(sub.symbols, log_pi, log_p, sub)
 
 
 def _normalized(vec: np.ndarray) -> tuple[np.ndarray, float]:
@@ -430,15 +448,18 @@ def _plus(table: np.ndarray, P: float) -> np.ndarray:
 class _MarkovMasses:
     """(log mass, log mass + nP) of Markov cylinders as gathered table sums.
 
-    The second sum adds P to every symbol's term, as log_mass_plus_n_pressure
-    does, so matching logs cancel exactly.
+    The second sum adds P to every symbol's term, not nP to the log mass, so
+    matching logs cancel exactly.
     """
 
     def __init__(self, mu: MarkovCylinderMeasure, sub: FiniteSubshift, P: float):
-        self.log_pi = np.array([mu.log_pi.get(a, NEG_INF) for a in sub.symbols])
-        self.log_p = np.array(
-            [[mu.log_p.get((a, b), NEG_INF) for b in sub.symbols] for a in sub.symbols]
-        )
+        self.log_pi, self.log_p = mu.log_pi, mu.log_p
+        if sub.symbols != mu.symbols:
+            # Rows of sub's symbols in mu; a symbol outside mu, at -1, has mass 0.
+            at = np.array([mu.index.get(a, -1) for a in sub.symbols])
+            out = at < 0
+            self.log_pi = np.where(out, NEG_INF, mu.log_pi[at])
+            self.log_p = np.where(out[:, None] | out, NEG_INF, mu.log_p[at[:, None], at])
         self.pi_plus, self.p_plus = _plus(self.log_pi, P), _plus(self.log_p, P)
 
     def start(self, roots):
@@ -595,12 +616,12 @@ def entropy_markov(mu) -> float:
         raise MeasureKindError(
             "entropy is computed from the Markov representation only"
         )
-    terms = []
-    for (i, j), lp in mu.log_p.items():
-        if lp == NEG_INF:
-            continue
-        terms.append(-math.exp(mu.log_pi.get(i, NEG_INF) + lp) * lp)
-    return math.fsum(terms)
+    return math.fsum(
+        -math.exp(log_pi + lp) * lp
+        for log_pi, row in zip(mu.log_pi.tolist(), mu.log_p.tolist())
+        for lp in row
+        if lp > NEG_INF
+    )
 
 
 def lyapunov_functional(
@@ -619,11 +640,13 @@ def lyapunov_functional(
         raise ValueError(f"n={n} exceeds measure depth {mu.depth}")
     ps = p.pair_structure()
     if getattr(mu, "kind", None) == "markov" and ps is not None:
-        # A symbol of probability zero has no log_pi entry and adds nothing.
+        # A symbol of probability zero adds nothing.
         expected = math.fsum(
-            math.exp(mu.log_pi[i] + lp) * ps.pair(i, j)
-            for (i, j), lp in mu.log_p.items()
-            if lp > NEG_INF and i in mu.log_pi
+            math.exp(log_pi + lp) * ps.pair(i, j)
+            for i, log_pi, row in zip(mu.symbols, mu.log_pi.tolist(), mu.log_p.tolist())
+            if log_pi > NEG_INF
+            for j, lp in zip(mu.symbols, row)
+            if lp > NEG_INF
         )
         return ps.offset(n) / n + expected
     if sub is None:

@@ -53,8 +53,8 @@ def _choice_cdf(probs) -> np.ndarray:
     return cdf / cdf[-1]
 
 
-def _sample_paths(mu, symbols: tuple, n: int, samples: int, seed: int):
-    """Yield the sampled paths as (samples, steps) blocks of symbol indices.
+def _sample_paths(mu, n: int, samples: int, seed: int):
+    """Yield the sampled paths as (samples, steps) blocks of indices into mu.symbols.
 
     Sample k draws from its own generator, seeded by (seed, k), one uniform
     per step: the first picks the start from the stationary weights, each
@@ -62,27 +62,21 @@ def _sample_paths(mu, symbols: tuple, n: int, samples: int, seed: int):
     with a cumulative row exactly as rng.choice does, so the paths are the
     ones per-step rng.choice calls would sample.
 
-    A chunk first looks every uniform up in every row, k + 1 searchsorted
+    The cumulative rows come from the measure's transition matrix mu.p. A
+    chunk first looks every uniform up in every row, k + 1 searchsorted
     calls, into a table of the successor each would pick from each symbol;
     each step is then one gather from that table for all samples at once.
     """
-    k = len(symbols)
+    k = len(mu.symbols)
     # Rows 0..k-1 hold the successors of each symbol, row k the stationary
     # start; past its last entry a row is padded with 2.0, above any uniform.
     cdf = np.full((k + 1, k), 2.0)
     succ = np.zeros((k + 1, k), dtype=np.intp)
-    # One pass over the measure's arcs fills the transition matrix; an arc
-    # with an end outside the symbols lands in the spare row or column k.
-    position = {s: i for i, s in enumerate(symbols)}
-    probs = np.zeros((k + 1, k + 1))
-    probs.flat[[position.get(s, k) * (k + 1) + position.get(t, k) for s, t in mu.log_p]] = [
-        math.exp(v) for v in mu.log_p.values()
-    ]
-    for i, row in enumerate(probs[:k, :k]):
+    for i, row in enumerate(mu.p):
         outs = np.flatnonzero(row > 0.0)
         cdf[i, : len(outs)] = _choice_cdf(row[outs])
         succ[i, : len(outs)] = outs
-    cdf[k] = _choice_cdf([mu.pi(s) for s in symbols])
+    cdf[k] = _choice_cdf([mu.pi(s) for s in mu.symbols])
     succ[k] = np.arange(k)
     rngs = [np.random.default_rng((seed, i)) for i in range(samples)]
     # Sample s at a symbol is at flat index s * (k + 1) + symbol of a step's table.
@@ -142,7 +136,7 @@ def max_lyapunov(
         )
         return LyapunovEstimate(lam, n, samples, 0.0)
     mats = np.stack([family.matrix(s) for s in symbols])
-    paths = _sample_paths(mu, symbols, n, samples, seed)
+    paths = _sample_paths(mu, n, samples, seed)
     values = (log_norms(mats, paths, samples) / n).tolist()
     lam = math.fsum(values) / samples
     if samples > 1 and lam != -math.inf:

@@ -386,17 +386,10 @@ def _parse_measure(
         raise ModelFileError("measure.p", "must be a square matrix matching pi")
     if not _square(p, len(pi), _nonnegative):
         raise ModelFileError("measure.p", "entries must be nonnegative numbers")
-    arcs = {
-        (i + 1, j + 1): float(v)
-        for i, row in enumerate(p)
-        for j, v in enumerate(row)
-        if v
-    }
-    # Row and arc checks fault p; sum and stationarity checks fault pi.
+    # Entry, row and arc checks fault p; sum and stationarity checks fault pi.
     return lambda sub: _named(
-        lambda msg: "measure.p" if msg.startswith("transition") else "measure.pi",
-        markov_measure, range(1, len(pi) + 1), dict(enumerate(pi, 1)), arcs,
-        on(sub, len(pi)),
+        lambda msg: "measure.p" if msg.startswith(("p ", "transition")) else "measure.pi",
+        markov_measure, range(1, len(pi) + 1), pi, p, on(sub, len(pi)),
     )
 
 

@@ -49,7 +49,8 @@ class PairTable:
     """A pair potential's values on the arcs of a truncation, evaluated once.
 
     values holds pair per symbol (by_row, when ps.row is given) or per arc in
-    np.nonzero order; on_arcs lays arrays of that layout onto the arcs.
+    the row-major order of sub.successors; on_arcs lays arrays of that layout
+    onto the arcs.
     """
 
     def __init__(self, sub: FiniteSubshift, ps: PairStructure):
@@ -59,9 +60,10 @@ class PairTable:
         if self.by_row:
             self.values = np.array([ps.row(s) for s in symbols], dtype=float)
         else:
-            ki, kj = np.nonzero(self.arcs)
+            start, succ = sub.successors
+            ki = np.repeat(np.arange(sub.size), np.diff(start))
             self.values = np.array(
-                [ps.pair(symbols[i], symbols[j]) for i, j in zip(ki.tolist(), kj.tolist())],
+                [ps.pair(symbols[i], symbols[j]) for i, j in zip(ki.tolist(), succ.tolist())],
                 dtype=float,
             )
 

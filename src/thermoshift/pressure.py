@@ -234,45 +234,6 @@ def transfer_norm(sub: FiniteSubshift, p: PotentialSequence) -> float:
     )
 
 
-def near_superadditivity_margin(series: PartitionSeries, k: float) -> float:
-    """min over stored n, m of log Z_{n+m} + k - log Z_n - log Z_m.
-
-    Nonnegative (up to rounding) when the declared constants are honest.
-    Pairs with an empty level on the left side hold trivially and are skipped.
-    """
-    margin = math.inf
-    n_max = series.n_max
-    for n in range(1, n_max):
-        zn = series.log_z(n)
-        if zn == NEG_INF:
-            continue
-        for m in range(1, n_max - n + 1):
-            zm = series.log_z(m)
-            if zm == NEG_INF:
-                continue
-            margin = min(margin, series.log_z(n + m) + k - zn - zm)
-    return margin
-
-
-def growth_floor_margin(
-    series: PartitionSeries, sub: FiniteSubshift, p: PotentialSequence
-) -> float:
-    """min over nonempty levels of log Z_n - (n log beta - (n-1) C).
-
-    beta is the smallest first-level weight on the truncation. The floor only
-    makes sense for lengths whose periodic set is nonempty, so empty levels
-    are skipped.
-    """
-    log_beta = min(p.log_inf_f1(s, sub) for s in sub.symbols)
-    c = p.declared_C
-    margin = math.inf
-    for n, zn in series.entries:
-        if zn == NEG_INF:
-            continue
-        margin = min(margin, zn - (n * log_beta - (n - 1) * c))
-    return margin
-
-
 @dataclass(frozen=True)
 class PressureEstimate:
     """Pressure value with brackets and convergence diagnostics.

@@ -7,12 +7,13 @@ import math
 
 import numpy as np
 
-from thermoshift.gibbs import markov_measure
-from thermoshift.numerics import logsumexp
+from thermoshift.gibbs import _plus, markov_measure
+from thermoshift.numerics import NEG_INF, logsumexp, perron_data
 from thermoshift.potentials import PotentialSequence, ScaledPotential, WordHooks, transfer_operator
-from thermoshift.pressure import gurevich_pressure
+from thermoshift.pressure import PartitionSeries, gurevich_pressure
 from thermoshift.shift_core import (
     check_mixing,
+    full_shift,
     model_from_arcs,
     truncate,
     walk,
@@ -20,8 +21,8 @@ from thermoshift.shift_core import (
 )
 
 
-def random_stationary_markov(sub, rng):
-    """Random stationary Markov measure supported on the subshift's arcs."""
+def random_stationary_kernel(sub, rng):
+    """(pi, kernel): a random kernel on the subshift's arcs and its stationary vector."""
     size = sub.size
     kernel = np.zeros((size, size))
     for ki in range(size):
@@ -32,15 +33,13 @@ def random_stationary_markov(sub, rng):
     b = np.zeros(size + 1)
     b[-1] = 1.0
     pi, *_ = np.linalg.lstsq(A, b, rcond=None)
-    pi = pi / pi.sum()
-    pi_map = {s: float(pi[k]) for k, s in enumerate(sub.symbols)}
-    p_map = {
-        (si, sj): float(kernel[i, j])
-        for i, si in enumerate(sub.symbols)
-        for j, sj in enumerate(sub.symbols)
-        if kernel[i, j] > 0
-    }
-    return markov_measure(sub.symbols, pi_map, p_map, sub)
+    return pi / pi.sum(), kernel
+
+
+def random_stationary_markov(sub, rng):
+    """Random stationary Markov measure supported on the subshift's arcs."""
+    pi, kernel = random_stationary_kernel(sub, rng)
+    return markov_measure(sub.symbols, pi, kernel, sub)
 
 
 def random_mixing_subshift(rng, max_symbols=5, density=0.6):
@@ -335,3 +334,203 @@ def plain_tree_log_norms(mats, blocks, samples):
         with np.errstate(divide="ignore"):
             log_scale += np.log(np.concatenate(sums, axis=1)).sum(axis=1)
     return log_scale
+
+
+def near_superadditivity_margin(series: PartitionSeries, k: float) -> float:
+    """min over stored n, m of log Z_{n+m} + k - log Z_n - log Z_m.
+
+    Nonnegative (up to rounding) when the declared constants are honest.
+    Pairs with an empty level on the left side hold trivially and are skipped.
+    """
+    margin = math.inf
+    n_max = series.n_max
+    for n in range(1, n_max):
+        zn = series.log_z(n)
+        if zn == NEG_INF:
+            continue
+        for m in range(1, n_max - n + 1):
+            zm = series.log_z(m)
+            if zm == NEG_INF:
+                continue
+            margin = min(margin, series.log_z(n + m) + k - zn - zm)
+    return margin
+
+
+def growth_floor_margin(series: PartitionSeries, sub, p: PotentialSequence) -> float:
+    """min over nonempty levels of log Z_n - (n log beta - (n-1) C).
+
+    beta is the smallest first-level weight on the truncation. The floor only
+    makes sense for lengths whose periodic set is nonempty, so empty levels
+    are skipped.
+    """
+    log_beta = min(p.log_inf_f1(s, sub) for s in sub.symbols)
+    c = p.declared_C
+    margin = math.inf
+    for n, zn in series.entries:
+        if zn == NEG_INF:
+            continue
+        margin = min(margin, zn - (n * log_beta - (n - 1) * c))
+    return margin
+
+
+def log_mass_plus_n_pressure(mu, word, P):
+    """log mass(w) + n*P of a Markov measure, one fsum of the per-symbol terms log + P.
+
+    The reference for the grouped sum of gibbs._MarkovMasses: adding P to
+    every symbol's term lets matching logs cancel exactly.
+    """
+    at = [mu.index.get(a) for a in word]
+    if None in at:
+        return NEG_INF
+    terms = [mu.log_pi[at[0]] + P]
+    terms.extend(mu.log_p[i, j] + P for i, j in zip(at, at[1:]))
+    if NEG_INF in terms:
+        return NEG_INF
+    return math.fsum(terms)
+
+
+# -- the dict form of Markov measures, kept as the reference for the arrays ------
+
+_MEASURE_TOL = 1e-9
+
+
+class DictMarkovMeasure:
+    """A stationary Markov measure as log_pi and log_p dicts keyed by symbol and by arc.
+
+    The array form (gibbs.MarkovCylinderMeasure) must give the same bits;
+    this is the measure it replaced, with its checks.
+    """
+
+    kind = "markov"
+
+    def __init__(self, symbols, log_pi, log_p, sub=None):
+        self.symbols = tuple(symbols)
+        self.log_pi = dict(log_pi)
+        self.log_p = dict(log_p)
+        self.sub = sub
+        pi_total = math.fsum(math.exp(v) for v in self.log_pi.values())
+        if abs(pi_total - 1.0) > _MEASURE_TOL:
+            raise ValueError(f"initial distribution sums to {pi_total}, not 1")
+        rows = {i: [] for i in self.symbols}
+        flows = {j: [] for j in self.symbols}
+        for (i, j), v in self.log_p.items():
+            if i in rows:
+                rows[i].append(math.exp(v))
+                if j in flows:
+                    flows[j].append(math.exp(self.log_pi.get(i, NEG_INF) + v))
+        for i, terms in rows.items():
+            row = math.fsum(terms)
+            if abs(row - 1.0) > _MEASURE_TOL:
+                raise ValueError(f"transition row of symbol {i} sums to {row}")
+        for j, terms in flows.items():
+            if abs(math.fsum(terms) - self.pi(j)) > _MEASURE_TOL:
+                raise ValueError(f"distribution is not stationary at symbol {j}")
+        if sub is not None:
+            for (i, j) in self.log_p:
+                if not sub.arc(i, j):
+                    raise ValueError(f"transition {i}->{j} is not an admissible arc")
+
+    depth = math.inf
+
+    def pi(self, a):
+        return math.exp(self.log_pi.get(a, NEG_INF))
+
+    def transition(self, i, j):
+        return math.exp(self.log_p.get((i, j), NEG_INF))
+
+    def log_mass(self, word):
+        word = tuple(word)
+        total = self.log_pi.get(word[0], NEG_INF)
+        for i, j in zip(word, word[1:]):
+            total += self.log_p.get((i, j), NEG_INF)
+        return total
+
+    @property
+    def p(self):
+        """The transition matrix over the symbols, filled arc by arc with math.exp."""
+        k = len(self.symbols)
+        position = {s: i for i, s in enumerate(self.symbols)}
+        probs = np.zeros((k + 1, k + 1))
+        probs.flat[[position.get(s, k) * (k + 1) + position.get(t, k) for s, t in self.log_p]] = [
+            math.exp(v) for v in self.log_p.values()
+        ]
+        return probs[:k, :k]
+
+
+def dict_uniform_bernoulli(m):
+    sub = truncate(full_shift(), m)
+    log_u = -math.log(m)
+    log_pi = {a: log_u for a in sub.symbols}
+    log_p = {(i, j): log_u for i in sub.symbols for j in sub.symbols}
+    return DictMarkovMeasure(sub.symbols, log_pi, log_p, sub)
+
+
+def dict_bernoulli_measure(probs, sub=None):
+    if sub is None:
+        sub = truncate(full_shift(), max(probs))
+    log_pi = {a: math.log(p) for a, p in probs.items() if p > 0}
+    log_p = {(i, j): log_pi[j] for i in log_pi for j in log_pi if sub.arc(i, j)}
+    return DictMarkovMeasure(tuple(sorted(log_pi)), log_pi, log_p, sub)
+
+
+def dict_markov_measure(symbols, pi, p, sub=None):
+    """From dicts: pi keyed by symbol, p by arc."""
+    log_pi = {a: math.log(v) for a, v in pi.items() if v > 0}
+    log_p = {arc: math.log(v) for arc, v in p.items() if v > 0}
+    return DictMarkovMeasure(tuple(symbols), log_pi, log_p, sub)
+
+
+def dict_rpf_equilibrium(sub, p):
+    W = transfer_operator(sub, p).B
+    rho, v, u = perron_data(W)
+    log_pi, log_p = {}, {}
+    weights = u * v
+    total = weights.sum()
+    for ki, i in enumerate(sub.symbols):
+        log_pi[i] = math.log(weights[ki] / total)
+        for kj, j in enumerate(sub.symbols):
+            if sub.matrix[ki, kj]:
+                log_p[(i, j)] = math.log(W[ki, kj] * v[kj] / (rho * v[ki]))
+    return math.log(rho), DictMarkovMeasure(sub.symbols, log_pi, log_p, sub)
+
+
+def dict_entropy_markov(mu):
+    terms = []
+    for (i, j), lp in mu.log_p.items():
+        if lp == NEG_INF:
+            continue
+        terms.append(-math.exp(mu.log_pi.get(i, NEG_INF) + lp) * lp)
+    return math.fsum(terms)
+
+
+def dict_lyapunov_functional(mu, p, n):
+    """The Markov branch: offset(n)/n plus the stationary mean of the arc values."""
+    ps = p.pair_structure()
+    expected = math.fsum(
+        math.exp(mu.log_pi[i] + lp) * ps.pair(i, j)
+        for (i, j), lp in mu.log_p.items()
+        if lp > NEG_INF and i in mu.log_pi
+    )
+    return ps.offset(n) / n + expected
+
+
+class DictMarkovMasses:
+    """gibbs._MarkovMasses over a DictMarkovMeasure: the tables gathered from its dicts."""
+
+    def __init__(self, mu, sub, P):
+        self.log_pi = np.array([mu.log_pi.get(a, NEG_INF) for a in sub.symbols])
+        self.log_p = np.array(
+            [[mu.log_p.get((a, b), NEG_INF) for b in sub.symbols] for a in sub.symbols]
+        )
+        self.pi_plus, self.p_plus = _plus(self.log_pi, P), _plus(self.log_p, P)
+
+    def start(self, roots):
+        return self.log_pi[roots], self.pi_plus[roots]
+
+    def extend(self, state, parent, prev, child):
+        plain, grouped = state
+        return (plain[parent] + self.log_p[prev, child],
+                grouped[parent] + self.p_plus[prev, child])
+
+    def close(self, state, n, last):
+        return state

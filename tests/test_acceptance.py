@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 from helpers import (
+    growth_floor_margin,
+    near_superadditivity_margin,
     random_mixing_subshift,
     random_stationary_markov,
     symbol_independence_check,
@@ -42,9 +44,7 @@ from thermoshift.potentials import (
 )
 from thermoshift.pressure import (
     curve_second_differences,
-    growth_floor_margin,
     gurevich_pressure,
-    near_superadditivity_margin,
     pressure_curve,
 )
 from thermoshift.shift_core import (
@@ -186,7 +186,7 @@ def test_criterion_4_entropy_contraction_identity():
 def test_criterion_5_lyapunov_exponents():
     single = model_from_arcs([(1, 1)])
     sub = truncate(single, 1)
-    mu = markov_measure((1,), {1: 1.0}, {(1, 1): 1.0}, sub)
+    mu = markov_measure((1,), [1.0], [[1.0]], sub)
     family = MatrixFamily(2, {1: [[2.0, 1.0], [1.0, 2.0]]})
     est = max_lyapunov(family, mu, n=500, samples=3, seed=11)
     err_single = abs(est.lambda_hat - math.log(3.0))

@@ -12,8 +12,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from thermoshift import shift_core
+from thermoshift import gibbs, shift_core
 from thermoshift.gibbs import (
+    MarkovCylinderMeasure,
     MeasureKindError,
     bernoulli_measure,
     count_admissible_words,
@@ -27,6 +28,7 @@ from thermoshift.gibbs import (
     variational_defect,
     verify_gibbs,
 )
+from thermoshift.matrix_cocycle import _sample_paths
 from thermoshift.potentials import (
     birkhoff_potential,
     cocycle_potential,
@@ -45,9 +47,18 @@ from thermoshift.shift_core import (
 )
 
 from helpers import (
+    DictMarkovMasses,
     admits_word,
+    dict_bernoulli_measure,
+    dict_entropy_markov,
+    dict_lyapunov_functional,
+    dict_markov_measure,
+    dict_rpf_equilibrium,
+    dict_uniform_bernoulli,
     explicit_gibbs_masses,
+    log_mass_plus_n_pressure,
     random_mixing_subshift,
+    random_stationary_kernel,
     random_stationary_markov,
     row_sink,
 )
@@ -250,49 +261,118 @@ def test_rpf_shift_invariance_under_constant():
 def test_markov_measure_rejects_bad_data():
     sub = truncate(full_shift(), 2)
     with pytest.raises(ValueError, match="not stationary"):
-        markov_measure(
-            (1, 2),
-            {1: 0.5, 2: 0.5},
-            {(1, 1): 0.9, (1, 2): 0.1, (2, 1): 0.5, (2, 2): 0.5},
-            sub,
-        )
+        markov_measure((1, 2), [0.5, 0.5], [[0.9, 0.1], [0.5, 0.5]], sub)
     with pytest.raises(ValueError, match="sums to"):
-        markov_measure(
-            (1, 2),
-            {1: 0.7, 2: 0.7},
-            {(1, 1): 0.5, (1, 2): 0.5, (2, 1): 0.5, (2, 2): 0.5},
-            sub,
-        )
+        markov_measure((1, 2), [0.7, 0.7], [[0.5, 0.5], [0.5, 0.5]], sub)
     gm_sub = truncate(golden_mean_shift(), 2)
     # A Bernoulli kernel restricted to the golden-mean graph loses the 2->2
     # mass, so it fails as a non-stochastic row.
     with pytest.raises(ValueError, match="sums to"):
         bernoulli_measure({1: 0.5, 2: 0.5}, gm_sub)
     with pytest.raises(ValueError, match="admissible arc"):
-        markov_measure(
-            (1, 2),
-            {1: 0.5, 2: 0.5},
-            {(1, 1): 0.5, (1, 2): 0.5, (2, 1): 0.5, (2, 2): 0.5},
-            gm_sub,
-        )
+        markov_measure((1, 2), [0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]], gm_sub)
 
 
 def test_markov_measure_accepts_zero_probability_symbol():
     # Symbol 2 has pi = 0 but an arc into symbol 1; the measure is stationary.
-    mu = markov_measure((1, 2), {1: 1.0, 2: 0.0}, {(1, 1): 1.0, (2, 1): 1.0})
+    mu = markov_measure((1, 2), [1.0, 0.0], [[1.0, 0.0], [1.0, 0.0]])
     assert mu.pi(1) == 1.0 and mu.pi(2) == 0.0
     assert math.isfinite(entropy_markov(mu))
 
 
 def test_lyapunov_functional_skips_zero_probability_symbol():
     # Only the arc 1 -> 1 carries mass, with value 0.3 - 0.1.
-    mu = markov_measure(
-        (1, 2), {1: 1.0, 2: 0.0}, {(1, 1): 1.0, (2, 1): 1.0}, truncate(full_shift(), 2)
-    )
+    mu = markov_measure((1, 2), [1.0, 0.0], [[1.0, 0.0], [1.0, 0.0]], truncate(full_shift(), 2))
     p = birkhoff_potential(lambda i, j: 0.3 * i - 0.1 * j, full_shift())
     assert lyapunov_functional(mu, p, 4) == pytest.approx(0.2, abs=1e-15)
     h = entropy_markov(mu)
     assert variational_defect(mu, p, 1.0, 4) == pytest.approx(1.0 - h - 0.2, abs=1e-15)
+
+
+def test_markov_measure_checks_its_arrays():
+    full2 = [[0.5, 0.5], [0.5, 0.5]]
+    for pi in ([1.0], [0.5, 0.5, 0.0], [[0.5, 0.5]], [0.5, math.nan], {1: 0.5, 2: 0.5}):
+        with pytest.raises(ValueError, match=r"^pi must be .* shape \(2,\)"):
+            markov_measure((1, 2), pi, full2)
+    bad_p = ([0.5, 0.5], [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [[1.0], [0.5, 0.5]],
+             [[0.5, math.inf], [0.5, 0.5]], [[0.5, 0.5], [math.nan, 1.0]], [[10 ** 400, 0], [0, 1]],
+             "p")
+    for p in bad_p:
+        with pytest.raises(ValueError, match=r"^p must be .* shape \(2, 2\)"):
+            markov_measure((1, 2), [0.5, 0.5], p)
+    # Row 2 of this arc dict summed to 1 only through symbol 3, outside the
+    # measure, and sampling from it failed; a (k, k) matrix has no such arc.
+    with pytest.raises(ValueError, match="^pi must be"):
+        markov_measure((1, 2), {1: 1.0, 2: 0.0}, {(1, 1): 1.0, (2, 3): 1.0})
+    with pytest.raises(ValueError, match="row of symbol 2 sums to 0"):
+        markov_measure((1, 2), [1.0, 0.0], [[1.0, 0.0], [0.0, 0.0]])
+
+
+# -- the array form against the dict form it replaced ----------------------------
+
+
+def _dict_measure_cases():
+    """(name, array measure, dict measure, model, sub), each pair from the same inputs."""
+    full = full_shift()
+    for m in (1, 2, 3, 4, 5, 64):
+        sub = truncate(full, m)
+        yield f"uniform_{m}", uniform_bernoulli(m), dict_uniform_bernoulli(m), full, sub
+    # Symbol 2 has probability 0, and the truncation has symbols the measure lacks.
+    probs, sub5 = {1: 0.5, 2: 0.0, 3: 0.2, 4: 0.3}, truncate(full, 5)
+    yield ("bernoulli_zero", bernoulli_measure(probs, sub5), dict_bernoulli_measure(probs, sub5),
+           full, sub5)
+    rng = np.random.default_rng(41)
+    for k in range(4):
+        model, sub = random_mixing_subshift(rng, max_symbols=6)
+        pi, kernel = random_stationary_kernel(sub, rng)
+        ref = dict_markov_measure(
+            sub.symbols,
+            {s: float(pi[i]) for i, s in enumerate(sub.symbols)},
+            {(a, b): float(kernel[i, j]) for i, a in enumerate(sub.symbols)
+             for j, b in enumerate(sub.symbols) if kernel[i, j] > 0},
+            sub,
+        )
+        yield f"markov_{k}", markov_measure(sub.symbols, pi, kernel, sub), ref, model, sub
+    for k in range(4):
+        model, sub = random_mixing_subshift(rng, max_symbols=6)
+        table = rng.uniform(-2.0, 2.0, (sub.size, sub.size))
+        p = birkhoff_potential(lambda i, j, t=table: float(t[i - 1, j - 1]), model)
+        (P, mu), (P_ref, ref) = rpf_equilibrium(sub, p), dict_rpf_equilibrium(sub, p)
+        assert P == P_ref
+        yield f"rpf_{k}", mu, ref, model, sub
+
+
+@pytest.mark.parametrize("case", list(_dict_measure_cases()), ids=lambda c: c[0])
+def test_array_measure_matches_the_dict_form_bit_for_bit(case, monkeypatch):
+    _, mu, ref, model, sub = case
+    assert mu.symbols == ref.symbols
+    assert mu.log_pi.tolist() == [ref.log_pi.get(s, -math.inf) for s in mu.symbols]
+    assert mu.log_p.tolist() == [
+        [ref.log_p.get((a, b), -math.inf) for b in mu.symbols] for a in mu.symbols
+    ]
+    assert np.array_equal(mu.p, ref.p)
+    # The first six symbols and one outside the truncation.
+    symbols = sub.symbols[:6] + (sub.symbols[-1] + 1,)
+    assert [mu.pi(a) for a in symbols] == [ref.pi(a) for a in symbols]
+    pairs = list(itertools.product(symbols, repeat=2))
+    assert [mu.transition(*w) for w in pairs] == [ref.transition(*w) for w in pairs]
+    for n in range(1, 5):
+        words = list(itertools.product(symbols, repeat=n))
+        assert [mu.log_mass(w) for w in words] == [ref.log_mass(w) for w in words]
+    assert entropy_markov(mu) == dict_entropy_markov(ref)
+    p = birkhoff_potential(lambda i, j: 0.3 * i - 0.2 * j + 0.05 * i * j, model)
+    for n in (1, 3):
+        assert lyapunov_functional(mu, p, n) == dict_lyapunov_functional(ref, p, n)
+    depth = 3 if sub.size <= 6 else 2
+    rows, ref_rows = [], []
+    cert = verify_gibbs(mu, p, 0.4, depth, sub=sub, row_sink=row_sink(rows))
+    monkeypatch.setattr(gibbs, "_cylinder_masses", DictMarkovMasses)
+    assert verify_gibbs(ref, p, 0.4, depth, sub=sub, row_sink=row_sink(ref_rows)) == cert
+    assert rows == ref_rows
+    blocks = list(_sample_paths(mu, 300, 5, 7))
+    ref_blocks = list(_sample_paths(ref, 300, 5, 7))
+    assert len(blocks) == len(ref_blocks) == 2
+    assert all(np.array_equal(b, r) for b, r in zip(blocks, ref_blocks))
 
 
 # -- certificates -----------------------------------------------------------------
@@ -367,13 +447,15 @@ def _per_word_certificate(mu, p, P, depth, sub, ratio_bound=100.0):
     log_lo, log_hi = math.inf, -math.inf
     zero_mass_hit = False
     tested = 0
-    grouped = getattr(mu, "log_mass_plus_n_pressure", None)
     for n in range(1, depth + 1):
         for w in itertools.product(sub.symbols, repeat=n):
             if not admits_word(sub, w):
                 continue
             weight = p.cylinder_log_weight(w, sub)
-            numer = grouped(w, P) if grouped is not None else mu.log_mass(w) + n * P
+            if isinstance(mu, MarkovCylinderMeasure):
+                numer = log_mass_plus_n_pressure(mu, w, P)
+            else:
+                numer = mu.log_mass(w) + n * P
             tested += 1
             if numer == -math.inf:
                 if weight > -math.inf:

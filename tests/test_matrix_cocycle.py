@@ -55,7 +55,7 @@ SYMMETRIC = {1: [[2.0, 1.0], [1.0, 2.0]]}
 
 def single_symbol_measure():
     sub = truncate(model_from_arcs([(1, 1)]), 1)
-    return markov_measure((1,), {1: 1.0}, {(1, 1): 1.0}, sub)
+    return markov_measure((1,), [1.0], [[1.0]], sub)
 
 
 # -- norms and family validation ------------------------------------------------
@@ -206,14 +206,7 @@ def kernel_measure(sub, kernel):
     w, vecs = np.linalg.eig(kernel.T)
     pi = np.real(vecs[:, np.argmin(abs(w - 1.0))])
     pi /= pi.sum()
-    symbols = sub.symbols
-    return markov_measure(
-        symbols,
-        {s: float(pi[i]) for i, s in enumerate(symbols)},
-        {(a, b): float(kernel[i, j]) for i, a in enumerate(symbols)
-         for j, b in enumerate(symbols) if sub.matrix[i, j]},
-        sub,
-    )
+    return markov_measure(sub.symbols, pi, kernel, sub)
 
 
 @pytest.mark.parametrize("n", [1, 255, 256, 257, 515])
@@ -226,7 +219,7 @@ def test_paths_and_estimate_across_chunk_boundaries(n):
     rng = np.random.default_rng(23)
     fam = MatrixFamily(3, {s: rng.uniform(0.2, 3.0, (3, 3)) for s in (1, 2, 3)})
     symbols = np.array(mu.symbols)
-    paths = np.concatenate(list(_sample_paths(mu, tuple(mu.symbols), n, 6, 4)), axis=1)
+    paths = np.concatenate(list(_sample_paths(mu, n, 6, 4)), axis=1)
     expected = reference_paths(mu, n, 6, 4)
     assert symbols[paths].tolist() == expected
     assert not any((a, b) == (1, 1) for path in expected for a, b in zip(path, path[1:]))

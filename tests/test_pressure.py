@@ -19,6 +19,8 @@ from helpers import (
     closed_form_fullshift_pressure,
     enumerate_periodic_words,
     geometric_power_sum,
+    growth_floor_margin,
+    near_superadditivity_margin,
     one_matrix_power_diagonal,
     per_potential_series,
     per_t_curve,
@@ -47,10 +49,8 @@ from thermoshift.pressure import (
     NonMixingTruncationError,
     PartitionSeries,
     curve_second_differences,
-    growth_floor_margin,
     gurevich_pressure,
     mixed_truncation,
-    near_superadditivity_margin,
     partition_series,
     pressure_curve,
     transfer_norm,
