@@ -90,6 +90,19 @@ def _word_column(words: np.ndarray) -> list:
     return column.tolist()
 
 
+def _float_column(values: np.ndarray, exp: bool = False) -> list:
+    """repr of each float64 in values, or of its math.exp with exp.
+
+    Each distinct bit pattern is formatted once, so 0.0 and -0.0 stay apart;
+    math.exp, not np.exp, which differs in the last bit on some inputs.
+    """
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    distinct = bits.view(np.float64).tolist()
+    if exp:
+        distinct = map(math.exp, distinct)
+    return np.array([repr(x) for x in distinct], dtype=object)[inverse].tolist()
+
+
 def _params(data: dict, args: argparse.Namespace) -> dict:
     """File params overridden by any CLI flag that was set, validated as a file's."""
     merged = dict(data.get("params", {}))
@@ -273,9 +286,10 @@ def cmd_gibbs(data: dict, args: argparse.Namespace, out_dir: str) -> int:
     # The rows are what csv.writer writes: words and repr floats need no quotes.
     with open(os.path.join(out_dir, "gibbs.csv"), "w", newline="", encoding="utf-8") as fh:
         fh.write("n,word,mass,log_weight,ratio\r\n")
-        for n, words, mass, log_weight, ratio in lengths:
-            fh.write("".join(map(f"{n},{{}},{{!r}},{{!r}},{{!r}}\r\n".format,
-                                 _word_column(words), mass, log_weight, ratio)))
+        for n, words, log_mass, log_weight, log_ratio in lengths:
+            fh.write("".join(map(f"{n},{{}},{{}},{{}},{{}}\r\n".format, _word_column(words),
+                                 _float_column(log_mass, exp=True), _float_column(log_weight),
+                                 _float_column(log_ratio, exp=True))))
         fh.write(f"summary,,{cert.words_tested},{cert.ratio_min!r},{cert.ratio_max!r}\r\n")
     verdict = "PASS" if cert.passed else "FAIL"
     print(

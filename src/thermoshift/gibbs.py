@@ -18,8 +18,8 @@ whole slice at once wherever the measure and the potential have a batched form:
 Markov tables, log-domain arc sums, and the forward rows of a
 potentials.TransferOperator. Anything else is evaluated word by word.
 A certificate hands its rows on a length at a time, as columns (the word
-array and lists of mass, log weight and ratio), so a writer can format a
-whole length at once.
+array and float arrays of log mass, log weight and log ratio), so a writer
+can format a whole length at once.
 """
 
 from __future__ import annotations
@@ -535,7 +535,9 @@ def verify_gibbs(
     depth: int,
     sub: Optional[FiniteSubshift] = None,
     ratio_bound: float = 100.0,
-    row_sink: Optional[Callable[[int, np.ndarray, list, list, list], None]] = None,
+    row_sink: Optional[
+        Callable[[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray], None]
+    ] = None,
 ) -> GibbsCertificate:
     """Scan all admissible cylinders up to depth and bound the Gibbs ratios.
 
@@ -545,11 +547,12 @@ def verify_gibbs(
 
     The cylinders are walked a slice at a time, each slice's masses and
     weights computed at once. row_sink is called once per length n, in
-    increasing n, as row_sink(n, words, mass, log_weight, ratio): words is
-    the (k, n) int array of the length's cylinders in lexicographic order,
-    and mass, log_weight and ratio are lists of k floats, one per row. A
-    zero-mass cylinder has mass and ratio 0.0. Without row_sink, memory
-    stays bounded by the walk's slices.
+    increasing n, as row_sink(n, words, log_mass, log_weight, log_ratio):
+    words is the (k, n) int array of the length's cylinders in lexicographic
+    order, and log_mass, log_weight and log_ratio are float64 arrays of k
+    values, one per row. A zero-mass cylinder has log mass and log ratio
+    -inf; math.exp of a column gives the mass or ratio (0.0 there). Without
+    row_sink, memory stays bounded by the walk's slices.
     """
     if sub is None:
         sub = getattr(mu, "sub", None)
@@ -588,8 +591,7 @@ def verify_gibbs(
         if level:
             words, log_mass, weight, log_ratio = map(np.concatenate, zip(*level))
             level.clear()  # the slices are copied; keep one copy while the sink runs
-            row_sink(n, words, list(map(math.exp, log_mass.tolist())), weight.tolist(),
-                     list(map(math.exp, log_ratio.tolist())))
+            row_sink(n, words, log_mass, weight, log_ratio)
     if tested == 0 or log_hi == -math.inf:
         raise NoAdmissibleWordsError("no cylinders with positive mass tested")
     ratio_min = 0.0 if zero_mass_hit else math.exp(log_lo)

@@ -76,8 +76,15 @@ class Param(NamedTuple):
 
 def _number(value) -> bool:
     # type() rather than isinstance(): JSON true and false are not numbers.
-    # json parses NaN and Infinity, which no field accepts.
-    return type(value) is int or (type(value) is float and math.isfinite(value))
+    # json parses NaN and Infinity, which no field accepts, and integers of
+    # any size: one that does not convert to a finite float is no number.
+    if type(value) is int:
+        try:
+            float(value)
+        except OverflowError:
+            return False
+        return True
+    return type(value) is float and math.isfinite(value)
 
 
 _COUNT = Param(lambda v: type(v) is int and v >= 1, "a positive integer", int)
@@ -257,8 +264,8 @@ def _parse_potential(
             if not (1 <= i <= n and 1 <= j <= n):
                 raise ModelFileError("potential.values", f"no entry for arc ({i}, {j})")
             v = values[i - 1][j - 1]
-            # _number(v), inlined: a run reads one entry per arc per truncation.
-            if type(v) is float and math.isfinite(v) or type(v) is int:
+            # A finite float first: a run reads one entry per arc per truncation.
+            if type(v) is float and math.isfinite(v) or _number(v):
                 return float(v)
             raise ModelFileError("potential.values", f"arc ({i}, {j}) is {v!r}, must be a number")
 

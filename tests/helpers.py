@@ -206,16 +206,21 @@ def explicit_gibbs_masses(sub, p, level):
 def row_sink(rows):
     """A verify_gibbs row_sink that appends (n, word, mass, log weight, ratio) per cylinder.
 
-    Each call hands one length's columns, lengths increasing; they are
-    checked for shape and type (floats, which repr as numbers) and flattened
-    into one row per word, in the order they were handed over.
+    Each call hands one length's columns, lengths increasing: the words and
+    float64 arrays of log mass, log weight and log ratio. They are checked
+    for shape and type, the masses and ratios taken out of the log domain by
+    math.exp, and flattened into one row per word, in the order they were
+    handed over.
     """
-    def sink(n, words, mass, log_weight, ratio):
+    def sink(n, words, log_mass, log_weight, log_ratio):
         assert not rows or rows[-1][0] < n
-        assert words.shape == (len(mass), n)
-        assert len(log_weight) == len(ratio) == len(mass)
-        assert all(type(x) is float for x in itertools.chain(mass, log_weight, ratio))
-        rows.extend(zip([n] * len(mass), map(tuple, words.tolist()), mass, log_weight, ratio))
+        assert words.shape == (len(log_mass), n)
+        assert log_mass.shape == log_weight.shape == log_ratio.shape == (len(log_mass),)
+        assert log_mass.dtype == log_weight.dtype == log_ratio.dtype == np.float64
+        mass = list(map(math.exp, log_mass.tolist()))
+        ratio = list(map(math.exp, log_ratio.tolist()))
+        rows.extend(zip([n] * len(mass), map(tuple, words.tolist()), mass,
+                        log_weight.tolist(), ratio))
     return sink
 
 

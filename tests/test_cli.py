@@ -6,6 +6,7 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from helpers import reference_gibbs_csv, row_sink
@@ -257,10 +258,25 @@ def test_gibbs_skew_bernoulli_fails(tmp_path, capsys):
     assert "FAIL" in stdout
 
 
-@pytest.mark.parametrize("name", ["gibbs_uniform.json", "gm_zero.json", "gibbs_fail.json"])
+# No measure section: finite_gibbs_nu's transfer route, on which the rotations
+# of a word share a log weight and other words do not.
+BIRKHOFF_NU = {
+    "model": {"name": "full"},
+    "potential": {"kind": "birkhoff",
+                  "values": [[0.1, -0.7, 0.3], [0.25, 0.0, -0.45], [0.6, -0.2, 0.05]]},
+    "params": {"truncations": [3], "n_max": 12, "depth": 5},
+}
+
+
+@pytest.mark.parametrize("name", ["gibbs_uniform.json", "gm_zero.json", "gibbs_fail.json",
+                                  "birkhoff_nu.json"])
 def test_gibbs_csv_matches_row_writer(tmp_path, capsys, monkeypatch, name):
     # The per-length sink output, written a row at a time by csv.writer,
     # must give the very bytes cmd_gibbs writes a column at a time.
+    model = fixture(name)
+    if name == "birkhoff_nu.json":
+        model = tmp_path / name
+        model.write_text(json.dumps(BIRKHOFF_NU))
     rows, certs = [], []
     certify = cli.verify_gibbs
 
@@ -271,16 +287,39 @@ def test_gibbs_csv_matches_row_writer(tmp_path, capsys, monkeypatch, name):
         return certs[-1]
 
     monkeypatch.setattr(cli, "verify_gibbs", teeing)
-    code, _, _ = run(capsys, "gibbs", "--model", fixture(name), "--out", str(tmp_path))
+    code, _, _ = run(capsys, "gibbs", "--model", str(model), "--out", str(tmp_path))
     assert code == (2 if name == "gibbs_fail.json" else 0)
     with open(os.path.join(tmp_path, "gibbs.csv"), newline="", encoding="utf-8") as handle:
         written = handle.read()
     assert written == reference_gibbs_csv(rows, certs[0])
     if name == "gibbs_fail.json":
         assert any(m == 0.0 and r == 0.0 for _, _, m, _, r in rows)
+    if name == "birkhoff_nu.json":
+        deep = [lw for n, _, _, lw, _ in rows if n == 5]
+        assert 1 < len(set(deep)) < len(deep)
     copy = io.StringIO(newline="")
     csv.writer(copy).writerows(csv.reader(io.StringIO(written, newline="")))
     assert copy.getvalue() == written
+
+
+def test_float_column_is_repr_per_value():
+    # Formatting once per distinct bit pattern gives repr of every value:
+    # 0.0 and -0.0 apart, infinities, a zero mass's -inf log (exp: 0.0), and runs.
+    # np.exp differs from math.exp in the last bit at the last two fixed values
+    # on some numpy builds.
+    rng = np.random.default_rng(3)
+    values = np.concatenate([
+        [0.0, -0.0, math.inf, -math.inf, math.nan, 0.1 + 0.2, -745.2, 709.0, 1e-300,
+         -2.230497748061425, 4.480293435662282],
+        rng.choice([0.0, -0.0, -math.inf, 0.3, -1.7, 2.5e-8], 200),
+        np.repeat(rng.normal(size=5), 7),
+    ])
+    column = cli._float_column(values)
+    assert column == [repr(x) for x in values.tolist()]
+    assert {"0.0", "-0.0", "inf", "-inf"} <= set(column)
+    exps = cli._float_column(values, exp=True)
+    assert exps == [repr(math.exp(x)) for x in values.tolist()]
+    assert exps[3] == "0.0"
 
 
 def test_validate_birkhoff(tmp_path, capsys):
@@ -513,6 +552,9 @@ def edited_fixture(tmp_path, name, edit) -> str:
     return str(path)
 
 
+HUGE = 10 ** 400
+
+
 def set_params(**params):
     return lambda data: data["params"].update(params)
 
@@ -545,9 +587,21 @@ def set_entry(section, *index, value):
     # A uniform Bernoulli measure lives on the full shift on its m symbols only.
     ("gibbs", "gibbs_uniform.json", lambda data: data["measure"].update(m=5), [],
      "measure.m:"),
+    # A JSON integer too large for a float is no number, wherever it is read.
+    ("pressure", "weighted20.json",
+     lambda data: data["potential"]["lambda"]["geometric"].update(base=HUGE), [],
+     "potential.lambda.geometric.base:"),
+    ("pressure", "validate_birkhoff.json", set_entry("potential", 0, 1, value=HUGE), [],
+     f"potential.values: arc (1, 2) is {HUGE}"),
+    ("pressure", "cocycle_single.json", set_entry("matrices", 0, 0, 1, value=HUGE), [],
+     "matrices.list:"),
+    ("gibbs", "gibbs_fail.json", lambda data: data["measure"].update(probs=[HUGE, 0]), [],
+     "measure.probs:"),
+    ("curve", "weighted20.json", set_params(t_grid=[0.5, HUGE]), [], "params.t_grid:"),
 ], ids=["t_grid", "t_grid-flag", "t_bracket", "t_bracket-flag", "matrix-nan",
         "birkhoff-nan", "birkhoff-inf", "birkhoff-string", "birkhoff-missing-arc",
-        "uniform-bernoulli-m"])
+        "uniform-bernoulli-m", "geometric-base-huge", "birkhoff-huge", "matrix-huge",
+        "probs-huge", "t_grid-huge"])
 def test_bad_numbers_name_the_field(tmp_path, capsys, command, name, edit, flags, message):
     path = fixture(name) if edit is None else edited_fixture(tmp_path, name, edit)
     code, stdout, stderr = run(capsys, command, "--model", path, "--out", str(tmp_path), *flags)
