@@ -189,7 +189,9 @@ def _geometric_base(spec, where: str) -> float:
     _require_keys(spec, {"geometric"}, ("geometric",), where)
     geo = spec["geometric"]
     _require_keys(geo, {"base"}, ("base",), f"{where}.geometric")
-    if not _number(geo["base"]) or geo["base"] <= 1:
+    if not _number(geo["base"]):
+        raise ModelFileError(f"{where}.geometric.base", "must be a number")
+    if geo["base"] <= 1:
         raise ModelFileError(f"{where}.geometric.base", "must exceed 1")
     return float(geo["base"])
 

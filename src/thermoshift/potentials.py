@@ -81,11 +81,18 @@ class PairTable:
         Each weight is math.exp of one product t * L_ij, which is what the
         scaled potential's own pair gives, so W rounds as the per-arc loop
         over that pair does; np.exp differs from math.exp in the last bit on
-        some inputs.
+        some inputs. A weight that overflows a float is a ValueError naming
+        its t.
         """
-        weights = np.array(
-            [list(map(math.exp, (t * self.values).tolist())) for t in scales]
-        ).reshape(len(scales), self.values.size)
+        try:
+            weights = np.array(
+                [list(map(math.exp, (t * self.values).tolist())) for t in scales]
+            ).reshape(len(scales), self.values.size)
+        except OverflowError:
+            t = max(scales, key=lambda t: np.max(t * self.values))
+            raise ValueError(
+                f"t = {t!r}: a transfer weight exp(t * pair) overflows a float"
+            ) from None
         return self.on_arcs(weights, 0.0)
 
 
@@ -511,6 +518,8 @@ def geometric_tail(base: float) -> Callable[[int, float], float]:
         if power <= 0:
             return math.inf
         r = base ** (-power)
+        if r >= 1.0:  # a tiny positive power rounds r to 1
+            return math.inf
         return r ** (m + 1) / (1.0 - r)
 
     return tail

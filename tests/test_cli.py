@@ -5,6 +5,11 @@ import io
 import json
 import math
 import os
+import shutil
+import subprocess
+import time
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 import pytest
@@ -71,23 +76,6 @@ def curve_flags(out):
     return " ".join(row[4] for row in rows)
 
 
-def test_pressure_divergence_exit_code(tmp_path, capsys):
-    code, stdout, _ = run(
-        capsys, "pressure", "--model", fixture("fiber.json"), "--out", str(tmp_path)
-    )
-    assert code == 3
-    assert "diverged" in stdout
-
-
-def test_curve_divergence_exit_code(tmp_path, capsys):
-    code, _, _ = run(
-        capsys, "curve", "--model", fixture("fiber.json"), "--out", str(tmp_path),
-        "--t-grid", "1",
-    )
-    assert code == 3
-    assert "diverged" in curve_flags(str(tmp_path))
-
-
 def test_nonmixing_truncation_and_enumeration_cap_exit_code(tmp_path, capsys):
     code, _, stderr = run(
         capsys, "pressure", "--model", fixture("nonmixing.json"), "--out", str(tmp_path)
@@ -143,17 +131,6 @@ def test_config_errors_name_the_field(tmp_path, capsys):
     )
     assert code == 1
     assert "potentail: unknown key" in stderr
-    bad = tmp_path / "bad.json"
-    bad.write_text(
-        '{"model": {"name": "full"}, '
-        '"potential": {"kind": "weighted", "lambda": {"geometric": 3}}}',
-        encoding="utf-8",
-    )
-    code, _, stderr = run(
-        capsys, "pressure", "--model", str(bad), "--out", str(tmp_path)
-    )
-    assert code == 1
-    assert stderr == "error: potential.lambda.geometric: must be an object\n"
 
 
 def test_curve_matches_weighted_closed_form(tmp_path, capsys):
@@ -172,90 +149,12 @@ def test_curve_matches_weighted_closed_form(tmp_path, capsys):
     assert [float(r[0]) for r in rows] == [0.5, 0.7, 1.0]
 
 
-def test_curve_single_matrix_cocycle(tmp_path, capsys):
-    out = str(tmp_path)
-    code, _, _ = run(
-        capsys, "curve", "--model", fixture("cocycle_single.json"), "--out", out
-    )
-    assert code == 0
-    _, rows = read_csv(os.path.join(out, "curve.csv"))
-    for t_str, value_str, *_ in rows:
-        assert float(value_str) == pytest.approx(
-            float(t_str) * math.log(3.0), abs=1e-8
-        )
-
-
 def test_curve_requires_grid(tmp_path, capsys):
     code, _, stderr = run(
         capsys, "curve", "--model", fixture("gm_zero.json"), "--out", str(tmp_path)
     )
     assert code == 1
     assert "params.t_grid: required" in stderr
-
-
-def test_dimension_cantor(tmp_path, capsys):
-    out = str(tmp_path)
-    code, stdout, _ = run(
-        capsys, "dimension", "--model", fixture("cantor.json"), "--out", out
-    )
-    assert code == 0
-    header, rows = read_csv(os.path.join(out, "dimension.csv"))
-    assert header == [
-        "dim_hat", "bracket_lo", "bracket_hi", "root_found", "pressure_at_dim", "uncertain",
-    ]
-    assert float(rows[0][0]) == pytest.approx(LOG23, abs=1e-4)
-    _, trace_rows = read_csv(os.path.join(out, "trace.csv"))
-    assert len(trace_rows) >= 3
-
-
-def test_dimension_tol_is_the_root_tolerance(tmp_path, capsys):
-    code, stdout, stderr = run(
-        capsys, "dimension", "--model", fixture("cantor.json"), "--out", str(tmp_path),
-        "--tol", "1e-9",
-    )
-    assert code == 0 and stderr == ""
-    assert float(stdout.split()[1]) == pytest.approx(LOG23, abs=1e-4)
-
-
-def test_lyapunov_single_matrix(tmp_path, capsys):
-    out = str(tmp_path)
-    code, stdout, _ = run(
-        capsys, "lyapunov", "--model", fixture("lyap_single.json"), "--out", out
-    )
-    assert code == 0
-    header, rows = read_csv(os.path.join(out, "lyapunov.csv"))
-    assert header == ["lambda_hat", "n_used", "sample_count", "standard_error"]
-    # The powers of [[2, 1], [1, 2]] have entry sums exactly 2 * 3^n (n = 500).
-    lam = float(rows[0][0])
-    assert lam == pytest.approx(math.log(3.0) + math.log(2.0) / 500, abs=1e-12)
-    assert float(rows[0][3]) == 0.0
-
-
-def test_gibbs_uniform_passes(tmp_path, capsys):
-    out = str(tmp_path)
-    code, stdout, _ = run(
-        capsys, "gibbs", "--model", fixture("gibbs_uniform.json"), "--out", out
-    )
-    assert code == 0
-    assert "PASS" in stdout
-    header, rows = read_csv(os.path.join(out, "gibbs.csv"))
-    assert header == ["n", "word", "mass", "log_weight", "ratio"]
-    word_rows = [r for r in rows if r[0] != "summary"]
-    # depth 3 on the full 3-shift: 3 + 9 + 27 admissible words
-    assert len(word_rows) == 39
-    # pressure comes from the slope estimate, so ratios sit one ulp off 1
-    for row in word_rows:
-        assert abs(float(row[4]) - 1.0) < 1e-12
-    summary = [r for r in rows if r[0] == "summary"][0]
-    assert int(summary[2]) == 39
-
-
-def test_gibbs_skew_bernoulli_fails(tmp_path, capsys):
-    code, stdout, _ = run(
-        capsys, "gibbs", "--model", fixture("gibbs_fail.json"), "--out", str(tmp_path)
-    )
-    assert code == 2
-    assert "FAIL" in stdout
 
 
 # No measure section: finite_gibbs_nu's transfer route, on which the rotations
@@ -320,68 +219,6 @@ def test_float_column_is_repr_per_value():
     exps = cli._float_column(values, exp=True)
     assert exps == [repr(math.exp(x)) for x in values.tolist()]
     assert exps[3] == "0.0"
-
-
-def test_validate_birkhoff(tmp_path, capsys):
-    out = str(tmp_path)
-    code, stdout, _ = run(
-        capsys, "validate", "--model", fixture("validate_birkhoff.json"), "--out", out
-    )
-    assert code == 0
-    assert "PASS" in stdout
-    header, rows = read_csv(os.path.join(out, "validate.csv"))
-    assert "c_hat" in header
-    c_hat = float(rows[0][header.index("c_hat")])
-    assert c_hat <= 1e-12
-
-
-def test_validate_weighted_list_sums_its_symbols(tmp_path, capsys):
-    # The list defines symbols 1 and 2, so summability sums those two.
-    out = str(tmp_path)
-    code, stdout, _ = run(
-        capsys, "validate", "--model", fixture("weighted_list.json"), "--out", out
-    )
-    assert code == 0 and stdout.startswith("PASS ")
-    header, rows = read_csv(os.path.join(out, "validate.csv"))
-    row = dict(zip(header, rows[0]))
-    assert row["summability"] == "summable" and float(row["partial_sum"]) == 0.75
-
-
-def test_validate_fails_when_not_summable(tmp_path, capsys):
-    # The zero potential on the countable full shift has f_1 = 1 on every
-    # symbol, so its pressure is infinite and validate must not pass it.
-    out = str(tmp_path)
-    code, stdout, _ = run(
-        capsys, "validate", "--model", fixture("gibbs_uniform.json"), "--out", out
-    )
-    assert code == 2
-    assert stdout.startswith("FAIL ") and "summability not_summable" in stdout
-    with open(os.path.join(out, "validate.csv"), encoding="utf-8") as handle:
-        assert handle.read().splitlines() == [
-            "c_hat,declared_c,violates_declared,samples,depth,summability,"
-            "partial_sum,bip_ok,bip_detail",
-            "0.0,0.0,False,200,3,not_summable,64.0,True,witness=1",
-        ]
-
-
-def test_validate_fails_when_no_word_was_sampled(tmp_path, capsys):
-    # A 3-cycle has no closed word of length 2, so --depth 2 samples nothing.
-    path = tmp_path / "cycle.json"
-    path.write_text(json.dumps({
-        "model": {"arcs": [[1, 2], [2, 3], [3, 1]]},
-        "potential": {"kind": "birkhoff", "values": [[0, 1, 0], [0, 0, 1], [1, 0, 0]]},
-        "params": {"witness": [1, 2, 3]},
-    }))
-    code, stdout, _ = run(
-        capsys, "validate", "--model", str(path), "--depth", "2", "--out", str(tmp_path)
-    )
-    assert code == 2 and stdout.startswith("FAIL ")
-    header, rows = read_csv(os.path.join(tmp_path, "validate.csv"))
-    assert header[3] == "samples" and rows[0][3] == "0"
-    code, stdout, _ = run(
-        capsys, "validate", "--model", str(path), "--depth", "3", "--out", str(tmp_path)
-    )
-    assert code == 0 and stdout.startswith("PASS ")
 
 
 @pytest.mark.parametrize("command, name, flags, fields", [
@@ -590,7 +427,7 @@ def set_entry(section, *index, value):
     # A JSON integer too large for a float is no number, wherever it is read.
     ("pressure", "weighted20.json",
      lambda data: data["potential"]["lambda"]["geometric"].update(base=HUGE), [],
-     "potential.lambda.geometric.base:"),
+     "potential.lambda.geometric.base: must be a number\n"),
     ("pressure", "validate_birkhoff.json", set_entry("potential", 0, 1, value=HUGE), [],
      f"potential.values: arc (1, 2) is {HUGE}"),
     ("pressure", "cocycle_single.json", set_entry("matrices", 0, 0, 1, value=HUGE), [],
@@ -690,3 +527,305 @@ def test_every_command_parses_the_same_flags(command, capsys):
         with pytest.raises(SystemExit) as info:
             cli.build_parser().parse_args([command, "--model", "m.json", flag, "1"])
         assert info.value.code == 2
+
+
+
+# -- The exit-code contract: one table of runs --------------------------------
+#
+# Each case is one run, `thermoshift <command> --model <model> <flags> --out <dir>`,
+# on a fixture or on a model file's dict. A run that exits 1 prints
+# "error: <message>" on stderr, nothing on stdout, and writes no file; the
+# case gives the start of that message (with its newline, the whole of it).
+# Any other run prints nothing on stderr, writes its command's tables and
+# nothing else, and the case's check reads them. Every case runs through
+# cli.main, and again through the console script wherever one is on PATH.
+
+WRITES = {
+    "pressure": ["estimate.csv", "series.csv"], "curve": ["curve.csv"],
+    "dimension": ["dimension.csv", "trace.csv"], "lyapunov": ["lyapunov.csv"],
+    "gibbs": ["gibbs.csv"], "validate": ["validate.csv"],
+}
+
+
+@dataclass(frozen=True)
+class Case:
+    id: str
+    command: str
+    model: object
+    code: int
+    flags: tuple = ()
+    error: str = ""
+    stdout: str = ""
+    check: Optional[Callable[[str, str], None]] = None
+    seconds: Optional[float] = None
+
+
+def first_row(out, name) -> dict:
+    with open(os.path.join(out, name), newline="", encoding="utf-8") as handle:
+        return next(csv.DictReader(handle))
+
+
+def line_count(out, name) -> int:
+    with open(os.path.join(out, name), "rb") as handle:
+        return handle.read().count(b"\n")
+
+
+def gibbs_uniform(out, stdout):
+    # depth 3 on the full 3-shift: the header, 3 + 9 + 27 word rows, the summary
+    assert line_count(out, "gibbs.csv") == 41
+    header, rows = read_csv(os.path.join(out, "gibbs.csv"))
+    assert header == ["n", "word", "mass", "log_weight", "ratio"]
+    words = [r for r in rows if r[0] != "summary"]
+    assert len(words) == 39
+    # pressure comes from the slope estimate, so ratios sit one ulp off 1
+    assert all(abs(float(row[4]) - 1.0) < 1e-12 for row in words)
+    assert int([r for r in rows if r[0] == "summary"][0][2]) == 39
+
+
+def gibbs_fiber(out, stdout):
+    assert line_count(out, "gibbs.csv") == 72
+
+
+def cantor_root(out, stdout):
+    header, rows = read_csv(os.path.join(out, "dimension.csv"))
+    assert header == [
+        "dim_hat", "bracket_lo", "bracket_hi", "root_found", "pressure_at_dim", "uncertain",
+    ]
+    row = dict(zip(header, rows[0]))
+    assert float(row["dim_hat"]) == pytest.approx(LOG23, abs=1e-4)
+    assert float(stdout.split()[1]) == pytest.approx(LOG23, abs=1e-4)
+    assert float(row["bracket_lo"]) <= LOG23 <= float(row["bracket_hi"]), row
+    # trace.csv: the header and at least 3, at most 6 probes
+    assert 4 <= line_count(out, "trace.csv") <= 7
+
+
+def cocycle_curve(out, stdout):
+    _, rows = read_csv(os.path.join(out, "curve.csv"))
+    for t_str, value_str, *_ in rows:
+        assert float(value_str) == pytest.approx(float(t_str) * math.log(3.0), abs=1e-8)
+
+
+def diverged_curve(out, stdout):
+    assert "diverged" in curve_flags(out)
+
+
+def fiber_pressure(out, stdout):
+    # the merged preimage-count walk keeps the lower bracket the word walk gave
+    assert "diverged" in stdout
+    row = first_row(out, "estimate.csv")
+    assert row["diverged"] == "True", row
+    assert abs(float(row["lower"]) - 1.5108398071342926) <= 1e-12, row
+
+
+def summable(out, stdout):
+    assert first_row(out, "validate.csv")["summability"] == "summable"
+
+
+def weighted_list(out, stdout):
+    # The list defines symbols 1 and 2, so summability sums those two.
+    row = first_row(out, "validate.csv")
+    assert row["summability"] == "summable" and float(row["partial_sum"]) == 0.75, row
+
+
+def additive_birkhoff(out, stdout):
+    # c_hat is rounding over all 100 samples: every golden-mean word closes
+    # within 64 draws
+    row = first_row(out, "validate.csv")
+    assert float(row["c_hat"]) <= 1e-12 and row["samples"] == "100", row
+
+
+def not_summable(out, stdout):
+    # The zero potential has f_1 = 1 on every symbol of the countable full shift.
+    assert "summability not_summable" in stdout
+    with open(os.path.join(out, "validate.csv"), encoding="utf-8") as handle:
+        assert handle.read().splitlines() == [
+            "c_hat,declared_c,violates_declared,samples,depth,summability,"
+            "partial_sum,bip_ok,bip_detail",
+            "0.0,0.0,False,200,3,not_summable,64.0,True,witness=1",
+        ]
+
+
+def nothing_sampled(out, stdout):
+    assert first_row(out, "validate.csv")["samples"] == "0"
+
+
+def exact_lyapunov(n):
+    """Every path's products have entry sums 2 * 3^n: lambda is log 3 + (log 2)/n."""
+    def check(out, stdout):
+        header, rows = read_csv(os.path.join(out, "lyapunov.csv"))
+        assert header == ["lambda_hat", "n_used", "sample_count", "standard_error"]
+        row = dict(zip(header, rows[0]))
+        expected = math.log(3.0) + math.log(2.0) / n
+        assert abs(float(row["lambda_hat"]) - expected) <= 1e-12, row
+        assert float(row["standard_error"]) == 0.0, row
+    return check
+
+
+def infinite_tail(out, stdout):
+    # 3^-1e-300 rounds to 1, so the geometric tail bound is infinite
+    _, rows = read_csv(os.path.join(out, "curve.csv"))
+    assert (rows[0][0], rows[0][3]) == ("1e-300", "inf")
+
+
+def weighted(lam):
+    return {"model": {"name": "full"}, "potential": {"kind": "weighted", "lambda": lam}}
+
+
+PAIR = [[[2, 1], [1, 2]], [[1.75, 1.25], [1.25, 1.75]]]
+GOLDEN_SCALARS = {"model": {"name": "golden_mean"}, "params": {"n": 50, "samples": 3},
+                  "matrices": {"d": 1, "list": [[[2.0]], [[3.0]]]}}
+CYCLE3 = {"model": {"arcs": [[1, 2], [2, 3], [3, 1]]},
+          "potential": {"kind": "birkhoff", "values": [[0, 1, 0], [0, 0, 1], [1, 0, 0]]},
+          "params": {"witness": [1, 2, 3]}}
+BIRKHOFF_800 = {"model": {"name": "full"}, "params": {"truncations": [2]},
+                "potential": {"kind": "birkhoff", "values": [[800, 0], [0, 0]]}}
+OVERFLOW = "t = {}: a transfer weight exp(t * pair) overflows a float\n"
+M = 4096
+
+CASES = [
+    Case("gibbs-uniform", "gibbs", "gibbs_uniform.json", 0, stdout="PASS ", check=gibbs_uniform),
+    Case("gibbs-fail", "gibbs", "gibbs_fail.json", 2, stdout="FAIL "),
+    Case("dimension-cantor", "dimension", "cantor.json", 0, check=cantor_root),
+    Case("dimension-cantor-tol", "dimension", "cantor.json", 0, ("--tol", "1e-9"),
+         check=cantor_root),
+    # The stacked pair, block and shared-walk curve routes: a converged cocycle
+    # curve, and a fiber-count curve that diverges.
+    Case("curve-cocycle-single", "curve", "cocycle_single.json", 0, check=cocycle_curve),
+    Case("curve-fiber", "curve", "fiber.json", 3, ("--t-grid", "0.5,1,2"), check=diverged_curve),
+    Case("pressure-fiber", "pressure", "fiber.json", 3, check=fiber_pressure),
+    Case("validate-fiber", "validate", "fiber.json", 2, stdout="FAIL "),
+    Case("divergence-run-0", "pressure", "weighted20.json", 1, ("--divergence-run", "0"),
+         error="params.divergence_run: must be a positive integer\n"),
+    Case("samples-0", "validate", "validate_birkhoff.json", 1, ("--samples", "0"),
+         error="params.samples: must be a positive integer\n"),
+    Case("t-grid-inf", "curve", "weighted20.json", 1, ("--t-grid", "0.5,inf"),
+         error="params.t_grid: must be a strictly increasing list of numbers\n"),
+    Case("lambda-geometric-not-object", "pressure", weighted({"geometric": 3}), 1,
+         error="potential.lambda.geometric: must be an object\n"),
+    Case("lambda-geometric-base-string", "pressure", weighted({"geometric": {"base": "abc"}}), 1,
+         error="potential.lambda.geometric.base: must be a number\n"),
+    Case("rho-geometric-base-string", "dimension",
+         {"model": {"name": "full"},
+          "construction": {"kind": "product", "rho": {"geometric": {"base": "3"}}}},
+         1, error="construction.rho.geometric.base: must be a number\n"),
+    Case("short-matrices", "pressure",
+         {"model": {"arcs": [[1, 1], [1, 2], [2, 3], [3, 1]]}, "potential": {"kind": "cocycle"},
+          "matrices": {"d": 1, "list": [[[0.5]], [[0.25]]]}, "params": {"truncations": [3]}},
+         1, error="matrices.list: no entry for symbol 3\n"),
+    # A uniform Bernoulli measure lives on the full shift on its m symbols only.
+    Case("uniform-m5", "gibbs",
+         {"model": {"name": "full"}, "potential": {"kind": "zero"},
+          "measure": {"kind": "uniform_bernoulli", "m": 5}, "params": {"truncations": [3]}},
+         1, error="measure.m: the uniform Bernoulli measure lives on the full shift on 5 "
+                  "symbols, which the 3-symbol truncation is not\n"),
+    # A weighted list lives on the file's model, whose symbols start at 0 here.
+    Case("star-cover-lambda", "validate",
+         {"model": {"name": "star_cover"}, "params": {"truncations": [3]},
+          "potential": {"kind": "weighted", "lambda": {"list": [0.5, 0.25, 0.125]}}},
+         1, error="potential.lambda.list: no entry for symbol 0\n"),
+    Case("validate-weighted-list", "validate", "weighted_list.json", 0, stdout="PASS ",
+         check=weighted_list),
+    Case("validate-birkhoff", "validate", "validate_birkhoff.json", 0, stdout="PASS ",
+         check=additive_birkhoff),
+    Case("validate-not-summable", "validate", "gibbs_uniform.json", 2, stdout="FAIL ",
+         check=not_summable),
+    # lyapunov checks its measure on the file's model: these charge the golden
+    # mean's missing arc 2 -> 2.
+    Case("lyapunov-golden-uniform", "lyapunov",
+         {**GOLDEN_SCALARS, "measure": {"kind": "uniform_bernoulli", "m": 2}}, 1,
+         error="measure.m: the uniform Bernoulli measure lives on the full shift on 2 "
+               "symbols, which the 2-symbol truncation is not\n"),
+    Case("lyapunov-golden-bernoulli", "lyapunov",
+         {**GOLDEN_SCALARS, "measure": {"kind": "bernoulli", "probs": [0.5, 0.5]}}, 1,
+         error="measure.probs: transition row of symbol 2 sums to 0.5\n"),
+    Case("lyapunov-single", "lyapunov", "lyap_single.json", 0, check=exact_lyapunov(500)),
+    # Two matrices that both grow by 3 on the ones vector: the 256-, 256- and
+    # 88-step blocks of n = 600 climb the product-word tables, stop and carry.
+    Case("lyapunov-pair", "lyapunov",
+         {"model": {"name": "full"}, "matrices": {"d": 2, "list": PAIR},
+          "measure": {"kind": "uniform_bernoulli", "m": 2}, "params": {"n": 600}},
+         0, check=exact_lyapunov(600)),
+    # The same pair over 256 symbols: the sampler reads a 256 x 256 kernel.
+    Case("lyapunov-256", "lyapunov",
+         {"model": {"name": "full"},
+          "matrices": {"d": 2, "list": [PAIR[i % 2] for i in range(256)]},
+          "measure": {"kind": "uniform_bernoulli", "m": 256}, "params": {"n": 600, "samples": 8}},
+         0, check=exact_lyapunov(600), seconds=20),
+    # A finite alphabet is summable beyond the 64-symbol summability probe.
+    Case("validate-complete70", "validate",
+         {"model": {"arcs": [[i, j] for i in range(1, 71) for j in range(1, 71)]},
+          "potential": {"kind": "zero"}},
+         0, check=summable),
+    # A listed cocycle family is probed on its own symbols.
+    Case("cocycle-listed-full", "pressure",
+         {"model": {"name": "full"}, "potential": {"kind": "cocycle"},
+          "matrices": {"d": 2, "list": [[[2, 1], [1, 2]], [[1, 0.5], [0.5, 3]], [[1, 1], [1, 1]]]},
+          "params": {"truncations": [3]}},
+         0),
+    # A 3-cycle has no closed word of length 2, so --depth 2 samples nothing.
+    Case("cycle3-depth2", "validate", CYCLE3, 2, ("--depth", "2"), stdout="FAIL ",
+         check=nothing_sampled),
+    Case("cycle3-depth3", "validate", CYCLE3, 0, ("--depth", "3"), stdout="PASS "),
+    # gibbs refuses a depth whose cylinders outnumber params.cap before walking any.
+    Case("depth-past-cap", "gibbs", "gibbs_uniform.json", 1, ("--depth", "50"),
+         error="params.depth: 50 is too deep: the 21523359 cylinders of length 1..15 "
+               "alone exceed params.cap 20000000\n"),
+    # A fiber-count measure's weights and masses ride the one word walk.
+    Case("gibbs-fiber", "gibbs",
+         {"model": {"name": "star"}, "potential": {"kind": "fiber_count"},
+          "params": {"truncations": [4], "n_max": 10, "level": 6, "depth": 4}},
+         0, check=gibbs_fiber),
+    # Large sparse truncations in bounded time: no mixing exponent on the
+    # renewal shift, and a reversed chain pruned by degree counts to its loop.
+    Case("renewal-4096", "pressure",
+         {"model": {"name": "renewal"}, "potential": {"kind": "zero"},
+          "params": {"truncations": [M]}},
+         0, seconds=20),
+    Case("chain-4096", "pressure",
+         {"model": {"arcs": [[i + 1, i] for i in range(1, M)] + [[1, 1]]},
+          "potential": {"kind": "zero"}},
+         0, seconds=20),
+    Case("tail-tiny-t", "curve", "weighted20.json", 0, ("--t-grid=1e-300,1",),
+         check=infinite_tail),
+    Case("pair-overflow-pressure", "pressure", BIRKHOFF_800, 1, error=OVERFLOW.format("1.0")),
+    Case("pair-overflow-gibbs", "gibbs", BIRKHOFF_800, 1, error=OVERFLOW.format("1.0")),
+    Case("pair-overflow-curve", "curve", "weighted20.json", 1, ("--t-grid=-800,1",),
+         error=OVERFLOW.format("-800.0")),
+]
+
+SCRIPT = shutil.which("thermoshift")
+
+
+@pytest.mark.parametrize("runner", ["main", "script"])
+@pytest.mark.parametrize("case", CASES, ids=[case.id for case in CASES])
+def test_cli_case(tmp_path, capsys, case, runner):
+    if runner == "script" and SCRIPT is None:
+        # GitHub Actions sets CI=true; there the installed script must run.
+        if os.environ.get("CI") == "true":
+            pytest.fail("no thermoshift console script on PATH")
+        pytest.skip("no thermoshift console script on PATH")
+    if isinstance(case.model, str):
+        path = fixture(case.model)
+    else:
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(case.model))
+    out = str(tmp_path / "out")
+    argv = [case.command, "--model", str(path), *case.flags, "--out", out]
+    start = time.monotonic()
+    if runner == "main":
+        code, stdout, stderr = run(capsys, *argv)
+    else:
+        done = subprocess.run([SCRIPT, *argv], capture_output=True, text=True,
+                              timeout=case.seconds)
+        code, stdout, stderr = done.returncode, done.stdout, done.stderr
+    assert case.seconds is None or time.monotonic() - start <= case.seconds
+    assert code == case.code, (stdout, stderr)
+    written = sorted(os.listdir(out)) if os.path.isdir(out) else []
+    if code == 1:
+        assert stdout == "" and written == []
+        assert stderr.startswith("error: " + case.error), stderr
+    else:
+        assert stderr == "" and written == WRITES[case.command]
+        assert stdout.startswith(case.stdout), stdout
+        if case.check is not None:
+            case.check(out, stdout)

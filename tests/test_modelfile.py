@@ -89,7 +89,7 @@ def test_potential_section_validation(tmp_path):
         tmp_path,
         {**base, "potential": {"kind": "weighted",
                                "lambda": {"geometric": {"base": 0.5}}}},
-    ).field_name == "potential.lambda.geometric.base"
+    ).args == ("potential.lambda.geometric.base: must exceed 1",)
     assert load_error(
         tmp_path,
         {**base, "potential": {"kind": "weighted", "lambda": {"geometric": 3}}},
