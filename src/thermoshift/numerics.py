@@ -18,11 +18,20 @@ products of symbol words, one entry per pair of words, while a table holds
 no more matrices than the level it replaces; each entry is the same product
 of the same two operands as the node it replaces, so the lookups leave the
 bits unchanged.
+A power iteration (scaled_power_diagonal) stops at its floating-point
+cycle. Its state is the normalized vector alone: with W fixed, the vector's
+bits fix every later product, sum, vector and entry. So once a vector
+repeats an earlier one bit for bit, the levels after it repeat the levels
+after the earlier one, and copying them gives the floats the loop would
+have computed. The logs of the copied sums are still added one level at a
+time, so every log Z_n keeps its bits.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from itertools import accumulate, cycle, islice
 from typing import Sequence
 
 import numpy as np
@@ -76,6 +85,11 @@ def _exact_products(x: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.concatenate(parts)
 
 
+# Past levels a power iteration compares its vector with; a cycle of a longer
+# period is not detected and the iteration runs to n_max.
+_CYCLE_WINDOW = 8
+
+
 def scaled_power_diagonal(W: np.ndarray, index, n_max: int):
     """log of the (index, index) entry or block sum of W^n for n = 1..n_max.
 
@@ -87,6 +101,17 @@ def scaled_power_diagonal(W: np.ndarray, index, n_max: int):
     matrix. Each level takes one np.matmul for the whole stack. Each matrix
     gets the bits it gets alone: its product, sum and division are the same
     floating-point operations, and math.log is applied per matrix.
+
+    The iteration stops at its floating-point cycle: once the normalized
+    vector v_n equals, bit for bit, the vector v_j of one of the last
+    _CYCLE_WINDOW levels (for a stack, every matrix's at once), levels
+    n+1..n_max copy the sums and entries of levels j+1..n. With W fixed,
+    level n+1's product, sum, vector and entry are functions of v_n's bits
+    alone, so the copies are the floats the loop would have computed, and
+    the logs are still summed level by level. A level is keyed on its entry
+    (a stack's, on all of its entries), and the recent vectors are compared
+    only at a level whose key a recent level had. The memory is that of
+    n_max floats per matrix and _CYCLE_WINDOW past vectors.
     """
     batch = W.shape[:-2]
     totals = np.add.reduce(W.reshape(batch + (-1,)), axis=-1)
@@ -94,6 +119,10 @@ def scaled_power_diagonal(W: np.ndarray, index, n_max: int):
         raise ValueError("matrix must have a positive finite entry sum")
     add, count = np.add.reduce, math.prod(batch)
     block = isinstance(index, slice)
+    # Per key, the last level that had it; the vector of level i at i % _CYCLE_WINDOW.
+    last, recent = {}, [None] * _CYCLE_WINDOW
+    # The earlier level that the last level computed repeats, if any.
+    j = None
     # A vector whose sum vanishes turns to nan here; its levels are -inf below.
     with np.errstate(divide="ignore", invalid="ignore"):
         if count == 1:
@@ -101,36 +130,92 @@ def scaled_power_diagonal(W: np.ndarray, index, n_max: int):
             v = np.zeros(W.shape[0])
             v[index] = 1.0
             sums, entries = [], []
-            for _ in range(n_max):
-                v = W @ v
+            for n in range(n_max):
+                # W.dot calls the BLAS gemv that W @ v calls, with less overhead.
+                v = W.dot(v)
                 s = add(v)
                 v /= s
+                key = add(v[index]) if block else v[index]
                 sums.append(s)
-                entries.append(add(v[index]) if block else v[index])
+                entries.append(key)
+                seen = last.get(key)
+                last[key] = n
+                if seen is not None and n - seen <= _CYCLE_WINDOW:
+                    j = _repeated(recent, n, v)
+                    if j is not None:
+                        break
+                recent[n % _CYCLE_WINDOW] = v
             rows = [(sums, entries)]
         else:
             v = np.zeros(W.shape[:-1] + (1,))
             v[..., index, :] = 1.0
             sums = np.empty((n_max,) + batch + (1, 1))
             entries = np.empty((n_max,) + batch)
+            levels = n_max
             for n in range(n_max):
                 v = np.matmul(W, v)
                 v /= add(v, axis=-2, keepdims=True, out=sums[n])
                 entries[n] = add(v[..., index, 0], axis=-1) if block else v[..., index, 0]
+                key = entries[n].tobytes()
+                seen = last.get(key)
+                last[key] = n
+                if seen is not None and n - seen <= _CYCLE_WINDOW:
+                    j = _repeated(recent, n, v)
+                    if j is not None:
+                        levels = n + 1
+                        break
+                recent[n % _CYCLE_WINDOW] = v
             rows = zip(
-                sums.reshape(n_max, count).T.tolist(), entries.reshape(n_max, count).T.tolist()
+                sums[:levels].reshape(levels, count).T.tolist(),
+                entries[:levels].reshape(levels, count).T.tolist(),
             )
-    out = []
-    for row_sums, row_entries in rows:
-        log_scale, row = 0.0, []
-        for s, entry in zip(row_sums, row_entries):
-            if not s > 0:
-                row.extend([NEG_INF] * (n_max - len(row)))
-                break
-            log_scale += math.log(s)
-            row.append(log_scale + math.log(entry) if entry > 0 else NEG_INF)
-        out.append(row)
+    out = [_log_levels(row_sums, row_entries, n_max, j) for row_sums, row_entries in rows]
     return out if batch else out[0]
+
+
+def _repeated(recent: list, n: int, v: np.ndarray):
+    """The level among the last _CYCLE_WINDOW before n whose vector has v's bits, or None."""
+    bits = v.tobytes()
+    for j in range(n - 1, max(n - _CYCLE_WINDOW, 0) - 1, -1):
+        if recent[j % _CYCLE_WINDOW].tobytes() == bits:
+            return j
+    return None
+
+
+def _cycled(values: list, n_max: int, j) -> list:
+    """values, levels 0..n, run on to n_max levels: level n + 1 + k repeats level j + 1 + k % (n - j)."""
+    if j is None:
+        return values
+    return values + list(islice(cycle(values[j + 1:]), n_max - len(values)))
+
+
+def _log_levels(sums: list, entries: list, n_max: int, j) -> list:
+    """log_scale_n + log entry_n for n = 1..n_max, log_scale_n the log-sum of the first n sums.
+
+    sums and entries hold the levels computed, which repeat from level j + 1
+    on (see _cycled). Levels from the first whose sum is not positive are
+    -inf, as is a level whose entry is 0. The scales accumulate left to
+    right, which is the running log_scale += math.log(s); each log of a
+    repeated level is computed once.
+    """
+    try:
+        log_sums = list(map(math.log, sums))
+        log_entries = list(map(math.log, entries))
+    except ValueError:  # a sum or an entry is 0
+        pass
+    else:
+        # An infinite or nan sum, which only an overflow makes, takes the loop.
+        if math.isfinite(sum(log_sums)):
+            scales = accumulate(_cycled(log_sums, n_max, j))
+            return list(map(operator.add, scales, _cycled(log_entries, n_max, j)))
+    log_scale, row = 0.0, []
+    for s, entry in zip(_cycled(sums, n_max, j), _cycled(entries, n_max, j)):
+        if not s > 0:
+            row.extend([NEG_INF] * (n_max - len(row)))
+            break
+        log_scale += math.log(s)
+        row.append(log_scale + math.log(entry) if entry > 0 else NEG_INF)
+    return row
 
 
 _SMALLEST = np.nextafter(0.0, 1.0)

@@ -75,14 +75,16 @@ class PairTable:
         out[..., self.arcs] = values
         return out
 
-    def matrices(self, scales: Sequence[float]) -> np.ndarray:
-        """(T, m, m) stack of the transfer matrices exp(t * pair(i, j)), t in scales.
+    def matrices(self, scales: Sequence[float]) -> tuple[np.ndarray, list[float]]:
+        """(T, m, m) stack of the transfer matrices exp(t * pair(i, j)), t in scales, and shifts.
 
         Each weight is math.exp of one product t * L_ij, which is what the
         scaled potential's own pair gives, so W rounds as the per-arc loop
         over that pair does; np.exp differs from math.exp in the last bit on
         some inputs. A weight that overflows a float is a ValueError naming
-        its t.
+        its t. Where every weight of a t underflows to 0.0, the largest t * L
+        on an arc, c, is factored out: that t's weights are exp(t * L - c)
+        and its shift is c, so log Z_n gains n * c. Every other shift is 0.0.
         """
         try:
             weights = np.array(
@@ -93,7 +95,15 @@ class PairTable:
             raise ValueError(
                 f"t = {t!r}: a transfer weight exp(t * pair) overflows a float"
             ) from None
-        return self.on_arcs(weights, 0.0)
+        stack, shifts = self.on_arcs(weights, 0.0), [0.0] * len(scales)
+        # Every symbol of a truncation has a successor, so each value weighs an arc.
+        for k in np.flatnonzero(~weights.any(axis=1)).tolist():
+            scaled = scales[k] * self.values
+            c = float(np.max(scaled, initial=NEG_INF))
+            if math.isfinite(c):
+                shifts[k] = c
+                stack[k] = self.on_arcs(np.array(list(map(math.exp, (scaled - c).tolist()))), 0.0)
+        return stack, shifts
 
 
 def pair_log_table(sub: FiniteSubshift, ps: PairStructure) -> np.ndarray:
@@ -103,8 +113,14 @@ def pair_log_table(sub: FiniteSubshift, ps: PairStructure) -> np.ndarray:
 
 
 def pair_matrix(sub: FiniteSubshift, ps: PairStructure) -> np.ndarray:
-    """Transfer matrix W_ij = exp(pair(i, j)) on the arcs of the truncation."""
-    return PairTable(sub, ps).matrices((1.0,))[0]
+    """Transfer matrix W_ij = exp(pair(i, j)) on the arcs of the truncation.
+
+    A ValueError names t = 1.0 when every weight underflows to 0.0.
+    """
+    (W,), (shift,) = PairTable(sub, ps).matrices((1.0,))
+    if shift:
+        raise ValueError("t = 1.0: every transfer weight exp(t * pair) underflows to 0.0")
+    return W
 
 
 def block_matrix(sub: FiniteSubshift, entries: Callable[[int], np.ndarray], d: int) -> np.ndarray:

@@ -118,7 +118,9 @@ def _scaled_series(sub, potentials, n_max, a, cap) -> list[PartitionSeries]:
 
     Each route runs once for all of them. Pair potentials evaluate the base's
     arc values once and iterate their transfer matrices as (T, m, m) stacks
-    of at most _STACK_BYTES. A block potential (a matrix-product norm at
+    of at most _STACK_BYTES; a t whose weights all underflow iterates its
+    matrix with the largest weight e^c factored out, and its offset adds
+    n * c back to log Z_n. A block potential (a matrix-product norm at
     scale one) iterates its own matrix. The rest share one walk: the base's
     hooks close each slice once, and each t takes the logsumexp of t times
     those values. Each series has the bits it has when computed alone.
@@ -134,10 +136,12 @@ def _scaled_series(sub, potentials, n_max, a, cap) -> list[PartitionSeries]:
         table = PairTable(sub, ps)
         per = max(1, _STACK_BYTES // (8 * sub.size ** 2))
         for lo in range(0, len(potentials), per):
-            stack = table.matrices(scales[lo:lo + per])
+            stack, shifts = table.matrices(scales[lo:lo + per])
             diagonals = scaled_power_diagonal(stack, ia, n_max)
-            for k, W, diagonal in zip(range(lo, lo + per), stack, diagonals):
+            for k, W, c, diagonal in zip(range(lo, lo + per), stack, shifts, diagonals):
                 offset = potentials[k].pair_structure().offset
+                if c:
+                    offset = lambda n, offset=offset, c=c: offset(n) + n * c
                 found[k] = _iterated(TransferOperator("pair", W, 1, offset), diagonal)
     else:
         for k, p in enumerate(potentials):

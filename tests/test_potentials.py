@@ -233,6 +233,14 @@ def test_row_hook_tables_equal_the_per_arc_tables():
             np.testing.assert_array_equal(table(sub, ps), table(sub, per_arc))
 
 
+def test_pair_matrix_names_t_when_every_weight_underflows():
+    sub = truncate(full_shift(), 4)
+    ps = weighted_fullshift_potential(lambda a: 3.0 ** (-a)).scaled(700.0).pair_structure()
+    with pytest.raises(ValueError, match=r"^t = 1\.0: every transfer weight exp\(t \* pair\) "
+                                         r"underflows to 0\.0$"):
+        pair_matrix(sub, ps)
+
+
 def test_scaled_declared_constant_uses_absolute_value():
     f = fiber_count_potential()
     assert f.scaled(0.5).declared_C == pytest.approx(0.5 * math.log(4.0))

@@ -714,6 +714,123 @@ def test_stacked_power_diagonal_matches_single_matrix_on_blocks():
             assert repr(values) == repr(one_matrix_power_diagonal(W, index, 30))
 
 
+def renewal_table(m, seed):
+    """A renewal shift's pair matrix: returns of length j to symbol 1 weigh about e^{-0.4 j}."""
+    rng = np.random.default_rng(seed)
+    W = np.zeros((m, m))
+    W[0, :] = np.exp(-0.4 * np.arange(1, m + 1) + rng.uniform(-0.3, 0.3, m))
+    W[np.arange(1, m), np.arange(m - 1)] = np.exp(rng.uniform(-0.1, 0.1, m - 1))
+    return W
+
+
+def swap_pair():
+    """Symbol 4 leads once into the swapped pair 0, 1; symbol 2 keeps its weight.
+
+    From {2, 4} the vector runs (1/2, 0, 1/2, 0, 0), (0, 1/2, 1/2, 0, 0) and
+    back: a 2-cycle whose two vectors share their block sum 1/2, so the level
+    that repeats is not the last level with that key.
+    """
+    W = np.zeros((5, 5))
+    W[0, 1] = W[1, 0] = W[2, 2] = W[0, 4] = 1.0
+    return W
+
+
+WEIGHTS = 3.0 ** -np.arange(1.0, 21.0)
+# (W, index, n_max): the first seven repeat an earlier vector at levels 3, 2,
+# 2, 39, 3, 4 and 40; the renewal table, the golden mean at n_max = 38 and
+# the nilpotent matrix never do.
+POWER_CASES = {
+    "rank-one-weighted": (np.tile(WEIGHTS, (20, 1)), 0, 200),
+    "all-ones": (np.ones((6, 6)), 0, 200),
+    "cantor": (np.full((2, 2), 3.0 ** -0.63), 0, 200),
+    # The block matrix A^T of one symbol's 2 x 2 cocycle matrix.
+    "cocycle-block": (np.array([[2.0, 1.0], [1.0, 3.0]]).T, slice(0, 2), 200),
+    "swap-pair": (swap_pair(), slice(2, 5, 2), 200),
+    "rotation-3": (np.roll(np.eye(3), 1, axis=0), 0, 200),
+    "golden-mean": (np.array([[1.0, 1.0], [1.0, 0.0]]), 0, 200),
+    "golden-mean-38": (np.array([[1.0, 1.0], [1.0, 0.0]]), 0, 38),
+    "renewal": (renewal_table(48, 4), 0, 40),
+    "nilpotent": (np.triu(np.ones((5, 5)), 1), 4, 60),
+}
+
+
+@pytest.mark.parametrize("name", list(POWER_CASES))
+def test_power_diagonal_stops_at_its_cycle_with_the_loop_bits(name):
+    W, index, n_max = POWER_CASES[name]
+    # Every n_max up to a few levels past the cycle, and the case's own.
+    for n in [*range(1, 45), n_max]:
+        expected = repr(one_matrix_power_diagonal(W, index, n))
+        assert repr(scaled_power_diagonal(W, index, n)) == expected, n
+    stack = np.stack([W, W.T, 2.0 * W])
+    for M, values in zip(stack, scaled_power_diagonal(stack, index, n_max)):
+        assert repr(values) == repr(one_matrix_power_diagonal(M, index, n_max))
+
+
+class CountedMatrix(np.ndarray):
+    """A matrix that counts the products it takes part in: W.dot and np.matmul."""
+
+    products = 0
+
+    def dot(self, *args, **kwargs):
+        CountedMatrix.products += 1
+        return self.view(np.ndarray).dot(*args, **kwargs)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            CountedMatrix.products += 1
+        inputs = tuple(x.view(np.ndarray) if isinstance(x, CountedMatrix) else x for x in inputs)
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+@pytest.mark.parametrize("name", ["rank-one-weighted", "swap-pair"])
+def test_power_diagonal_stops_within_a_few_levels(name, stacked):
+    W, index, n_max = POWER_CASES[name]
+    if stacked:
+        W = np.stack([W, 2.0 * W])
+    CountedMatrix.products = 0
+    values = scaled_power_diagonal(W.view(CountedMatrix), index, n_max)
+    # Level 3's vector repeats level 2's (the swap's, level 1's): three products, not 200.
+    assert CountedMatrix.products == 3
+    if stacked:
+        W, values = W[-1], values[-1]
+    assert repr(values) == repr(one_matrix_power_diagonal(W, index, n_max))
+
+
+def test_power_diagonal_keeps_a_bounded_number_of_past_vectors():
+    # Symbol 0 feeds every symbol, which keeps a share 1 - k / 4m of its
+    # weight: the vector tends to the Perron vector at rate 1 - 1/1200 and
+    # repeats no earlier one by n_max, and its entry falls at every level,
+    # so no level's key matches an earlier one.
+    m, n_max = 300, 3000
+    W = np.diag(1.0 - np.arange(m) / (4.0 * m))
+    W[:, 0] = 1.0
+    tracemalloc.start()
+    try:
+        values = scaled_power_diagonal(W, 0, n_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert repr(values) == repr(one_matrix_power_diagonal(W, 0, n_max))
+    # Keeping every level's vector would take 7.2 MB.
+    assert peak < 1.5e6, f"peak {peak / 1e6:.2f} MB"
+
+
+def test_underflowing_weights_are_factored_out_of_their_t_alone():
+    # At t = 700 every weight 3^(-700 a) underflows to 0.0. The largest t * L,
+    # at a = 1, is factored out of the matrix and comes back as n * c in log Z_n.
+    curve = pressure_curve(full_shift(), weighted_third(), [1.0, 700.0], m_list=[20], n_max=12)
+    alone = pressure_curve(full_shift(), weighted_third(), [1.0], m_list=[20], n_max=12)
+    assert repr(estimate_fields(curve[0][1])) == repr(estimate_fields(alone[0][1]))
+    est = curve[1][1]
+    c = 700.0 * math.log(3.0 ** -1)
+    # The factored matrix has one arc of weight 1 into symbol 1, the rest 0.0.
+    assert [v for _, v in est.series.entries] == [n * c for n in range(1, 13)]
+    assert est.series.log_norm == c
+    assert est.value == pytest.approx(-700.0 * math.log(3.0), abs=1e-9)
+    assert est.lower <= -700.0 * math.log(3.0) <= est.upper
+
+
 def test_curve_holds_a_bounded_stack_of_pair_matrices():
     t_grid = [0.5 + 0.02 * k for k in range(40)]
     tracemalloc.start()
