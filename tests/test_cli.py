@@ -221,12 +221,12 @@ def test_float_column_is_repr_per_value():
     assert exps[3] == "0.0"
 
 
-# A depth past params.cap is the table case depth-past-cap.
 @pytest.mark.parametrize("command, name, flags, fields", [
+    ("gibbs", "gibbs_uniform.json", ["--depth", "50"], ["params.depth:", "params.cap"]),
     ("gibbs", "gm_zero.json", ["--level", "3", "--depth", "5"],
      ["params.depth:", "params.level 3"]),
     ("dimension", "cantor.json", ["--t-bracket", "0.7,0.8"], ["params.t_bracket:"]),
-], ids=["depth-past-level", "t_bracket-not-straddling"])
+], ids=["depth-past-cap", "depth-past-level", "t_bracket-not-straddling"])
 def test_run_errors_name_their_field(tmp_path, capsys, command, name, flags, fields):
     code, stdout, stderr = run(
         capsys, command, "--model", fixture(name), "--out", str(tmp_path), *flags
@@ -272,13 +272,14 @@ def test_flag_overrides_change_behaviour(tmp_path, capsys):
     assert code == 0
 
 
-# --divergence-run 0 and --samples 0 are the table cases divergence-run-0 and samples-0.
 @pytest.mark.parametrize("command, name, flags, key", [
+    ("pressure", "weighted20.json", ["--divergence-run", "0"], "divergence_run"),
     ("pressure", "weighted20.json", ["--slope-window", "0"], "slope_window"),
     ("pressure", "gm_zero.json", ["--tol", "-1"], "tol"),
     ("gibbs", "gibbs_uniform.json", ["--truncations", "4,3"], "truncations"),
     ("pressure", "gm_zero.json", ["--n-max", "0"], "n_max"),
-], ids=["slope_window", "tol", "truncations", "n_max"])
+    ("validate", "validate_birkhoff.json", ["--samples", "0"], "samples"),
+], ids=["divergence_run", "slope_window", "tol", "truncations", "n_max", "samples"])
 def test_flag_overrides_are_validated_like_file_params(
     tmp_path, capsys, command, name, flags, key
 ):
@@ -308,13 +309,17 @@ def test_negative_measure_entries_name_the_field(tmp_path, capsys, measure, fiel
     assert stderr.startswith(f"error: {field}:")
 
 
-# The uniform and Bernoulli measures are the table cases lyapunov-golden-*.
 @pytest.mark.parametrize("measure, stderr", [
+    ({"kind": "uniform_bernoulli", "m": 2},
+     "measure.m: the uniform Bernoulli measure lives on the full shift on 2 "
+     "symbols, which the 2-symbol truncation is not"),
+    ({"kind": "bernoulli", "probs": [0.5, 0.5]},
+     "measure.probs: transition row of symbol 2 sums to 0.5"),
     ({"kind": "markov", "pi": [0.5, 0.5], "p": [[0.5, 0.5], [0.5, 0.5]]},
      "measure.p: transition 2->2 is not an admissible arc"),
     ({"kind": "markov", "pi": [0.5, 0.5], "p": [[0.5, 0.5], [1.0, 0.0]]},
      "measure.pi: distribution is not stationary at symbol 1"),
-], ids=["markov-arc", "markov-stationary"])
+], ids=["uniform", "bernoulli", "markov-arc", "markov-stationary"])
 def test_lyapunov_measure_errors_name_the_field(tmp_path, capsys, measure, stderr):
     # The golden mean drops the arc 2 -> 2, which each of these measures charges
     # or needs; lyapunov checks the measure on the file's own model.
@@ -356,12 +361,13 @@ COCYCLE_PARAMS = {"truncations": [3], "n_max": 10, "t_grid": [0.5, 1.0]}
     ("lyapunov", {"model": {"name": "full"}, "matrices": {"d": 1, "list": [[[2.0]]]},
                   "measure": {"kind": "bernoulli", "probs": [0.5, 0.5]}}, "matrices.list", 2),
     # The weighted kind lives on the file's model, whose symbols start at 0 here.
-    # validate on the same file is the table case star-cover-lambda.
     ("pressure", {"model": {"name": "star_cover"}, "potential": THREE_LAMBDA,
+                  "params": {"truncations": [3]}}, "potential.lambda.list", 0),
+    ("validate", {"model": {"name": "star_cover"}, "potential": THREE_LAMBDA,
                   "params": {"truncations": [3]}}, "potential.lambda.list", 0),
 ], ids=["lambda-pressure", "rho-dimension", "matrices-pressure",
         "matrices-curve", "matrices-gibbs", "matrices-tail", "matrices-lyapunov",
-        "lambda-star-cover-pressure"])
+        "lambda-star-cover-pressure", "lambda-star-cover-validate"])
 def test_short_symbol_lists_name_the_field_and_symbol(
     tmp_path, capsys, command, payload, field, symbol
 ):
@@ -400,8 +406,8 @@ def set_entry(section, *index, value):
 
 
 @pytest.mark.parametrize("command, name, edit, flags, message", [
-    # --t-grid 0.5,inf is the table case t-grid-inf.
     ("curve", "weighted20.json", set_params(t_grid=[0.5, math.inf]), [], "params.t_grid:"),
+    ("curve", "weighted20.json", None, ["--t-grid", "0.5,inf"], "params.t_grid:"),
     ("dimension", "cantor.json", set_params(t_bracket=[0.0, math.inf]), [], "params.t_bracket:"),
     ("dimension", "cantor.json", None, ["--t-bracket", "0,inf"], "params.t_bracket:"),
     ("pressure", "cocycle_single.json", set_entry("matrices", 0, 0, 1, value=math.nan), [],
@@ -429,7 +435,7 @@ def set_entry(section, *index, value):
     ("gibbs", "gibbs_fail.json", lambda data: data["measure"].update(probs=[HUGE, 0]), [],
      "measure.probs:"),
     ("curve", "weighted20.json", set_params(t_grid=[0.5, HUGE]), [], "params.t_grid:"),
-], ids=["t_grid", "t_bracket", "t_bracket-flag", "matrix-nan",
+], ids=["t_grid", "t_grid-flag", "t_bracket", "t_bracket-flag", "matrix-nan",
         "birkhoff-nan", "birkhoff-inf", "birkhoff-string", "birkhoff-missing-arc",
         "uniform-bernoulli-m", "geometric-base-huge", "birkhoff-huge", "matrix-huge",
         "probs-huge", "t_grid-huge"])
