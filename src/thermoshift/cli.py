@@ -143,7 +143,8 @@ def cmd_pressure(data: dict, args: argparse.Namespace, out_dir: str) -> int:
     _write_csv(
         os.path.join(out_dir, "series.csv"),
         ("truncation", "n", "log_z"),
-        [(est.series.truncation_size, n, z) for n, z in est.series.entries],
+        [(est.series.truncation_size, n, est.series.log_z(n))
+         for n in range(1, est.series.n_max + 1)],
     )
     _write_csv(
         os.path.join(out_dir, "estimate.csv"),

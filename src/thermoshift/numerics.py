@@ -30,8 +30,7 @@ time, so every log Z_n keeps its bits.
 from __future__ import annotations
 
 import math
-import operator
-from itertools import accumulate, cycle, islice
+from itertools import cycle, islice
 from typing import Sequence
 
 import numpy as np
@@ -135,7 +134,8 @@ def scaled_power_diagonal(W: np.ndarray, index, n_max: int):
                 v = W.dot(v)
                 s = add(v)
                 v /= s
-                key = add(v[index]) if block else v[index]
+                # A Python float, which hashes faster than a numpy scalar.
+                key = float(add(v[index])) if block else v.item(index)
                 sums.append(s)
                 entries.append(key)
                 seen = last.get(key)
@@ -194,20 +194,8 @@ def _log_levels(sums: list, entries: list, n_max: int, j) -> list:
 
     sums and entries hold the levels computed, which repeat from level j + 1
     on (see _cycled). Levels from the first whose sum is not positive are
-    -inf, as is a level whose entry is 0. The scales accumulate left to
-    right, which is the running log_scale += math.log(s); each log of a
-    repeated level is computed once.
+    -inf, as is a level whose entry is 0.
     """
-    try:
-        log_sums = list(map(math.log, sums))
-        log_entries = list(map(math.log, entries))
-    except ValueError:  # a sum or an entry is 0
-        pass
-    else:
-        # An infinite or nan sum, which only an overflow makes, takes the loop.
-        if math.isfinite(sum(log_sums)):
-            scales = accumulate(_cycled(log_sums, n_max, j))
-            return list(map(operator.add, scales, _cycled(log_entries, n_max, j)))
     log_scale, row = 0.0, []
     for s, entry in zip(_cycled(sums, n_max, j), _cycled(entries, n_max, j)):
         if not s > 0:

@@ -45,6 +45,10 @@ class PairStructure:
     row: Optional[Callable[[int], float]] = None
 
 
+# The smallest normal float; a weight below it is stored with fewer significant bits.
+_TINY = np.finfo(float).tiny
+
+
 class PairTable:
     """A pair potential's values on the arcs of a truncation, evaluated once.
 
@@ -82,9 +86,11 @@ class PairTable:
         scaled potential's own pair gives, so W rounds as the per-arc loop
         over that pair does; np.exp differs from math.exp in the last bit on
         some inputs. A weight that overflows a float is a ValueError naming
-        its t. Where every weight of a t underflows to 0.0, the largest t * L
-        on an arc, c, is factored out: that t's weights are exp(t * L - c)
-        and its shift is c, so log Z_n gains n * c. Every other shift is 0.0.
+        its t. Where the largest weight of a t underflows (is below the
+        smallest normal float, so that it has lost relative precision or is
+        0.0), the largest t * L on an arc, c, is factored out: that t's
+        weights are exp(t * L - c) and its shift is c, so log Z_n gains
+        n * c. Every other shift is 0.0.
         """
         try:
             weights = np.array(
@@ -97,7 +103,7 @@ class PairTable:
             ) from None
         stack, shifts = self.on_arcs(weights, 0.0), [0.0] * len(scales)
         # Every symbol of a truncation has a successor, so each value weighs an arc.
-        for k in np.flatnonzero(~weights.any(axis=1)).tolist():
+        for k in np.flatnonzero(weights.max(axis=1) < _TINY).tolist():
             scaled = scales[k] * self.values
             c = float(np.max(scaled, initial=NEG_INF))
             if math.isfinite(c):
@@ -115,11 +121,12 @@ def pair_log_table(sub: FiniteSubshift, ps: PairStructure) -> np.ndarray:
 def pair_matrix(sub: FiniteSubshift, ps: PairStructure) -> np.ndarray:
     """Transfer matrix W_ij = exp(pair(i, j)) on the arcs of the truncation.
 
-    A ValueError names t = 1.0 when every weight underflows to 0.0.
+    A ValueError names t = 1.0 when every weight underflows (see
+    PairTable.matrices).
     """
     (W,), (shift,) = PairTable(sub, ps).matrices((1.0,))
     if shift:
-        raise ValueError("t = 1.0: every transfer weight exp(t * pair) underflows to 0.0")
+        raise ValueError("t = 1.0: every transfer weight exp(t * pair) underflows")
     return W
 
 

@@ -63,7 +63,13 @@ ENUMERATION_CAP = 20_000_000
 
 @dataclass(frozen=True)
 class PartitionSeries:
-    """log Z_n for n = 1..n_max over periodic words from one base symbol."""
+    """log Z_n for n = 1..n_max over periodic words from one base symbol.
+
+    shift is 0.0 unless the largest transfer weight of a pair potential
+    underflows (PairTable.matrices); it is then the c factored out of every weight, and
+    entries, slopes and log_norm are those of the factored weights: log Z_n
+    is the entry plus n * c, and each slope and log_norm are short by c.
+    """
 
     base_symbol: int
     entries: tuple[tuple[int, float], ...]
@@ -74,9 +80,11 @@ class PartitionSeries:
     log_norm: Optional[float] = None
     # Prefix extensions the enumeration made (at most cap); 0 for an operator.
     prefixes: int = 0
+    shift: float = 0.0
 
     def log_z(self, n: int) -> float:
-        return self.entries[n - 1][1]
+        z = self.entries[n - 1][1]
+        return z + n * self.shift if self.shift else z
 
     @property
     def n_max(self) -> int:
@@ -118,9 +126,9 @@ def _scaled_series(sub, potentials, n_max, a, cap) -> list[PartitionSeries]:
 
     Each route runs once for all of them. Pair potentials evaluate the base's
     arc values once and iterate their transfer matrices as (T, m, m) stacks
-    of at most _STACK_BYTES; a t whose weights all underflow iterates its
-    matrix with the largest weight e^c factored out, and its offset adds
-    n * c back to log Z_n. A block potential (a matrix-product norm at
+    of at most _STACK_BYTES; a t whose largest weight underflows iterates its
+    matrix with the largest weight e^c factored out, and its series keeps c
+    as its shift. A block potential (a matrix-product norm at
     scale one) iterates its own matrix. The rest share one walk: the base's
     hooks close each slice once, and each t takes the logsumexp of t times
     those values. Each series has the bits it has when computed alone.
@@ -131,17 +139,16 @@ def _scaled_series(sub, potentials, n_max, a, cap) -> list[PartitionSeries]:
     bases, scales = zip(*map(_unscaled, potentials))
     # Per potential: (strategy, log Z values, log_norm, prefixes).
     found = [None] * len(potentials)
+    shifts = [0.0] * len(potentials)
     ps = bases[0].pair_structure()
     if ps is not None:
         table = PairTable(sub, ps)
         per = max(1, _STACK_BYTES // (8 * sub.size ** 2))
         for lo in range(0, len(potentials), per):
-            stack, shifts = table.matrices(scales[lo:lo + per])
+            stack, shifts[lo:lo + per] = table.matrices(scales[lo:lo + per])
             diagonals = scaled_power_diagonal(stack, ia, n_max)
-            for k, W, c, diagonal in zip(range(lo, lo + per), stack, shifts, diagonals):
+            for k, W, diagonal in zip(range(lo, lo + per), stack, diagonals):
                 offset = potentials[k].pair_structure().offset
-                if c:
-                    offset = lambda n, offset=offset, c=c: offset(n) + n * c
                 found[k] = _iterated(TransferOperator("pair", W, 1, offset), diagonal)
     else:
         for k, p in enumerate(potentials):
@@ -157,7 +164,7 @@ def _scaled_series(sub, potentials, n_max, a, cap) -> list[PartitionSeries]:
         for k, values in zip(walked, enumerated):
             found[k] = ("enumerate", values, None, prefixes)
     out = []
-    for kind, values, log_norm, prefixes in found:
+    for (kind, values, log_norm, prefixes), shift in zip(found, shifts):
         entries = tuple(enumerate(values, start=1))
         out.append(PartitionSeries(
             base_symbol=a,
@@ -167,6 +174,7 @@ def _scaled_series(sub, potentials, n_max, a, cap) -> list[PartitionSeries]:
             empty_levels=tuple(n for n, v in entries if v == NEG_INF),
             log_norm=log_norm,
             prefixes=prefixes,
+            shift=shift,
         ))
     return out
 
@@ -364,8 +372,8 @@ def _estimates(
         series_list = _scaled_series(sub, potentials, n_max, a, cap)
         slopes_list = [series.slopes() for series in series_list]
         fits = [_slope_value(slopes, slope_window) for slopes in slopes_list]
-        for levels, (value_m, _) in zip(per_level, fits):
-            levels.append((m, value_m))
+        for levels, series, (value_m, _) in zip(per_level, series_list, fits):
+            levels.append((m, value_m + series.shift if series.shift else value_m))
     m = m_list[-1]
     out = []
     for p, series, slopes, (value, span), levels in zip(
@@ -378,6 +386,12 @@ def _estimates(
             default=NEG_INF,
         )
         norm = series.log_norm if series.log_norm is not None else transfer_norm(sub, p)
+        if series.shift:
+            # The fit and both bounds add back the factored c once, the
+            # bounds rounded outward.
+            value += series.shift
+            lower = math.nextafter(lower + series.shift, NEG_INF)
+            norm = math.nextafter(norm + series.shift, math.inf)
         # Symbols beyond the truncation add at most the potential's known tail
         # to every column sum; without one the bracket covers the truncation only.
         tail_f1 = p.sup_f1_tail(m) if model.alphabet_size is None or m < model.alphabet_size else None
@@ -386,7 +400,9 @@ def _estimates(
         # norm is the log of a column sum of at most m*d*d positive terms
         # (exp-rounded pair weights, or block entries), so the sum is off by a
         # relative error below (m*d*d + 2) * 2**-52. Pad by that and round up,
-        # so that rounding never moves the bracket inward.
+        # so that rounding never moves the bracket inward. A factored weight
+        # exp(t * L - c), c < -708, takes t * L - c exactly wherever t * L is
+        # above 2c, and below it the weight is under e^-708 of the largest.
         d = p.block_entries()[1] if series.strategy == "block" else 1
         upper = math.nextafter(
             p.declared_C + norm + (sub.size * d * d + 2) * 2.0 ** -52, math.inf

@@ -668,7 +668,10 @@ def infinite_tail(out, stdout):
 
 
 def pressure_near(t, exact):
-    """The curve's (or, with t None, the estimate's) value is within 1e-9 of exact, in its bracket."""
+    """The curve's (or, with t None, the estimate's) value is within 1e-9 of exact.
+
+    The value and exact both lie in the bracket.
+    """
     def check(out, stdout):
         if t is None:
             row = first_row(out, "estimate.csv")
@@ -677,7 +680,17 @@ def pressure_near(t, exact):
             row = next(dict(zip(header, r)) for r in rows if float(r[0]) == t)
         assert abs(float(row["value"]) - exact) <= 1e-9, row
         assert float(row["lower"]) <= exact <= float(row["upper"]), row
+        assert float(row["lower"]) <= float(row["value"]) <= float(row["upper"]), row
     return check
+
+
+def minus_800(out, stdout):
+    pressure_near(None, math.log(2.0) - 800.0)(out, stdout)
+    # From symbol 0: 2^(n-1) periodic words of length n, each of weight e^(-800 n).
+    header, rows = read_csv(os.path.join(out, "series.csv"))
+    assert [int(r[1]) for r in rows] == list(range(1, len(rows) + 1))
+    for _, n, log_z in rows:
+        assert float(log_z) == pytest.approx((int(n) - 1) * math.log(2.0) - 800.0 * int(n), abs=1e-9)
 
 
 def weighted(lam):
@@ -807,15 +820,17 @@ CASES = [
     Case("pair-overflow-gibbs", "gibbs", BIRKHOFF_800, 1, error=OVERFLOW.format("1.0")),
     Case("pair-overflow-curve", "curve", "weighted20.json", 1, ("--t-grid=-800,1",),
          error=OVERFLOW.format("-800.0")),
-    # Where every weight of a t underflows, its largest t * L is factored out
-    # of the matrix and added back to log Z_n; the gibbs transfer route refuses.
-    # At t = 700, P = -log(3^700 - 1), which rounds to -700 log 3.
+    # Where the largest weight of a t underflows, its largest t * L is factored
+    # out of the matrix and added back to the estimate; the gibbs transfer
+    # route refuses. At t = 700 every weight is 0.0, and at t = 670 the
+    # largest, 3^-670, is subnormal. P(t) = -log(3^t - 1) rounds to -t log 3.
     Case("pair-underflow-curve", "curve", "weighted20.json", 0, ("--t-grid=1,700",),
          check=pressure_near(700.0, -700.0 * math.log(3.0))),
-    Case("pair-underflow-pressure", "pressure", BIRKHOFF_MINUS_800, 0,
-         check=pressure_near(None, math.log(2.0) - 800.0)),
+    Case("pair-subnormal-curve", "curve", "weighted20.json", 0, ("--t-grid=1,670",),
+         check=pressure_near(670.0, -670.0 * math.log(3.0))),
+    Case("pair-underflow-pressure", "pressure", BIRKHOFF_MINUS_800, 0, check=minus_800),
     Case("pair-underflow-gibbs", "gibbs", BIRKHOFF_MINUS_800, 1,
-         error="t = 1.0: every transfer weight exp(t * pair) underflows to 0.0\n"),
+         error="t = 1.0: every transfer weight exp(t * pair) underflows\n"),
 ]
 
 SCRIPT = shutil.which("thermoshift")

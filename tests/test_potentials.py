@@ -237,7 +237,7 @@ def test_pair_matrix_names_t_when_every_weight_underflows():
     sub = truncate(full_shift(), 4)
     ps = weighted_fullshift_potential(lambda a: 3.0 ** (-a)).scaled(700.0).pair_structure()
     with pytest.raises(ValueError, match=r"^t = 1\.0: every transfer weight exp\(t \* pair\) "
-                                         r"underflows to 0\.0$"):
+                                         r"underflows$"):
         pair_matrix(sub, ps)
 
 

@@ -817,18 +817,26 @@ def test_power_diagonal_keeps_a_bounded_number_of_past_vectors():
 
 
 def test_underflowing_weights_are_factored_out_of_their_t_alone():
-    # At t = 700 every weight 3^(-700 a) underflows to 0.0. The largest t * L,
-    # at a = 1, is factored out of the matrix and comes back as n * c in log Z_n.
-    curve = pressure_curve(full_shift(), weighted_third(), [1.0, 700.0], m_list=[20], n_max=12)
+    # At t = 700 every weight 3^(-700 a) underflows to 0.0, and at t = 670 the
+    # largest is subnormal. The largest t * L, at a = 1, is factored out of
+    # the matrix and kept as the series' shift.
+    ts = [1.0, 670.0, 700.0]
+    curve = pressure_curve(full_shift(), weighted_third(), ts, m_list=[20], n_max=12)
     alone = pressure_curve(full_shift(), weighted_third(), [1.0], m_list=[20], n_max=12)
     assert repr(estimate_fields(curve[0][1])) == repr(estimate_fields(alone[0][1]))
-    est = curve[1][1]
-    c = 700.0 * math.log(3.0 ** -1)
-    # The factored matrix has one arc of weight 1 into symbol 1, the rest 0.0.
-    assert [v for _, v in est.series.entries] == [n * c for n in range(1, 13)]
-    assert est.series.log_norm == c
-    assert est.value == pytest.approx(-700.0 * math.log(3.0), abs=1e-9)
-    assert est.lower <= -700.0 * math.log(3.0) <= est.upper
+    assert curve[0][1].series.shift == 0.0
+    for t, est in curve[1:]:
+        c = t * math.log(3.0 ** -1)
+        # The factored weights are 1 into symbol 1 and at most 3^-t elsewhere,
+        # so each factored log Z_n rounds to 0.0.
+        assert est.series.shift == c
+        assert [v for _, v in est.series.entries] == [0.0] * 12
+        assert [est.series.log_z(n) for n in range(1, 13)] == [n * c for n in range(1, 13)]
+        assert est.series.log_norm == 0.0
+        assert est.value == pytest.approx(-t * math.log(3.0), abs=1e-9)
+        assert est.lower <= -t * math.log(3.0) <= est.upper
+        assert est.lower <= est.value <= est.upper
+        assert est.truncation_values == ((20, est.value),)
 
 
 def test_curve_holds_a_bounded_stack_of_pair_matrices():
