@@ -6,6 +6,10 @@ base symbol, or the enumeration cap
 that was exceeded), 2 when a convergence or certification flag failed, 3
 when the divergence policy fired. All numeric CSV cells use the shortest
 float representation that parses back to the same value.
+
+Every CSV is what csv.writer writes with repr per float. gibbs.csv, a row
+per certified cylinder, is built a length at a time as one byte matrix
+(_write_gibbs_csv), with each distinct float of a column formatted once.
 """
 
 import argparse
@@ -59,6 +63,8 @@ log = logging.getLogger("thermoshift")
 
 PRESSURE_KEYS = tuple(key for key in _ESTIMATE_PARAMS if key in PARAMS)
 
+_CRLF = np.frombuffer(b"\r\n", dtype=np.uint8)
+
 
 def _setup_logging() -> None:
     level_name = os.environ.get("THERMOSHIFT_LOG", "WARNING").upper()
@@ -74,33 +80,66 @@ def _write_csv(path: str, header: Sequence[str], rows) -> None:
             writer.writerow([repr(x) if isinstance(x, float) else x for x in row])
 
 
-def _word_column(words: np.ndarray) -> list:
-    """Each row of a (k, n) symbol array as one space-separated string.
-
-    The strings grow a column at a time: one object-array addition per
-    symbol position, not one join per word.
-    """
-    symbols, codes = np.unique(words, return_inverse=True)
-    codes = codes.reshape(words.shape)
-    names = [str(s) for s in symbols.tolist()]
-    column = np.array(names, dtype=object)[codes[:, 0]]
-    spaced = np.array([" " + name for name in names], dtype=object)
-    for j in range(1, words.shape[1]):
-        column = column + spaced[codes[:, j]]
-    return column.tolist()
+def _table(strings: Sequence[str], lead: bytes) -> np.ndarray:
+    """uint8 matrix whose row i is lead + strings[i] in ASCII, NUL-padded to one width."""
+    body = np.array(strings, dtype=bytes)
+    table = np.empty((len(body), len(lead) + body.itemsize), dtype=np.uint8)
+    table[:, :len(lead)] = np.frombuffer(lead, dtype=np.uint8)
+    table[:, len(lead):] = body.view(np.uint8).reshape(len(body), body.itemsize)
+    return table
 
 
-def _float_column(values: np.ndarray, exp: bool = False) -> list:
-    """repr of each float64 in values, or of its math.exp with exp.
+def _float_fields(values: np.ndarray, exp: bool = False) -> tuple:
+    """(table, inverse) with table[inverse] the rows "," + repr(x) of values' floats.
 
     Each distinct bit pattern is formatted once, so 0.0 and -0.0 stay apart;
-    math.exp, not np.exp, which differs in the last bit on some inputs.
+    with exp, repr of its math.exp, not np.exp, which differs in the last
+    bit on some inputs.
     """
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
     distinct = bits.view(np.float64).tolist()
     if exp:
         distinct = map(math.exp, distinct)
-    return np.array([repr(x) for x in distinct], dtype=object)[inverse].tolist()
+    return _table(list(map(repr, distinct)), b","), inverse.ravel()
+
+
+def _write_gibbs_csv(path: str, symbols: Sequence[int], lengths: list, cert) -> None:
+    """Write gibbs.csv from verify_gibbs's sink calls, (n, words, log mass, log weight, log ratio).
+
+    Each length's rows are built as one uint8 matrix, a row per cylinder,
+    whose blocks of columns are gathered from NUL-padded tables: n; "," +
+    the word's first symbol and " " + each later one, indexed by symbol
+    minus the least symbol; "," + repr of the mass, the log weight and the
+    ratio, each distinct value of a column over the whole file formatted
+    once (mass and ratio by math.exp of their logs); and CRLF. Deleting the
+    NULs leaves the rows. These are the bytes csv.writer writes with repr
+    per float: no field holds a comma, quote or line break, so none is
+    quoted, and csv.writer ends each row with CRLF.
+    """
+    lo = min(symbols)
+    names = [str(s) for s in range(lo, max(symbols) + 1)]
+    first, rest = _table(names, b","), _table(names, b" ")
+    columns = [
+        _float_fields(np.concatenate([level[i] for level in lengths]), exp)
+        for i, exp in ((2, True), (3, False), (4, True))
+    ]
+    start = 0
+    with open(path, "wb") as fh:
+        fh.write(b"n,word,mass,log_weight,ratio\r\n")
+        for n, words, *_ in lengths:
+            k, stop, codes = len(words), start + len(words), words - lo
+            prefix = np.frombuffer(str(n).encode(), dtype=np.uint8)
+            rows = np.concatenate([
+                np.broadcast_to(prefix, (k, len(prefix))),
+                first[codes[:, 0]],
+                rest[codes[:, 1:]].reshape(k, (n - 1) * rest.shape[1]),
+                *(table[inverse[start:stop]] for table, inverse in columns),
+                np.broadcast_to(_CRLF, (k, 2)),
+            ], axis=1)
+            fh.write(rows.tobytes().replace(b"\0", b""))
+            start = stop
+        fh.write(f"summary,,{cert.words_tested},{cert.ratio_min!r},"
+                 f"{cert.ratio_max!r}\r\n".encode())
 
 
 def _params(data: dict, args: argparse.Namespace) -> dict:
@@ -284,14 +323,7 @@ def cmd_gibbs(data: dict, args: argparse.Namespace, out_dir: str) -> int:
         **_given(params, "ratio_bound"),
         row_sink=lambda *columns: lengths.append(columns),
     )
-    # The rows are what csv.writer writes: words and repr floats need no quotes.
-    with open(os.path.join(out_dir, "gibbs.csv"), "w", newline="", encoding="utf-8") as fh:
-        fh.write("n,word,mass,log_weight,ratio\r\n")
-        for n, words, log_mass, log_weight, log_ratio in lengths:
-            fh.write("".join(map(f"{n},{{}},{{}},{{}},{{}}\r\n".format, _word_column(words),
-                                 _float_column(log_mass, exp=True), _float_column(log_weight),
-                                 _float_column(log_ratio, exp=True))))
-        fh.write(f"summary,,{cert.words_tested},{cert.ratio_min!r},{cert.ratio_max!r}\r\n")
+    _write_gibbs_csv(os.path.join(out_dir, "gibbs.csv"), sub.symbols, lengths, cert)
     verdict = "PASS" if cert.passed else "FAIL"
     print(
         f"{verdict} ratio_min {cert.ratio_min!r} ratio_max {cert.ratio_max!r} "

@@ -12,11 +12,11 @@ recursions; any other potential has its level enumerated, up to a cap, and
 aggregated explicitly.
 
 Certificates and the Lyapunov functional walk the cylinders a slice at a
-time (shift_core.walk), and a certificate carries the words for its rows as
-one more hook (potentials.WordHooks). Masses and weights are computed for a
-whole slice at once wherever the measure and the potential have a batched form:
-Markov tables, log-domain arc sums, and the forward rows of a
-potentials.TransferOperator. Anything else is evaluated word by word.
+time (shift_core.walk), and a certificate that hands its rows on carries
+their words as one more hook (potentials.WordHooks). Masses and weights are
+computed for a whole slice at once wherever the measure and the potential
+have a batched form: Markov tables, log-domain arc sums, and the forward rows
+of a potentials.TransferOperator. Anything else is evaluated word by word.
 A certificate hands its rows on a length at a time, as columns (the word
 array and float arrays of log mass, log weight and log ratio), so a writer
 can format a whole length at once.
@@ -552,7 +552,8 @@ def verify_gibbs(
     order, and log_mass, log_weight and log_ratio are float64 arrays of k
     values, one per row. A zero-mass cylinder has log mass and log ratio
     -inf; math.exp of a column gives the mass or ratio (0.0 there). Without
-    row_sink, memory stays bounded by the walk's slices.
+    row_sink no words are built, and memory stays bounded by the walk's
+    slices.
     """
     if sub is None:
         sub = getattr(mu, "sub", None)
@@ -566,14 +567,16 @@ def verify_gibbs(
     log_hi = -math.inf
     zero_mass_hit = False
     tested = 0
-    # Per length, the sink's columns of each slice, in walk order.
+    # Per length, the sink's columns of each slice, in walk order; the words
+    # are carried only for a sink.
     columns: list[list] = [[] for _ in range(depth)]
-    for n, last, (ws, ms, (words,)), _ in _walk_cylinders(
-        sub, depth, weights, masses, WordHooks(sub)
+    word_hooks = () if row_sink is None else (WordHooks(sub),)
+    for n, last, (ws, ms, *word_state), _ in _walk_cylinders(
+        sub, depth, weights, masses, *word_hooks
     ):
         weight = weights.close(ws, n, last)
         log_mass, numer = masses.close(ms, n, last)
-        tested += len(words)
+        tested += len(last)
         live = numer > NEG_INF
         zero = ~live & (weight > NEG_INF)
         zero_mass_hit = zero_mass_hit or bool(zero.any())
@@ -582,6 +585,7 @@ def verify_gibbs(
             log_lo = min(log_lo, float(log_ratio[live].min()))
             log_hi = max(log_hi, float(log_ratio[live].max()))
         if row_sink is not None:
+            ((words,),) = word_state
             keep = live | zero
             log_mass = np.where(live, log_mass, NEG_INF)
             columns[n - 1].append(

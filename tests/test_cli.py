@@ -167,15 +167,38 @@ BIRKHOFF_NU = {
 }
 
 
+def birkhoff_table(m, level, depth, seed):
+    """A full-shift Birkhoff model file with U(-0.5, 0.5) values, shaped like the bench's."""
+    values = np.random.default_rng(seed).uniform(-0.5, 0.5, (m, m)).round(6).tolist()
+    return {"model": {"name": "full"}, "potential": {"kind": "birkhoff", "values": values},
+            "params": {"truncations": [m], "n_max": 30, "level": level, "depth": depth}}
+
+
+# The explicit fiber-count route; also the gibbs-fiber table case.
+GIBBS_FIBER = {"model": {"name": "star"}, "potential": {"kind": "fiber_count"},
+               "params": {"truncations": [4], "n_max": 10, "level": 6, "depth": 4}}
+
+# Model files written by the test; the other names are fixtures.
+GIBBS_CSV_MODELS = {
+    "birkhoff_nu.json": BIRKHOFF_NU,
+    "gibbs-fiber": GIBBS_FIBER,
+    # Symbols 1..13: words mix one- and two-digit names.
+    "two_digit_symbols": birkhoff_table(13, 3, 3, 12),
+    # The bench's m = 5 Birkhoff job: 5 + 25 + 125 + 625 + 3125 rows.
+    "birkhoff_m5_depth5": birkhoff_table(5, 6, 5, 5),
+}
+
+
 @pytest.mark.parametrize("name", ["gibbs_uniform.json", "gm_zero.json", "gibbs_fail.json",
-                                  "birkhoff_nu.json"])
+                                  "birkhoff_nu.json", "two_digit_symbols", "gibbs-fiber",
+                                  "birkhoff_m5_depth5"])
 def test_gibbs_csv_matches_row_writer(tmp_path, capsys, monkeypatch, name):
     # The per-length sink output, written a row at a time by csv.writer,
-    # must give the very bytes cmd_gibbs writes a column at a time.
+    # must give the very bytes cmd_gibbs writes a length at a time.
     model = fixture(name)
-    if name == "birkhoff_nu.json":
-        model = tmp_path / name
-        model.write_text(json.dumps(BIRKHOFF_NU))
+    if name in GIBBS_CSV_MODELS:
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(GIBBS_CSV_MODELS[name]))
     rows, certs = [], []
     certify = cli.verify_gibbs
 
@@ -190,15 +213,31 @@ def test_gibbs_csv_matches_row_writer(tmp_path, capsys, monkeypatch, name):
     assert code == (2 if name == "gibbs_fail.json" else 0)
     with open(os.path.join(tmp_path, "gibbs.csv"), newline="", encoding="utf-8") as handle:
         written = handle.read()
-    assert written == reference_gibbs_csv(rows, certs[0])
+    # Line lists, so that a failure reports its first differing line, not a
+    # diff of the whole file (minutes on the 3905-row case).
+    lines = reference_gibbs_csv(rows, certs[0]).splitlines(keepends=True)
+    assert written.splitlines(keepends=True) == lines
     if name == "gibbs_fail.json":
         assert any(m == 0.0 and r == 0.0 for _, _, m, _, r in rows)
     if name == "birkhoff_nu.json":
         deep = [lw for n, _, _, lw, _ in rows if n == 5]
         assert 1 < len(set(deep)) < len(deep)
+    if name == "two_digit_symbols":
+        assert sum(min(w) < 10 <= max(w) for _, w, _, _, _ in rows) > 1000
+    if name == "birkhoff_m5_depth5":
+        assert len(rows) == 3905
     copy = io.StringIO(newline="")
     csv.writer(copy).writerows(csv.reader(io.StringIO(written, newline="")))
     assert copy.getvalue() == written
+
+
+def float_fields(values, exp=False):
+    """The float column cli._float_fields builds: its table rows, NULs deleted, by the inverse."""
+    table, inverse = cli._float_fields(values, exp=exp)
+    assert table.dtype == np.uint8 and inverse.shape == values.shape
+    fields = [row.tobytes().replace(b"\0", b"").decode() for row in table[inverse]]
+    assert all(field.startswith(",") for field in fields)
+    return [field[1:] for field in fields]
 
 
 def test_float_column_is_repr_per_value():
@@ -213,10 +252,10 @@ def test_float_column_is_repr_per_value():
         rng.choice([0.0, -0.0, -math.inf, 0.3, -1.7, 2.5e-8], 200),
         np.repeat(rng.normal(size=5), 7),
     ])
-    column = cli._float_column(values)
+    column = float_fields(values)
     assert column == [repr(x) for x in values.tolist()]
     assert {"0.0", "-0.0", "inf", "-inf"} <= set(column)
-    exps = cli._float_column(values, exp=True)
+    exps = float_fields(values, exp=True)
     assert exps == [repr(math.exp(x)) for x in values.tolist()]
     assert exps[3] == "0.0"
 
@@ -800,10 +839,7 @@ CASES = [
          error="params.depth: 50 is too deep: the 21523359 cylinders of length 1..15 "
                "alone exceed params.cap 20000000\n"),
     # A fiber-count measure's weights and masses ride the one word walk.
-    Case("gibbs-fiber", "gibbs",
-         {"model": {"name": "star"}, "potential": {"kind": "fiber_count"},
-          "params": {"truncations": [4], "n_max": 10, "level": 6, "depth": 4}},
-         0, check=gibbs_fiber),
+    Case("gibbs-fiber", "gibbs", GIBBS_FIBER, 0, check=gibbs_fiber),
     # Large sparse truncations in bounded time: no mixing exponent on the
     # renewal shift, and a reversed chain pruned by degree counts to its loop.
     Case("renewal-4096", "pressure",

@@ -521,6 +521,25 @@ def test_batched_certificate_matches_per_word_scan(case):
         assert any(r[2] == 0.0 and math.isfinite(r[3]) for r in rows)
 
 
+@pytest.mark.parametrize("case", list(_certificate_cases()), ids=lambda c: c[0])
+def test_certificate_without_a_row_sink_is_the_same_and_builds_no_words(case, monkeypatch):
+    _, mu, p, P, depth, sub = case
+    word_slices = []
+
+    class CountedWords(gibbs.WordHooks):
+        def start(self, roots):
+            if self.fn is None:
+                word_slices.append(len(roots))
+            return super().start(roots)
+
+    monkeypatch.setattr(gibbs, "WordHooks", CountedWords)
+    with_sink = verify_gibbs(mu, p, P, depth, sub=sub, row_sink=lambda *columns: None)
+    assert word_slices
+    word_slices.clear()
+    assert verify_gibbs(mu, p, P, depth, sub=sub) == with_sink
+    assert word_slices == []
+
+
 def test_certificate_memory_is_bounded_by_the_walk():
     mu = uniform_bernoulli(2)
     depth = 17

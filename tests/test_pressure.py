@@ -839,6 +839,30 @@ def test_underflowing_weights_are_factored_out_of_their_t_alone():
         assert est.truncation_values == ((20, est.value),)
 
 
+def test_underflow_shift_rounds_both_bounds_outward():
+    # Every weight exp(-800 + d_ij) underflows, so c = max(-800 + d_ij) is
+    # factored out and added back to the lower bound and to the norm under
+    # the upper one. Both sums round at the size of c, and each must round
+    # outward: the exact sums lie inside the bounds. The declared C cancels
+    # most of c in the upper bound, whose last rounding is then fine enough
+    # to show how the norm's sum was rounded.
+    d = [[0.468, 0.408, 0.001], [0.429, 0.017, 0.365], [0.088, 0.432, 0.271]]
+    p = birkhoff_potential(lambda i, j: -800.0 + d[i - 1][j - 1], full_shift())
+    p.declared_C = 800.0
+    est = gurevich_pressure(full_shift(), p, m_list=[3], n_max=12)
+    c, norm = est.series.shift, est.series.log_norm
+    assert c == -800.0 + 0.468
+    lower = max((zn - 800.0) / n for n, zn in est.series.entries)
+    assert lower != 0.0
+    exact_lower = Fraction(lower) + Fraction(c)
+    exact_upper = 800 + Fraction(norm) + Fraction(c) + Fraction(3 + 2, 2 ** 52)
+    assert Fraction(est.lower) <= exact_lower
+    assert Fraction(est.upper) >= exact_upper
+    # Rounded to nearest, the lower sum rounds up and the norm's rounds down.
+    assert Fraction(lower + c) > exact_lower
+    assert Fraction(norm + c) < Fraction(norm) + Fraction(c)
+
+
 def test_curve_holds_a_bounded_stack_of_pair_matrices():
     t_grid = [0.5 + 0.02 * k for k in range(40)]
     tracemalloc.start()
