@@ -7,9 +7,10 @@ that was exceeded), 2 when a convergence or certification flag failed, 3
 when the divergence policy fired. All numeric CSV cells use the shortest
 float representation that parses back to the same value.
 
-Every CSV is what csv.writer writes with repr per float. gibbs.csv, a row
-per certified cylinder, is built a length at a time as one byte matrix
-(_write_gibbs_csv), with each distinct float of a column formatted once.
+Every CSV is what csv.writer writes, which formats each float with
+float.__repr__. gibbs.csv, a row per certified cylinder, is built a length
+at a time as one byte matrix (_write_gibbs_csv), with each distinct float of
+a column formatted once.
 """
 
 import argparse
@@ -73,11 +74,11 @@ def _setup_logging() -> None:
 
 
 def _write_csv(path: str, header: Sequence[str], rows) -> None:
+    """Write header and rows; csv.writer formats each float with float.__repr__."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(x) if isinstance(x, float) else x for x in row])
+        writer.writerows(rows)
 
 
 def _table(strings: Sequence[str], lead: bytes) -> np.ndarray:

@@ -24,13 +24,15 @@ bits fix every later product, sum, vector and entry. So once a vector
 repeats an earlier one bit for bit, the levels after it repeat the levels
 after the earlier one, and copying them gives the floats the loop would
 have computed. The logs of the copied sums are still added one level at a
-time, so every log Z_n keeps its bits.
+time, so every log Z_n keeps its bits. In a (T, m, m) stack each matrix
+stops at its own cycle, and the stack runs until its slowest matrix has
+stopped.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import cycle, islice
+from itertools import accumulate, cycle, islice
 from typing import Sequence
 
 import numpy as np
@@ -48,17 +50,36 @@ def logsumexp(values, counts=None) -> float:
     what c copies of it add.
     """
     vals = values if isinstance(values, np.ndarray) else np.fromiter(values, dtype=float)
-    finite = vals != NEG_INF
-    vals = vals[finite]
     if not vals.size:
         return NEG_INF
     hi = float(vals.max())
-    if hi == math.inf:
+    if math.isinf(hi):
         return hi
+    # A -inf term's np.exp is an exact zero, and so are its products with
+    # its count: it adds nothing to the sum.
     terms = np.exp(vals - hi)
     if counts is not None:
-        terms = _exact_products(terms, counts[finite])
+        terms = _exact_products(terms, counts)
     return hi + math.log(math.fsum(terms.tolist()))
+
+
+def logsumexp_groups(values: np.ndarray, starts: Sequence[int]) -> list:
+    """logsumexp of each group of values, with the bits logsumexp gives it alone.
+
+    Group i is values[starts[i]:starts[i + 1]], the last one running to the
+    end; starts ascend strictly, so no group is empty. Each group takes its
+    max, np.exp of its differences from it and the exact math.fsum of those
+    terms: a -inf term adds an exact zero, as it adds nothing when logsumexp
+    drops it. A group whose max is -inf or +inf gives that max.
+    """
+    hi = np.maximum.reduceat(values, starts)
+    bounds = [*starts, len(values)]
+    with np.errstate(invalid="ignore"):
+        terms = np.exp(values - np.repeat(hi, np.diff(bounds))).tolist()
+    return [
+        top if math.isinf(top) else top + math.log(math.fsum(terms[lo:up]))
+        for top, lo, up in zip(hi.tolist(), bounds, bounds[1:])
+    ]
 
 
 # Veltkamp's splitter: x * _SPLIT cuts a double into two halves of at most 26
@@ -77,10 +98,10 @@ def _exact_products(x: np.ndarray, counts: np.ndarray) -> np.ndarray:
     x_hi = p - (p - x)
     halves = (x_hi, x - x_hi)
     parts = []
-    for shift in (0, 26, 52):
+    # The digits up to the largest count's highest bit.
+    for shift in range(0, int(counts.max()).bit_length(), 26):
         digit = ((counts >> shift) & ((1 << 26) - 1)).astype(float) * 2.0 ** shift
-        if digit.any():
-            parts.extend(digit * half for half in halves)
+        parts.extend(digit * half for half in halves)
     return np.concatenate(parts)
 
 
@@ -99,45 +120,52 @@ def scaled_power_diagonal(W: np.ndarray, index, n_max: int):
     W may also be a (T, m, m) stack, and the result is then one list per
     matrix. Each level takes one np.matmul for the whole stack. Each matrix
     gets the bits it gets alone: its product, sum and division are the same
-    floating-point operations, and math.log is applied per matrix.
+    floating-point operations, and its logs are those of the same floats,
+    added in the same order (_log_levels).
 
-    The iteration stops at its floating-point cycle: once the normalized
-    vector v_n equals, bit for bit, the vector v_j of one of the last
-    _CYCLE_WINDOW levels (for a stack, every matrix's at once), levels
-    n+1..n_max copy the sums and entries of levels j+1..n. With W fixed,
-    level n+1's product, sum, vector and entry are functions of v_n's bits
-    alone, so the copies are the floats the loop would have computed, and
-    the logs are still summed level by level. A level is keyed on its entry
-    (a stack's, on all of its entries), and the recent vectors are compared
-    only at a level whose key a recent level had. The memory is that of
-    n_max floats per matrix and _CYCLE_WINDOW past vectors.
+    Each matrix stops at its floating-point cycle: once its normalized
+    vector v_n equals, bit for bit, its vector v_j of one of the last
+    _CYCLE_WINDOW levels, its levels n+1..n_max copy the sums and entries of
+    levels j+1..n. With W fixed, level n+1's product, sum, vector and entry
+    are functions of v_n's bits alone, so the copies are the floats the loop
+    would have computed, and the logs are still summed level by level. A
+    matrix whose sum stops being positive is done at that level; its levels
+    from there on are -inf. Vectors are compared only at a level whose key
+    one of the recent levels had: its entry for one matrix, and for a stack
+    the wrapped sum of each vector's bit patterns. A stack iterates until
+    every matrix is done or for n_max levels, so it takes as many products
+    as its slowest matrix takes alone. The memory is that of n_max floats
+    per matrix and _CYCLE_WINDOW past vectors.
     """
     batch = W.shape[:-2]
     totals = np.add.reduce(W.reshape(batch + (-1,)), axis=-1)
-    if not (totals > 0).all() or not np.isfinite(totals).all():
+    # A nan total makes min and max nan, which fail both tests.
+    if not (totals.min() > 0 and totals.max() < math.inf):
         raise ValueError("matrix must have a positive finite entry sum")
     add, count = np.add.reduce, math.prod(batch)
     block = isinstance(index, slice)
-    # Per key, the last level that had it; the vector of level i at i % _CYCLE_WINDOW.
-    last, recent = {}, [None] * _CYCLE_WINDOW
-    # The earlier level that the last level computed repeats, if any.
-    j = None
     # A vector whose sum vanishes turns to nan here; its levels are -inf below.
     with np.errstate(divide="ignore", invalid="ignore"):
         if count == 1:
             W = W.reshape(W.shape[-2:])
             v = np.zeros(W.shape[0])
             v[index] = 1.0
-            sums, entries = [], []
+            # Per key, the last level that had it; the vector of level i at i % _CYCLE_WINDOW.
+            last, recent = {}, [None] * _CYCLE_WINDOW
+            # The earlier level that the last level computed repeats, if any.
+            sums, entries, j = [], [], None
             for n in range(n_max):
                 # W.dot calls the BLAS gemv that W @ v calls, with less overhead.
                 v = W.dot(v)
-                s = add(v)
+                # A Python float, which compares and takes math.log faster.
+                s = float(add(v))
                 v /= s
                 # A Python float, which hashes faster than a numpy scalar.
                 key = float(add(v[index])) if block else v.item(index)
                 sums.append(s)
                 entries.append(key)
+                if not s > 0:
+                    break
                 seen = last.get(key)
                 last[key] = n
                 if seen is not None and n - seen <= _CYCLE_WINDOW:
@@ -145,32 +173,56 @@ def scaled_power_diagonal(W: np.ndarray, index, n_max: int):
                     if j is not None:
                         break
                 recent[n % _CYCLE_WINDOW] = v
-            rows = [(sums, entries)]
-        else:
-            v = np.zeros(W.shape[:-1] + (1,))
-            v[..., index, :] = 1.0
-            sums = np.empty((n_max,) + batch + (1, 1))
-            entries = np.empty((n_max,) + batch)
-            levels = n_max
-            for n in range(n_max):
-                v = np.matmul(W, v)
-                v /= add(v, axis=-2, keepdims=True, out=sums[n])
-                entries[n] = add(v[..., index, 0], axis=-1) if block else v[..., index, 0]
-                key = entries[n].tobytes()
-                seen = last.get(key)
-                last[key] = n
-                if seen is not None and n - seen <= _CYCLE_WINDOW:
-                    j = _repeated(recent, n, v)
-                    if j is not None:
-                        levels = n + 1
-                        break
-                recent[n % _CYCLE_WINDOW] = v
-            rows = zip(
-                sums[:levels].reshape(levels, count).T.tolist(),
-                entries[:levels].reshape(levels, count).T.tolist(),
-            )
-    out = [_log_levels(row_sums, row_entries, n_max, j) for row_sums, row_entries in rows]
-    return out if batch else out[0]
+            row = _log_levels(sums, entries, n_max, j)
+            return [row] if batch else row
+        W = W.reshape((count,) + W.shape[-2:])
+        v = np.zeros(W.shape[:-1] + (1,))
+        v[:, index, :] = 1.0
+        # The sums and entries of each level, one row per matrix.
+        levels = np.empty((2, count, n_max))
+        sums, entries = levels[0].T.reshape(n_max, count, 1, 1), levels[1].T
+        # Per matrix, the levels it computed and the earlier level that its
+        # last one repeats (-1 for none); it runs until it stops.
+        stop = np.full(count, n_max)
+        repeat = np.full(count, -1)
+        running = np.ones(count, dtype=bool)
+        # Each vector's key, the wrapped sum of its bit patterns; the bits of
+        # the vectors of level i at i % _CYCLE_WINDOW.
+        keys = np.empty((n_max, count), dtype=np.int64)
+        recent = np.empty((_CYCLE_WINDOW, count, W.shape[-1]), dtype=np.int64)
+        for n in range(n_max):
+            v = np.matmul(W, v)
+            v /= add(v, axis=-2, keepdims=True, out=sums[n])
+            entries[n] = add(v[:, index, 0], axis=-1) if block else v[:, index, 0]
+            bits = v.view(np.int64)[:, :, 0]
+            add(bits, axis=1, out=keys[n])
+            # min is nan, not positive, when a sum is nan.
+            done = not levels[0, :, n].min() > 0
+            if done:
+                dead = running & ~(levels[0, :, n] > 0)
+                stop[dead], running[dead] = n + 1, False
+            # Per matrix, the recent levels whose vector had its key.
+            lo = max(n - _CYCLE_WINDOW, 0)
+            seen = keys[lo:n] == keys[n]
+            seen &= running
+            if seen.any():
+                done = True
+                back, rows = np.nonzero(seen)
+                back += lo
+                same = (recent[back % _CYCLE_WINDOW, rows] == bits[rows]).all(axis=1)
+                # A matrix repeats at most one level of the window: had it two,
+                # the later would have repeated the earlier, within the window.
+                back, rows = back[same], rows[same]
+                stop[rows], repeat[rows], running[rows] = n + 1, back, False
+            if done and not running.any():
+                levels = levels[:, :, :n + 1]
+                break
+            recent[n % _CYCLE_WINDOW] = bits
+    rows = zip(levels[0].tolist(), levels[1].tolist(), stop.tolist(), repeat.tolist())
+    return [
+        _log_levels(row_sums[:end], row_entries[:end], n_max, j if j >= 0 else None)
+        for row_sums, row_entries, end, j in rows
+    ]
 
 
 def _repeated(recent: list, n: int, v: np.ndarray):
@@ -192,18 +244,20 @@ def _cycled(values: list, n_max: int, j) -> list:
 def _log_levels(sums: list, entries: list, n_max: int, j) -> list:
     """log_scale_n + log entry_n for n = 1..n_max, log_scale_n the log-sum of the first n sums.
 
-    sums and entries hold the levels computed, which repeat from level j + 1
-    on (see _cycled). Levels from the first whose sum is not positive are
-    -inf, as is a level whose entry is 0.
+    sums and entries hold the levels one matrix computed, which repeat from
+    level j + 1 on: their logs are taken once and repeated (see _cycled).
+    Only the last level computed can have a sum that is not positive; it and
+    every later level are -inf, as is a level whose entry is 0. accumulate
+    adds the logs in order, as a running sum from 0.0 would: no log is -0.0.
     """
-    log_scale, row = 0.0, []
-    for s, entry in zip(_cycled(sums, n_max, j), _cycled(entries, n_max, j)):
-        if not s > 0:
-            row.extend([NEG_INF] * (n_max - len(row)))
-            break
-        log_scale += math.log(s)
-        row.append(log_scale + math.log(entry) if entry > 0 else NEG_INF)
-    return row
+    live = len(sums) if sums[-1] > 0 else len(sums) - 1
+    log_sums = _cycled(list(map(math.log, sums[:live])), n_max, j)
+    log_entries = _cycled([math.log(e) if e > 0 else NEG_INF for e in entries], n_max, j)
+    row = [
+        log_scale + log_entry if log_entry != NEG_INF else NEG_INF
+        for log_scale, log_entry in zip(accumulate(log_sums), log_entries)
+    ]
+    return row + [NEG_INF] * (n_max - len(row))
 
 
 _SMALLEST = np.nextafter(0.0, 1.0)

@@ -13,7 +13,9 @@ A pressure curve t -> P(t p) is computed one truncation at a time for every
 t at once, in ascending m; gurevich_pressure is its one-t case. Pair
 potentials evaluate the base's arc values once per truncation, weigh each t
 by math.exp(t * L), and iterate the T transfer matrices as (T, m, m) stacks
-that fit in cache, one np.matmul per level. Potentials that are enumerated
+that fit in cache, one np.matmul per level, each matrix until its own
+floating-point cycle; the base's offsets are evaluated once per truncation,
+and each t scales them. Potentials that are enumerated
 (the fiber count, a cocycle at t != 1) are walked once (shift_core.walk):
 each slice is closed once and each t takes the logsumexp of t times the
 closed values. The walk merges the fiber count's rows of equal last symbol
@@ -31,7 +33,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .numerics import NEG_INF, logsumexp, scaled_power_diagonal
+from .numerics import NEG_INF, logsumexp, logsumexp_groups, scaled_power_diagonal
 from .potentials import (
     PairTable,
     PotentialSequence,
@@ -126,7 +128,8 @@ def _scaled_series(sub, potentials, n_max, a, cap) -> list[PartitionSeries]:
 
     Each route runs once for all of them. Pair potentials evaluate the base's
     arc values once and iterate their transfer matrices as (T, m, m) stacks
-    of at most _STACK_BYTES; a t whose largest weight underflows iterates its
+    of at most _STACK_BYTES, with the base's offset(n) evaluated once for
+    all t; a t whose largest weight underflows iterates its
     matrix with the largest weight e^c factored out, and its series keeps c
     as its shift. A block potential (a matrix-product norm at
     scale one) iterates its own matrix. The rest share one walk: the base's
@@ -143,19 +146,22 @@ def _scaled_series(sub, potentials, n_max, a, cap) -> list[PartitionSeries]:
     ps = bases[0].pair_structure()
     if ps is not None:
         table = PairTable(sub, ps)
+        # A scaled pair structure's offset(n) is t times the base's.
+        offsets = [ps.offset(n) for n in range(1, n_max + 1)]
         per = max(1, _STACK_BYTES // (8 * sub.size ** 2))
         for lo in range(0, len(potentials), per):
             stack, shifts[lo:lo + per] = table.matrices(scales[lo:lo + per])
             diagonals = scaled_power_diagonal(stack, ia, n_max)
             for k, W, diagonal in zip(range(lo, lo + per), stack, diagonals):
-                offset = potentials[k].pair_structure().offset
-                found[k] = _iterated(TransferOperator("pair", W, 1, offset), diagonal)
+                op = TransferOperator("pair", W, 1, potentials[k].pair_structure().offset)
+                found[k] = _iterated(op, diagonal, scales[k], offsets)
     else:
         for k, p in enumerate(potentials):
             op = transfer_operator(sub, p)
             if op is not None:
                 block = slice(ia * op.d, (ia + 1) * op.d)
-                found[k] = _iterated(op, scaled_power_diagonal(op.B, block, n_max))
+                offsets = [op.offset(n) for n in range(1, n_max + 1)]
+                found[k] = _iterated(op, scaled_power_diagonal(op.B, block, n_max), 1.0, offsets)
     walked = [k for k, route in enumerate(found) if route is None]
     if walked:
         enumerated, prefixes = _enumerated_values(
@@ -179,11 +185,15 @@ def _scaled_series(sub, potentials, n_max, a, cap) -> list[PartitionSeries]:
     return out
 
 
-def _iterated(op: TransferOperator, diagonal: list[float]):
-    """(strategy, log Z values, log_norm, prefixes) of a series from op's diagonal."""
+def _iterated(op: TransferOperator, diagonal: list[float], t: float, offsets: list[float]):
+    """(strategy, log Z values, log_norm, prefixes) of a series from op's diagonal.
+
+    op.offset(n) is t * offsets[n - 1], the product it computes itself; 1.0
+    times a float is that float.
+    """
     values = [
-        op.offset(n) + v if v != NEG_INF else NEG_INF
-        for n, v in enumerate(diagonal, start=1)
+        t * offset + v if v != NEG_INF else NEG_INF
+        for offset, v in zip(offsets, diagonal)
     ]
     return op.kind, values, op.log_norm(), 0
 
@@ -240,10 +250,13 @@ def transfer_norm(sub: FiniteSubshift, p: PotentialSequence) -> float:
     op = transfer_operator(sub, p)
     if op is not None:
         return op.log_norm()
-    return max(
-        logsumexp(p.log_sup_f1(z) for z in sub.in_neighbors(x0))
-        for x0 in sub.symbols
-    )
+    # One logsumexp per symbol x0 over its predecessors z, the arcs of the
+    # transposed matrix in row-major order; log_sup_f1 is called once per
+    # symbol. Every symbol of a truncation has a predecessor.
+    log_sup = np.array([p.log_sup_f1(z) for z in sub.symbols])
+    heads, tails = np.nonzero(sub.matrix.T)
+    starts = np.flatnonzero(np.diff(heads, prepend=-1))
+    return max(logsumexp_groups(log_sup[tails], starts))
 
 
 @dataclass(frozen=True)

@@ -31,16 +31,19 @@ from thermoshift import shift_core
 from thermoshift.gibbs import finite_gibbs_nu
 from thermoshift.dimension import bowen_dimension, product_construction
 from thermoshift.matrix_cocycle import cocycle_pressure
-from thermoshift.numerics import logsumexp, scaled_power_diagonal
+from thermoshift.numerics import logsumexp, logsumexp_groups, scaled_power_diagonal
 from thermoshift.potentials import (
     CocyclePotential,
     MatrixFamily,
+    PairTable,
+    PotentialSequence,
     TransferOperator,
     birkhoff_potential,
     block_matrix,
     cocycle_potential,
     fiber_count_potential,
     geometric_tail,
+    transfer_operator,
     weighted_fullshift_potential,
     zero_potential,
 )
@@ -666,6 +669,56 @@ def estimate_fields(est):
             est.converged, est.monotone, est.diverged)
 
 
+class VanishingSymbol(PotentialSequence):
+    """sup f_1 is 3^-a, and 0 on symbol 2, whose log_sup_f1 is -inf; no exact structure."""
+
+    def eval(self, word):
+        return sum(-a * math.log(3.0) for a in word)
+
+    def sup_f1(self, a):
+        return 0.0 if a == 2 else 3.0 ** -a
+
+
+def per_symbol_transfer_norm(sub, p):
+    """transfer_norm's reference: a logsumexp over each symbol's predecessors."""
+    return max(
+        logsumexp(p.log_sup_f1(z) for z in sub.in_neighbors(x0)) for x0 in sub.symbols
+    )
+
+
+def transfer_norm_cases():
+    for m in (8, 64):
+        yield f"fiber count m={m}", truncate(star_shift(), m), fiber_count_potential()
+    rng = np.random.default_rng(12)
+    mats = {a: rng.uniform(0.1, 2.0, size=(2, 2)) for a in (1, 2, 3)}
+    p = cocycle_potential(MatrixFamily(2, mats), full_shift()).scaled(0.5)
+    yield "cocycle t=0.5", truncate(full_shift(), 3), p
+    yield "vanishing symbol", truncate(full_shift(), 4), VanishingSymbol()
+    # Symbol 3's only predecessor is 2, so its column holds -inf alone.
+    arcs = model_from_arcs([(1, 1), (1, 2), (2, 1), (2, 3), (3, 1)])
+    yield "vanishing column", truncate(arcs, 3), VanishingSymbol()
+
+
+@pytest.mark.parametrize("case", list(transfer_norm_cases()), ids=lambda case: case[0])
+def test_transfer_norm_matches_per_symbol_logsumexp_bit_for_bit(case):
+    _, sub, p = case
+    assert transfer_operator(sub, p) is None
+    assert repr(transfer_norm(sub, p)) == repr(per_symbol_transfer_norm(sub, p))
+
+
+def test_group_logsumexp_matches_logsumexp_per_group():
+    rng = np.random.default_rng(4)
+    values = rng.normal(0.0, 30.0, size=300)
+    values[rng.random(values.size) < 0.3] = -math.inf
+    starts = np.concatenate(([0, 5, 6], np.sort(rng.choice(np.arange(8, 300), 40, replace=False))))
+    values[:5] = -math.inf
+    values[6] = math.inf
+    got = logsumexp_groups(values, starts)
+    groups = np.split(values, starts[1:])
+    assert repr(got) == repr([logsumexp(group) for group in groups])
+    assert got[0] == -math.inf and got[2] == math.inf
+
+
 @pytest.mark.parametrize("case", list(curve_cases()), ids=lambda case: case[0])
 def test_curve_matches_per_t_loop_bit_for_bit(case):
     _, model, p, grid, params = case
@@ -795,6 +848,78 @@ def test_power_diagonal_stops_within_a_few_levels(name, stacked):
     if stacked:
         W, values = W[-1], values[-1]
     assert repr(values) == repr(one_matrix_power_diagonal(W, index, n_max))
+
+
+def counted_power_diagonal(W, index, n_max):
+    """(scaled_power_diagonal of W, the matrix products it took)."""
+    CountedMatrix.products = 0
+    values = scaled_power_diagonal(W.view(CountedMatrix), index, n_max)
+    return values, CountedMatrix.products
+
+
+def mixed_cycle_stack():
+    """3 x 3 matrices that stop alone after 2, 3, 4 and about 40 products.
+
+    The rotation repeats its level-0 vector at level 3; the golden mean, on
+    symbols 1 and 2 of the three, only at level 39; the nilpotent matrix's
+    sum vanishes at level 2.
+    """
+    golden = np.zeros((3, 3))
+    golden[:2, :2] = [[1.0, 1.0], [1.0, 0.0]]
+    golden[2, 2] = 1.0
+    nilpotent = np.zeros((3, 3))
+    nilpotent[1, 0] = nilpotent[2, 1] = 1.0
+    stack = np.stack([
+        np.roll(np.eye(3), 1, axis=0), np.ones((3, 3)), golden, nilpotent,
+        np.full((3, 3), 3.0 ** -0.63),
+    ])
+    return stack, 0, 60
+
+
+# A curve stack whose matrices stop alone within 3 to 8 products, while its
+# vectors never all repeat at one level within its 40: the weighted full
+# shift with weights base^-a at m = 64 and 21 t (pressure_sweep, seed 101,
+# pass 0, wfs_curve_m64). A nilpotent matrix whose sum vanishes at level 5
+# rides along.
+FOUND_BASE = 3.3381805491383316
+FOUND_GRID = [
+    0.62216, 0.691848, 0.828391, 0.883471, 1.01833, 1.110854, 1.198264, 1.271848,
+    1.423688, 1.504418, 1.593418, 1.691281, 1.809118, 1.890822, 2.000455, 2.092256,
+    2.173312, 2.285025, 2.420458, 2.519089, 2.61004,
+]
+
+
+def found_curve_stack():
+    p = weighted_fullshift_potential(lambda a: FOUND_BASE ** (-a))
+    stack, _ = PairTable(truncate(full_shift(), 64), p.pair_structure()).matrices(FOUND_GRID)
+    nilpotent = np.zeros((64, 64))
+    nilpotent[np.arange(1, 6), np.arange(5)] = 1.0
+    return np.concatenate((stack, nilpotent[None])), 0, 40
+
+
+def vanishing_slowest_stack():
+    """A chain whose sum vanishes at level 5, the slowest of its stack."""
+    chain = np.zeros((7, 7))
+    chain[np.arange(1, 6), np.arange(5)] = 1.0
+    rotation = np.eye(7)
+    rotation[:3, :3] = np.roll(np.eye(3), 1, axis=0)
+    return np.stack([chain, np.ones((7, 7)), rotation]), 0, 30
+
+
+@pytest.mark.parametrize("make", [mixed_cycle_stack, found_curve_stack, vanishing_slowest_stack])
+def test_stacked_power_diagonal_stops_each_matrix_at_its_own_cycle(make):
+    stack, index, n_max = make()
+    alone = [counted_power_diagonal(W, index, n_max) for W in stack]
+    values, products = counted_power_diagonal(stack, index, n_max)
+    assert len({count for _, count in alone}) > 2
+    # As many products as the slowest matrix takes alone, not n_max.
+    assert products == max(count for _, count in alone) < n_max
+    for W, row, (single, _) in zip(stack, values, alone):
+        assert repr(row) == repr(one_matrix_power_diagonal(W, index, n_max))
+        assert repr(row) == repr(single)
+    # The vanishing matrix: every level from the one whose sum vanished is -inf.
+    vanishing = {mixed_cycle_stack: 3, found_curve_stack: -1, vanishing_slowest_stack: 0}[make]
+    assert values[vanishing][-1] == -math.inf
 
 
 def test_power_diagonal_keeps_a_bounded_number_of_past_vectors():
