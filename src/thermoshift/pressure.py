@@ -67,17 +67,17 @@ ENUMERATION_CAP = 20_000_000
 class PartitionSeries:
     """log Z_n for n = 1..n_max over periodic words from one base symbol.
 
+    values[n - 1] is log Z_n, -inf for a length with no periodic word.
     shift is 0.0 unless the largest transfer weight of a pair potential
     underflows (PairTable.matrices); it is then the c factored out of every weight, and
-    entries, slopes and log_norm are those of the factored weights: log Z_n
-    is the entry plus n * c, and each slope and log_norm are short by c.
+    values, slopes and log_norm are those of the factored weights: log Z_n
+    is the value plus n * c, and each slope and log_norm are short by c.
     """
 
     base_symbol: int
-    entries: tuple[tuple[int, float], ...]
+    values: tuple[float, ...]
     truncation_size: int
     strategy: str
-    empty_levels: tuple[int, ...]
     # transfer_norm of the operator the series iterated; None when enumerated.
     log_norm: Optional[float] = None
     # Prefix extensions the enumeration made (at most cap); 0 for an operator.
@@ -85,20 +85,21 @@ class PartitionSeries:
     shift: float = 0.0
 
     def log_z(self, n: int) -> float:
-        z = self.entries[n - 1][1]
+        z = self.values[n - 1]
         return z + n * self.shift if self.shift else z
 
     @property
     def n_max(self) -> int:
-        return len(self.entries)
+        return len(self.values)
 
     def slopes(self) -> tuple[tuple[int, float], ...]:
         """(n, log Z_{n+1} - log Z_n) for consecutive finite levels."""
-        out = []
-        for (n, zn), (_, znext) in zip(self.entries, self.entries[1:]):
-            if math.isfinite(zn) and math.isfinite(znext):
-                out.append((n, znext - zn))
-        return tuple(out)
+        v = self.values
+        return tuple(
+            (n, v[n] - v[n - 1])
+            for n in range(1, len(v))
+            if math.isfinite(v[n - 1]) and math.isfinite(v[n])
+        )
 
 
 def partition_series(
@@ -140,62 +141,41 @@ def _scaled_series(sub, potentials, n_max, a, cap) -> list[PartitionSeries]:
         raise ValueError("n_max must be at least 1")
     ia = sub.position(a)
     bases, scales = zip(*map(_unscaled, potentials))
-    # Per potential: (strategy, log Z values, log_norm, prefixes).
-    found = [None] * len(potentials)
-    shifts = [0.0] * len(potentials)
+    out: list[Optional[PartitionSeries]] = [None] * len(potentials)
     ps = bases[0].pair_structure()
     if ps is not None:
         table = PairTable(sub, ps)
-        # A scaled pair structure's offset(n) is t times the base's.
+        # A scaled pair structure's offset(n) is t times the base's, the
+        # product computed here; 1.0 times a float is that float.
         offsets = [ps.offset(n) for n in range(1, n_max + 1)]
         per = max(1, _STACK_BYTES // (8 * sub.size ** 2))
         for lo in range(0, len(potentials), per):
-            stack, shifts[lo:lo + per] = table.matrices(scales[lo:lo + per])
+            stack, shifts = table.matrices(scales[lo:lo + per])
             diagonals = scaled_power_diagonal(stack, ia, n_max)
-            for k, W, diagonal in zip(range(lo, lo + per), stack, diagonals):
+            for k, W, diagonal, shift in zip(range(lo, lo + per), stack, diagonals, shifts):
+                t = scales[k]
+                values = tuple(
+                    t * offset + v if v != NEG_INF else NEG_INF
+                    for offset, v in zip(offsets, diagonal)
+                )
                 op = TransferOperator("pair", W, 1, potentials[k].pair_structure().offset)
-                found[k] = _iterated(op, diagonal, scales[k], offsets)
+                out[k] = PartitionSeries(a, values, sub.size, "pair", op.log_norm(), shift=shift)
     else:
         for k, p in enumerate(potentials):
             op = transfer_operator(sub, p)
             if op is not None:
+                # Without a pair structure the operator is the block one, of offset 0.
                 block = slice(ia * op.d, (ia + 1) * op.d)
-                offsets = [op.offset(n) for n in range(1, n_max + 1)]
-                found[k] = _iterated(op, scaled_power_diagonal(op.B, block, n_max), 1.0, offsets)
-    walked = [k for k, route in enumerate(found) if route is None]
+                values = tuple(scaled_power_diagonal(op.B, block, n_max))
+                out[k] = PartitionSeries(a, values, sub.size, "block", op.log_norm())
+    walked = [k for k, series in enumerate(out) if series is None]
     if walked:
         enumerated, prefixes = _enumerated_values(
             sub, bases[0].word_hooks(sub), [scales[k] for k in walked], n_max, a, cap
         )
         for k, values in zip(walked, enumerated):
-            found[k] = ("enumerate", values, None, prefixes)
-    out = []
-    for (kind, values, log_norm, prefixes), shift in zip(found, shifts):
-        entries = tuple(enumerate(values, start=1))
-        out.append(PartitionSeries(
-            base_symbol=a,
-            entries=entries,
-            truncation_size=sub.size,
-            strategy=kind,
-            empty_levels=tuple(n for n, v in entries if v == NEG_INF),
-            log_norm=log_norm,
-            prefixes=prefixes,
-            shift=shift,
-        ))
+            out[k] = PartitionSeries(a, tuple(values), sub.size, "enumerate", prefixes=prefixes)
     return out
-
-
-def _iterated(op: TransferOperator, diagonal: list[float], t: float, offsets: list[float]):
-    """(strategy, log Z values, log_norm, prefixes) of a series from op's diagonal.
-
-    op.offset(n) is t * offsets[n - 1], the product it computes itself; 1.0
-    times a float is that float.
-    """
-    values = [
-        t * offset + v if v != NEG_INF else NEG_INF
-        for offset, v in zip(offsets, diagonal)
-    ]
-    return op.kind, values, op.log_norm(), 0
 
 
 def _enumerated_values(sub, hooks, scales, n_max, a, cap):
@@ -281,13 +261,21 @@ class PressureEstimate:
     series: PartitionSeries
 
 
-def _slope_value(slopes: tuple[tuple[int, float], ...], slope_window: int):
-    if not slopes:
+def _slope_fit(values: Sequence[float], slope_window: int) -> tuple[float, float]:
+    """(mean, span) of the last slope_window slopes between consecutive finite levels.
+
+    Walks back from the last level; the window is that of
+    PartitionSeries.slopes()[-slope_window:], and (-inf, inf) when it is empty.
+    """
+    window = []
+    n = len(values) - 1
+    while n > 0 and len(window) < slope_window:
+        if math.isfinite(values[n]) and math.isfinite(values[n - 1]):
+            window.append(values[n] - values[n - 1])
+        n -= 1
+    if not window:
         return NEG_INF, math.inf
-    window = [s for _, s in slopes[-slope_window:]]
-    value = math.fsum(window) / len(window)
-    span = max(window) - min(window)
-    return value, span
+    return math.fsum(window) / len(window), max(window) - min(window)
 
 
 def _doubling_growths(levels: Sequence[int], values: Sequence[float]) -> list[float]:
@@ -383,19 +371,16 @@ def _estimates(
                 "no surviving symbol leads to it, or none follows it"
             )
         series_list = _scaled_series(sub, potentials, n_max, a, cap)
-        slopes_list = [series.slopes() for series in series_list]
-        fits = [_slope_value(slopes, slope_window) for slopes in slopes_list]
+        fits = [_slope_fit(series.values, slope_window) for series in series_list]
         for levels, series, (value_m, _) in zip(per_level, series_list, fits):
             levels.append((m, value_m + series.shift if series.shift else value_m))
     m = m_list[-1]
     out = []
-    for p, series, slopes, (value, span), levels in zip(
-        potentials, series_list, slopes_list, fits, per_level
-    ):
+    for p, series, (value, span), levels in zip(potentials, series_list, fits, per_level):
         converged = span <= tol
         k = p.declared_C
         lower = max(
-            ((zn - k) / n for n, zn in series.entries if zn != NEG_INF),
+            ((zn - k) / n for n, zn in enumerate(series.values, 1) if zn != NEG_INF),
             default=NEG_INF,
         )
         norm = series.log_norm if series.log_norm is not None else transfer_norm(sub, p)
@@ -441,7 +426,7 @@ def _estimates(
             truncation_level=m,
             n_max=n_max,
             base_symbol=a,
-            slopes=slopes,
+            slopes=series.slopes(),
             converged=converged,
             monotone=monotone,
             diverged=diverged,

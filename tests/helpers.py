@@ -302,6 +302,23 @@ def per_potential_series(sub, p, n_max, a):
     return [logsumexp(level) for level in sums]
 
 
+def reference_slope_fit(values, slope_window):
+    """(mean, span) of the last slope_window slopes, from the whole tuple of slopes.
+
+    The fit as it read PartitionSeries.slopes(): the slopes (n, log Z_{n+1} -
+    log Z_n) of every pair of consecutive finite levels, then math.fsum of
+    the last slope_window of them; (-inf, inf) when there are none.
+    """
+    slopes = [
+        (n, b - a) for n, (a, b) in enumerate(zip(values, values[1:]), 1)
+        if math.isfinite(a) and math.isfinite(b)
+    ]
+    if not slopes:
+        return -math.inf, math.inf
+    window = [s for _, s in slopes[-slope_window:]]
+    return math.fsum(window) / len(window), max(window) - min(window)
+
+
 def per_t_curve(model, p, t_grid, **params):
     """The pressure curve as one gurevich_pressure call per t."""
     return [(t, gurevich_pressure(model, p.scaled(t), **params)) for t in t_grid]
@@ -371,7 +388,7 @@ def growth_floor_margin(series: PartitionSeries, sub, p: PotentialSequence) -> f
     log_beta = min(p.log_inf_f1(s, sub) for s in sub.symbols)
     c = p.declared_C
     margin = math.inf
-    for n, zn in series.entries:
+    for n, zn in enumerate(series.values, 1):
         if zn == NEG_INF:
             continue
         margin = min(margin, zn - (n * log_beta - (n - 1) * c))

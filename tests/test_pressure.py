@@ -25,6 +25,7 @@ from helpers import (
     per_potential_series,
     per_t_curve,
     power_law_sum,
+    reference_slope_fit,
     symbol_independence_check,
 )
 from thermoshift import shift_core
@@ -58,6 +59,7 @@ from thermoshift.pressure import (
     pressure_curve,
     transfer_norm,
 )
+from thermoshift.pressure import _slope_fit
 from thermoshift.shift_core import (
     star_shift,
     full_shift,
@@ -106,7 +108,7 @@ def test_empty_periodic_levels_are_neg_inf_not_errors():
     sub = truncate(renewal_shift(), 3)
     z = zero_potential(renewal_shift())
     series = partition_series(sub, z, 4, 3)
-    assert series.empty_levels == (1, 2)
+    assert series.values[:2] == (-math.inf, -math.inf)
     assert series.log_z(1) == -math.inf
     # Unique cycles 3->2->1(->3) and 3->2->1->1(->3).
     assert series.log_z(3) == pytest.approx(0.0, abs=1e-12)
@@ -120,7 +122,7 @@ def test_strategies_agree_pair_vs_enumeration():
     fast = partition_series(sub, p, 12, 1)
     slow = partition_series(sub, HiddenStructure(p), 12, 1)
     assert fast.strategy == "pair" and slow.strategy == "enumerate"
-    for (n, a), (_, b) in zip(fast.entries, slow.entries):
+    for n, (a, b) in enumerate(zip(fast.values, slow.values), 1):
         assert a == pytest.approx(b, abs=1e-10), f"mismatch at n={n}"
 
 
@@ -133,7 +135,7 @@ def test_strategies_agree_block_vs_enumeration():
     fast = partition_series(sub, p, 10, 1)
     slow = partition_series(sub, HiddenStructure(p), 10, 1)
     assert fast.strategy == "block" and slow.strategy == "enumerate"
-    for (n, a), (_, b) in zip(fast.entries, slow.entries):
+    for n, (a, b) in enumerate(zip(fast.values, slow.values), 1):
         assert a == pytest.approx(b, rel=1e-10), f"mismatch at n={n}"
 
 
@@ -242,7 +244,7 @@ def test_level_walk_matches_brute_force(case):
     _, sub, p, n_max, a, weight = case
     series = partition_series(sub, p, n_max, a)
     assert series.strategy == "enumerate"
-    for n, value in series.entries:
+    for n, value in enumerate(series.values, 1):
         expected = brute_log_z(sub, n, a, weight)
         if expected == -math.inf:
             assert value == -math.inf, f"n={n}"
@@ -304,7 +306,7 @@ def star_fiber_partition(m, n):
 def test_fiber_series_matches_exact_pattern_sum(m, n_max):
     sub = truncate(star_shift(), m)
     series = partition_series(sub, fiber_count_potential(), n_max, 1)
-    for n, value in series.entries:
+    for n, value in enumerate(series.values, 1):
         assert value == pytest.approx(math.log(star_fiber_partition(m, n)), rel=1e-13), f"n={n}"
     ones = np.ones(sub.size, dtype=object)
     words = sum(walk_counts(sub, k, ones)[sub.position(1)] for k in range(1, n_max))
@@ -336,7 +338,7 @@ def test_fiber_series_matches_the_word_walk(m):
     sub = truncate(star_shift(), m)
     for t in (0.5, 1.0, 2.0):
         p = fiber_count_potential().scaled(t)
-        merged = [v for _, v in partition_series(sub, p, 6, 1).entries]
+        merged = list(partition_series(sub, p, 6, 1).values)
         # The word walk closes the same words in more slices, so it may round differently.
         assert merged == pytest.approx(per_potential_series(sub, p, 6, 1), rel=1e-15, abs=0)
 
@@ -347,7 +349,7 @@ def test_fiber_series_is_merged_whatever_the_cap():
     p = fiber_count_potential().scaled(2.0)
     default = partition_series(sub, p, 7, 1)
     huge = partition_series(sub, p, 7, 1, cap=2 ** 64)
-    assert repr(huge.entries) == repr(default.entries)
+    assert repr(huge.values) == repr(default.values)
     assert huge.prefixes == default.prefixes
 
 
@@ -478,6 +480,31 @@ def test_slope_window_and_divergence_run_below_one_are_rejected(param):
     model = full_shift()
     with pytest.raises(ValueError, match=param):
         gurevich_pressure(model, zero_potential(model), m_list=[2], n_max=4, **{param: 0})
+
+
+def slope_fit_cases():
+    renewal = renewal_shift()
+    # Levels 1 and 2 are -inf: no periodic word of length 1 or 2 from 3.
+    yield "renewal m=3 from 3", partition_series(truncate(renewal, 3), zero_potential(renewal), 12, 3).values
+    # A nilpotent chain's whole entry sum: levels 5 on are -inf.
+    chain = np.triu(np.random.default_rng(3).random((5, 5)) + 0.1, 1)
+    yield "nilpotent chain", tuple(scaled_power_diagonal(chain, slice(0, 5), 12))
+    yield "holes", (0.25, -math.inf, 0.5, 0.875, -math.inf, 1.25, 1.75, math.inf, 2.0)
+    for n_max in (1, 2):
+        yield f"n_max={n_max}", partition_series(truncate(full_shift(), 4), weighted_third(), n_max, 1).values
+    d = [[0.468, 0.408, 0.001], [0.429, 0.017, 0.365], [0.088, 0.432, 0.271]]
+    p = birkhoff_potential(lambda i, j: -800.0 + d[i - 1][j - 1], full_shift())
+    shifted = partition_series(truncate(full_shift(), 3), p, 12, 1)
+    assert shifted.shift == -800.0 + 0.468
+    yield "shifted", shifted.values
+
+
+@pytest.mark.parametrize("case", list(slope_fit_cases()), ids=lambda case: case[0])
+def test_slope_fit_reads_the_values_as_the_slopes_tuple_did(case):
+    _, values = case
+    # Windows from one slope to two past the number of levels.
+    for window in range(1, len(values) + 2):
+        assert repr(_slope_fit(values, window)) == repr(reference_slope_fit(values, window)), window
 
 
 def test_slope_diagnostics_cover_final_window():
@@ -664,8 +691,8 @@ def curve_cases():
 
 def estimate_fields(est):
     return (est.value, est.lower, est.upper, est.slopes, est.truncation_values,
-            est.series.entries, est.series.strategy, est.series.log_norm,
-            est.series.prefixes, est.series.empty_levels, est.truncation_level,
+            est.series.values, est.series.strategy, est.series.log_norm,
+            est.series.prefixes, est.truncation_level,
             est.converged, est.monotone, est.diverged)
 
 
@@ -730,7 +757,7 @@ def test_curve_matches_per_t_loop_bit_for_bit(case):
         assert repr(estimate_fields(est)) == repr(estimate_fields(ref)), f"t={t}"
         sub = mixed_truncation(model, est.truncation_level)
         alone = per_potential_series(sub, p.scaled(t), est.n_max, est.base_symbol)
-        assert repr([v for _, v in est.series.entries]) == repr(alone), f"t={t}"
+        assert repr(list(est.series.values)) == repr(alone), f"t={t}"
     strategies = {est.series.strategy for _, est in curve}
     if case[0] == "cocycle d=2 k=3":
         assert strategies == {"block", "enumerate"}
@@ -955,7 +982,7 @@ def test_underflowing_weights_are_factored_out_of_their_t_alone():
         # The factored weights are 1 into symbol 1 and at most 3^-t elsewhere,
         # so each factored log Z_n rounds to 0.0.
         assert est.series.shift == c
-        assert [v for _, v in est.series.entries] == [0.0] * 12
+        assert est.series.values == (0.0,) * 12
         assert [est.series.log_z(n) for n in range(1, 13)] == [n * c for n in range(1, 13)]
         assert est.series.log_norm == 0.0
         assert est.value == pytest.approx(-t * math.log(3.0), abs=1e-9)
@@ -977,7 +1004,7 @@ def test_underflow_shift_rounds_both_bounds_outward():
     est = gurevich_pressure(full_shift(), p, m_list=[3], n_max=12)
     c, norm = est.series.shift, est.series.log_norm
     assert c == -800.0 + 0.468
-    lower = max((zn - 800.0) / n for n, zn in est.series.entries)
+    lower = max((zn - 800.0) / n for n, zn in enumerate(est.series.values, 1))
     assert lower != 0.0
     exact_lower = Fraction(lower) + Fraction(c)
     exact_upper = 800 + Fraction(norm) + Fraction(c) + Fraction(3 + 2, 2 ** 52)
@@ -1014,11 +1041,12 @@ def test_curve_weighs_each_arc_once_per_truncation():
 
 
 def test_slopes_are_computed_once_per_series(monkeypatch):
+    # The fits read the values; only the estimate's own series builds its slopes.
     calls = []
     slopes = PartitionSeries.slopes
     monkeypatch.setattr(PartitionSeries, "slopes", lambda self: calls.append(self) or slopes(self))
     est = gurevich_pressure(full_shift(), weighted_third(), m_list=[4, 8, 16], n_max=12)
-    assert len(calls) == 3
+    assert len(calls) == 1 and calls[0] is est.series
     assert est.slopes == slopes(est.series)
 
 
