@@ -7,21 +7,11 @@ exposes arc or matrix-product structure) or by enumerating the periodic
 words with the potential's word hooks. The growth rate is extracted from
 trailing slopes log Z_{n+1} - log Z_n, which converge geometrically, and is
 bracketed from below by the near-superadditivity bound and from above by the
-transfer-operator bound.
+transfer-operator bound, each padded by a bound on its rounding error.
 
 A pressure curve t -> P(t p) is computed one truncation at a time for every
-t at once, in ascending m; gurevich_pressure is its one-t case. Pair
-potentials evaluate the base's arc values once per truncation, weigh each t
-by math.exp(t * L), and iterate the T transfer matrices as (T, m, m) stacks
-that fit in cache, one np.matmul per level, each matrix until its own
-floating-point cycle; the base's offsets are evaluated once per truncation,
-and each t scales them. Potentials that are enumerated
-(the fiber count, a cocycle at t != 1) are walked once (shift_core.walk):
-each slice is closed once and each t takes the logsumexp of t times the
-closed values. The walk merges the fiber count's rows of equal last symbol
-and preimage counts, each row counting once per word it stands for, so its
-values group by the merged slices, not by slices of one row per word. Every
-t gets the bits it gets when estimated alone.
+t at once, in ascending m (_scaled_series); gurevich_pressure is its one-t
+case. Every t gets the bits it gets when estimated alone.
 """
 
 from __future__ import annotations
@@ -29,6 +19,7 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional, Sequence
 
 import numpy as np
@@ -69,9 +60,10 @@ class PartitionSeries:
 
     values[n - 1] is log Z_n, -inf for a length with no periodic word.
     shift is 0.0 unless the largest transfer weight of a pair potential
-    underflows (PairTable.matrices); it is then the c factored out of every weight, and
-    values, slopes and log_norm are those of the factored weights: log Z_n
-    is the value plus n * c, and each slope and log_norm are short by c.
+    underflows (PairTable.matrices); it is then the c factored out of every
+    weight, and values and log_norm are those of the factored weights:
+    log_z(n) is values[n - 1] plus n * c, log_norm is short by c, and each
+    of slopes() has c added back.
     """
 
     base_symbol: int
@@ -93,13 +85,15 @@ class PartitionSeries:
         return len(self.values)
 
     def slopes(self) -> tuple[tuple[int, float], ...]:
-        """(n, log Z_{n+1} - log Z_n) for consecutive finite levels."""
-        v = self.values
-        return tuple(
-            (n, v[n] - v[n - 1])
-            for n in range(1, len(v))
-            if math.isfinite(v[n - 1]) and math.isfinite(v[n])
-        )
+        """(n, log Z_{n+1} - log Z_n) for consecutive finite levels, shift included."""
+        return tuple((n, s + self.shift) for n, s in reversed(list(_slopes_back(self.values))))
+
+
+def _slopes_back(values: Sequence[float]):
+    """(n, values[n] - values[n - 1]) for consecutive finite levels, from the last back."""
+    for n in range(len(values) - 1, 0, -1):
+        if math.isfinite(values[n]) and math.isfinite(values[n - 1]):
+            yield n, values[n] - values[n - 1]
 
 
 def partition_series(
@@ -128,14 +122,13 @@ def _scaled_series(sub, potentials, n_max, a, cap) -> list[PartitionSeries]:
     """partition_series of each potential, all of them scalings t*base of one base.
 
     Each route runs once for all of them. Pair potentials evaluate the base's
-    arc values once and iterate their transfer matrices as (T, m, m) stacks
-    of at most _STACK_BYTES, with the base's offset(n) evaluated once for
-    all t; a t whose largest weight underflows iterates its
-    matrix with the largest weight e^c factored out, and its series keeps c
-    as its shift. A block potential (a matrix-product norm at
-    scale one) iterates its own matrix. The rest share one walk: the base's
-    hooks close each slice once, and each t takes the logsumexp of t times
-    those values. Each series has the bits it has when computed alone.
+    arc values and offset(n) once and iterate their transfer matrices as
+    (T, m, m) stacks of at most _STACK_BYTES; a t whose largest weight
+    underflows has it, e^c, factored out and keeps c as its shift. A block
+    potential (a matrix-product norm at scale one) iterates its own matrix.
+    The rest share one walk: the base's hooks close each slice once, and
+    each t takes the logsumexp of t times those values. Each series has the
+    bits it has when computed alone.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
@@ -153,12 +146,8 @@ def _scaled_series(sub, potentials, n_max, a, cap) -> list[PartitionSeries]:
             stack, shifts = table.matrices(scales[lo:lo + per])
             diagonals = scaled_power_diagonal(stack, ia, n_max)
             for k, W, diagonal, shift in zip(range(lo, lo + per), stack, diagonals, shifts):
-                t = scales[k]
-                values = tuple(
-                    t * offset + v if v != NEG_INF else NEG_INF
-                    for offset, v in zip(offsets, diagonal)
-                )
-                op = TransferOperator("pair", W, 1, potentials[k].pair_structure().offset)
+                t, op = scales[k], TransferOperator("pair", W, 1, potentials[k].pair_structure().offset)
+                values = tuple(t * o + v if v != NEG_INF else NEG_INF for o, v in zip(offsets, diagonal))
                 out[k] = PartitionSeries(a, values, sub.size, "pair", op.log_norm(), shift=shift)
     else:
         for k, p in enumerate(potentials):
@@ -243,8 +232,30 @@ def transfer_norm(sub: FiniteSubshift, p: PotentialSequence) -> float:
 class PressureEstimate:
     """Pressure value with brackets and convergence diagnostics.
 
-    value is +inf when the divergence policy fires; lower and upper refer to
-    the largest truncation, as do the slope diagnostics.
+    All refer to the largest truncation m. value is the mean of the last
+    slope_window slopes between finite levels, moved into [lower, upper] if
+    outside, or +inf when the divergence policy fires; truncation_values
+    holds each truncation's fit as fitted, and slopes is series.slopes().
+
+    With x_n the computed log Z_n, C = declared_C, N the series' log_norm
+    (transfer_norm when enumerated), K = m d^2, c the shift and t the scale,
+    lower rounds (x_n - C - e_n - 2^-51 (|x_n| + |C|)) / n down at the n
+    where (x_n - C) / n is largest, and upper rounds C + N' + e_1(N) +
+    2^-51 (|N'| + |C|) up, N' being N with c and the tail added. To first
+    order in u = 2^-53, |x_n - log Z_n| is at most
+
+        e_n = 2^-52 (n (K + 2 + 2 log K + 1.5 |c| + |t|) + (n + 7) A_n),
+        A_n = |x_n| + |t offset(n)| + n max(0, N - t offset(1)):
+
+    (n + 2) u times the sizes of the n + 1 logs (at most A_n + n max(0, N)
+    in all) for the logs and their running sum; (K + 1) u a level for its
+    K-term sums and division; and for the arc values, each log w within
+    u (3 |tL| + |tL - c| + 2 |t| + 2) (lambda, its log, t * L, less c,
+    exp), at most u (4 (n log K + A_n + n max(0, N)) + n (3 |c| + 2 |t| +
+    2)) once each word is weighed by its share of Z_n (Hoelder). e_1(N)
+    bounds N's error alike. An enumerated series gets the same pad without
+    its own proof, and a weight below the smallest normal float (off by up
+    to u times the largest) is left out.
     """
 
     value: float
@@ -262,30 +273,11 @@ class PressureEstimate:
 
 
 def _slope_fit(values: Sequence[float], slope_window: int) -> tuple[float, float]:
-    """(mean, span) of the last slope_window slopes between consecutive finite levels.
-
-    Walks back from the last level; the window is that of
-    PartitionSeries.slopes()[-slope_window:], and (-inf, inf) when it is empty.
-    """
-    window = []
-    n = len(values) - 1
-    while n > 0 and len(window) < slope_window:
-        if math.isfinite(values[n]) and math.isfinite(values[n - 1]):
-            window.append(values[n] - values[n - 1])
-        n -= 1
+    """(mean, span) of the last slope_window slopes, (-inf, inf) with none; no shift added."""
+    window = [s for _, s in islice(_slopes_back(values), slope_window)]
     if not window:
         return NEG_INF, math.inf
     return math.fsum(window) / len(window), max(window) - min(window)
-
-
-def _doubling_growths(levels: Sequence[int], values: Sequence[float]) -> list[float]:
-    growths = []
-    for (m0, v0), (m1, v1) in zip(zip(levels, values), zip(levels[1:], values[1:])):
-        if not (math.isfinite(v0) and math.isfinite(v1)) or m1 <= m0:
-            growths.append(math.nan)
-            continue
-        growths.append((v1 - v0) / math.log2(m1 / m0))
-    return growths
 
 
 def mixed_truncation(model: TransitionModel, m: int) -> FiniteSubshift:
@@ -300,9 +292,7 @@ def mixed_truncation(model: TransitionModel, m: int) -> FiniteSubshift:
     if sub is None:
         sub = truncate(model, m)
         if not check_mixing(sub):
-            raise NonMixingTruncationError(
-                f"truncation m={m} of model {model.name} is not mixing"
-            )
+            raise NonMixingTruncationError(f"truncation m={m} of model {model.name} is not mixing")
         sub.matrix.flags.writeable = False
         model._mixed[m] = sub
     return sub
@@ -321,11 +311,11 @@ def gurevich_pressure(
 
     Every truncation must be mixing (raises NonMixingTruncationError naming
     the level otherwise) and keep the base symbol (raises SymbolDomainError
-    naming the level where truncate pruned it). The value is the
-    trailing-slope estimate at the largest truncation; it is declared +inf
-    when the per-doubling growth of the truncation estimates stays at or
-    above divergence_threshold for divergence_run consecutive steps. This is the one-potential case of the
-    estimator behind pressure_curve.
+    naming the level where truncate pruned it). The value (PressureEstimate)
+    is declared +inf when the per-doubling growth of the truncation fits
+    stays at or above divergence_threshold for divergence_run consecutive
+    steps. This is the one-potential case of the estimator behind
+    pressure_curve.
     """
     check_estimate_params("gurevich_pressure", params)
     return _estimates(model, [p], **params)[0]
@@ -357,12 +347,10 @@ def _estimates(
     if a is None:
         a = model.first_symbol
     if m_list is None:
-        if model.alphabet_size is not None:
-            m_list = [model.alphabet_size]
-        else:
-            m_list = [8, 16, 32]
+        m_list = [8, 16, 32] if model.alphabet_size is None else [model.alphabet_size]
     m_list = sorted(m_list)
-    per_level: list[list[tuple[int, float]]] = [[] for _ in potentials]
+    # Per potential, the fit at each truncation, the factored c added back.
+    per_level: list[list[float]] = [[] for _ in potentials]
     for m in m_list:
         sub = mixed_truncation(model, m)
         if a in sub.dropped:
@@ -373,52 +361,56 @@ def _estimates(
         series_list = _scaled_series(sub, potentials, n_max, a, cap)
         fits = [_slope_fit(series.values, slope_window) for series in series_list]
         for levels, series, (value_m, _) in zip(per_level, series_list, fits):
-            levels.append((m, value_m + series.shift if series.shift else value_m))
+            levels.append(value_m + series.shift if series.shift else value_m)
     m = m_list[-1]
     out = []
     for p, series, (value, span), levels in zip(potentials, series_list, fits, per_level):
-        converged = span <= tol
-        k = p.declared_C
-        lower = max(
-            ((zn - k) / n for n, zn in enumerate(series.values, 1) if zn != NEG_INF),
-            default=NEG_INF,
-        )
+        k, c = p.declared_C, series.shift
+        base, t = _unscaled(p)
+        blocks = base.block_entries()
+        terms = sub.size * (blocks[1] ** 2 if blocks else 1)
+        offset = p.pair_structure().offset if series.strategy == "pair" else (lambda n: 0.0)
         norm = series.log_norm if series.log_norm is not None else transfer_norm(sub, p)
-        if series.shift:
+        growth = max(norm - offset(1), 0.0)
+
+        def rounding(n: int, z: float) -> float:
+            """e_n of PressureEstimate for a log Z_n computed as z."""
+            return 2.0 ** -52 * (
+                n * (terms + 2 + 2 * math.log(terms) + 1.5 * abs(c) + abs(t))
+                + (n + 7) * (abs(z) + abs(offset(n)) + n * growth)
+            )
+        finite = [((z - k) / n, n, z) for n, z in enumerate(series.values, 1) if z != NEG_INF]
+        lower = NEG_INF
+        if finite:
+            _, n, z = max(finite)
+            lower = math.nextafter((z - k - rounding(n, z) - 2.0 ** -51 * (abs(z) + abs(k))) / n, NEG_INF)
+        pad = rounding(1, norm)
+        if c:
             # The fit and both bounds add back the factored c once, the
             # bounds rounded outward.
-            value += series.shift
-            lower = math.nextafter(lower + series.shift, NEG_INF)
-            norm = math.nextafter(norm + series.shift, math.inf)
+            value += c
+            lower = math.nextafter(lower + c, NEG_INF)
+            norm = math.nextafter(norm + c, math.inf)
         # Symbols beyond the truncation add at most the potential's known tail
         # to every column sum; without one the bracket covers the truncation only.
         tail_f1 = p.sup_f1_tail(m) if model.alphabet_size is None or m < model.alphabet_size else None
         if tail_f1 is not None and tail_f1 > 0:
             norm = logsumexp((norm, math.log(tail_f1)))
-        # norm is the log of a column sum of at most m*d*d positive terms
-        # (exp-rounded pair weights, or block entries), so the sum is off by a
-        # relative error below (m*d*d + 2) * 2**-52. Pad by that and round up,
-        # so that rounding never moves the bracket inward. A factored weight
-        # exp(t * L - c), c < -708, takes t * L - c exactly wherever t * L is
-        # above 2c, and below it the weight is under e^-708 of the largest.
-        d = p.block_entries()[1] if series.strategy == "block" else 1
-        upper = math.nextafter(
-            p.declared_C + norm + (sub.size * d * d + 2) * 2.0 ** -52, math.inf
+        upper = math.nextafter(k + norm + pad + 2.0 ** -51 * (abs(norm) + abs(k)), math.inf)
+        monotone = all(b >= a_prev - tol for a_prev, b in zip(levels, levels[1:]))
+        # Per doubling of m, the growth of the fit; nan for a repeated m.
+        growths = [
+            (v1 - v0) / math.log2(m1 / m0) if m1 > m0 else math.nan
+            for (m0, v0), (m1, v1) in zip(zip(m_list, levels), zip(m_list[1:], levels[1:]))
+        ]
+        diverged = len(growths) >= divergence_run and all(
+            math.isfinite(g) and g >= divergence_threshold for g in growths[-divergence_run:]
         )
-        values_only = [v for _, v in levels]
-        monotone = all(
-            b >= a_prev - tol for a_prev, b in zip(values_only, values_only[1:])
-        )
-        growths = _doubling_growths(m_list, values_only)
-        diverged = False
-        if len(growths) >= divergence_run:
-            tail = growths[-divergence_run:]
-            diverged = all(
-                math.isfinite(g) and g >= divergence_threshold for g in tail
-            )
+        converged = not diverged and span <= tol
         if diverged:
             value = math.inf
-            converged = False
+        elif lower <= upper:
+            value = min(max(value, lower), upper)
         out.append(PressureEstimate(
             value=value,
             lower=lower,
@@ -430,7 +422,7 @@ def _estimates(
             converged=converged,
             monotone=monotone,
             diverged=diverged,
-            truncation_values=tuple(levels),
+            truncation_values=tuple(zip(m_list, levels)),
             series=series,
         ))
     return out
@@ -462,9 +454,7 @@ def pressure_curve(
 
     Takes gurevich_pressure's keyword parameters, and gives each t the
     estimate gurevich_pressure(model, p.scaled(t), **params) gives, bit for
-    bit. The work is shared: each truncation is built once and serves every
-    t, pair potentials iterate their transfer matrices as stacks, and
-    potentials that are enumerated are walked once for all t.
+    bit; each truncation is built once and serves every t (_scaled_series).
     """
     check_estimate_params("pressure_curve", params)
     ts = list(t_grid)
@@ -482,9 +472,7 @@ def curve_second_differences(
     divergent are excluded.
     """
     pts = [(t, e.value) for t, e in curve if math.isfinite(e.value)]
-    out = []
-    for (t0, v0), (t1, v1), (t2, v2) in zip(pts, pts[1:], pts[2:]):
-        d01 = (v1 - v0) / (t1 - t0)
-        d12 = (v2 - v1) / (t2 - t1)
-        out.append(d12 - d01)
-    return out
+    return [
+        (v2 - v1) / (t2 - t1) - (v1 - v0) / (t1 - t0)
+        for (t0, v0), (t1, v1), (t2, v2) in zip(pts, pts[1:], pts[2:])
+    ]

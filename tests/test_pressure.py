@@ -5,9 +5,12 @@ radii from numpy eigendecompositions) serve as independent oracles for the
 enumeration and slope-estimation code paths.
 """
 
+import csv
 import itertools
+import json
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -28,7 +31,7 @@ from helpers import (
     reference_slope_fit,
     symbol_independence_check,
 )
-from thermoshift import shift_core
+from thermoshift import cli, shift_core
 from thermoshift.gibbs import finite_gibbs_nu
 from thermoshift.dimension import bowen_dimension, product_construction
 from thermoshift.matrix_cocycle import cocycle_pressure
@@ -518,6 +521,44 @@ def test_slope_diagnostics_cover_final_window():
 
 # -- brackets ------------------------------------------------------------------
 
+def closed_form_brackets(tmp_path):
+    """(name, value, lower, upper, exact P) of estimates whose pressure has a closed form.
+
+    P is a Decimal: t log 3 for the scalar cocycle [[3]] on one loop, and
+    log(3^-t / (1 - 3^-t)) for the weighted full shift with lambda(a) = 3^-a.
+    """
+    loop = model_from_arcs([(1, 1)])
+    scalar = cocycle_potential(MatrixFamily(1, {1: np.array([[3.0]])}), loop)
+    for t, est in pressure_curve(loop, scalar, [0.5, 0.953749, 1.0, 1.520372, 2.00515, 2.5], n_max=20):
+        yield f"scalar cocycle t={t}", est.value, est.lower, est.upper, Decimal(t) * Decimal(3).ln()
+    # The geometric tail closes the bracket on the countable shift. At t = 454.398 an
+    # upper bound padded for the column sum alone falls short of P; t = 700 is factored.
+    grid = [30.0, 123.4, 300.0, 454.398, 555.5, 700.0]
+    for t, est in pressure_curve(full_shift(), weighted_third(), grid, m_list=[20]):
+        x = Decimal(3) ** -Decimal(t)
+        yield f"weighted t={t}", est.value, est.lower, est.upper, (x / (1 - x)).ln()
+    # One level has no slope to fit.
+    path = tmp_path / "n_max_1.json"
+    path.write_text(json.dumps({
+        "model": {"name": "full"},
+        "potential": {"kind": "weighted", "lambda": {"geometric": {"base": 3}}},
+        "params": {"truncations": [4, 8], "n_max": 1},
+    }))
+    cli.main(["pressure", "--model", str(path), "--out", str(tmp_path)])
+    with open(tmp_path / "estimate.csv", newline="") as fh:
+        row = next(csv.DictReader(fh))
+    yield "n_max 1 file", *(float(row[key]) for key in ("value", "lower", "upper")), -Decimal(2).ln()
+
+
+def test_brackets_contain_closed_form_pressures_exactly(tmp_path):
+    # Decimal logs at 60 digits against the floats' exact values, no tolerance.
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for name, value, lower, upper, exact in closed_form_brackets(tmp_path):
+            assert Decimal(lower) <= exact <= Decimal(upper), name
+            assert lower <= value <= upper, name
+
+
 def test_near_superadditivity_of_counting_series():
     sub = truncate(golden_mean_shift(), 2)
     series = partition_series(sub, zero_potential(golden_mean_shift()), 16, 1)
@@ -984,6 +1025,8 @@ def test_underflowing_weights_are_factored_out_of_their_t_alone():
         assert est.series.shift == c
         assert est.series.values == (0.0,) * 12
         assert [est.series.log_z(n) for n in range(1, 13)] == [n * c for n in range(1, 13)]
+        # Each reported slope is log Z_{n+1} - log Z_n, c included.
+        assert est.slopes == tuple((n, c) for n in range(1, 12))
         assert est.series.log_norm == 0.0
         assert est.value == pytest.approx(-t * math.log(3.0), abs=1e-9)
         assert est.lower <= -t * math.log(3.0) <= est.upper
