@@ -54,11 +54,25 @@ def digests(src: str, fixture: Path, command: str) -> list[str]:
     return lines
 
 
+def imported_from(src: str) -> str:
+    """The file thermoshift is imported from with PYTHONPATH=src."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import thermoshift; print(thermoshift.__file__)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
+    )
+    return proc.stdout.strip()
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
         return 2
     src = os.path.abspath(argv[0])
+    # An installed copy of the package must not stand in for SRC_DIR's.
+    found = imported_from(src)
+    if not found.startswith(os.path.join(src, "")):
+        print(f"error: thermoshift is imported from {found}, not from {src}", file=sys.stderr)
+        return 2
     for fixture in sorted(FIXTURES.glob("*.json")):
         for command in COMMANDS:
             print("\n".join(digests(src, fixture, command)), flush=True)
