@@ -255,9 +255,10 @@ def _normalized(vec: np.ndarray) -> tuple[np.ndarray, float]:
 class GibbsCylinderMeasure:
     """Finite-approximation measure: level-l masses proportional to cylinder weights.
 
-    Masses of shorter words are marginal sums. Small levels are enumerated
-    explicitly; large levels fall back to suffix-vector recursions that need
-    the potential's pair or matrix-product structure.
+    Masses of shorter words are marginal sums. The route follows the
+    potential's structure at every level (finite_gibbs_nu): one with a
+    transfer operator (pair or matrix-product structure) uses suffix-vector
+    recursions, and any other has its level enumerated explicitly.
     """
 
     kind = "empirical-cylinder"
