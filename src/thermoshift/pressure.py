@@ -10,8 +10,18 @@ bracketed from below by the near-superadditivity bound and from above by the
 transfer-operator bound, each padded by a bound on its rounding error.
 
 A pressure curve t -> P(t p) is computed one truncation at a time for every
-t at once, in ascending m (_scaled_series); gurevich_pressure is its one-t
-case. Every t gets the bits it gets when estimated alone.
+t at once, in ascending m; gurevich_pressure is its one-t case. Pair
+potentials evaluate the base's arc values once per truncation, weigh each t
+by math.exp(t * L), and iterate the T transfer matrices as (T, m, m) stacks
+that fit in cache, one np.matmul per level, each matrix until its own
+floating-point cycle; the base's offsets are evaluated once per truncation,
+and each t scales them. Potentials that are enumerated
+(the fiber count, a cocycle at t != 1) are walked once (shift_core.walk):
+each slice is closed once and each t takes the logsumexp of t times the
+closed values. The walk merges the fiber count's rows of equal last symbol
+and preimage counts, each row counting once per word it stands for, so its
+values group by the merged slices, not by slices of one row per word. Every
+t gets the bits it gets when estimated alone.
 """
 
 from __future__ import annotations
@@ -19,7 +29,6 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass
-from itertools import islice
 from typing import Optional, Sequence
 
 import numpy as np
@@ -86,14 +95,12 @@ class PartitionSeries:
 
     def slopes(self) -> tuple[tuple[int, float], ...]:
         """(n, log Z_{n+1} - log Z_n) for consecutive finite levels, shift included."""
-        return tuple((n, s + self.shift) for n, s in reversed(list(_slopes_back(self.values))))
-
-
-def _slopes_back(values: Sequence[float]):
-    """(n, values[n] - values[n - 1]) for consecutive finite levels, from the last back."""
-    for n in range(len(values) - 1, 0, -1):
-        if math.isfinite(values[n]) and math.isfinite(values[n - 1]):
-            yield n, values[n] - values[n - 1]
+        v, c = self.values, self.shift
+        return tuple(
+            (n, v[n] - v[n - 1] + c)
+            for n in range(1, len(v))
+            if math.isfinite(v[n - 1]) and math.isfinite(v[n])
+        )
 
 
 def partition_series(
@@ -273,8 +280,16 @@ class PressureEstimate:
 
 
 def _slope_fit(values: Sequence[float], slope_window: int) -> tuple[float, float]:
-    """(mean, span) of the last slope_window slopes, (-inf, inf) with none; no shift added."""
-    window = [s for _, s in islice(_slopes_back(values), slope_window)]
+    """(mean, span) of the window of PartitionSeries.slopes()[-slope_window:], shift left out.
+
+    Walks back from the last level; (-inf, inf) when the window is empty.
+    """
+    window = []
+    n = len(values) - 1
+    while n > 0 and len(window) < slope_window:
+        if math.isfinite(values[n]) and math.isfinite(values[n - 1]):
+            window.append(values[n] - values[n - 1])
+        n -= 1
     if not window:
         return NEG_INF, math.inf
     return math.fsum(window) / len(window), max(window) - min(window)
@@ -292,7 +307,9 @@ def mixed_truncation(model: TransitionModel, m: int) -> FiniteSubshift:
     if sub is None:
         sub = truncate(model, m)
         if not check_mixing(sub):
-            raise NonMixingTruncationError(f"truncation m={m} of model {model.name} is not mixing")
+            raise NonMixingTruncationError(
+                f"truncation m={m} of model {model.name} is not mixing"
+            )
         sub.matrix.flags.writeable = False
         model._mixed[m] = sub
     return sub
@@ -347,7 +364,10 @@ def _estimates(
     if a is None:
         a = model.first_symbol
     if m_list is None:
-        m_list = [8, 16, 32] if model.alphabet_size is None else [model.alphabet_size]
+        if model.alphabet_size is not None:
+            m_list = [model.alphabet_size]
+        else:
+            m_list = [8, 16, 32]
     m_list = sorted(m_list)
     # Per potential, the fit at each truncation, the factored c added back.
     per_level: list[list[float]] = [[] for _ in potentials]
@@ -363,27 +383,28 @@ def _estimates(
         for levels, series, (value_m, _) in zip(per_level, series_list, fits):
             levels.append(value_m + series.shift if series.shift else value_m)
     m = m_list[-1]
+    # The terms of a column-block sum, and the base's offset, which each t scales.
+    base = _unscaled(potentials[0])[0]
+    blocks, ps = base.block_entries(), base.pair_structure()
+    terms = sub.size * (blocks[1] ** 2 if blocks else 1)
+    offset = ps.offset if ps is not None else (lambda n: 0.0)
     out = []
     for p, series, (value, span), levels in zip(potentials, series_list, fits, per_level):
-        k, c = p.declared_C, series.shift
-        base, t = _unscaled(p)
-        blocks = base.block_entries()
-        terms = sub.size * (blocks[1] ** 2 if blocks else 1)
-        offset = p.pair_structure().offset if series.strategy == "pair" else (lambda n: 0.0)
+        k, c, t = p.declared_C, series.shift, _unscaled(p)[1]
         norm = series.log_norm if series.log_norm is not None else transfer_norm(sub, p)
-        growth = max(norm - offset(1), 0.0)
+        growth = max(norm - t * offset(1), 0.0)
 
         def rounding(n: int, z: float) -> float:
             """e_n of PressureEstimate for a log Z_n computed as z."""
             return 2.0 ** -52 * (
                 n * (terms + 2 + 2 * math.log(terms) + 1.5 * abs(c) + abs(t))
-                + (n + 7) * (abs(z) + abs(offset(n)) + n * growth)
+                + (n + 7) * (abs(z) + abs(t * offset(n)) + n * growth)
             )
-        finite = [((z - k) / n, n, z) for n, z in enumerate(series.values, 1) if z != NEG_INF]
-        lower = NEG_INF
-        if finite:
-            _, n, z = max(finite)
-            lower = math.nextafter((z - k - rounding(n, z) - 2.0 ** -51 * (abs(z) + abs(k))) / n, NEG_INF)
+        # At the n where (log Z_n - C) / n is largest; -inf when every level is.
+        quotients = [(z - k) / n if z != NEG_INF else NEG_INF for n, z in enumerate(series.values, 1)]
+        n = quotients.index(max(quotients)) + 1
+        z = series.values[n - 1]
+        lower = math.nextafter((z - k - rounding(n, z) - 2.0 ** -51 * (abs(z) + abs(k))) / n, NEG_INF)
         pad = rounding(1, norm)
         if c:
             # The fit and both bounds add back the factored c once, the
@@ -454,7 +475,9 @@ def pressure_curve(
 
     Takes gurevich_pressure's keyword parameters, and gives each t the
     estimate gurevich_pressure(model, p.scaled(t), **params) gives, bit for
-    bit; each truncation is built once and serves every t (_scaled_series).
+    bit. The work is shared: each truncation is built once and serves every
+    t, pair potentials iterate their transfer matrices as stacks, and
+    potentials that are enumerated are walked once for all t.
     """
     check_estimate_params("pressure_curve", params)
     ts = list(t_grid)
@@ -472,7 +495,9 @@ def curve_second_differences(
     divergent are excluded.
     """
     pts = [(t, e.value) for t, e in curve if math.isfinite(e.value)]
-    return [
-        (v2 - v1) / (t2 - t1) - (v1 - v0) / (t1 - t0)
-        for (t0, v0), (t1, v1), (t2, v2) in zip(pts, pts[1:], pts[2:])
-    ]
+    out = []
+    for (t0, v0), (t1, v1), (t2, v2) in zip(pts, pts[1:], pts[2:]):
+        d01 = (v1 - v0) / (t1 - t0)
+        d12 = (v2 - v1) / (t2 - t1)
+        out.append(d12 - d01)
+    return out

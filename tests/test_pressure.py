@@ -525,18 +525,21 @@ def closed_form_brackets(tmp_path):
     """(name, value, lower, upper, exact P) of estimates whose pressure has a closed form.
 
     P is a Decimal: t log 3 for the scalar cocycle [[3]] on one loop, and
-    log(3^-t / (1 - 3^-t)) for the weighted full shift with lambda(a) = 3^-a.
+    log(b^-t / (1 - b^-t)) for the weighted full shift with lambda(a) = b^-a.
     """
     loop = model_from_arcs([(1, 1)])
     scalar = cocycle_potential(MatrixFamily(1, {1: np.array([[3.0]])}), loop)
     for t, est in pressure_curve(loop, scalar, [0.5, 0.953749, 1.0, 1.520372, 2.00515, 2.5], n_max=20):
         yield f"scalar cocycle t={t}", est.value, est.lower, est.upper, Decimal(t) * Decimal(3).ln()
-    # The geometric tail closes the bracket on the countable shift. At t = 454.398 an
-    # upper bound padded for the column sum alone falls short of P; t = 700 is factored.
-    grid = [30.0, 123.4, 300.0, 454.398, 555.5, 700.0]
-    for t, est in pressure_curve(full_shift(), weighted_third(), grid, m_list=[20]):
-        x = Decimal(3) ** -Decimal(t)
-        yield f"weighted t={t}", est.value, est.lower, est.upper, (x / (1 - x)).ln()
+    # The geometric tail closes the bracket on the countable shift. At b = 3,
+    # t = 454.398 an upper bound padded for the column sum alone falls short
+    # of P; float(5^-1) is above 1/5, which lifts an unpadded lower bound
+    # past P. t = 600 and 700 are factored.
+    for b, grid in ((3, [30.0, 123.4, 300.0, 454.398, 555.5, 700.0]), (5, [303.005, 600.0])):
+        p = weighted_fullshift_potential(lambda a, b=float(b): b ** -a, lam_tail_power=geometric_tail(float(b)))
+        for t, est in pressure_curve(full_shift(), p, grid, m_list=[20]):
+            x = Decimal(b) ** -Decimal(t)
+            yield f"weighted b={b} t={t}", est.value, est.lower, est.upper, (x / (1 - x)).ln()
     # One level has no slope to fit.
     path = tmp_path / "n_max_1.json"
     path.write_text(json.dumps({
