@@ -10,18 +10,10 @@ bracketed from below by the near-superadditivity bound and from above by the
 transfer-operator bound, each padded by a bound on its rounding error.
 
 A pressure curve t -> P(t p) is computed one truncation at a time for every
-t at once, in ascending m; gurevich_pressure is its one-t case. Pair
-potentials evaluate the base's arc values once per truncation, weigh each t
-by math.exp(t * L), and iterate the T transfer matrices as (T, m, m) stacks
-that fit in cache, one np.matmul per level, each matrix until its own
-floating-point cycle; the base's offsets are evaluated once per truncation,
-and each t scales them. Potentials that are enumerated
-(the fiber count, a cocycle at t != 1) are walked once (shift_core.walk):
-each slice is closed once and each t takes the logsumexp of t times the
-closed values. The walk merges the fiber count's rows of equal last symbol
-and preimage counts, each row counting once per word it stands for, so its
-values group by the merged slices, not by slices of one row per word. Every
-t gets the bits it gets when estimated alone.
+t at once, in ascending m; gurevich_pressure is its one-t case, and every t
+gets the bits it gets when estimated alone (_scaled_series shares each
+route's work). The walk merges the fiber count's rows of equal last symbol
+and preimage counts, so its values group by the merged slices.
 """
 
 from __future__ import annotations
@@ -361,13 +353,9 @@ def _estimates(
     for name, value in (("slope_window", slope_window), ("divergence_run", divergence_run)):
         if value < 1:
             raise ValueError(f"{name} must be at least 1, not {value}")
-    if a is None:
-        a = model.first_symbol
+    a = model.first_symbol if a is None else a
     if m_list is None:
-        if model.alphabet_size is not None:
-            m_list = [model.alphabet_size]
-        else:
-            m_list = [8, 16, 32]
+        m_list = [model.alphabet_size] if model.alphabet_size is not None else [8, 16, 32]
     m_list = sorted(m_list)
     # Per potential, the fit at each truncation, the factored c added back.
     per_level: list[list[float]] = [[] for _ in potentials]
@@ -433,18 +421,10 @@ def _estimates(
         elif lower <= upper:
             value = min(max(value, lower), upper)
         out.append(PressureEstimate(
-            value=value,
-            lower=lower,
-            upper=upper,
-            truncation_level=m,
-            n_max=n_max,
-            base_symbol=a,
-            slopes=series.slopes(),
-            converged=converged,
-            monotone=monotone,
-            diverged=diverged,
-            truncation_values=tuple(zip(m_list, levels)),
-            series=series,
+            value=value, lower=lower, upper=upper, truncation_level=m, n_max=n_max,
+            base_symbol=a, slopes=series.slopes(), converged=converged,
+            monotone=monotone, diverged=diverged,
+            truncation_values=tuple(zip(m_list, levels)), series=series,
         ))
     return out
 
@@ -495,9 +475,7 @@ def curve_second_differences(
     divergent are excluded.
     """
     pts = [(t, e.value) for t, e in curve if math.isfinite(e.value)]
-    out = []
-    for (t0, v0), (t1, v1), (t2, v2) in zip(pts, pts[1:], pts[2:]):
-        d01 = (v1 - v0) / (t1 - t0)
-        d12 = (v2 - v1) / (t2 - t1)
-        out.append(d12 - d01)
-    return out
+    return [
+        (v2 - v1) / (t2 - t1) - (v1 - v0) / (t1 - t0)
+        for (t0, v0), (t1, v1), (t2, v2) in zip(pts, pts[1:], pts[2:])
+    ]
