@@ -255,10 +255,9 @@ def _normalized(vec: np.ndarray) -> tuple[np.ndarray, float]:
 class GibbsCylinderMeasure:
     """Finite-approximation measure: level-l masses proportional to cylinder weights.
 
-    Masses of shorter words are marginal sums. The route follows the
-    potential's structure at every level (finite_gibbs_nu): one with a
-    transfer operator (pair or matrix-product structure) uses suffix-vector
-    recursions, and any other has its level enumerated explicitly.
+    Masses of shorter words are marginal sums. At every level a potential
+    with a transfer operator (pair or matrix-product structure) uses suffix-
+    vector recursions, and any other is enumerated (finite_gibbs_nu).
     """
 
     kind = "empirical-cylinder"
