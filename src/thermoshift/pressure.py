@@ -353,9 +353,13 @@ def _estimates(
     for name, value in (("slope_window", slope_window), ("divergence_run", divergence_run)):
         if value < 1:
             raise ValueError(f"{name} must be at least 1, not {value}")
-    a = model.first_symbol if a is None else a
+    if a is None:
+        a = model.first_symbol
     if m_list is None:
-        m_list = [model.alphabet_size] if model.alphabet_size is not None else [8, 16, 32]
+        if model.alphabet_size is not None:
+            m_list = [model.alphabet_size]
+        else:
+            m_list = [8, 16, 32]
     m_list = sorted(m_list)
     # Per potential, the fit at each truncation, the factored c added back.
     per_level: list[list[float]] = [[] for _ in potentials]
@@ -421,10 +425,18 @@ def _estimates(
         elif lower <= upper:
             value = min(max(value, lower), upper)
         out.append(PressureEstimate(
-            value=value, lower=lower, upper=upper, truncation_level=m, n_max=n_max,
-            base_symbol=a, slopes=series.slopes(), converged=converged,
-            monotone=monotone, diverged=diverged,
-            truncation_values=tuple(zip(m_list, levels)), series=series,
+            value=value,
+            lower=lower,
+            upper=upper,
+            truncation_level=m,
+            n_max=n_max,
+            base_symbol=a,
+            slopes=series.slopes(),
+            converged=converged,
+            monotone=monotone,
+            diverged=diverged,
+            truncation_values=tuple(zip(m_list, levels)),
+            series=series,
         ))
     return out
 
@@ -475,7 +487,9 @@ def curve_second_differences(
     divergent are excluded.
     """
     pts = [(t, e.value) for t, e in curve if math.isfinite(e.value)]
-    return [
-        (v2 - v1) / (t2 - t1) - (v1 - v0) / (t1 - t0)
-        for (t0, v0), (t1, v1), (t2, v2) in zip(pts, pts[1:], pts[2:])
-    ]
+    out = []
+    for (t0, v0), (t1, v1), (t2, v2) in zip(pts, pts[1:], pts[2:]):
+        d01 = (v1 - v0) / (t1 - t0)
+        d12 = (v2 - v1) / (t2 - t1)
+        out.append(d12 - d01)
+    return out
