@@ -20,8 +20,8 @@ The package is organized bottom-up:
 - ``modelfile`` / ``cli``: JSON model files and the batch front-end.
 
 Fixed limits are module constants: ``dimension._MAX_PROBES`` = 80 and
-``_SECANT_SLACK`` = 5, ``numerics._PERRON_TOL`` = 1e-13 and
-``_PERRON_MAX_ITER`` = 500 000, ``gibbs._MEASURE_TOL`` = 1e-9, and the
+``_SECANT_SLACK`` = 5, ``numerics._PERRON_MAX_ITER`` = 500 000,
+``gibbs._MEASURE_TOL`` = 1e-9, and the
 probes ``potentials._CONE_PROBE`` = 16
 (a callable matrix family's cone) and ``_SUMMABILITY_PROBE`` = 64 symbols.
 The tests' closed-form oracles live in tests/helpers.py.

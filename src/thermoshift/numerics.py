@@ -18,22 +18,19 @@ products of symbol words, one entry per pair of words, while a table holds
 no more matrices than the level it replaces; each entry is the same product
 of the same two operands as the node it replaces, so the lookups leave the
 bits unchanged.
-A power iteration (scaled_power_diagonal) stops at its floating-point
-cycle. Its state is the normalized vector alone: with W fixed, the vector's
-bits fix every later product, sum, vector and entry. So once a vector
-repeats an earlier one bit for bit, the levels after it repeat the levels
-after the earlier one, and copying them gives the floats the loop would
-have computed. The logs of the copied sums are still added one level at a
-time, so every log Z_n keeps its bits. In a (T, m, m) stack each matrix
-stops at its own cycle, and the stack runs until its slowest matrix has
-stopped.
+A power iteration (scaled_power_diagonal, perron_data) stops where the
+Collatz-Wielandt ratios of its vector agree within their rounding bound:
+from there on, the bracket they give on the Perron root is as narrow as
+its rounding lets it be. In a (T, m, m) stack each matrix stops at its own
+level, and the stack runs until its slowest matrix has stopped.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import accumulate, cycle, islice
-from typing import Sequence
+from collections import deque
+from itertools import accumulate
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -105,37 +102,40 @@ def _exact_products(x: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.concatenate(parts)
 
 
-# Past levels a power iteration compares its vector with; a cycle of a longer
-# period is not detected and the iteration runs to n_max.
-_CYCLE_WINDOW = 8
+class PowerLevels(NamedTuple):
+    """One matrix's levels and last Collatz-Wielandt ratios (scaled_power_diagonal)."""
+
+    values: list
+    low: float
+    high: float
+    total: float
 
 
 def scaled_power_diagonal(W: np.ndarray, index, n_max: int):
-    """log of the (index, index) entry or block sum of W^n for n = 1..n_max.
+    """log of the (index, index) entry or block sum of W^n for n = 1, 2, ... up to a stop.
 
     index is an int or a slice. The value is 1_S^T W^n 1_S for the index set
-    S, computed by iterating W on the indicator vector of S and renormalizing
-    each step, so the cost is one matrix-vector product per level.
+    S, computed by iterating the row vector x <- xW from the indicator of S
+    and renormalizing it to unit sum each step: one vector-matrix product
+    per level. Each level also gives the Collatz-Wielandt ratios
+    (xW)_j / x_j of the x it multiplied (Collatz 1942; Wielandt 1950): their
+    least over x's support is at most the Perron root rho(W), and when x is
+    positive their largest is at least rho(W). The iteration stops at the
+    first level whose ratios agree within their own rounding bound,
+    max <= min (1 + (M + 1) 2^-52) for length-M vectors (an M-term sum and a
+    division each), at the first level whose sum is not positive (that
+    level is -inf), or at n_max. It returns PowerLevels: values holds the
+    levels computed; low and high are the last level's least and largest
+    ratio, high inf when its x has a zero entry; total is that level's sum
+    over the sum of its x (|S| at level 1, 1 after), a weighted mean of the
+    ratios.
 
-    W may also be a (T, m, m) stack, and the result is then one list per
-    matrix. Each level takes one np.matmul for the whole stack. Each matrix
-    gets the bits it gets alone: its product, sum and division are the same
-    floating-point operations, and its logs are those of the same floats,
-    added in the same order (_log_levels).
-
-    Each matrix stops at its floating-point cycle: once its normalized
-    vector v_n equals, bit for bit, its vector v_j of one of the last
-    _CYCLE_WINDOW levels, its levels n+1..n_max copy the sums and entries of
-    levels j+1..n. With W fixed, level n+1's product, sum, vector and entry
-    are functions of v_n's bits alone, so the copies are the floats the loop
-    would have computed, and the logs are still summed level by level. A
-    matrix whose sum stops being positive is done at that level; its levels
-    from there on are -inf. Vectors are compared only at a level whose key
-    one of the recent levels had: its entry for one matrix, and for a stack
-    the wrapped sum of each vector's bit patterns. A stack iterates until
-    every matrix is done or for n_max levels, so it takes as many products
-    as its slowest matrix takes alone. The memory is that of n_max floats
-    per matrix and _CYCLE_WINDOW past vectors.
+    W may also be a (T, m, m) stack, and the result is then one PowerLevels
+    per matrix. Each level takes one np.matmul for the whole stack, which
+    gives each matrix the bits x.dot(W) gives it alone; its sum, division,
+    ratios and logs are the same floating-point operations. So each matrix
+    stops at the level and with the values it has alone, and the stack runs
+    until its slowest matrix has stopped.
     """
     batch = W.shape[:-2]
     totals = np.add.reduce(W.reshape(batch + (-1,)), axis=-1)
@@ -144,120 +144,76 @@ def scaled_power_diagonal(W: np.ndarray, index, n_max: int):
         raise ValueError("matrix must have a positive finite entry sum")
     add, count = np.add.reduce, math.prod(batch)
     block = isinstance(index, slice)
-    # A vector whose sum vanishes turns to nan here; its levels are -inf below.
+    agree = 1.0 + (W.shape[-1] + 1) * 2.0 ** -52
+    index_size = len(range(W.shape[-1])[index]) if block else 1
+    # A ratio at a zero entry of x is inf or nan: fmin.reduce skips the nan,
+    # and maximum.reduce keeps it, which fails the stop test. A vector whose sum
+    # vanishes turns to nan; its level is -inf below.
     with np.errstate(divide="ignore", invalid="ignore"):
         if count == 1:
             W = W.reshape(W.shape[-2:])
-            v = np.zeros(W.shape[0])
-            v[index] = 1.0
-            # Per key, the last level that had it; the vector of level i at i % _CYCLE_WINDOW.
-            last, recent = {}, [None] * _CYCLE_WINDOW
-            # The earlier level that the last level computed repeats, if any.
-            sums, entries, j = [], [], None
-            for n in range(n_max):
-                # W.dot calls the BLAS gemv that W @ v calls, with less overhead.
-                v = W.dot(v)
-                # A Python float, which compares and takes math.log faster.
-                s = float(add(v))
-                v /= s
-                # A Python float, which hashes faster than a numpy scalar.
-                key = float(add(v[index])) if block else v.item(index)
+            x = np.zeros(W.shape[0])
+            x[index] = 1.0
+            sums, entries = [], []
+            for _ in range(n_max):
+                # x.dot calls the BLAS gemv that x @ W calls, with less overhead.
+                y = x.dot(W)
+                # Python floats, which compare and take math.log faster.
+                s = float(add(y))
+                ratios = y / x
+                low, high = float(np.fmin.reduce(ratios)), float(np.maximum.reduce(ratios))
+                x = y
+                x /= s
                 sums.append(s)
-                entries.append(key)
-                if not s > 0:
+                entries.append(float(add(x[index])) if block else x.item(index))
+                if high <= low * agree or not s > 0:
                     break
-                seen = last.get(key)
-                last[key] = n
-                if seen is not None and n - seen <= _CYCLE_WINDOW:
-                    j = _repeated(recent, n, v)
-                    if j is not None:
-                        break
-                recent[n % _CYCLE_WINDOW] = v
-            row = _log_levels(sums, entries, n_max, j)
-            return [row] if batch else row
+            level = _power_levels(sums, entries, low, high, index_size)
+            return [level] if batch else level
         W = W.reshape((count,) + W.shape[-2:])
-        v = np.zeros(W.shape[:-1] + (1,))
-        v[:, index, :] = 1.0
-        # The sums and entries of each level, one row per matrix.
-        levels = np.empty((2, count, n_max))
-        sums, entries = levels[0].T.reshape(n_max, count, 1, 1), levels[1].T
-        # Per matrix, the levels it computed and the earlier level that its
-        # last one repeats (-1 for none); it runs until it stops.
-        stop = np.full(count, n_max)
-        repeat = np.full(count, -1)
-        running = np.ones(count, dtype=bool)
-        # Each vector's key, the wrapped sum of its bit patterns; the bits of
-        # the vectors of level i at i % _CYCLE_WINDOW.
-        keys = np.empty((n_max, count), dtype=np.int64)
-        recent = np.empty((_CYCLE_WINDOW, count, W.shape[-1]), dtype=np.int64)
+        x = np.zeros((count, 1, W.shape[-1]))
+        x[:, 0, index] = 1.0
+        # Per level and matrix: the sum, the entry and the least and largest ratio.
+        levels = np.empty((4, n_max, count))
+        # The level each matrix stopped at; 0 while it runs.
+        stop = np.zeros(count, dtype=int)
         for n in range(n_max):
-            v = np.matmul(W, v)
-            v /= add(v, axis=-2, keepdims=True, out=sums[n])
-            entries[n] = add(v[:, index, 0], axis=-1) if block else v[:, index, 0]
-            bits = v.view(np.int64)[:, :, 0]
-            add(bits, axis=1, out=keys[n])
-            # min is nan, not positive, when a sum is nan.
-            done = not levels[0, :, n].min() > 0
-            if done:
-                dead = running & ~(levels[0, :, n] > 0)
-                stop[dead], running[dead] = n + 1, False
-            # Per matrix, the recent levels whose vector had its key.
-            lo = max(n - _CYCLE_WINDOW, 0)
-            seen = keys[lo:n] == keys[n]
-            seen &= running
-            if seen.any():
-                done = True
-                back, rows = np.nonzero(seen)
-                back += lo
-                same = (recent[back % _CYCLE_WINDOW, rows] == bits[rows]).all(axis=1)
-                # A matrix repeats at most one level of the window: had it two,
-                # the later would have repeated the earlier, within the window.
-                back, rows = back[same], rows[same]
-                stop[rows], repeat[rows], running[rows] = n + 1, back, False
-            if done and not running.any():
-                levels = levels[:, :, :n + 1]
+            y = np.matmul(x, W)
+            s = add(y, axis=-1, out=levels[0, n, :, None])
+            ratios = y / x
+            np.fmin.reduce(ratios, axis=-1, out=levels[2, n, :, None])
+            np.maximum.reduce(ratios, axis=-1, out=levels[3, n, :, None])
+            x = y
+            x /= s[:, :, None]
+            levels[1, n] = add(x[:, 0, index], axis=-1) if block else x[:, 0, index]
+            done = levels[3, n] <= levels[2, n] * agree
+            done |= ~(levels[0, n] > 0)
+            stop[done & (stop == 0)] = n + 1
+            if stop.all():
                 break
-            recent[n % _CYCLE_WINDOW] = bits
-    rows = zip(levels[0].tolist(), levels[1].tolist(), stop.tolist(), repeat.tolist())
+        stop[stop == 0] = n + 1
     return [
-        _log_levels(row_sums[:end], row_entries[:end], n_max, j if j >= 0 else None)
-        for row_sums, row_entries, end, j in rows
+        _power_levels(row[0][:end], row[1][:end], row[2][end - 1], row[3][end - 1], index_size)
+        for row, end in zip(levels[:, :n + 1].transpose(2, 0, 1).tolist(), stop.tolist())
     ]
 
 
-def _repeated(recent: list, n: int, v: np.ndarray):
-    """The level among the last _CYCLE_WINDOW before n whose vector has v's bits, or None."""
-    bits = v.tobytes()
-    for j in range(n - 1, max(n - _CYCLE_WINDOW, 0) - 1, -1):
-        if recent[j % _CYCLE_WINDOW].tobytes() == bits:
-            return j
-    return None
+def _power_levels(sums: list, entries: list, low: float, high: float, size: int) -> PowerLevels:
+    """PowerLevels from one matrix's sums, entries and last ratios, and |S|.
 
-
-def _cycled(values: list, n_max: int, j) -> list:
-    """values, levels 0..n, run on to n_max levels: level n + 1 + k repeats level j + 1 + k % (n - j)."""
-    if j is None:
-        return values
-    return values + list(islice(cycle(values[j + 1:]), n_max - len(values)))
-
-
-def _log_levels(sums: list, entries: list, n_max: int, j) -> list:
-    """log_scale_n + log entry_n for n = 1..n_max, log_scale_n the log-sum of the first n sums.
-
-    sums and entries hold the levels one matrix computed, which repeat from
-    level j + 1 on: their logs are taken once and repeated (see _cycled).
-    Only the last level computed can have a sum that is not positive; it and
-    every later level are -inf, as is a level whose entry is 0. accumulate
+    The value of level n is log_scale_n + log entry_n, log_scale_n the
+    log-sum of the first n sums. Only the last level can have a sum that is
+    not positive; it is -inf, as is a level whose entry is 0. accumulate
     adds the logs in order, as a running sum from 0.0 would: no log is -0.0.
     """
     live = len(sums) if sums[-1] > 0 else len(sums) - 1
-    log_sums = _cycled(list(map(math.log, sums[:live])), n_max, j)
-    log_entries = _cycled([math.log(e) if e > 0 else NEG_INF for e in entries], n_max, j)
-    row = [
-        log_scale + log_entry if log_entry != NEG_INF else NEG_INF
-        for log_scale, log_entry in zip(accumulate(log_sums), log_entries)
+    values = [
+        log_scale + math.log(entry) if entry > 0 else NEG_INF
+        for log_scale, entry in zip(accumulate(map(math.log, sums[:live])), entries)
     ]
-    return row + [NEG_INF] * (n_max - len(row))
+    values += [NEG_INF] * (len(sums) - live)
+    total = sums[-1] / size if len(sums) == 1 else sums[-1]
+    return PowerLevels(values, low, high if high == high else math.inf, total)
 
 
 _SMALLEST = np.nextafter(0.0, 1.0)
@@ -364,37 +320,48 @@ class PowerIterationError(RuntimeError):
     pass
 
 
-_PERRON_TOL = 1e-13
 _PERRON_MAX_ITER = 500_000
 
 
 def perron_data(W: np.ndarray):
     """Perron root and positive left/right eigenvectors of a primitive matrix.
 
-    Plain power iteration on W and W.T until the iterates move at most
-    _PERRON_TOL = 1e-13 in sup norm, within _PERRON_MAX_ITER = 500 000 steps;
-    the returned root is the two-sided Rayleigh quotient, which squares the
-    eigenvector error. Vectors are normalized to unit sum.
+    Plain power iteration on W and W.T from the uniform vector, within
+    _PERRON_MAX_ITER = 500 000 steps. It stops when the Collatz-Wielandt
+    ratios of both iterates agree within their rounding bound, as in
+    scaled_power_diagonal, or when the wider of their spreads max / min is
+    no narrower than h = (m - 1)^2 + 1 steps before. W^h is positive
+    (Wielandt), so each exact ratio h steps on is a mean of every ratio now,
+    and an exact spread shrinks strictly every h steps until it is 0: a
+    spread that does not is at its rounding floor. The returned root is the
+    two-sided Rayleigh quotient, which squares the eigenvector error.
+    Vectors are normalized to unit sum.
     """
     W = np.asarray(W, dtype=float)
     m = W.shape[0]
-    v = np.full(m, 1.0 / m)
-    u = np.full(m, 1.0 / m)
-    for _ in range(_PERRON_MAX_ITER):
-        v_new = W @ v
-        sv = v_new.sum()
-        if sv <= 0:
-            raise PowerIterationError("matrix is not primitive: iterate collapsed")
-        v_new /= sv
-        u_new = W.T @ u
-        u_new /= u_new.sum()
-        moved = max(np.abs(v_new - v).max(), np.abs(u_new - u).max())
-        v, u = v_new, u_new
-        if moved <= _PERRON_TOL:
-            break
-    else:
-        raise PowerIterationError(
-            f"power iteration did not reach tol={_PERRON_TOL} in {_PERRON_MAX_ITER} steps"
-        )
+    agree = 1.0 + (m + 1) * 2.0 ** -52
+    spreads = deque(maxlen=(m - 1) ** 2 + 2)
+    # Row 0 is v, iterated as v^T <- v^T W^T; row 1 is u, iterated as u^T <- u^T W.
+    both = np.stack([W.T, W])
+    x = np.full((2, 1, m), 1.0 / m)
+    # A primitive W keeps both iterates positive; an entry that underflows to
+    # 0.0 makes its ratio inf or nan, and the spread then does not agree.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_PERRON_MAX_ITER):
+            y = np.matmul(x, both)
+            s = y.sum(axis=2, keepdims=True)
+            if s[0, 0, 0] <= 0:
+                raise PowerIterationError("matrix is not primitive: iterate collapsed")
+            ratios = y / x
+            spread = float((ratios.max(axis=2) / ratios.min(axis=2)).max())
+            spreads.append(spread)
+            x = y / s
+            if spread <= agree or (len(spreads) == spreads.maxlen and spread >= spreads[0]):
+                break
+        else:
+            raise PowerIterationError(
+                f"power iteration did not settle in {_PERRON_MAX_ITER} steps"
+            )
+    v, u = x[0, 0], x[1, 0]
     rho = float(u @ W @ v) / float(u @ v)
     return rho, v, u

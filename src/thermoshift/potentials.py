@@ -535,15 +535,22 @@ class SymbolWeightPotential(PotentialSequence):
 
 
 def geometric_tail(base: float) -> Callable[[int, float], float]:
-    """Closed-form tail of sum_{a > m} (base^-a)^power for base > 1."""
+    """Closed-form tail of sum_{a > m} (base^-a)^power for base > 1, rounded up.
+
+    With x = power log base, the tail is e^{-(m + 1) x} / (1 - e^{-x}), and
+    1 - e^{-x} is taken as -expm1(-x), which keeps its precision as power
+    goes to 0. To first order, with u = 2^-53 and each of log, exp and expm1
+    within 2u: x is within 3u of its value, e^{-(m + 1) x} within
+    4 (m + 1) x u + 2u, -expm1(-x) within 5u and the quotient within
+    u (4 (m + 1) x + 8). The result is raised by that and rounded up.
+    """
 
     def tail(m: int, power: float = 1.0) -> float:
-        if power <= 0:
+        x = power * math.log(base)
+        if not x > 0:  # power <= 0, or too small for x to be positive
             return math.inf
-        r = base ** (-power)
-        if r >= 1.0:  # a tiny positive power rounds r to 1
-            return math.inf
-        return r ** (m + 1) / (1.0 - r)
+        value = math.exp(-(m + 1) * x) / -math.expm1(-x)
+        return math.nextafter(value * (1.0 + 2.0 ** -53 * (4 * (m + 1) * x + 8)), math.inf)
 
     return tail
 

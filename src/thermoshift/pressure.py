@@ -4,10 +4,13 @@ The pressure of a potential sequence is approximated on increasing finite
 truncations. Each truncation must be mixing; its partition series log Z_n is
 computed either by iterating the potential's transfer operator (when it
 exposes arc or matrix-product structure) or by enumerating the periodic
-words with the potential's word hooks. The growth rate is extracted from
-trailing slopes log Z_{n+1} - log Z_n, which converge geometrically, and is
-bracketed from below by the near-superadditivity bound and from above by the
-transfer-operator bound, each padded by a bound on its rounding error.
+words with the potential's word hooks. An operator's iteration stops where
+the Collatz-Wielandt ratios of its vector agree, and those ratios bracket
+the truncation's pressure, which bounds the countable system's from below.
+An enumerated series' growth rate is the mean of its trailing slopes
+log Z_{n+1} - log Z_n, bracketed from below by the near-superadditivity
+bound. Both are bracketed from above by the transfer-operator bound. Every
+bound is padded by a bound on its rounding error.
 
 A pressure curve t -> P(t p) is computed one truncation at a time for every
 t at once, in ascending m; gurevich_pressure is its one-t case, and every t
@@ -25,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .numerics import NEG_INF, logsumexp, logsumexp_groups, scaled_power_diagonal
+from .numerics import NEG_INF, PowerLevels, logsumexp, logsumexp_groups, scaled_power_diagonal
 from .potentials import (
     PairTable,
     PotentialSequence,
@@ -57,14 +60,17 @@ ENUMERATION_CAP = 20_000_000
 
 @dataclass(frozen=True)
 class PartitionSeries:
-    """log Z_n for n = 1..n_max over periodic words from one base symbol.
+    """log Z_n for n = 1, 2, ... over periodic words from one base symbol.
 
-    values[n - 1] is log Z_n, -inf for a length with no periodic word.
-    shift is 0.0 unless the largest transfer weight of a pair potential
-    underflows (PairTable.matrices); it is then the c factored out of every
-    weight, and values and log_norm are those of the factored weights:
-    log_z(n) is values[n - 1] plus n * c, log_norm is short by c, and each
-    of slopes() has c added back.
+    values[n - 1] is log Z_n, -inf for a length with no periodic word: n_max
+    levels when enumerated, the levels scaled_power_diagonal iterated for an
+    operator, whose bracket is (lower, value, upper) for the truncation's
+    pressure, c included (_bracket); None when enumerated. shift is 0.0
+    unless the largest transfer weight of a pair potential underflows
+    (PairTable.matrices); it is then the c factored out of every weight,
+    and values and log_norm are those of the factored weights: log_z(n) is
+    values[n - 1] plus n * c, log_norm is short by c, and each of slopes()
+    has c added back.
     """
 
     base_symbol: int
@@ -76,6 +82,7 @@ class PartitionSeries:
     # Prefix extensions the enumeration made (at most cap); 0 for an operator.
     prefixes: int = 0
     shift: float = 0.0
+    bracket: Optional[tuple[float, float, float]] = None
 
     def log_z(self, n: int) -> float:
         z = self.values[n - 1]
@@ -140,22 +147,33 @@ def _scaled_series(sub, potentials, n_max, a, cap) -> list[PartitionSeries]:
         # A scaled pair structure's offset(n) is t times the base's, the
         # product computed here; 1.0 times a float is that float.
         offsets = [ps.offset(n) for n in range(1, n_max + 1)]
+        # The largest finite |L| over the arcs, for their weights' rounding (_bracket).
+        l_max = float(np.max(np.abs(table.values), where=np.isfinite(table.values), initial=0.0))
+        # Per t, Fekete's bounds on the rate of t offset(n), whose defect is at most C.
+        k_c = np.array([[p.declared_C] for p in potentials])
+        rates = [(0.0, 0.0, 0.0)] * len(potentials)
+        if any(offsets) or k_c.any():
+            scaled, n = np.array(scales)[:, None] * offsets, np.arange(1, n_max + 1)
+            rates = zip(((scaled - k_c) / n).max(1).tolist(), ((scaled + k_c) / n).min(1).tolist(),
+                        ((np.abs(scaled) + k_c) / n).max(1).tolist())
         per = max(1, _STACK_BYTES // (8 * sub.size ** 2))
         for lo in range(0, len(potentials), per):
             stack, shifts = table.matrices(scales[lo:lo + per])
-            diagonals = scaled_power_diagonal(stack, ia, n_max)
-            for k, W, diagonal, shift in zip(range(lo, lo + per), stack, diagonals, shifts):
+            levels = scaled_power_diagonal(stack, ia, n_max)
+            for k, W, level, shift, rate in zip(range(lo, lo + per), stack, levels, shifts, rates):
                 t, op = scales[k], TransferOperator("pair", W, 1, potentials[k].pair_structure().offset)
-                values = tuple(t * o + v if v != NEG_INF else NEG_INF for o, v in zip(offsets, diagonal))
-                out[k] = PartitionSeries(a, values, sub.size, "pair", op.log_norm(), shift=shift)
+                values = tuple(t * o + v if v != NEG_INF else NEG_INF for o, v in zip(offsets, level.values))
+                arcs = 2.0 ** -53 * (4 * abs(t) * l_max + abs(shift) + 2 * abs(t) + 2)
+                out[k] = PartitionSeries(a, values, sub.size, "pair", op.log_norm(), shift=shift,
+                                         bracket=_bracket(level, sub.size, arcs, rate, shift))
     else:
         for k, p in enumerate(potentials):
             op = transfer_operator(sub, p)
             if op is not None:
                 # Without a pair structure the operator is the block one, of offset 0.
-                block = slice(ia * op.d, (ia + 1) * op.d)
-                values = tuple(scaled_power_diagonal(op.B, block, n_max))
-                out[k] = PartitionSeries(a, values, sub.size, "block", op.log_norm())
+                level = scaled_power_diagonal(op.B, slice(ia * op.d, (ia + 1) * op.d), n_max)
+                out[k] = PartitionSeries(a, tuple(level.values), sub.size, "block", op.log_norm(),
+                                         bracket=_bracket(level, len(op.B), 0.0, (0.0, 0.0, 0.0), 0.0))
     walked = [k for k, series in enumerate(out) if series is None]
     if walked:
         enumerated, prefixes = _enumerated_values(
@@ -164,6 +182,36 @@ def _scaled_series(sub, potentials, n_max, a, cap) -> list[PartitionSeries]:
         for k, values in zip(walked, enumerated):
             out[k] = PartitionSeries(a, tuple(values), sub.size, "enumerate", prefixes=prefixes)
     return out
+
+
+def _bracket(level: PowerLevels, size: int, arcs: float, rates, c: float) -> tuple[float, float, float]:
+    """(lower, value, upper) for a truncation's pressure from its operator's PowerLevels.
+
+    The pressure is log rho + r + c: rho the Perron root of the matrix with
+    the exact weights, r = lim t offset(n) / n and c the shift. The least
+    and largest Collatz-Wielandt ratio bound rho (upper is inf when the
+    vector has a zero entry); their logs are widened by 2^-52 (size + 2 +
+    |log ratio|) for the sums, division and log over a vector of that size,
+    and by arcs for the weights' own rounding: u (4 |t| max |L| + |c| +
+    2 |t| + 2), u = 2^-53, from PressureEstimate's per-arc bound, for a pair
+    matrix, and 0 for a block matrix, which holds its entries as given.
+    rates holds r's bounds, max_n (t offset(n) - C) / n and min_n (t offset(n)
+    + C) / n by Fekete's lemma for a C-almost-additive offset, and a size
+    that bounds their rounding; each sum is widened by 2^-51 times its
+    terms' sizes and rounded outward. value is the log of the last level's
+    sum, a weighted mean of the ratios, plus the middle of r's bounds and c.
+    """
+    rate_lo, rate_hi, rate_size = rates
+    low, high = (math.log(r) if r > 0 else NEG_INF for r in (level.low, level.high))
+    value = math.log(level.total) if level.total > 0 else NEG_INF
+
+    def widened(z: float) -> float:
+        return 2.0 ** -52 * (size + 2 + abs(z)) + arcs + 2.0 ** -51 * (abs(z) + rate_size + abs(c))
+    return (
+        math.nextafter(low + rate_lo + c - widened(low), NEG_INF),
+        value + (rate_lo + rate_hi) / 2 + c,
+        math.nextafter(high + rate_hi + c + widened(high), math.inf),
+    )
 
 
 def _enumerated_values(sub, hooks, scales, n_max, a, cap):
@@ -231,17 +279,24 @@ def transfer_norm(sub: FiniteSubshift, p: PotentialSequence) -> float:
 class PressureEstimate:
     """Pressure value with brackets and convergence diagnostics.
 
-    All refer to the largest truncation m. value is the mean of the last
-    slope_window slopes between finite levels, moved into [lower, upper] if
-    outside, or +inf when the divergence policy fires; truncation_values
-    holds each truncation's fit as fitted, and slopes is series.slopes().
+    All refer to the largest truncation m. For an operator route, value and
+    lower are those of the series' bracket (_bracket), which hold for the
+    countable system too: truncation pressures increase to the Gurevich
+    pressure (Sarig, ETDS 1999). converged means the bracket is at most tol
+    wide. For an enumerated series, value is the mean of the last
+    slope_window slopes between finite levels, converged means their span is
+    at most tol, and lower rounds (x_n - C - e_n - 2^-51 (|x_n| + |C|)) / n
+    down at the n where (x_n - C) / n is largest, x_n being the computed
+    log Z_n and C = declared_C. Either way value is moved into [lower, upper]
+    if outside, or is +inf when the divergence policy fires;
+    truncation_values holds each truncation's value, and slopes is
+    series.slopes().
 
-    With x_n the computed log Z_n, C = declared_C, N the series' log_norm
-    (transfer_norm when enumerated), K = m d^2, c the shift and t the scale,
-    lower rounds (x_n - C - e_n - 2^-51 (|x_n| + |C|)) / n down at the n
-    where (x_n - C) / n is largest, and upper rounds C + N' + e_1(N) +
-    2^-51 (|N'| + |C|) up, N' being N with c and the tail added. To first
-    order in u = 2^-53, |x_n - log Z_n| is at most
+    upper rounds C + N' + e_1(N) + 2^-51 (|N'| + |C|) up, N being the
+    series' log_norm (transfer_norm when enumerated) and N' that with c and
+    the tail added; on a finite alphabet, an operator route takes the
+    smaller of that and its bracket's upper. With K = m d^2, c the shift and
+    t the scale, to first order in u = 2^-53, |x_n - log Z_n| is at most
 
         e_n = 2^-52 (n (K + 2 + 2 log K + 1.5 |c| + |t|) + (n + 7) A_n),
         A_n = |x_n| + |t offset(n)| + n max(0, N - t offset(1)):
@@ -252,9 +307,9 @@ class PressureEstimate:
     u (3 |tL| + |tL - c| + 2 |t| + 2) (lambda, its log, t * L, less c,
     exp), at most u (4 (n log K + A_n + n max(0, N)) + n (3 |c| + 2 |t| +
     2)) once each word is weighed by its share of Z_n (Hoelder). e_1(N)
-    bounds N's error alike. An enumerated series gets the same pad without
-    its own proof, and a weight below the smallest normal float (off by up
-    to u times the largest) is left out.
+    bounds N's error alike. e_n is derived for an operator's log Z_n; an
+    enumerated series borrows it without its own proof. A weight below the
+    smallest normal float (off by up to u times the largest) is left out.
     """
 
     value: float
@@ -285,6 +340,15 @@ def _slope_fit(values: Sequence[float], slope_window: int) -> tuple[float, float
     if not window:
         return NEG_INF, math.inf
     return math.fsum(window) / len(window), max(window) - min(window)
+
+
+def _fit(series: PartitionSeries, slope_window: int) -> tuple[float, float]:
+    """(value, width) of a series: its bracket's value and width, else its slope fit's mean, c added, and span."""
+    if series.bracket is not None:
+        lower, value, upper = series.bracket
+        return value, upper - lower
+    value, span = _slope_fit(series.values, slope_window)
+    return (value + series.shift if series.shift else value), span
 
 
 def mixed_truncation(model: TransitionModel, m: int) -> FiniteSubshift:
@@ -361,7 +425,7 @@ def _estimates(
         else:
             m_list = [8, 16, 32]
     m_list = sorted(m_list)
-    # Per potential, the fit at each truncation, the factored c added back.
+    # Per potential, the value at each truncation, the factored c added back.
     per_level: list[list[float]] = [[] for _ in potentials]
     for m in m_list:
         sub = mixed_truncation(model, m)
@@ -371,17 +435,20 @@ def _estimates(
                 "no surviving symbol leads to it, or none follows it"
             )
         series_list = _scaled_series(sub, potentials, n_max, a, cap)
-        fits = [_slope_fit(series.values, slope_window) for series in series_list]
-        for levels, series, (value_m, _) in zip(per_level, series_list, fits):
-            levels.append(value_m + series.shift if series.shift else value_m)
+        fits = [_fit(series, slope_window) for series in series_list]
+        for levels, (value_m, _) in zip(per_level, fits):
+            levels.append(value_m)
     m = m_list[-1]
     # The terms of a column-block sum, and the base's offset, which each t scales.
     base = _unscaled(potentials[0])[0]
     blocks, ps = base.block_entries(), base.pair_structure()
     terms = sub.size * (blocks[1] ** 2 if blocks else 1)
     offset = ps.offset if ps is not None else (lambda n: 0.0)
+    # Symbols beyond the truncation add at most the potential's known tail to
+    # every column sum; without one the column-sum bound covers the truncation only.
+    finite = model.alphabet_size is not None and m >= model.alphabet_size
     out = []
-    for p, series, (value, span), levels in zip(potentials, series_list, fits, per_level):
+    for p, series, (value, width), levels in zip(potentials, series_list, fits, per_level):
         k, c, t = p.declared_C, series.shift, _unscaled(p)[1]
         norm = series.log_norm if series.log_norm is not None else transfer_norm(sub, p)
         growth = max(norm - t * offset(1), 0.0)
@@ -392,24 +459,26 @@ def _estimates(
                 n * (terms + 2 + 2 * math.log(terms) + 1.5 * abs(c) + abs(t))
                 + (n + 7) * (abs(z) + abs(t * offset(n)) + n * growth)
             )
-        # At the n where (log Z_n - C) / n is largest; -inf when every level is.
-        quotients = [(z - k) / n if z != NEG_INF else NEG_INF for n, z in enumerate(series.values, 1)]
-        n = quotients.index(max(quotients)) + 1
-        z = series.values[n - 1]
-        lower = math.nextafter((z - k - rounding(n, z) - 2.0 ** -51 * (abs(z) + abs(k))) / n, NEG_INF)
         pad = rounding(1, norm)
+        if series.bracket is None:
+            # At the n where (log Z_n - C) / n is largest; -inf when every level is.
+            quotients = [(z - k) / n if z != NEG_INF else NEG_INF for n, z in enumerate(series.values, 1)]
+            n = quotients.index(max(quotients)) + 1
+            z = series.values[n - 1]
+            lower = math.nextafter((z - k - rounding(n, z) - 2.0 ** -51 * (abs(z) + abs(k))) / n, NEG_INF)
+            if c:
+                lower = math.nextafter(lower + c, NEG_INF)
+        else:
+            lower = series.bracket[0]
         if c:
-            # The fit and both bounds add back the factored c once, the
-            # bounds rounded outward.
-            value += c
-            lower = math.nextafter(lower + c, NEG_INF)
+            # The norm adds back the factored c, rounded up.
             norm = math.nextafter(norm + c, math.inf)
-        # Symbols beyond the truncation add at most the potential's known tail
-        # to every column sum; without one the bracket covers the truncation only.
-        tail_f1 = p.sup_f1_tail(m) if model.alphabet_size is None or m < model.alphabet_size else None
+        tail_f1 = None if finite else p.sup_f1_tail(m)
         if tail_f1 is not None and tail_f1 > 0:
             norm = logsumexp((norm, math.log(tail_f1)))
         upper = math.nextafter(k + norm + pad + 2.0 ** -51 * (abs(norm) + abs(k)), math.inf)
+        if series.bracket is not None and finite:
+            upper = min(upper, series.bracket[2])
         monotone = all(b >= a_prev - tol for a_prev, b in zip(levels, levels[1:]))
         # Per doubling of m, the growth of the fit; nan for a repeated m.
         growths = [
@@ -419,7 +488,7 @@ def _estimates(
         diverged = len(growths) >= divergence_run and all(
             math.isfinite(g) and g >= divergence_threshold for g in growths[-divergence_run:]
         )
-        converged = not diverged and span <= tol
+        converged = not diverged and width <= tol
         if diverged:
             value = math.inf
         elif lower <= upper:

@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from thermoshift.gibbs import _plus, markov_measure
-from thermoshift.numerics import NEG_INF, logsumexp, perron_data
+from thermoshift.numerics import NEG_INF, logsumexp, perron_data, scaled_power_diagonal
 from thermoshift.potentials import PotentialSequence, ScaledPotential, WordHooks, transfer_operator
 from thermoshift.pressure import PartitionSeries, gurevich_pressure
 from thermoshift.shift_core import (
@@ -237,40 +237,18 @@ def reference_gibbs_csv(rows, cert):
     return buf.getvalue()
 
 
-def one_matrix_power_diagonal(W, index, n_max):
-    """log 1_S^T W^n 1_S for n = 1..n_max with one matrix-vector product per level.
-
-    The single-matrix loop: renormalise by v.sum() after each product, add
-    the log of that sum, and stop at the first level whose sum vanishes.
-    """
-    out = []
-    v = np.zeros(W.shape[0])
-    v[index] = 1.0
-    log_scale = 0.0
-    for _ in range(n_max):
-        v = W @ v
-        s = v.sum()
-        if s <= 0:
-            out.extend([-math.inf] * (n_max - len(out)))
-            break
-        v /= s
-        log_scale += math.log(s)
-        entry = v[index].sum()
-        out.append(log_scale + math.log(entry) if entry > 0 else -math.inf)
-    return out
-
-
 def unscaled(p):
     """(base, t) with p = t * base: a ScaledPotential's parts, else (p, 1.0)."""
     return (p.base, p.t) if isinstance(p, ScaledPotential) else (p, 1.0)
 
 
 def per_potential_series(sub, p, n_max, a):
-    """log Z_1..log Z_n_max of p alone: its own transfer matrix, or a walk with its own hooks.
+    """log Z_1, log Z_2, ... of p alone: its own transfer matrix, or a walk with its own hooks.
 
     A pair potential's matrix is math.exp of its own pair on each arc, and a
     block potential's is its block matrix; the diagonal comes from
-    one_matrix_power_diagonal. Without either, the words from a are walked
+    scaled_power_diagonal on that one matrix, up to its stop. Without either,
+    the n_max levels of the words from a are walked
     with the hooks of p's base, each slice closes to t times the base's
     values (p = t * base), and each length takes a logsumexp per walk slice
     and then one across slices. The hooks' state rides in a list, which the
@@ -284,7 +262,7 @@ def per_potential_series(sub, p, n_max, a):
             B = np.zeros((sub.size, sub.size))
             for ki, kj in zip(*np.nonzero(sub.matrix)):
                 B[ki, kj] = math.exp(ps.pair(sub.symbols[ki], sub.symbols[kj]))
-        diagonal = one_matrix_power_diagonal(B, slice(ia * op.d, (ia + 1) * op.d), n_max)
+        diagonal = scaled_power_diagonal(B, slice(ia * op.d, (ia + 1) * op.d), n_max).values
         return [op.offset(n) + v if v != -math.inf else -math.inf
                 for n, v in enumerate(diagonal, start=1)]
     base, t = unscaled(p)

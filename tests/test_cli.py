@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import time
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from typing import Callable, Optional
 
 import numpy as np
@@ -66,8 +67,8 @@ def test_one_parser_serves_every_run_without_keeping_flags(tmp_path, capsys):
     assert run(capsys, "pressure", "--model", model, "--out", second)[0] == 0
     # The second run reads n_max 40 from the file, not the first run's flag.
     for out, n_max in ((first, 5), (second, 40)):
-        _, rows = read_csv(os.path.join(out, "series.csv"))
-        assert max(int(row[1]) for row in rows) == n_max
+        header, rows = read_csv(os.path.join(out, "estimate.csv"))
+        assert int(rows[0][header.index("n_max")]) == n_max
 
 
 def curve_flags(out):
@@ -700,10 +701,16 @@ def exact_lyapunov(n):
     return check
 
 
-def infinite_tail(out, stdout):
-    # 3^-1e-300 rounds to 1, so the geometric tail bound is infinite
+def tiny_t_tail(out, stdout):
+    # 3^-1e-300 rounds to 1, but 1 - 3^-t taken as -expm1(-t log 3) keeps its
+    # precision: the upper bound is finite and holds P = -y - log(1 - e^-y),
+    # y = t log 3. As 1 - e^-y = y (1 - y / 2 + ...), P lies below -log y.
     _, rows = read_csv(os.path.join(out, "curve.csv"))
-    assert (rows[0][0], rows[0][3]) == ("1e-300", "inf")
+    assert rows[0][0] == "1e-300"
+    with localcontext() as ctx:
+        ctx.prec = 60
+        y = Decimal("1e-300") * Decimal(3).ln()
+        assert Decimal(rows[0][3]) >= -y.ln() > Decimal(690)
 
 
 def pressure_near(t, exact):
@@ -851,7 +858,7 @@ CASES = [
           "potential": {"kind": "zero"}},
          0, seconds=20),
     Case("tail-tiny-t", "curve", "weighted20.json", 0, ("--t-grid=1e-300,1",),
-         check=infinite_tail),
+         check=tiny_t_tail),
     Case("pair-overflow-pressure", "pressure", BIRKHOFF_800, 1, error=OVERFLOW.format("1.0")),
     Case("pair-overflow-gibbs", "gibbs", BIRKHOFF_800, 1, error=OVERFLOW.format("1.0")),
     Case("pair-overflow-curve", "curve", "weighted20.json", 1, ("--t-grid=-800,1",),

@@ -24,7 +24,6 @@ from helpers import (
     geometric_power_sum,
     growth_floor_margin,
     near_superadditivity_margin,
-    one_matrix_power_diagonal,
     per_potential_series,
     per_t_curve,
     power_law_sum,
@@ -90,7 +89,14 @@ def weighted_third():
 def test_partition_function_counts_full_shift():
     sub = truncate(full_shift(), 2)
     z = zero_potential(full_shift())
-    assert partition_series(sub, z, 4, 1).log_z(4) == pytest.approx(math.log(8.0), abs=1e-12)
+    # The operator's vector is uniform from level 1, so it stops at level 2;
+    # the walk counts all four levels.
+    series = partition_series(sub, z, 4, 1)
+    assert series.n_max == 2
+    for n in (1, 2):
+        assert series.log_z(n) == pytest.approx(math.log(2.0 ** (n - 1)), abs=1e-12)
+    walked = partition_series(sub, HiddenStructure(z), 4, 1)
+    assert walked.log_z(4) == pytest.approx(math.log(8.0), abs=1e-12)
 
 
 def test_partition_function_counts_golden_mean():
@@ -151,7 +157,7 @@ def test_block_sums_of_vector_iteration_match_matrix_powers():
         for kj in range(3):
             assert np.array_equal(B[2 * ki:2 * ki + 2, 2 * kj:2 * kj + 2], mats[i].T)
     for k in (0, 2, 4):
-        values = scaled_power_diagonal(B, slice(k, k + 2), 30)
+        values = scaled_power_diagonal(B, slice(k, k + 2), 30).values
         for n, v in enumerate(values, start=1):
             block = np.linalg.matrix_power(B, n)[k:k + 2, k:k + 2]
             assert v == pytest.approx(math.log(block.sum()), rel=1e-12)
@@ -491,7 +497,7 @@ def slope_fit_cases():
     yield "renewal m=3 from 3", partition_series(truncate(renewal, 3), zero_potential(renewal), 12, 3).values
     # A nilpotent chain's whole entry sum: levels 5 on are -inf.
     chain = np.triu(np.random.default_rng(3).random((5, 5)) + 0.1, 1)
-    yield "nilpotent chain", tuple(scaled_power_diagonal(chain, slice(0, 5), 12))
+    yield "nilpotent chain", tuple(scaled_power_diagonal(chain, slice(0, 5), 12).values)
     yield "holes", (0.25, -math.inf, 0.5, 0.875, -math.inf, 1.25, 1.75, math.inf, 2.0)
     for n_max in (1, 2):
         yield f"n_max={n_max}", partition_series(truncate(full_shift(), 4), weighted_third(), n_max, 1).values
@@ -540,6 +546,10 @@ def closed_form_brackets(tmp_path):
         for t, est in pressure_curve(full_shift(), p, grid, m_list=[20]):
             x = Decimal(b) ** -Decimal(t)
             yield f"weighted b={b} t={t}", est.value, est.lower, est.upper, (x / (1 - x)).ln()
+    # As t -> 0 the tail's 1 - 3^-t keeps its precision: it is -expm1(-t log 3).
+    for t, est in pressure_curve(full_shift(), weighted_third(), [1e-5, 1e-4, 5e-4], m_list=[20], n_max=12):
+        x = Decimal(3) ** -Decimal(t)
+        yield f"weighted b=3 t={t}", est.value, est.lower, est.upper, (x / (1 - x)).ln()
     # One level has no slope to fit.
     path = tmp_path / "n_max_1.json"
     path.write_text(json.dumps({
@@ -560,6 +570,48 @@ def test_brackets_contain_closed_form_pressures_exactly(tmp_path):
         for name, value, lower, upper, exact in closed_form_brackets(tmp_path):
             assert Decimal(lower) <= exact <= Decimal(upper), name
             assert lower <= value <= upper, name
+
+
+def operator_closed_forms():
+    """(name, estimate, exact P as a Decimal) of operator routes whose pressure has a closed form.
+
+    Each is on a finite alphabet, where the Collatz-Wielandt ratios bound
+    the pressure from both sides. The exact P is a Decimal of the given
+    numbers: 3, the table's floats L and the ratio float(1 / 3).
+    """
+    gm = golden_mean_shift()
+    yield "golden mean", gurevich_pressure(gm, zero_potential(gm), n_max=40), ((1 + Decimal(5).sqrt()) / 2).ln()
+    loop = model_from_arcs([(1, 1)])
+    scalar = cocycle_potential(MatrixFamily(1, {1: np.array([[3.0]])}), loop)
+    for t, est in pressure_curve(loop, scalar, [0.5, 1.0, 2.5], n_max=20):
+        yield f"scalar cocycle t={t}", est, Decimal(t) * Decimal(3).ln()
+    # rho of a 2 x 2 matrix [[a, b], [c, d]] is (a + d + sqrt((a - d)^2 + 4 b c)) / 2.
+    table = [[0.3, -0.7], [0.2, -1.1]]
+    full2 = model_from_arcs([(i, j) for i in (1, 2) for j in (1, 2)])
+    p = birkhoff_potential(lambda i, j: table[i - 1][j - 1], full2)
+    a, b, c, d = (Decimal(x).exp() for row in table for x in row)
+    rho = (a + d + ((a - d) ** 2 + 4 * b * c).sqrt()) / 2
+    yield "2-symbol table", gurevich_pressure(full2, p, n_max=40), rho.ln()
+    # Cantor: two maps of ratio 1/3 have P(t) = log 2 + t log(1/3), 0 at t = log 2 / log 3.
+    t = math.log(2.0) / math.log(3.0)
+    cantor = product_construction([1 / 3, 1 / 3]).potential(full2).scaled(t)
+    exact = Decimal(2).ln() + Decimal(t) * Decimal(1 / 3).ln()
+    yield "cantor", gurevich_pressure(full2, cantor, n_max=30), exact
+
+
+def test_operator_brackets_hold_closed_forms_and_are_narrow():
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for name, est, exact in operator_closed_forms():
+            assert Decimal(est.lower) <= exact <= Decimal(est.upper), name
+            assert est.upper - est.lower <= 1e-11, name
+            assert est.converged and est.series.strategy in ("pair", "block"), name
+        # On the countable weighted full shift the lower bound holds the
+        # closed form log(x / (1 - x)), x = 3^-t, at every truncation.
+        for m in (8, 20, 64):
+            for t, est in pressure_curve(full_shift(), weighted_third(), [0.5, 1.0, 2.0], m_list=[m]):
+                x = Decimal(3) ** -Decimal(t)
+                assert Decimal(est.lower) <= (x / (1 - x)).ln(), (m, t)
 
 
 def test_near_superadditivity_of_counting_series():
@@ -584,7 +636,10 @@ def test_declared_constant_rescues_non_superadditive_series():
         c_regularity=math.log(2.0),
     )
     sub = truncate(full_shift(), 2)
-    series = partition_series(sub, bumpy, 12, 1)
+    # Enumerated, so that all twelve levels are there: the operator's
+    # rank-one matrix stops at level 2.
+    series = partition_series(sub, HiddenStructure(bumpy), 12, 1)
+    assert series.n_max == 12
     assert near_superadditivity_margin(series, 0.0) < -0.5
     assert near_superadditivity_margin(series, math.log(2.0)) >= -1e-9
 
@@ -813,16 +868,15 @@ def test_stacked_power_diagonal_matches_single_matrix(m):
     stack = rng.random((4, m, m)) * (rng.random((4, m, m)) < 0.5)
     stack[:, :, 0] += 0.1
     if m > 1:
-        # A nilpotent matrix: its levels from m on are -inf.
+        # A nilpotent matrix: its sum vanishes by level m, and that level is -inf.
         stack[3] = np.triu(rng.random((m, m)) + 0.1, 1)
     for index in (0, m - 1):
         got = scaled_power_diagonal(stack, index, 40)
         assert len(got) == 4
-        for W, values in zip(stack, got):
-            assert repr(values) == repr(one_matrix_power_diagonal(W, index, 40))
-            assert repr(values) == repr(scaled_power_diagonal(W, index, 40))
+        for W, levels in zip(stack, got):
+            assert repr(levels) == repr(scaled_power_diagonal(W, index, 40))
     if m > 1:
-        assert got[3][m - 1:] == [-math.inf] * (41 - m)
+        assert len(got[3].values) <= m and got[3].values[-1] == -math.inf
 
 
 def test_stacked_power_diagonal_matches_single_matrix_on_blocks():
@@ -834,8 +888,8 @@ def test_stacked_power_diagonal_matches_single_matrix_on_blocks():
     ])
     for index in (slice(0, 2), slice(2, 4)):
         got = scaled_power_diagonal(stack, index, 30)
-        for W, values in zip(stack, got):
-            assert repr(values) == repr(one_matrix_power_diagonal(W, index, 30))
+        for W, levels in zip(stack, got):
+            assert repr(levels) == repr(scaled_power_diagonal(W, index, 30))
 
 
 def renewal_table(m, seed):
@@ -847,57 +901,37 @@ def renewal_table(m, seed):
     return W
 
 
-def swap_pair():
-    """Symbol 4 leads once into the swapped pair 0, 1; symbol 2 keeps its weight.
-
-    From {2, 4} the vector runs (1/2, 0, 1/2, 0, 0), (0, 1/2, 1/2, 0, 0) and
-    back: a 2-cycle whose two vectors share their block sum 1/2, so the level
-    that repeats is not the last level with that key.
-    """
-    W = np.zeros((5, 5))
-    W[0, 1] = W[1, 0] = W[2, 2] = W[0, 4] = 1.0
-    return W
-
-
+GOLDEN = np.array([[1.0, 1.0], [1.0, 0.0]])
 WEIGHTS = 3.0 ** -np.arange(1.0, 21.0)
-# (W, index, n_max): the first seven repeat an earlier vector at levels 3, 2,
-# 2, 39, 3, 4 and 40; the renewal table, the golden mean at n_max = 38 and
-# the nilpotent matrix never do.
+# (W, index, n_max, rho): matrices whose Perron root is known in closed form.
 POWER_CASES = {
-    "rank-one-weighted": (np.tile(WEIGHTS, (20, 1)), 0, 200),
-    "all-ones": (np.ones((6, 6)), 0, 200),
-    "cantor": (np.full((2, 2), 3.0 ** -0.63), 0, 200),
+    "rank-one-weighted": (np.tile(WEIGHTS, (20, 1)), 0, 200, WEIGHTS.sum()),
+    "all-ones": (np.ones((6, 6)), 0, 200, 6.0),
     # The block matrix A^T of one symbol's 2 x 2 cocycle matrix.
-    "cocycle-block": (np.array([[2.0, 1.0], [1.0, 3.0]]).T, slice(0, 2), 200),
-    "swap-pair": (swap_pair(), slice(2, 5, 2), 200),
-    "rotation-3": (np.roll(np.eye(3), 1, axis=0), 0, 200),
-    "golden-mean": (np.array([[1.0, 1.0], [1.0, 0.0]]), 0, 200),
-    "golden-mean-38": (np.array([[1.0, 1.0], [1.0, 0.0]]), 0, 38),
-    "renewal": (renewal_table(48, 4), 0, 40),
-    "nilpotent": (np.triu(np.ones((5, 5)), 1), 4, 60),
+    "cocycle-block": (np.array([[2.0, 1.0], [1.0, 3.0]]).T, slice(0, 2), 200, (5.0 + math.sqrt(5.0)) / 2.0),
+    "golden-mean": (GOLDEN, 0, 200, (1.0 + math.sqrt(5.0)) / 2.0),
 }
 
 
 @pytest.mark.parametrize("name", list(POWER_CASES))
-def test_power_diagonal_stops_at_its_cycle_with_the_loop_bits(name):
-    W, index, n_max = POWER_CASES[name]
-    # Every n_max up to a few levels past the cycle, and the case's own.
-    for n in [*range(1, 45), n_max]:
-        expected = repr(one_matrix_power_diagonal(W, index, n))
-        assert repr(scaled_power_diagonal(W, index, n)) == expected, n
-    stack = np.stack([W, W.T, 2.0 * W])
-    for M, values in zip(stack, scaled_power_diagonal(stack, index, n_max)):
-        assert repr(values) == repr(one_matrix_power_diagonal(M, index, n_max))
+def test_power_diagonal_ratios_bracket_the_perron_root(name):
+    W, index, n_max, rho = POWER_CASES[name]
+    levels = scaled_power_diagonal(W, index, n_max)
+    assert len(levels.values) < n_max
+    # The ratios agree within (M + 1) 2^-52; the root's own float is within a
+    # few units of it, and the last sum is a mean of the ratios.
+    assert levels.high <= levels.low * (1.0 + (len(W) + 1) * 2.0 ** -52)
+    for x in (rho, levels.total):
+        assert levels.low * (1.0 - 2.0 ** -50) <= x <= levels.high * (1.0 + 2.0 ** -50)
+    n = len(levels.values)
+    power = np.linalg.matrix_power(W, n)[index, index].sum()
+    assert levels.values[-1] == pytest.approx(math.log(power), abs=1e-12)
 
 
 class CountedMatrix(np.ndarray):
-    """A matrix that counts the products it takes part in: W.dot and np.matmul."""
+    """A stack of matrices that counts the np.matmul products it takes part in."""
 
     products = 0
-
-    def dot(self, *args, **kwargs):
-        CountedMatrix.products += 1
-        return self.view(np.ndarray).dot(*args, **kwargs)
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         if ufunc is np.matmul:
@@ -906,52 +940,38 @@ class CountedMatrix(np.ndarray):
         return getattr(ufunc, method)(*inputs, **kwargs)
 
 
+def counted_power_diagonal(stack, index, n_max):
+    """(scaled_power_diagonal of a stack, the stacked products it took)."""
+    CountedMatrix.products = 0
+    levels = scaled_power_diagonal(stack.view(CountedMatrix), index, n_max)
+    return levels, CountedMatrix.products
+
+
 @pytest.mark.parametrize("stacked", [False, True])
-@pytest.mark.parametrize("name", ["rank-one-weighted", "swap-pair"])
+@pytest.mark.parametrize("name", ["rank-one-weighted", "all-ones"])
 def test_power_diagonal_stops_within_a_few_levels(name, stacked):
-    W, index, n_max = POWER_CASES[name]
+    W, index, n_max, _ = POWER_CASES[name]
+    # Level 2 multiplies a positive vector whose ratios agree: two levels, not 200.
+    alone = scaled_power_diagonal(W, index, n_max)
+    assert len(alone.values) == 2
     if stacked:
-        W = np.stack([W, 2.0 * W])
-    CountedMatrix.products = 0
-    values = scaled_power_diagonal(W.view(CountedMatrix), index, n_max)
-    # Level 3's vector repeats level 2's (the swap's, level 1's): three products, not 200.
-    assert CountedMatrix.products == 3
-    if stacked:
-        W, values = W[-1], values[-1]
-    assert repr(values) == repr(one_matrix_power_diagonal(W, index, n_max))
+        got, products = counted_power_diagonal(np.stack([2.0 * W, W]), index, n_max)
+        assert products == 2
+        assert repr(got[-1]) == repr(alone)
 
 
-def counted_power_diagonal(W, index, n_max):
-    """(scaled_power_diagonal of W, the matrix products it took)."""
-    CountedMatrix.products = 0
-    values = scaled_power_diagonal(W.view(CountedMatrix), index, n_max)
-    return values, CountedMatrix.products
+def mixed_stop_stack():
+    """3 x 3 matrices that stop alone after 1, 40, 3 and 1 products, from the ones vector.
 
-
-def mixed_cycle_stack():
-    """3 x 3 matrices that stop alone after 2, 3, 4 and about 40 products.
-
-    The rotation repeats its level-0 vector at level 3; the golden mean, on
-    symbols 1 and 2 of the three, only at level 39; the nilpotent matrix's
-    sum vanishes at level 2.
+    The all-ones and the rank-one matrix's ratios agree at once; the
+    tribonacci matrix's near level 40. The chain's sum vanishes at level 3.
     """
-    golden = np.zeros((3, 3))
-    golden[:2, :2] = [[1.0, 1.0], [1.0, 0.0]]
-    golden[2, 2] = 1.0
-    nilpotent = np.zeros((3, 3))
-    nilpotent[1, 0] = nilpotent[2, 1] = 1.0
-    stack = np.stack([
-        np.roll(np.eye(3), 1, axis=0), np.ones((3, 3)), golden, nilpotent,
-        np.full((3, 3), 3.0 ** -0.63),
-    ])
-    return stack, 0, 60
+    chain = np.zeros((3, 3))
+    chain[0, 1] = chain[1, 2] = 1.0
+    tribonacci = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+    return np.stack([np.ones((3, 3)), tribonacci, chain, np.full((3, 3), 3.0 ** -0.63)]), slice(0, 3), 60, 2
 
 
-# A curve stack whose matrices stop alone within 3 to 8 products, while its
-# vectors never all repeat at one level within its 40: the weighted full
-# shift with weights base^-a at m = 64 and 21 t (pressure_sweep, seed 101,
-# pass 0, wfs_curve_m64). A nilpotent matrix whose sum vanishes at level 5
-# rides along.
 FOUND_BASE = 3.3381805491383316
 FOUND_GRID = [
     0.62216, 0.691848, 0.828391, 0.883471, 1.01833, 1.110854, 1.198264, 1.271848,
@@ -961,53 +981,53 @@ FOUND_GRID = [
 
 
 def found_curve_stack():
+    """The weighted full shift with weights base^-a at m = 64 and 21 t (pressure_sweep,
+    seed 101, pass 0, wfs_curve_m64), each stopping at level 2, with a chain
+    whose sum vanishes at level 5 riding along."""
     p = weighted_fullshift_potential(lambda a: FOUND_BASE ** (-a))
     stack, _ = PairTable(truncate(full_shift(), 64), p.pair_structure()).matrices(FOUND_GRID)
-    nilpotent = np.zeros((64, 64))
-    nilpotent[np.arange(1, 6), np.arange(5)] = 1.0
-    return np.concatenate((stack, nilpotent[None])), 0, 40
+    chain = np.zeros((64, 64))
+    chain[np.arange(4), np.arange(1, 5)] = 1.0
+    return np.concatenate((stack, chain[None])), 0, 40, -1
 
 
 def vanishing_slowest_stack():
-    """A chain whose sum vanishes at level 5, the slowest of its stack."""
+    """A chain whose sum vanishes at level 6, the slowest of its stack."""
     chain = np.zeros((7, 7))
-    chain[np.arange(1, 6), np.arange(5)] = 1.0
-    rotation = np.eye(7)
-    rotation[:3, :3] = np.roll(np.eye(3), 1, axis=0)
-    return np.stack([chain, np.ones((7, 7)), rotation]), 0, 30
+    chain[np.arange(5), np.arange(1, 6)] = 1.0
+    return np.stack([chain, np.ones((7, 7)), np.full((7, 7), 0.5)]), 0, 30, 0
 
 
-@pytest.mark.parametrize("make", [mixed_cycle_stack, found_curve_stack, vanishing_slowest_stack])
-def test_stacked_power_diagonal_stops_each_matrix_at_its_own_cycle(make):
-    stack, index, n_max = make()
-    alone = [counted_power_diagonal(W, index, n_max) for W in stack]
-    values, products = counted_power_diagonal(stack, index, n_max)
-    assert len({count for _, count in alone}) > 2
+@pytest.mark.parametrize("make", [mixed_stop_stack, found_curve_stack, vanishing_slowest_stack])
+def test_stacked_power_diagonal_stops_each_matrix_at_its_own_level(make):
+    stack, index, n_max, chain = make()
+    alone = [scaled_power_diagonal(W, index, n_max) for W in stack]
+    got, products = counted_power_diagonal(stack, index, n_max)
+    # A single matrix takes one product per level.
+    counts = [len(single.values) for single in alone]
+    assert len(set(counts)) > 1
     # As many products as the slowest matrix takes alone, not n_max.
-    assert products == max(count for _, count in alone) < n_max
-    for W, row, (single, _) in zip(stack, values, alone):
-        assert repr(row) == repr(one_matrix_power_diagonal(W, index, n_max))
-        assert repr(row) == repr(single)
-    # The vanishing matrix: every level from the one whose sum vanished is -inf.
-    vanishing = {mixed_cycle_stack: 3, found_curve_stack: -1, vanishing_slowest_stack: 0}[make]
-    assert values[vanishing][-1] == -math.inf
+    assert products == max(counts) < n_max
+    for levels, single in zip(got, alone):
+        assert repr(levels) == repr(single)
+    # The chain: the level whose sum vanished is the last, and -inf.
+    assert got[chain].values[-1] == -math.inf
 
 
 def test_power_diagonal_keeps_a_bounded_number_of_past_vectors():
     # Symbol 0 feeds every symbol, which keeps a share 1 - k / 4m of its
-    # weight: the vector tends to the Perron vector at rate 1 - 1/1200 and
-    # repeats no earlier one by n_max, and its entry falls at every level,
-    # so no level's key matches an earlier one.
+    # weight: the ratios settle at rate 1 - 1/1200 and do not agree by
+    # n_max, so every level is iterated.
     m, n_max = 300, 3000
     W = np.diag(1.0 - np.arange(m) / (4.0 * m))
     W[:, 0] = 1.0
     tracemalloc.start()
     try:
-        values = scaled_power_diagonal(W, 0, n_max)
+        levels = scaled_power_diagonal(W, 0, n_max)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert repr(values) == repr(one_matrix_power_diagonal(W, 0, n_max))
+    assert len(levels.values) == n_max
     # Keeping every level's vector would take 7.2 MB.
     assert peak < 1.5e6, f"peak {peak / 1e6:.2f} MB"
 
@@ -1023,13 +1043,14 @@ def test_underflowing_weights_are_factored_out_of_their_t_alone():
     assert curve[0][1].series.shift == 0.0
     for t, est in curve[1:]:
         c = t * math.log(3.0 ** -1)
-        # The factored weights are 1 into symbol 1 and at most 3^-t elsewhere,
-        # so each factored log Z_n rounds to 0.0.
+        # The factored weights are 1 out of symbol 1 and at most 3^-t
+        # elsewhere: the vector is uniform from level 1, its ratios agree at
+        # level 2, and each factored log Z_n rounds to within 2 ulps of 0.0.
         assert est.series.shift == c
-        assert est.series.values == (0.0,) * 12
-        assert [est.series.log_z(n) for n in range(1, 13)] == [n * c for n in range(1, 13)]
-        # Each reported slope is log Z_{n+1} - log Z_n, c included.
-        assert est.slopes == tuple((n, c) for n in range(1, 12))
+        values = est.series.values
+        assert len(values) == 2 and max(map(abs, values)) <= 2 ** -51
+        assert [est.series.log_z(n) for n in (1, 2)] == [v + n * c for n, v in enumerate(values, 1)]
+        assert est.slopes == ((1, values[1] - values[0] + c),)
         assert est.series.log_norm == 0.0
         assert est.value == pytest.approx(-t * math.log(3.0), abs=1e-9)
         assert est.lower <= -t * math.log(3.0) <= est.upper
@@ -1041,24 +1062,28 @@ def test_underflow_shift_rounds_both_bounds_outward():
     # Every weight exp(-800 + d_ij) underflows, so c = max(-800 + d_ij) is
     # factored out and added back to the lower bound and to the norm under
     # the upper one. Both sums round at the size of c, and each must round
-    # outward: the exact sums lie inside the bounds. The declared C cancels
-    # most of c in the upper bound, whose last rounding is then fine enough
-    # to show how the norm's sum was rounded.
+    # outward: the exact sums lie inside the bounds. The declared C puts the
+    # offset's rate in [-800 / 12, 800 / 12], and cancels most of c in the
+    # upper bound, whose last rounding is then fine enough to show how the
+    # norm's sum was rounded.
     d = [[0.468, 0.408, 0.001], [0.429, 0.017, 0.365], [0.088, 0.432, 0.271]]
     p = birkhoff_potential(lambda i, j: -800.0 + d[i - 1][j - 1], full_shift())
     p.declared_C = 800.0
     est = gurevich_pressure(full_shift(), p, m_list=[3], n_max=12)
     c, norm = est.series.shift, est.series.log_norm
     assert c == -800.0 + 0.468
-    lower = max((zn - 800.0) / n for n, zn in enumerate(est.series.values, 1))
-    assert lower != 0.0
-    exact_lower = Fraction(lower) + Fraction(c)
+    # The least Collatz-Wielandt ratio of the factored matrix's last vector.
+    (W,), _ = PairTable(truncate(full_shift(), 3), p.pair_structure()).matrices((1.0,))
+    low = math.log(scaled_power_diagonal(W, 0, 12).low)
+    exact_lower = Fraction(low) + Fraction(-800, 12) + Fraction(c)
     exact_upper = 800 + Fraction(norm) + Fraction(c) + Fraction(3 + 2, 2 ** 52)
     assert Fraction(est.lower) <= exact_lower
     assert Fraction(est.upper) >= exact_upper
     # Rounded to nearest, the lower sum rounds up and the norm's rounds down.
-    assert Fraction(lower + c) > exact_lower
+    assert Fraction(low + -800 / 12 + c) > exact_lower
     assert Fraction(norm + c) < Fraction(norm) + Fraction(c)
+    # The rate bounds' middle is 0: the value is the log of the last sum plus c.
+    assert est.value == math.log(scaled_power_diagonal(W, 0, 12).total) + c
 
 
 def test_curve_holds_a_bounded_stack_of_pair_matrices():
