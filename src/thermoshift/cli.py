@@ -8,9 +8,8 @@ when the divergence policy fired. All numeric CSV cells use the shortest
 float representation that parses back to the same value.
 
 Every CSV is what csv.writer writes, which formats each float with
-float.__repr__. gibbs.csv, a row per certified cylinder, is built a length
-at a time as one byte matrix (_write_gibbs_csv), with each distinct float of
-a column formatted once.
+float.__repr__. gibbs.csv holds two rows per cylinder length, the cylinders
+of least and largest ratio, and a summary row of the certificate.
 """
 
 import argparse
@@ -64,8 +63,6 @@ log = logging.getLogger("thermoshift")
 
 PRESSURE_KEYS = tuple(key for key in _ESTIMATE_PARAMS if key in PARAMS)
 
-_CRLF = np.frombuffer(b"\r\n", dtype=np.uint8)
-
 
 def _setup_logging() -> None:
     level_name = os.environ.get("THERMOSHIFT_LOG", "WARNING").upper()
@@ -79,68 +76,6 @@ def _write_csv(path: str, header: Sequence[str], rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-
-
-def _table(strings: Sequence[str], lead: bytes) -> np.ndarray:
-    """uint8 matrix whose row i is lead + strings[i] in ASCII, NUL-padded to one width."""
-    body = np.array(strings, dtype=bytes)
-    table = np.empty((len(body), len(lead) + body.itemsize), dtype=np.uint8)
-    table[:, :len(lead)] = np.frombuffer(lead, dtype=np.uint8)
-    table[:, len(lead):] = body.view(np.uint8).reshape(len(body), body.itemsize)
-    return table
-
-
-def _float_fields(values: np.ndarray, exp: bool = False) -> tuple:
-    """(table, inverse) with table[inverse] the rows "," + repr(x) of values' floats.
-
-    Each distinct bit pattern is formatted once, so 0.0 and -0.0 stay apart;
-    with exp, repr of its math.exp, not np.exp, which differs in the last
-    bit on some inputs.
-    """
-    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    distinct = bits.view(np.float64).tolist()
-    if exp:
-        distinct = map(math.exp, distinct)
-    return _table(list(map(repr, distinct)), b","), inverse.ravel()
-
-
-def _write_gibbs_csv(path: str, symbols: Sequence[int], lengths: list, cert) -> None:
-    """Write gibbs.csv from verify_gibbs's sink calls, (n, words, log mass, log weight, log ratio).
-
-    Each length's rows are built as one uint8 matrix, a row per cylinder,
-    whose blocks of columns are gathered from NUL-padded tables: n; "," +
-    the word's first symbol and " " + each later one, indexed by symbol
-    minus the least symbol; "," + repr of the mass, the log weight and the
-    ratio, each distinct value of a column over the whole file formatted
-    once (mass and ratio by math.exp of their logs); and CRLF. Deleting the
-    NULs leaves the rows. These are the bytes csv.writer writes with repr
-    per float: no field holds a comma, quote or line break, so none is
-    quoted, and csv.writer ends each row with CRLF.
-    """
-    lo = min(symbols)
-    names = [str(s) for s in range(lo, max(symbols) + 1)]
-    first, rest = _table(names, b","), _table(names, b" ")
-    columns = [
-        _float_fields(np.concatenate([level[i] for level in lengths]), exp)
-        for i, exp in ((2, True), (3, False), (4, True))
-    ]
-    start = 0
-    with open(path, "wb") as fh:
-        fh.write(b"n,word,mass,log_weight,ratio\r\n")
-        for n, words, *_ in lengths:
-            k, stop, codes = len(words), start + len(words), words - lo
-            prefix = np.frombuffer(str(n).encode(), dtype=np.uint8)
-            rows = np.concatenate([
-                np.broadcast_to(prefix, (k, len(prefix))),
-                first[codes[:, 0]],
-                rest[codes[:, 1:]].reshape(k, (n - 1) * rest.shape[1]),
-                *(table[inverse[start:stop]] for table, inverse in columns),
-                np.broadcast_to(_CRLF, (k, 2)),
-            ], axis=1)
-            fh.write(rows.tobytes().replace(b"\0", b""))
-            start = stop
-        fh.write(f"summary,,{cert.words_tested},{cert.ratio_min!r},"
-                 f"{cert.ratio_max!r}\r\n".encode())
 
 
 def _params(data: dict, args: argparse.Namespace) -> dict:
@@ -314,7 +249,14 @@ def cmd_gibbs(data: dict, args: argparse.Namespace, out_dir: str) -> int:
             mu = finite_gibbs_nu(sub, potential, level, **_given(params, "cap"))
         except EnumerationBudgetError as exc:
             raise ModelFileError("params.level", f"{exc}; params.cap sets the cap") from None
-    lengths = []
+    # gibbs.csv keeps each length's least and largest ratio, the first such word on a tie.
+    rows = []
+
+    def extremes(n, words, log_mass, log_weight, log_ratio):
+        for i in (int(log_ratio.argmin()), int(log_ratio.argmax())):
+            rows.append((n, " ".join(map(str, words[i].tolist())), math.exp(log_mass[i]),
+                         float(log_weight[i]), math.exp(log_ratio[i])))
+
     cert = verify_gibbs(
         mu,
         potential,
@@ -322,9 +264,11 @@ def cmd_gibbs(data: dict, args: argparse.Namespace, out_dir: str) -> int:
         depth=depth,
         sub=sub,
         **_given(params, "ratio_bound"),
-        row_sink=lambda *columns: lengths.append(columns),
+        row_sink=extremes,
     )
-    _write_gibbs_csv(os.path.join(out_dir, "gibbs.csv"), sub.symbols, lengths, cert)
+    rows.append(("summary", "", cert.words_tested, cert.ratio_min, cert.ratio_max))
+    _write_csv(os.path.join(out_dir, "gibbs.csv"), ("n", "word", "mass", "log_weight", "ratio"),
+               rows)
     verdict = "PASS" if cert.passed else "FAIL"
     print(
         f"{verdict} ratio_min {cert.ratio_min!r} ratio_max {cert.ratio_max!r} "

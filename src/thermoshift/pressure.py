@@ -30,6 +30,7 @@ import numpy as np
 
 from .numerics import NEG_INF, PowerLevels, logsumexp, logsumexp_groups, scaled_power_diagonal
 from .potentials import (
+    _TINY,
     PairTable,
     PotentialSequence,
     ScaledPotential,
@@ -147,8 +148,11 @@ def _scaled_series(sub, potentials, n_max, a, cap) -> list[PartitionSeries]:
         # A scaled pair structure's offset(n) is t times the base's, the
         # product computed here; 1.0 times a float is that float.
         offsets = [ps.offset(n) for n in range(1, n_max + 1)]
-        # The largest finite |L| over the arcs, for their weights' rounding (_bracket).
-        l_max = float(np.max(np.abs(table.values), where=np.isfinite(table.values), initial=0.0))
+        # The largest finite |L| over the arcs, for their weights' rounding (_bracket),
+        # and the least and largest finite L, which bound each t's least weight.
+        finite = table.values[np.isfinite(table.values)]
+        l_max = float(np.max(np.abs(finite), initial=0.0))
+        l_ends = float(np.min(finite, initial=0.0)), float(np.max(finite, initial=0.0))
         # Per t, Fekete's bounds on the rate of t offset(n), whose defect is at most C.
         k_c = np.array([[p.declared_C] for p in potentials])
         rates = [(0.0, 0.0, 0.0)] * len(potentials)
@@ -163,7 +167,12 @@ def _scaled_series(sub, potentials, n_max, a, cap) -> list[PartitionSeries]:
             for k, W, level, shift, rate in zip(range(lo, lo + per), stack, levels, shifts, rates):
                 t, op = scales[k], TransferOperator("pair", W, 1, potentials[k].pair_structure().offset)
                 values = tuple(t * o + v if v != NEG_INF else NEG_INF for o, v in zip(offsets, level.values))
-                arcs = 2.0 ** -53 * (4 * abs(t) * l_max + abs(shift) + 2 * abs(t) + 2)
+                # A weight below the smallest normal float is left out of the pad.
+                l_t = l_max
+                if math.exp(min(t * l_ends[0], t * l_ends[1]) - shift) < _TINY:
+                    l_t = float(np.max(np.abs(table.on_arcs(table.values, 0.0)), where=W >= _TINY,
+                                       initial=0.0))
+                arcs = 2.0 ** -53 * (4 * abs(t) * l_t + abs(shift) + 2 * abs(t) + 2)
                 out[k] = PartitionSeries(a, values, sub.size, "pair", op.log_norm(), shift=shift,
                                          bracket=_bracket(level, sub.size, arcs, rate, shift))
     else:
@@ -193,7 +202,8 @@ def _bracket(level: PowerLevels, size: int, arcs: float, rates, c: float) -> tup
     vector has a zero entry); their logs are widened by 2^-52 (size + 2 +
     |log ratio|) for the sums, division and log over a vector of that size,
     and by arcs for the weights' own rounding: u (4 |t| max |L| + |c| +
-    2 |t| + 2), u = 2^-53, from PressureEstimate's per-arc bound, for a pair
+    2 |t| + 2), u = 2^-53, from PressureEstimate's per-arc bound, the max
+    over the arcs whose weight exp(tL - c) is a normal float, for a pair
     matrix, and 0 for a block matrix, which holds its entries as given.
     rates holds r's bounds, max_n (t offset(n) - C) / n and min_n (t offset(n)
     + C) / n by Fekete's lemma for a C-almost-additive offset, and a size

@@ -224,6 +224,19 @@ def row_sink(rows):
     return sink
 
 
+def extreme_rows(rows, log_ratios):
+    """Per length, the row of least and then of largest log ratio, the first on a tie.
+
+    rows are row_sink's rows and log_ratios the log ratio of each, in the
+    same order; the two rows are one when the length has one cylinder.
+    """
+    out = []
+    for _, group in itertools.groupby(zip(rows, log_ratios), key=lambda pair: pair[0][0]):
+        group = list(group)
+        out.extend(pick(group, key=lambda pair: pair[1])[0] for pick in (min, max))
+    return out
+
+
 def reference_gibbs_csv(rows, cert):
     """gibbs.csv written one row at a time by csv.writer: repr per float, words space-joined."""
     buf = io.StringIO(newline="")

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 import pytest
 
-from helpers import reference_gibbs_csv, row_sink
+from helpers import extreme_rows, reference_gibbs_csv, row_sink
 from thermoshift import cli, modelfile, pressure, shift_core
 from thermoshift.cli import main
 
@@ -190,75 +190,90 @@ GIBBS_CSV_MODELS = {
 }
 
 
-@pytest.mark.parametrize("name", ["gibbs_uniform.json", "gm_zero.json", "gibbs_fail.json",
-                                  "birkhoff_nu.json", "two_digit_symbols", "gibbs-fiber",
-                                  "birkhoff_m5_depth5"])
-def test_gibbs_csv_matches_row_writer(tmp_path, capsys, monkeypatch, name):
-    # The per-length sink output, written a row at a time by csv.writer,
-    # must give the very bytes cmd_gibbs writes a length at a time.
+def run_gibbs_teed(tmp_path, capsys, monkeypatch, name):
+    """Run gibbs on a fixture or a GIBBS_CSV_MODELS file with verify_gibbs teed.
+
+    Returns the exit code, gibbs.csv's text, row_sink's rows of every
+    cylinder, each row's log ratio, the certificate and verify_gibbs's
+    keyword arguments.
+    """
     model = fixture(name)
     if name in GIBBS_CSV_MODELS:
         model = tmp_path / "model.json"
         model.write_text(json.dumps(GIBBS_CSV_MODELS[name]))
-    rows, certs = [], []
+    rows, log_ratios, calls = [], [], []
     certify = cli.verify_gibbs
 
     def teeing(*args, **kwargs):
-        sinks = (row_sink(rows), kwargs["row_sink"])
+        sinks = (row_sink(rows), lambda *columns: log_ratios.extend(columns[4].tolist()),
+                 kwargs["row_sink"])
         kwargs["row_sink"] = lambda *columns: [sink(*columns) for sink in sinks]
-        certs.append(certify(*args, **kwargs))
-        return certs[-1]
+        calls.append((certify(*args, **kwargs), kwargs))
+        return calls[-1][0]
 
     monkeypatch.setattr(cli, "verify_gibbs", teeing)
-    code, _, _ = run(capsys, "gibbs", "--model", str(model), "--out", str(tmp_path))
-    assert code == (2 if name == "gibbs_fail.json" else 0)
-    with open(os.path.join(tmp_path, "gibbs.csv"), newline="", encoding="utf-8") as handle:
+    out = tmp_path / "out"
+    code, _, _ = run(capsys, "gibbs", "--model", str(model), "--out", str(out))
+    with open(out / "gibbs.csv", newline="", encoding="utf-8") as handle:
         written = handle.read()
-    # Line lists, so that a failure reports its first differing line, not a
-    # diff of the whole file (minutes on the 3905-row case).
-    lines = reference_gibbs_csv(rows, certs[0]).splitlines(keepends=True)
-    assert written.splitlines(keepends=True) == lines
+    [(cert, kwargs)] = calls
+    return code, written, rows, log_ratios, cert, kwargs
+
+
+@pytest.mark.parametrize("name", ["gibbs_uniform.json", "gm_zero.json", "gibbs_fail.json",
+                                  "birkhoff_nu.json", "two_digit_symbols", "gibbs-fiber",
+                                  "birkhoff_m5_depth5"])
+def test_gibbs_csv_matches_row_writer(tmp_path, capsys, monkeypatch, name):
+    # Each length's rows of least and largest log ratio among the sink's,
+    # written a row at a time by csv.writer, must give the very bytes
+    # cmd_gibbs writes.
+    code, written, rows, log_ratios, cert, _ = run_gibbs_teed(tmp_path, capsys, monkeypatch, name)
+    assert code == (2 if name == "gibbs_fail.json" else 0)
+    kept = extreme_rows(rows, log_ratios)
+    assert written == reference_gibbs_csv(kept, cert)
     if name == "gibbs_fail.json":
-        assert any(m == 0.0 and r == 0.0 for _, _, m, _, r in rows)
+        # Zero-mass cylinders of positive weight have ratio 0.0, each length's least.
+        assert all(m == 0.0 and r == 0.0 for _, _, m, _, r in kept[::2])
     if name == "birkhoff_nu.json":
         deep = [lw for n, _, _, lw, _ in rows if n == 5]
         assert 1 < len(set(deep)) < len(deep)
     if name == "two_digit_symbols":
         assert sum(min(w) < 10 <= max(w) for _, w, _, _, _ in rows) > 1000
+        assert any(min(w) < 10 <= max(w) for _, w, _, _, _ in kept)
     if name == "birkhoff_m5_depth5":
+        # 5 + 25 + 125 + 625 + 3125 cylinders; the header, 2 rows a length, the summary.
         assert len(rows) == 3905
+        assert written.count("\n") == 12
     copy = io.StringIO(newline="")
     csv.writer(copy).writerows(csv.reader(io.StringIO(written, newline="")))
     assert copy.getvalue() == written
 
 
-def float_fields(values, exp=False):
-    """The float column cli._float_fields builds: its table rows, NULs deleted, by the inverse."""
-    table, inverse = cli._float_fields(values, exp=exp)
-    assert table.dtype == np.uint8 and inverse.shape == values.shape
-    fields = [row.tobytes().replace(b"\0", b"").decode() for row in table[inverse]]
-    assert all(field.startswith(",") for field in fields)
-    return [field[1:] for field in fields]
+# The fixtures on which gibbs writes gibbs.csv.
+GIBBS_FIXTURES = ["cocycle_single.json", "gibbs_fail.json", "gibbs_uniform.json", "gm_zero.json",
+                  "unconverged.json", "weighted20.json", "weighted_list.json"]
 
 
-def test_float_column_is_repr_per_value():
-    # Formatting once per distinct bit pattern gives repr of every value:
-    # 0.0 and -0.0 apart, infinities, a zero mass's -inf log (exp: 0.0), and runs.
-    # np.exp differs from math.exp in the last bit at the last two fixed values
-    # on some numpy builds.
-    rng = np.random.default_rng(3)
-    values = np.concatenate([
-        [0.0, -0.0, math.inf, -math.inf, math.nan, 0.1 + 0.2, -745.2, 709.0, 1e-300,
-         -2.230497748061425, 4.480293435662282],
-        rng.choice([0.0, -0.0, -math.inf, 0.3, -1.7, 2.5e-8], 200),
-        np.repeat(rng.normal(size=5), 7),
-    ])
-    column = float_fields(values)
-    assert column == [repr(x) for x in values.tolist()]
-    assert {"0.0", "-0.0", "inf", "-inf"} <= set(column)
-    exps = float_fields(values, exp=True)
-    assert exps == [repr(math.exp(x)) for x in values.tolist()]
-    assert exps[3] == "0.0"
+@pytest.mark.parametrize("name", GIBBS_FIXTURES + ["birkhoff_m5_depth5"])
+def test_gibbs_csv_extremes_are_the_certificates(tmp_path, capsys, monkeypatch, name):
+    # The least rows' least ratio is ratio_min, the largest rows' largest is
+    # ratio_max, and the summary counts every admissible cylinder.
+    _, written, _, _, cert, kwargs = run_gibbs_teed(tmp_path, capsys, monkeypatch, name)
+    header, *cylinders, summary = csv.reader(io.StringIO(written, newline=""))
+    assert header == ["n", "word", "mass", "log_weight", "ratio"]
+    least, largest = cylinders[::2], cylinders[1::2]
+    depth = kwargs["depth"]
+    assert [r[0] for r in least] == [r[0] for r in largest] == [str(n) for n in range(1, depth + 1)]
+    assert min(float(r[4]) for r in least) == cert.ratio_min
+    assert max(float(r[4]) for r in largest) == cert.ratio_max
+    assert summary == ["summary", "", str(cert.words_tested), repr(cert.ratio_min),
+                       repr(cert.ratio_max)]
+    # Walks of n - 1 steps from each symbol are the cylinders of length n.
+    counts, cylinders = np.ones(kwargs["sub"].size, dtype=object), 0
+    for _ in range(depth):
+        cylinders += int(counts.sum())
+        counts = shift_core.walk_counts(kwargs["sub"], 1, counts)
+    assert cert.words_tested == cylinders
 
 
 @pytest.mark.parametrize("command, name, flags, fields", [
@@ -611,19 +626,20 @@ def line_count(out, name) -> int:
 
 
 def gibbs_uniform(out, stdout):
-    # depth 3 on the full 3-shift: the header, 3 + 9 + 27 word rows, the summary
-    assert line_count(out, "gibbs.csv") == 41
+    # depth 3 on the full 3-shift: the header, 2 rows for each length, the summary
+    assert line_count(out, "gibbs.csv") == 8
     header, rows = read_csv(os.path.join(out, "gibbs.csv"))
     assert header == ["n", "word", "mass", "log_weight", "ratio"]
     words = [r for r in rows if r[0] != "summary"]
-    assert len(words) == 39
+    assert len(words) == 6
     # pressure comes from the slope estimate, so ratios sit one ulp off 1
     assert all(abs(float(row[4]) - 1.0) < 1e-12 for row in words)
     assert int([r for r in rows if r[0] == "summary"][0][2]) == 39
 
 
 def gibbs_fiber(out, stdout):
-    assert line_count(out, "gibbs.csv") == 72
+    # depth 4: the header, 2 rows for each length, the summary
+    assert line_count(out, "gibbs.csv") == 10
 
 
 def cantor_root(out, stdout):

@@ -1058,6 +1058,22 @@ def test_underflowing_weights_are_factored_out_of_their_t_alone():
         assert est.truncation_values == ((20, est.value),)
 
 
+def test_underflowing_weights_are_left_out_of_the_arc_pad():
+    # At t = 300 the weights 3^(-300 a) of a >= 3 underflow, and at t = 670
+    # and 700 (factored) all but the first; the pad counts |t L| of the
+    # normal weights only. The truncation's pressure is log sum_a exp(t L_a)
+    # over the table's floats L_a, rank one on the full shift.
+    p = weighted_third()
+    values = PairTable(truncate(full_shift(), 20), p.pair_structure()).values.tolist()
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for t, est in pressure_curve(full_shift(), p, [300.0, 670.0, 700.0], m_list=[20], n_max=12):
+            lower, _, upper = est.series.bracket
+            exact = sum((Decimal(t) * Decimal(x)).exp() for x in values).ln()
+            assert Decimal(lower) <= exact <= Decimal(upper), t
+            assert upper - lower <= 2.5e-12, t
+
+
 def test_underflow_shift_rounds_both_bounds_outward():
     # Every weight exp(-800 + d_ij) underflows, so c = max(-800 + d_ij) is
     # factored out and added back to the lower bound and to the norm under
