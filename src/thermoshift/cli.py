@@ -8,15 +8,14 @@ when the divergence policy fired. All numeric CSV cells use the shortest
 float representation that parses back to the same value.
 
 Every CSV is what csv.writer writes, which formats each float with
-float.__repr__. gibbs.csv holds two rows per cylinder length, the cylinders
-of least and largest ratio, and a summary row of the certificate.
+float.__repr__. gibbs.csv holds two rows per cylinder length, the
+certificate's cylinders of least and largest ratio, and its summary row.
 """
 
 import argparse
 import csv
 import functools
 import logging
-import math
 import os
 import sys
 from typing import Optional, Sequence
@@ -249,14 +248,6 @@ def cmd_gibbs(data: dict, args: argparse.Namespace, out_dir: str) -> int:
             mu = finite_gibbs_nu(sub, potential, level, **_given(params, "cap"))
         except EnumerationBudgetError as exc:
             raise ModelFileError("params.level", f"{exc}; params.cap sets the cap") from None
-    # gibbs.csv keeps each length's least and largest ratio, the first such word on a tie.
-    rows = []
-
-    def extremes(n, words, log_mass, log_weight, log_ratio):
-        for i in (int(log_ratio.argmin()), int(log_ratio.argmax())):
-            rows.append((n, " ".join(map(str, words[i].tolist())), math.exp(log_mass[i]),
-                         float(log_weight[i]), math.exp(log_ratio[i])))
-
     cert = verify_gibbs(
         mu,
         potential,
@@ -264,8 +255,10 @@ def cmd_gibbs(data: dict, args: argparse.Namespace, out_dir: str) -> int:
         depth=depth,
         sub=sub,
         **_given(params, "ratio_bound"),
-        row_sink=extremes,
     )
+    rows = [(n, " ".join(map(str, word)), mass, log_weight, ratio)
+            for pair in zip(cert.least, cert.largest)
+            for n, word, mass, log_weight, ratio in pair]
     rows.append(("summary", "", cert.words_tested, cert.ratio_min, cert.ratio_max))
     _write_csv(os.path.join(out_dir, "gibbs.csv"), ("n", "word", "mass", "log_weight", "ratio"),
                rows)

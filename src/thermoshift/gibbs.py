@@ -12,14 +12,12 @@ recursions; any other potential has its level enumerated, up to a cap, and
 aggregated explicitly.
 
 Certificates and the Lyapunov functional walk the cylinders a slice at a
-time (shift_core.walk), and a certificate that hands its rows on carries
-their words as one more hook (potentials.WordHooks). Masses and weights are
-computed for a whole slice at once wherever the measure and the potential
-have a batched form: Markov tables, log-domain arc sums, and the forward rows
-of a potentials.TransferOperator. Anything else is evaluated word by word.
-A certificate hands its rows on a length at a time, as columns (the word
-array and float arrays of log mass, log weight and log ratio), so a writer
-can format a whole length at once.
+time (shift_core.walk), and a certificate carries their words as one more
+hook (potentials.WordHooks), so that it can name each length's cylinders of
+least and largest ratio. Masses and weights are computed for a whole slice
+at once wherever the measure and the potential have a batched form: Markov
+tables, log-domain arc sums, and the forward rows of a
+potentials.TransferOperator. Anything else is evaluated word by word.
 """
 
 from __future__ import annotations
@@ -409,7 +407,8 @@ class _PairWeights:
     The arc values are summed in the log domain, so an arc whose exp
     underflows keeps a finite weight. The state is the path sum as an
     unevaluated pair (hi, lo), compensated like math.fsum, so the weights
-    round as the per-word sums do.
+    round as the per-word sums do. A sum that is not finite (an arc of value
+    -inf) is kept with a compensation term of 0.
     """
 
     def __init__(self, sub: FiniteSubshift, ps):
@@ -423,9 +422,14 @@ class _PairWeights:
     def extend(self, state, parent, prev, child):
         hi, lo = state[0][parent], state[1][parent]
         step = self.arcs[prev, child]
-        total = hi + step
-        back = total - hi
-        return total, lo + ((hi - (total - back)) + (step - back))
+        total = part = hi + step
+        finite = np.isfinite(total)
+        if not finite.all():
+            # Compensate 0 + 0 there instead: inf - inf would give nan.
+            hi, step = np.where(finite, hi, 0.0), np.where(finite, step, 0.0)
+            part = hi + step
+        back = part - hi
+        return total, lo + ((hi - (part - back)) + (step - back))
 
     def close(self, state, n, last):
         hi, lo = state
@@ -518,7 +522,16 @@ def _walk_cylinders(sub: FiniteSubshift, depth: int, *hooks):
 
 @dataclass(frozen=True)
 class GibbsCertificate:
-    """Extremes of mass(C) / exp(-nP + log f_n(C)) over tested cylinders."""
+    """Extremes of mass(C) / exp(-nP + log f_n(C)) over tested cylinders.
+
+    least and largest hold one row (n, word, mass, log_weight, ratio) per
+    length n = 1..depth that has a candidate cylinder, one of positive mass
+    or positive weight: the cylinder of least ratio and the one of largest
+    ratio, the lexicographically first on a tie. word is a tuple of symbols.
+    A zero-mass cylinder of positive weight has mass and ratio 0.0, so it is
+    its length's least row. ratio_min and ratio_max are the least and the
+    largest of those rows' ratios.
+    """
 
     P_used: float
     ratio_min: float
@@ -526,6 +539,8 @@ class GibbsCertificate:
     depth: int
     words_tested: int
     passed: bool
+    least: tuple
+    largest: tuple
 
 
 def verify_gibbs(
@@ -535,9 +550,6 @@ def verify_gibbs(
     depth: int,
     sub: Optional[FiniteSubshift] = None,
     ratio_bound: float = 100.0,
-    row_sink: Optional[
-        Callable[[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray], None]
-    ] = None,
 ) -> GibbsCertificate:
     """Scan all admissible cylinders up to depth and bound the Gibbs ratios.
 
@@ -545,15 +557,10 @@ def verify_gibbs(
     and fails the certificate. The certificate passes iff both extremes are
     finite, positive, and ratio_max/ratio_min <= ratio_bound.
 
-    The cylinders are walked a slice at a time, each slice's masses and
-    weights computed at once. row_sink is called once per length n, in
-    increasing n, as row_sink(n, words, log_mass, log_weight, log_ratio):
-    words is the (k, n) int array of the length's cylinders in lexicographic
-    order, and log_mass, log_weight and log_ratio are float64 arrays of k
-    values, one per row. A zero-mass cylinder has log mass and log ratio
-    -inf; math.exp of a column gives the mass or ratio (0.0 there). Without
-    row_sink no words are built, and memory stays bounded by the walk's
-    slices.
+    The cylinders are walked a slice at a time, each slice's words, masses
+    and weights computed at once, and each length keeps its rows of least
+    and largest ratio (GibbsCertificate.least and .largest), so memory stays
+    bounded by the walk's slices.
     """
     if sub is None:
         sub = getattr(mu, "sub", None)
@@ -563,46 +570,39 @@ def verify_gibbs(
         raise ValueError(f"depth {depth} exceeds measure depth {mu.depth}")
     weights = _cylinder_weights(sub, p)
     masses = _cylinder_masses(mu, sub, P)
-    log_lo = math.inf
-    log_hi = -math.inf
-    zero_mass_hit = False
+    # Per length, (log ratio, row) of the least and of the largest candidate so
+    # far. The walk yields each length in lexicographic order, so a strict
+    # comparison keeps the first cylinder on a tie.
+    least: dict[int, tuple] = {}
+    largest: dict[int, tuple] = {}
     tested = 0
-    # Per length, the sink's columns of each slice, in walk order; the words
-    # are carried only for a sink.
-    columns: list[list] = [[] for _ in range(depth)]
-    word_hooks = () if row_sink is None else (WordHooks(sub),)
-    for n, last, (ws, ms, *word_state), _ in _walk_cylinders(
-        sub, depth, weights, masses, *word_hooks
+    for n, last, (ws, ms, (words,)), _ in _walk_cylinders(
+        sub, depth, weights, masses, WordHooks(sub)
     ):
         weight = weights.close(ws, n, last)
         log_mass, numer = masses.close(ms, n, last)
         tested += len(last)
         live = numer > NEG_INF
-        zero = ~live & (weight > NEG_INF)
-        zero_mass_hit = zero_mass_hit or bool(zero.any())
         log_ratio = np.subtract(numer, weight, out=np.full_like(numer, NEG_INF), where=live)
-        if live.any():
-            log_lo = min(log_lo, float(log_ratio[live].min()))
-            log_hi = max(log_hi, float(log_ratio[live].max()))
-        if row_sink is not None:
-            ((words,),) = word_state
-            keep = live | zero
-            log_mass = np.where(live, log_mass, NEG_INF)
-            columns[n - 1].append(
-                (words[keep], log_mass[keep], weight[keep], log_ratio[keep])
-            )
-    for n, level in enumerate(columns, start=1):
-        if level:
-            words, log_mass, weight, log_ratio = map(np.concatenate, zip(*level))
-            level.clear()  # the slices are copied; keep one copy while the sink runs
-            row_sink(n, words, log_mass, weight, log_ratio)
-    if tested == 0 or log_hi == -math.inf:
+        # The candidates: cylinders of positive mass or positive weight.
+        (at,) = np.nonzero(live | (weight > NEG_INF))
+        if len(at) == 0:
+            continue
+        ratios = log_ratio[at]
+        # The sign turns "larger" into "less" for the largest rows.
+        for best, k, sign in ((least, ratios.argmin(), 1.0), (largest, ratios.argmax(), -1.0)):
+            r = float(ratios[k])
+            if n not in best or sign * r < sign * best[n][0]:
+                k = at[k]
+                mass = math.exp(log_mass[k]) if live[k] else 0.0
+                best[n] = (r, (n, tuple(words[k].tolist()), mass, float(weight[k]), math.exp(r)))
+    log_hi = max((r for r, _ in largest.values()), default=NEG_INF)
+    if log_hi == NEG_INF:
         raise NoAdmissibleWordsError("no cylinders with positive mass tested")
-    ratio_min = 0.0 if zero_mass_hit else math.exp(log_lo)
+    ratio_min = math.exp(min(r for r, _ in least.values()))
     ratio_max = math.exp(log_hi)
     passed = (
-        not zero_mass_hit
-        and math.isfinite(ratio_max)
+        math.isfinite(ratio_max)
         and ratio_min > 0
         and ratio_max / ratio_min <= ratio_bound
     )
@@ -613,6 +613,8 @@ def verify_gibbs(
         depth=depth,
         words_tested=tested,
         passed=passed,
+        least=tuple(least[n][1] for n in sorted(least)),
+        largest=tuple(largest[n][1] for n in sorted(largest)),
     )
 
 

@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 
+from thermoshift import gibbs
 from thermoshift.gibbs import _plus, markov_measure
 from thermoshift.numerics import NEG_INF, logsumexp, perron_data, scaled_power_diagonal
 from thermoshift.potentials import PotentialSequence, ScaledPotential, WordHooks, transfer_operator
@@ -203,35 +204,43 @@ def explicit_gibbs_masses(sub, p, level):
     return {w: math.fsum(ms) for w, ms in parts.items()}
 
 
-def row_sink(rows):
-    """A verify_gibbs row_sink that appends (n, word, mass, log weight, ratio) per cylinder.
+def certificate_rows(mu, p, P, depth, sub):
+    """Every candidate cylinder of verify_gibbs as ((n, word, mass, log weight, ratio), log ratio).
 
-    Each call hands one length's columns, lengths increasing: the words and
-    float64 arrays of log mass, log weight and log ratio. They are checked
-    for shape and type, the masses and ratios taken out of the log domain by
-    math.exp, and flattened into one row per word, in the order they were
-    handed over.
+    The rows come from the hooks verify_gibbs walks (gibbs._walk_cylinders
+    with _cylinder_weights, _cylinder_masses and WordHooks), so their bits
+    are the certificate's; each is worked out one word at a time. A
+    candidate has positive mass or positive weight; a zero-mass one has log
+    ratio -inf and mass and ratio 0.0. Lengths increase, each in
+    lexicographic order.
     """
-    def sink(n, words, log_mass, log_weight, log_ratio):
-        assert not rows or rows[-1][0] < n
-        assert words.shape == (len(log_mass), n)
-        assert log_mass.shape == log_weight.shape == log_ratio.shape == (len(log_mass),)
-        assert log_mass.dtype == log_weight.dtype == log_ratio.dtype == np.float64
-        mass = list(map(math.exp, log_mass.tolist()))
-        ratio = list(map(math.exp, log_ratio.tolist()))
-        rows.extend(zip([n] * len(mass), map(tuple, words.tolist()), mass,
-                        log_weight.tolist(), ratio))
-    return sink
+    weights = gibbs._cylinder_weights(sub, p)
+    masses = gibbs._cylinder_masses(mu, sub, P)
+    out = []
+    for n, last, (ws, ms, (words,)), _ in gibbs._walk_cylinders(
+        sub, depth, weights, masses, WordHooks(sub)
+    ):
+        log_masses, numers = masses.close(ms, n, last)
+        for w, log_mass, log_weight, numer in zip(
+            words.tolist(), log_masses.tolist(), weights.close(ws, n, last).tolist(), numers.tolist()
+        ):
+            if numer > NEG_INF:
+                log_ratio = numer - log_weight
+                out.append(((n, tuple(w), math.exp(log_mass), log_weight, math.exp(log_ratio)),
+                            log_ratio))
+            elif log_weight > NEG_INF:
+                out.append(((n, tuple(w), 0.0, log_weight, 0.0), NEG_INF))
+    return sorted(out, key=lambda pair: pair[0][0])
 
 
-def extreme_rows(rows, log_ratios):
+def extreme_rows(pairs):
     """Per length, the row of least and then of largest log ratio, the first on a tie.
 
-    rows are row_sink's rows and log_ratios the log ratio of each, in the
-    same order; the two rows are one when the length has one cylinder.
+    pairs are certificate_rows' (row, log ratio) pairs; the two rows are one
+    when the length has one cylinder.
     """
     out = []
-    for _, group in itertools.groupby(zip(rows, log_ratios), key=lambda pair: pair[0][0]):
+    for _, group in itertools.groupby(pairs, key=lambda pair: pair[0][0]):
         group = list(group)
         out.extend(pick(group, key=lambda pair: pair[1])[0] for pick in (min, max))
     return out

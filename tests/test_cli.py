@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 import pytest
 
-from helpers import extreme_rows, reference_gibbs_csv, row_sink
+from helpers import certificate_rows, extreme_rows, reference_gibbs_csv
 from thermoshift import cli, modelfile, pressure, shift_core
 from thermoshift.cli import main
 
@@ -190,47 +190,45 @@ GIBBS_CSV_MODELS = {
 }
 
 
-def run_gibbs_teed(tmp_path, capsys, monkeypatch, name):
-    """Run gibbs on a fixture or a GIBBS_CSV_MODELS file with verify_gibbs teed.
+def run_gibbs_recorded(tmp_path, capsys, monkeypatch, name):
+    """Run gibbs on a fixture or a GIBBS_CSV_MODELS file, recording its verify_gibbs call.
 
-    Returns the exit code, gibbs.csv's text, row_sink's rows of every
-    cylinder, each row's log ratio, the certificate and verify_gibbs's
-    keyword arguments.
+    Returns the exit code, gibbs.csv's text, certificate_rows' (row, log
+    ratio) pairs of every candidate cylinder, the certificate and
+    verify_gibbs's keyword arguments.
     """
     model = fixture(name)
     if name in GIBBS_CSV_MODELS:
         model = tmp_path / "model.json"
         model.write_text(json.dumps(GIBBS_CSV_MODELS[name]))
-    rows, log_ratios, calls = [], [], []
+    calls = []
     certify = cli.verify_gibbs
 
-    def teeing(*args, **kwargs):
-        sinks = (row_sink(rows), lambda *columns: log_ratios.extend(columns[4].tolist()),
-                 kwargs["row_sink"])
-        kwargs["row_sink"] = lambda *columns: [sink(*columns) for sink in sinks]
-        calls.append((certify(*args, **kwargs), kwargs))
-        return calls[-1][0]
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs, certify(*args, **kwargs)))
+        return calls[-1][2]
 
-    monkeypatch.setattr(cli, "verify_gibbs", teeing)
+    monkeypatch.setattr(cli, "verify_gibbs", recording)
     out = tmp_path / "out"
     code, _, _ = run(capsys, "gibbs", "--model", str(model), "--out", str(out))
     with open(out / "gibbs.csv", newline="", encoding="utf-8") as handle:
         written = handle.read()
-    [(cert, kwargs)] = calls
-    return code, written, rows, log_ratios, cert, kwargs
+    [((mu, p, P), kwargs, cert)] = calls
+    return code, written, certificate_rows(mu, p, P, kwargs["depth"], kwargs["sub"]), cert, kwargs
 
 
 @pytest.mark.parametrize("name", ["gibbs_uniform.json", "gm_zero.json", "gibbs_fail.json",
                                   "birkhoff_nu.json", "two_digit_symbols", "gibbs-fiber",
                                   "birkhoff_m5_depth5"])
 def test_gibbs_csv_matches_row_writer(tmp_path, capsys, monkeypatch, name):
-    # Each length's rows of least and largest log ratio among the sink's,
-    # written a row at a time by csv.writer, must give the very bytes
-    # cmd_gibbs writes.
-    code, written, rows, log_ratios, cert, _ = run_gibbs_teed(tmp_path, capsys, monkeypatch, name)
+    # Each length's rows of least and largest log ratio among every
+    # candidate cylinder's, written a row at a time by csv.writer, must give
+    # the very bytes cmd_gibbs writes.
+    code, written, pairs, cert, _ = run_gibbs_recorded(tmp_path, capsys, monkeypatch, name)
     assert code == (2 if name == "gibbs_fail.json" else 0)
-    kept = extreme_rows(rows, log_ratios)
+    kept = extreme_rows(pairs)
     assert written == reference_gibbs_csv(kept, cert)
+    rows = [row for row, _ in pairs]
     if name == "gibbs_fail.json":
         # Zero-mass cylinders of positive weight have ratio 0.0, each length's least.
         assert all(m == 0.0 and r == 0.0 for _, _, m, _, r in kept[::2])
@@ -256,12 +254,16 @@ GIBBS_FIXTURES = ["cocycle_single.json", "gibbs_fail.json", "gibbs_uniform.json"
 
 @pytest.mark.parametrize("name", GIBBS_FIXTURES + ["birkhoff_m5_depth5"])
 def test_gibbs_csv_extremes_are_the_certificates(tmp_path, capsys, monkeypatch, name):
-    # The least rows' least ratio is ratio_min, the largest rows' largest is
-    # ratio_max, and the summary counts every admissible cylinder.
-    _, written, _, _, cert, kwargs = run_gibbs_teed(tmp_path, capsys, monkeypatch, name)
+    # The rows are the certificate's least and largest, alternating; the least
+    # rows' least ratio is ratio_min, the largest rows' largest is ratio_max,
+    # and the summary counts every admissible cylinder.
+    _, written, _, cert, kwargs = run_gibbs_recorded(tmp_path, capsys, monkeypatch, name)
     header, *cylinders, summary = csv.reader(io.StringIO(written, newline=""))
     assert header == ["n", "word", "mass", "log_weight", "ratio"]
     least, largest = cylinders[::2], cylinders[1::2]
+    for written_rows, rows in ((least, cert.least), (largest, cert.largest)):
+        assert written_rows == [[str(n), " ".join(map(str, w)), repr(m), repr(lw), repr(r)]
+                                for n, w, m, lw, r in rows]
     depth = kwargs["depth"]
     assert [r[0] for r in least] == [r[0] for r in largest] == [str(n) for n in range(1, depth + 1)]
     assert min(float(r[4]) for r in least) == cert.ratio_min

@@ -49,6 +49,7 @@ from thermoshift.shift_core import (
 from helpers import (
     DictMarkovMasses,
     admits_word,
+    certificate_rows,
     dict_bernoulli_measure,
     dict_entropy_markov,
     dict_lyapunov_functional,
@@ -56,11 +57,11 @@ from helpers import (
     dict_rpf_equilibrium,
     dict_uniform_bernoulli,
     explicit_gibbs_masses,
+    extreme_rows,
     log_mass_plus_n_pressure,
     random_mixing_subshift,
     random_stationary_kernel,
     random_stationary_markov,
-    row_sink,
 )
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -364,11 +365,10 @@ def test_array_measure_matches_the_dict_form_bit_for_bit(case, monkeypatch):
     for n in (1, 3):
         assert lyapunov_functional(mu, p, n) == dict_lyapunov_functional(ref, p, n)
     depth = 3 if sub.size <= 6 else 2
-    rows, ref_rows = [], []
-    cert = verify_gibbs(mu, p, 0.4, depth, sub=sub, row_sink=row_sink(rows))
+    cert, rows = verify_gibbs(mu, p, 0.4, depth, sub=sub), certificate_rows(mu, p, 0.4, depth, sub)
     monkeypatch.setattr(gibbs, "_cylinder_masses", DictMarkovMasses)
-    assert verify_gibbs(ref, p, 0.4, depth, sub=sub, row_sink=row_sink(ref_rows)) == cert
-    assert rows == ref_rows
+    assert verify_gibbs(ref, p, 0.4, depth, sub=sub) == cert
+    assert certificate_rows(ref, p, 0.4, depth, sub) == rows
     blocks = list(_sample_paths(mu, 300, 5, 7))
     ref_blocks = list(_sample_paths(ref, 300, 5, 7))
     assert len(blocks) == len(ref_blocks) == 2
@@ -430,19 +430,18 @@ def test_rpf_measure_certifies_against_its_own_pressure():
 
 
 def test_certificate_row_sink_sees_every_word():
+    # The certificate tests every word and keeps two rows of positive mass a length.
     sub = truncate(golden_mean_shift(), 2)
     nu = finite_gibbs_nu(sub, zero_potential(golden_mean_shift()), 4)
-    rows = []
-    verify_gibbs(
-        nu, zero_potential(golden_mean_shift()), math.log(PHI), depth=3,
-        sub=sub, row_sink=row_sink(rows),
-    )
-    assert len(rows) == 2 + 3 + 5
-    assert all(r[2] > 0 for r in rows)
+    cert = verify_gibbs(nu, zero_potential(golden_mean_shift()), math.log(PHI), depth=3, sub=sub)
+    assert cert.words_tested == 2 + 3 + 5
+    for rows in (cert.least, cert.largest):
+        assert [r[0] for r in rows] == [1, 2, 3]
+        assert all(len(r[1]) == r[0] and r[2] > 0 for r in rows)
 
 
 def _per_word_certificate(mu, p, P, depth, sub, ratio_bound=100.0):
-    """Reference scan, one word at a time: (rows, words tested, passed)."""
+    """Reference scan, one word at a time: (rows, ratio_min, ratio_max, words tested, passed)."""
     rows = []
     log_lo, log_hi = math.inf, -math.inf
     zero_mass_hit = False
@@ -468,7 +467,7 @@ def _per_word_certificate(mu, p, P, depth, sub, ratio_bound=100.0):
     ratio_max = math.exp(log_hi)
     passed = (not zero_mass_hit and math.isfinite(ratio_max) and ratio_min > 0
               and ratio_max / ratio_min <= ratio_bound)
-    return rows, tested, passed
+    return rows, ratio_min, ratio_max, tested, passed
 
 
 def _certificate_cases():
@@ -499,16 +498,24 @@ def _certificate_cases():
     # exp(-800) underflows: the measure loses the arc 1 -> 2, the weight keeps it.
     p = birkhoff_potential(lambda i, j: -800.0 if (i, j) == (1, 2) else 0.1 * (i + j), full)
     yield "underflow_arc", finite_gibbs_nu(sub2, p, 5), p, 0.2, 4, sub2
+    # An arc of value -inf: the words through it weigh 0 and have ratio inf.
+    p = birkhoff_potential(lambda i, j: -math.inf if (i, j) == (1, 2) else 0.1 * (i + j), full)
+    yield "neg_inf_arc", bernoulli_measure({1: 0.5, 2: 0.3, 3: 0.2}), p, 1.0, 3, sub3
 
 
 @pytest.mark.parametrize("case", list(_certificate_cases()), ids=lambda c: c[0])
 def test_batched_certificate_matches_per_word_scan(case):
     name, mu, p, P, depth, sub = case
-    rows = []
-    cert = verify_gibbs(mu, p, P, depth, sub=sub, row_sink=row_sink(rows))
-    expected, tested, passed = _per_word_certificate(mu, p, P, depth, sub)
+    cert = verify_gibbs(mu, p, P, depth, sub=sub)
+    pairs = certificate_rows(mu, p, P, depth, sub)
+    rows = [row for row, _ in pairs]
+    expected, ratio_min, ratio_max, tested, passed = _per_word_certificate(mu, p, P, depth, sub)
     assert cert.words_tested == tested
     assert cert.passed == passed
+    assert cert.ratio_min == pytest.approx(ratio_min, rel=1e-13, abs=0.0)
+    assert cert.ratio_max == pytest.approx(ratio_max, rel=1e-13, abs=0.0)
+    extremes = extreme_rows(pairs)
+    assert list(cert.least) == extremes[::2] and list(cert.largest) == extremes[1::2]
     assert [r[:2] for r in rows] == [r[:2] for r in expected]
     for got, want in zip(rows, expected):
         assert got[2] == pytest.approx(want[2], rel=1e-13, abs=0.0)
@@ -519,25 +526,10 @@ def test_batched_certificate_matches_per_word_scan(case):
     if name in ("zero_mass", "underflow_arc"):
         assert not cert.passed and cert.ratio_min == 0.0
         assert any(r[2] == 0.0 and math.isfinite(r[3]) for r in rows)
-
-
-@pytest.mark.parametrize("case", list(_certificate_cases()), ids=lambda c: c[0])
-def test_certificate_without_a_row_sink_is_the_same_and_builds_no_words(case, monkeypatch):
-    _, mu, p, P, depth, sub = case
-    word_slices = []
-
-    class CountedWords(gibbs.WordHooks):
-        def start(self, roots):
-            if self.fn is None:
-                word_slices.append(len(roots))
-            return super().start(roots)
-
-    monkeypatch.setattr(gibbs, "WordHooks", CountedWords)
-    with_sink = verify_gibbs(mu, p, P, depth, sub=sub, row_sink=lambda *columns: None)
-    assert word_slices
-    word_slices.clear()
-    assert verify_gibbs(mu, p, P, depth, sub=sub) == with_sink
-    assert word_slices == []
+    if name == "neg_inf_arc":
+        assert not cert.passed and cert.ratio_max == math.inf
+        assert cert.ratio_min == pytest.approx(0.0266, abs=1e-4)
+        assert [r[1] for r in cert.largest] == [(1,), (1, 2), (1, 1, 2)]
 
 
 def test_certificate_memory_is_bounded_by_the_walk():
@@ -553,7 +545,8 @@ def test_certificate_memory_is_bounded_by_the_walk():
         tracemalloc.stop()
     assert cert.words_tested == 2 ** (depth + 1) - 2
     assert cert.ratio_min == cert.ratio_max == 1.0
-    # Measured 1.8 MB; a walk holding whole levels peaks near 62 MB.
+    # Measured 2.0 MB with the words carried (0.8 MB without); a walk holding
+    # whole levels peaks near 62 MB.
     assert peak < 5e6, f"peak {peak / 1e6:.1f} MB"
 
 
