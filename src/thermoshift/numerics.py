@@ -18,17 +18,15 @@ products of symbol words, one entry per pair of words, while a table holds
 no more matrices than the level it replaces; each entry is the same product
 of the same two operands as the node it replaces, so the lookups leave the
 bits unchanged.
-A power iteration (scaled_power_diagonal, perron_data) stops where the
-Collatz-Wielandt ratios of its vector agree within their rounding bound:
-from there on, the bracket they give on the Perron root is as narrow as
-its rounding lets it be. In a (T, m, m) stack each matrix stops at its own
-level, and the stack runs until its slowest matrix has stopped.
+scaled_power_diagonal is the one power iteration, perron_data one call of
+it, and _stops its one stop rule: the Collatz-Wielandt ratios agree within
+their rounding bound, from where their bracket on the Perron root is as
+narrow as rounding lets it be, or have reached their rounding floor.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from itertools import accumulate
 from typing import NamedTuple, Sequence
 
@@ -103,12 +101,13 @@ def _exact_products(x: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 
 class PowerLevels(NamedTuple):
-    """One matrix's levels and last Collatz-Wielandt ratios (scaled_power_diagonal)."""
+    """One matrix's levels, last Collatz-Wielandt ratios and last vector (scaled_power_diagonal)."""
 
     values: list
     low: float
     high: float
     total: float
+    vector: np.ndarray
 
 
 def scaled_power_diagonal(W: np.ndarray, index, n_max: int):
@@ -121,85 +120,104 @@ def scaled_power_diagonal(W: np.ndarray, index, n_max: int):
     (xW)_j / x_j of the x it multiplied (Collatz 1942; Wielandt 1950): their
     least over x's support is at most the Perron root rho(W), and when x is
     positive their largest is at least rho(W). The iteration stops at the
-    first level whose ratios agree within their own rounding bound,
-    max <= min (1 + (M + 1) 2^-52) for length-M vectors (an M-term sum and a
-    division each), at the first level whose sum is not positive (that
-    level is -inf), or at n_max. It returns PowerLevels: values holds the
-    levels computed; low and high are the last level's least and largest
-    ratio, high inf when its x has a zero entry; total is that level's sum
-    over the sum of its x (|S| at level 1, 1 after), a weighted mean of the
-    ratios.
+    first level _stops names (a level whose sum is not positive is -inf),
+    else at n_max. It returns PowerLevels: values holds the levels
+    computed; low and high are the last level's least and largest ratio,
+    high inf when its x has a zero entry; total is that level's sum over
+    the sum of its x (|S| at level 1, 1 after), a weighted mean of the
+    ratios; vector is the unit-sum x that level made.
 
     W may also be a (T, m, m) stack, and the result is then one PowerLevels
     per matrix. Each level takes one np.matmul for the whole stack, which
     gives each matrix the bits x.dot(W) gives it alone; its sum, division,
     ratios and logs are the same floating-point operations. So each matrix
-    stops at the level and with the values it has alone, and the stack runs
-    until its slowest matrix has stopped.
+    stops at the level and with the values and vector it has alone, and the
+    stack runs until its slowest matrix has stopped.
     """
     batch = W.shape[:-2]
     totals = np.add.reduce(W.reshape(batch + (-1,)), axis=-1)
     # A nan total makes min and max nan, which fail both tests.
     if not (totals.min() > 0 and totals.max() < math.inf):
         raise ValueError("matrix must have a positive finite entry sum")
-    add, count = np.add.reduce, math.prod(batch)
+    add, count, size = np.add.reduce, math.prod(batch), W.shape[-1]
     block = isinstance(index, slice)
-    agree = 1.0 + (W.shape[-1] + 1) * 2.0 ** -52
-    index_size = len(range(W.shape[-1])[index]) if block else 1
+    index_size = len(range(size)[index]) if block else 1
+    W = W.reshape((count, size, size))
+    x = np.zeros((count, 1, size))
+    x[:, 0, index] = 1.0
     # A ratio at a zero entry of x is inf or nan: fmin.reduce skips the nan,
-    # and maximum.reduce keeps it, which fails the stop test. A vector whose sum
-    # vanishes turns to nan; its level is -inf below.
+    # and maximum.reduce keeps it, which fails both stop tests. A vector whose
+    # sum vanishes turns to nan; its level is -inf below.
     with np.errstate(divide="ignore", invalid="ignore"):
         if count == 1:
-            W = W.reshape(W.shape[-2:])
-            x = np.zeros(W.shape[0])
-            x[index] = 1.0
-            sums, entries = [], []
-            for _ in range(n_max):
+            W, x = W[0], x[0, 0]
+            sums, entries, lows, highs = [], [], [], []
+            for n in range(n_max):
                 # x.dot calls the BLAS gemv that x @ W calls, with less overhead.
                 y = x.dot(W)
                 # Python floats, which compare and take math.log faster.
-                s = float(add(y))
+                sums.append(float(add(y)))
                 ratios = y / x
-                low, high = float(np.fmin.reduce(ratios)), float(np.maximum.reduce(ratios))
+                lows.append(float(np.fmin.reduce(ratios)))
+                highs.append(float(np.maximum.reduce(ratios)))
                 x = y
-                x /= s
-                sums.append(s)
+                x /= sums[n]
                 entries.append(float(add(x[index])) if block else x.item(index))
-                if high <= low * agree or not s > 0:
+                if _stops(n, sums, lows, highs, size):
                     break
-            level = _power_levels(sums, entries, low, high, index_size)
+            level = _power_levels(sums, entries, lows[-1], highs[-1], index_size, x)
             return [level] if batch else level
-        W = W.reshape((count,) + W.shape[-2:])
-        x = np.zeros((count, 1, W.shape[-1]))
-        x[:, 0, index] = 1.0
-        # Per level and matrix: the sum, the entry and the least and largest ratio.
+        # Per level and matrix: the sum, the least and largest ratio and the entry.
         levels = np.empty((4, n_max, count))
-        # The level each matrix stopped at; 0 while it runs.
+        # The level each matrix stopped at, 0 while it runs, and its vector there.
         stop = np.zeros(count, dtype=int)
+        vectors = np.empty((count, size))
         for n in range(n_max):
             y = np.matmul(x, W)
             s = add(y, axis=-1, out=levels[0, n, :, None])
             ratios = y / x
-            np.fmin.reduce(ratios, axis=-1, out=levels[2, n, :, None])
-            np.maximum.reduce(ratios, axis=-1, out=levels[3, n, :, None])
+            np.fmin.reduce(ratios, axis=-1, out=levels[1, n, :, None])
+            np.maximum.reduce(ratios, axis=-1, out=levels[2, n, :, None])
             x = y
             x /= s[:, :, None]
-            levels[1, n] = add(x[:, 0, index], axis=-1) if block else x[:, 0, index]
-            done = levels[3, n] <= levels[2, n] * agree
-            done |= ~(levels[0, n] > 0)
-            stop[done & (stop == 0)] = n + 1
-            if stop.all():
-                break
-        stop[stop == 0] = n + 1
+            levels[3, n] = add(x[:, 0, index], axis=-1) if block else x[:, 0, index]
+            new = (_stops(n, *levels[:3], size) if n + 1 < n_max else True) & (stop == 0)
+            if new.any():
+                stop[new] = n + 1
+                vectors[new] = x[new, 0]
+                if stop.all():
+                    break
     return [
-        _power_levels(row[0][:end], row[1][:end], row[2][end - 1], row[3][end - 1], index_size)
-        for row, end in zip(levels[:, :n + 1].transpose(2, 0, 1).tolist(), stop.tolist())
+        _power_levels(row[0][:end], row[3][:end], row[1][end - 1], row[2][end - 1], index_size, vector)
+        for row, end, vector in zip(levels[:, :n + 1].transpose(2, 0, 1).tolist(), stop.tolist(), vectors)
     ]
 
 
-def _power_levels(sums: list, entries: list, low: float, high: float, size: int) -> PowerLevels:
-    """PowerLevels from one matrix's sums, entries and last ratios, and |S|.
+def _stops(n, sums, lows, highs, size: int):
+    """Whether level n (from 0) ends its iteration; floats, or arrays with one entry per matrix.
+
+    sums[k], lows[k] and highs[k] are level k's sum and least and largest
+    ratio, over length-M vectors (M = size). Level n stops where
+    high <= low (1 + (M + 1) 2^-52), the ratios' rounding bound (an M-term
+    sum and a division each); where its sum is not positive; or at the
+    rounding floor, where the spread high / low is finite and no less than
+    h = (M - 1)^2 + 1 levels before: when W^h is positive (Wielandt), each
+    exact ratio h levels on is a mean of every ratio now, so an exact spread
+    shrinks strictly every h levels until it is 1. An inf or nan spread,
+    where x has a zero entry, never stops.
+    """
+    total, low, high, h = sums[n], lows[n], highs[n], (size - 1) ** 2 + 1
+    # total <= 0 or total != total: not total > 0, for floats and arrays alike.
+    stop = (high <= low * (1.0 + (size + 1) * 2.0 ** -52)) | (total <= 0) | (total != total)
+    if n < h:
+        return stop
+    # np.divide, whose quotient by 0 is inf or nan where a Python float's raises.
+    spread, before = np.divide(high, low), np.divide(highs[n - h], lows[n - h])
+    return stop | ((spread < math.inf) & (spread >= before))
+
+
+def _power_levels(sums: list, entries: list, low: float, high: float, size: int, vector: np.ndarray) -> PowerLevels:
+    """PowerLevels from one matrix's sums, entries, last ratios and vector, and |S|.
 
     The value of level n is log_scale_n + log entry_n, log_scale_n the
     log-sum of the first n sums. Only the last level can have a sum that is
@@ -213,7 +231,7 @@ def _power_levels(sums: list, entries: list, low: float, high: float, size: int)
     ]
     values += [NEG_INF] * (len(sums) - live)
     total = sums[-1] / size if len(sums) == 1 else sums[-1]
-    return PowerLevels(values, low, high if high == high else math.inf, total)
+    return PowerLevels(values, low, high if high == high else math.inf, total, vector)
 
 
 _SMALLEST = np.nextafter(0.0, 1.0)
@@ -326,42 +344,25 @@ _PERRON_MAX_ITER = 500_000
 def perron_data(W: np.ndarray):
     """Perron root and positive left/right eigenvectors of a primitive matrix.
 
-    Plain power iteration on W and W.T from the uniform vector, within
-    _PERRON_MAX_ITER = 500 000 steps. It stops when the Collatz-Wielandt
-    ratios of both iterates agree within their rounding bound, as in
-    scaled_power_diagonal, or when the wider of their spreads max / min is
-    no narrower than h = (m - 1)^2 + 1 steps before. W^h is positive
-    (Wielandt), so each exact ratio h steps on is a mean of every ratio now,
-    and an exact spread shrinks strictly every h steps until it is 0: a
-    spread that does not is at its rounding floor. The returned root is the
-    two-sided Rayleigh quotient, which squares the eigenvector error.
-    Vectors are normalized to unit sum.
+    One scaled_power_diagonal of diag(W^T, W) from the ones vector, within
+    _PERRON_MAX_ITER = 500 000 levels: the vector's halves iterate
+    v^T <- v^T W^T and u^T <- u^T W. The halves share the Perron root and, in
+    exact arithmetic, the sum 1^T W^n 1: the ratios agree only once both have
+    settled, one unit sum keeps both in range, and the floor window
+    (2m - 1)^2 + 1 is at least W's Wielandt bound (m - 1)^2 + 1. Raises
+    PowerIterationError when every level runs or the sum vanishes. The root
+    is the two-sided Rayleigh quotient, which squares the eigenvector error;
+    the vectors have unit sum.
     """
     W = np.asarray(W, dtype=float)
     m = W.shape[0]
-    agree = 1.0 + (m + 1) * 2.0 ** -52
-    spreads = deque(maxlen=(m - 1) ** 2 + 2)
-    # Row 0 is v, iterated as v^T <- v^T W^T; row 1 is u, iterated as u^T <- u^T W.
-    both = np.stack([W.T, W])
-    x = np.full((2, 1, m), 1.0 / m)
-    # A primitive W keeps both iterates positive; an entry that underflows to
-    # 0.0 makes its ratio inf or nan, and the spread then does not agree.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(_PERRON_MAX_ITER):
-            y = np.matmul(x, both)
-            s = y.sum(axis=2, keepdims=True)
-            if s[0, 0, 0] <= 0:
-                raise PowerIterationError("matrix is not primitive: iterate collapsed")
-            ratios = y / x
-            spread = float((ratios.max(axis=2) / ratios.min(axis=2)).max())
-            spreads.append(spread)
-            x = y / s
-            if spread <= agree or (len(spreads) == spreads.maxlen and spread >= spreads[0]):
-                break
-        else:
-            raise PowerIterationError(
-                f"power iteration did not settle in {_PERRON_MAX_ITER} steps"
-            )
-    v, u = x[0, 0], x[1, 0]
+    both = np.zeros((2 * m, 2 * m))
+    both[:m, :m], both[m:, m:] = W.T, W
+    level = scaled_power_diagonal(both, slice(None), _PERRON_MAX_ITER)
+    if level.values[-1] == NEG_INF:
+        raise PowerIterationError("matrix is not primitive: iterate collapsed")
+    if len(level.values) == _PERRON_MAX_ITER:
+        raise PowerIterationError(f"power iteration did not settle in {_PERRON_MAX_ITER} steps")
+    v, u = (half / half.sum() for half in np.split(level.vector, 2))
     rho = float(u @ W @ v) / float(u @ v)
     return rho, v, u

@@ -353,12 +353,12 @@ def _slope_fit(values: Sequence[float], slope_window: int) -> tuple[float, float
 
 
 def _fit(series: PartitionSeries, slope_window: int) -> tuple[float, float]:
-    """(value, width) of a series: its bracket's value and width, else its slope fit's mean, c added, and span."""
+    """(value, width) of a series: its bracket's value and width, else its slope fit's mean and span."""
     if series.bracket is not None:
         lower, value, upper = series.bracket
         return value, upper - lower
-    value, span = _slope_fit(series.values, slope_window)
-    return (value + series.shift if series.shift else value), span
+    # Only a pair series has a shift, and it always has a bracket.
+    return _slope_fit(series.values, slope_window)
 
 
 def mixed_truncation(model: TransitionModel, m: int) -> FiniteSubshift:
@@ -476,8 +476,6 @@ def _estimates(
             n = quotients.index(max(quotients)) + 1
             z = series.values[n - 1]
             lower = math.nextafter((z - k - rounding(n, z) - 2.0 ** -51 * (abs(z) + abs(k))) / n, NEG_INF)
-            if c:
-                lower = math.nextafter(lower + c, NEG_INF)
         else:
             lower = series.bracket[0]
         if c:

@@ -34,7 +34,8 @@ from thermoshift import cli, shift_core
 from thermoshift.gibbs import finite_gibbs_nu
 from thermoshift.dimension import bowen_dimension, product_construction
 from thermoshift.matrix_cocycle import cocycle_pressure
-from thermoshift.numerics import logsumexp, logsumexp_groups, scaled_power_diagonal
+from thermoshift import numerics
+from thermoshift.numerics import PowerIterationError, logsumexp, logsumexp_groups, perron_data, scaled_power_diagonal
 from thermoshift.potentials import (
     CocyclePotential,
     MatrixFamily,
@@ -862,6 +863,13 @@ def test_curve_matches_per_t_loop_bit_for_bit(case):
         assert strategies == {"block", "enumerate"}
 
 
+def assert_same_levels(got, alone):
+    """Equal PowerLevels: repr shows every bit of the floats, but rounds an array's."""
+    assert repr(got) == repr(alone)
+    # A vector whose sum vanished is nan.
+    assert np.array_equal(got.vector, alone.vector, equal_nan=True)
+
+
 @pytest.mark.parametrize("m", [1, 2, 7, 64, 130, 384])
 def test_stacked_power_diagonal_matches_single_matrix(m):
     rng = np.random.default_rng(m)
@@ -874,7 +882,7 @@ def test_stacked_power_diagonal_matches_single_matrix(m):
         got = scaled_power_diagonal(stack, index, 40)
         assert len(got) == 4
         for W, levels in zip(stack, got):
-            assert repr(levels) == repr(scaled_power_diagonal(W, index, 40))
+            assert_same_levels(levels, scaled_power_diagonal(W, index, 40))
     if m > 1:
         assert len(got[3].values) <= m and got[3].values[-1] == -math.inf
 
@@ -889,7 +897,7 @@ def test_stacked_power_diagonal_matches_single_matrix_on_blocks():
     for index in (slice(0, 2), slice(2, 4)):
         got = scaled_power_diagonal(stack, index, 30)
         for W, levels in zip(stack, got):
-            assert repr(levels) == repr(scaled_power_diagonal(W, index, 30))
+            assert_same_levels(levels, scaled_power_diagonal(W, index, 30))
 
 
 def renewal_table(m, seed):
@@ -957,7 +965,7 @@ def test_power_diagonal_stops_within_a_few_levels(name, stacked):
     if stacked:
         got, products = counted_power_diagonal(np.stack([2.0 * W, W]), index, n_max)
         assert products == 2
-        assert repr(got[-1]) == repr(alone)
+        assert_same_levels(got[-1], alone)
 
 
 def mixed_stop_stack():
@@ -1009,9 +1017,90 @@ def test_stacked_power_diagonal_stops_each_matrix_at_its_own_level(make):
     # As many products as the slowest matrix takes alone, not n_max.
     assert products == max(counts) < n_max
     for levels, single in zip(got, alone):
-        assert repr(levels) == repr(single)
+        assert_same_levels(levels, single)
     # The chain: the level whose sum vanished is the last, and -inf.
     assert got[chain].values[-1] == -math.inf
+
+
+# Its eigenvalues are about 9.3 and -8.3, so the ratios settle within a few
+# hundred levels, but their spread bottoms out at 8 ulps: above the agreement
+# bound of this matrix, (2 + 1) 2^-52, and of diag(W^T, W), (4 + 1) 2^-52.
+ROUNDING_FLOOR = np.array([[1.0, 7.0], [11.0, 0.0078]])
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_power_diagonal_stops_at_the_rounding_floor(stacked):
+    alone = scaled_power_diagonal(ROUNDING_FLOOR, slice(None), 10_000)
+    assert len(alone.values) < 1_000
+    assert alone.high > alone.low * (1.0 + 3 * 2.0 ** -52)
+    if stacked:
+        got, products = counted_power_diagonal(np.stack([ROUNDING_FLOOR, np.ones((2, 2))]), slice(None), 10_000)
+        assert products == len(alone.values)
+        assert_same_levels(got[0], alone)
+
+
+def test_perron_data_returns_at_the_rounding_floor():
+    assert_matches_lapack(ROUNDING_FLOOR, *perron_data(ROUNDING_FLOOR))
+
+
+def assert_matches_lapack(W, rho, v, u):
+    """rho to 1e-13 relative, and the unit-sum right and left vectors v, u to 1e-11, against np.linalg.eig."""
+    (values, right), (left_values, left) = np.linalg.eig(W), np.linalg.eig(W.T)
+    k, j = np.argmax(values.real), np.argmax(left_values.real)
+    assert rho == pytest.approx(values[k].real, rel=1e-13)
+    for got, ref in ((v, right[:, k].real), (u, left[:, j].real)):
+        assert np.abs(got - ref / ref.sum()).max() <= 1e-11
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_power_diagonal_iterates_every_level_of_an_infinite_spread(stacked):
+    # From e_1 the 2-cycle's vector alternates between e_1 and e_2: a zero
+    # entry at every level makes the spread inf, which is no rounding floor.
+    cycle = np.array([[0.0, 1.0], [1.0, 0.0]])
+    alone = scaled_power_diagonal(cycle, 0, 50)
+    assert len(alone.values) == 50 and alone.high == math.inf
+    assert alone.values[:4] == [-math.inf, 0.0, -math.inf, 0.0]
+    if stacked:
+        got, products = counted_power_diagonal(np.stack([cycle, 2.0 * cycle]), 0, 50)
+        assert products == 50
+        assert_same_levels(got[0], alone)
+
+
+def primitive_tables(count, seed=7):
+    """Random primitive weight tables: m in [2, 12), log-weights t U(-3, 3) on
+    arcs drawn with probability 0.7, the diagonal and the cycle i -> i + 1
+    always on, t drawn from 0.3, 1 and 3."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        m = int(rng.integers(2, 12))
+        L = rng.uniform(-3.0, 3.0, (m, m))
+        arcs = rng.random((m, m)) < 0.7
+        arcs[np.arange(m), np.arange(m)] = True
+        arcs[np.arange(m), (np.arange(m) + 1) % m] = True
+        yield arcs * np.exp(float(rng.choice([0.3, 1.0, 3.0])) * L)
+
+
+def test_perron_data_matches_lapack(monkeypatch):
+    # A smaller cap, so that a table whose spectral gap keeps the iteration
+    # from settling raises within it: |lambda_2 / lambda_1|^cap near 1.
+    cap = 20_000
+    monkeypatch.setattr(numerics, "_PERRON_MAX_ITER", cap)
+    raised = 0
+    for W in primitive_tables(40):
+        second, first = np.sort(np.abs(np.linalg.eigvals(W)))[-2:]
+        if (second / first) ** cap > 1e-3:
+            with pytest.raises(PowerIterationError, match="did not settle"):
+                perron_data(W)
+            raised += 1
+        else:
+            assert_matches_lapack(W, *perron_data(W))
+    # The draw holds one table of gap 2.3e-5 (m = 2, t = 3).
+    assert raised == 1
+
+
+def test_perron_data_raises_on_a_nilpotent_matrix():
+    with pytest.raises(PowerIterationError, match="collapsed"):
+        perron_data(np.triu(np.ones((4, 4)), 1))
 
 
 def test_power_diagonal_keeps_a_bounded_number_of_past_vectors():

@@ -1,13 +1,17 @@
-"""Print the SHA-256 of every CLI output on the test fixtures.
+"""Print the SHA-256 of every CLI output on the test fixtures, and every bench job's output.
 
 Usage: python tools/output_digests.py SRC_DIR
 
 Runs each tests/fixtures/*.json through each of the six subcommands, with
 PYTHONPATH=SRC_DIR, in a fresh working directory. Prints one line per run
 and artifact: the exit code, then the SHA-256 of stdout, of stderr and of
-each file the run wrote. The fixtures are this tree's, whatever SRC_DIR is,
-so two source trees give the same lines exactly when their CLI outputs have
-the same bytes:
+each file the run wrote. Then runs every job of bench passes 0-2 of each
+workload, seed 101, in one interpreter with SRC_DIR and bench/ on the path
+and one BLAS thread, as bench/run.py runs them. Prints one line per job: a
+CLI job's exit code and the SHA-256 of its stdout and of each file it wrote;
+a library job's returned tuple, as repr prints it. The fixtures and the
+bench jobs are this tree's, whatever SRC_DIR is, so two source trees give
+the same lines exactly when their outputs have the same bytes:
 
     diff <(python tools/output_digests.py BASE/src) <(python tools/output_digests.py src)
 
@@ -23,10 +27,14 @@ import sys
 import tempfile
 from pathlib import Path
 
-FIXTURES = Path(__file__).resolve().parent.parent / "tests" / "fixtures"
+TOOLS = Path(__file__).resolve().parent
+FIXTURES = TOOLS.parent / "tests" / "fixtures"
+BENCH = TOOLS.parent / "bench"
 COMMANDS = ("pressure", "curve", "dimension", "lyapunov", "gibbs", "validate")
 # Runs the CLI's main without importing thermoshift.cli a second time as __main__.
 RUN_CLI = "import sys; from thermoshift.cli import main; sys.exit(main(sys.argv[1:]))"
+RUN_BENCH = "import output_digests; output_digests.print_bench_jobs()"
+BENCH_SEED, BENCH_PASSES = 101, range(3)
 
 
 def sha256(data: bytes) -> str:
@@ -54,6 +62,52 @@ def digests(src: str, fixture: Path, command: str) -> list[str]:
     return lines
 
 
+def bench_digests(src: str) -> str:
+    """The digest lines of every bench job, run in a fresh interpreter (print_bench_jobs)."""
+    # One BLAS thread, as bench/run.py sets before numpy loads.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((src, str(BENCH), str(TOOLS))),
+               OPENBLAS_NUM_THREADS="1")
+    with tempfile.TemporaryDirectory() as work:
+        proc = subprocess.run([sys.executable, "-c", RUN_BENCH], cwd=work, env=env,
+                              capture_output=True, text=True, check=True)
+    return proc.stdout
+
+
+def print_bench_jobs() -> None:
+    """Run every bench job of BENCH_PASSES in this directory and print one line per job.
+
+    Paths are relative, so no line holds the directory. A job that raises
+    prints the exception in place of its outputs.
+    """
+    import contextlib
+    import io
+
+    import workloads
+    from thermoshift.cli import main
+
+    for workload in sorted(workloads.WORKLOADS):
+        for index in BENCH_PASSES:
+            models = f"models/{workload}/pass{index}"
+            for job in workloads.make_pass(workload, BENCH_SEED, index, models):
+                out, stdout = Path("out", workload, f"pass{index}", job.name), io.StringIO()
+                try:
+                    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+                        if job.command is None:
+                            outcome = repr(job.call())
+                        else:
+                            outcome = f"exit {main(job.command + ['--out', str(out)])}"
+                except SystemExit as exc:  # argparse rejected the command line
+                    outcome = f"exit {exc.code}"
+                except Exception as exc:  # the job failed; the other jobs still run
+                    outcome = f"raised {type(exc).__name__}: {exc}"
+                if job.command is not None:
+                    outcome += f" stdout {sha256(stdout.getvalue().encode())}"
+                    for path in sorted(out.rglob("*")):
+                        if path.is_file():
+                            outcome += f" {path.relative_to(out).as_posix()} {sha256(path.read_bytes())}"
+                print(f"bench {workload} seed {BENCH_SEED} pass {index} {job.name} {outcome}", flush=True)
+
+
 def imported_from(src: str) -> str:
     """The file thermoshift is imported from with PYTHONPATH=src."""
     proc = subprocess.run(
@@ -76,6 +130,7 @@ def main(argv: list[str]) -> int:
     for fixture in sorted(FIXTURES.glob("*.json")):
         for command in COMMANDS:
             print("\n".join(digests(src, fixture, command)), flush=True)
+    print(bench_digests(src), end="", flush=True)
     return 0
 
 
