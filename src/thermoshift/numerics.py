@@ -151,24 +151,25 @@ def scaled_power_diagonal(W: np.ndarray, index, n_max: int):
     with np.errstate(divide="ignore", invalid="ignore"):
         if count == 1:
             W, x = W[0], x[0, 0]
-            sums, entries, lows, highs = [], [], [], []
+            sums, entries, spreads = [], [], []
             for n in range(n_max):
                 # x.dot calls the BLAS gemv that x @ W calls, with less overhead.
                 y = x.dot(W)
                 # Python floats, which compare and take math.log faster.
                 sums.append(float(add(y)))
                 ratios = y / x
-                lows.append(float(np.fmin.reduce(ratios)))
-                highs.append(float(np.maximum.reduce(ratios)))
+                low, high = float(np.fmin.reduce(ratios)), float(np.maximum.reduce(ratios))
+                # inf where a stack's quotient is inf or nan: none of them stops.
+                spreads.append(high / low if low else math.inf)
                 x = y
                 x /= sums[n]
                 entries.append(float(add(x[index])) if block else x.item(index))
-                if _stops(n, sums, lows, highs, size):
+                if _stops(n, sums[n], low, high, spreads, size):
                     break
-            level = _power_levels(sums, entries, lows[-1], highs[-1], index_size, x)
+            level = _power_levels(sums, entries, low, high, index_size, x)
             return [level] if batch else level
-        # Per level and matrix: the sum, the least and largest ratio and the entry.
-        levels = np.empty((4, n_max, count))
+        # Per level and matrix: the sum, the least and largest ratio, their spread and the entry.
+        levels = np.empty((5, n_max, count))
         # The level each matrix stopped at, 0 while it runs, and its vector there.
         stop = np.zeros(count, dtype=int)
         vectors = np.empty((count, size))
@@ -178,45 +179,44 @@ def scaled_power_diagonal(W: np.ndarray, index, n_max: int):
             ratios = y / x
             np.fmin.reduce(ratios, axis=-1, out=levels[1, n, :, None])
             np.maximum.reduce(ratios, axis=-1, out=levels[2, n, :, None])
+            np.divide(levels[2, n], levels[1, n], out=levels[3, n])
             x = y
             x /= s[:, :, None]
-            levels[3, n] = add(x[:, 0, index], axis=-1) if block else x[:, 0, index]
-            new = (_stops(n, *levels[:3], size) if n + 1 < n_max else True) & (stop == 0)
+            levels[4, n] = add(x[:, 0, index], axis=-1) if block else x[:, 0, index]
+            new = (_stops(n, *levels[:3, n], levels[3], size) if n + 1 < n_max else True) & (stop == 0)
             if new.any():
                 stop[new] = n + 1
                 vectors[new] = x[new, 0]
                 if stop.all():
                     break
     return [
-        _power_levels(row[0][:end], row[3][:end], row[1][end - 1], row[2][end - 1], index_size, vector)
+        _power_levels(row[0][:end], row[4][:end], row[1][end - 1], row[2][end - 1], index_size, vector)
         for row, end, vector in zip(levels[:, :n + 1].transpose(2, 0, 1).tolist(), stop.tolist(), vectors)
     ]
 
 
-def _stops(n, sums, lows, highs, size: int):
+def _stops(n, total, low, high, spreads, size: int):
     """Whether level n (from 0) ends its iteration; floats, or arrays with one entry per matrix.
 
-    sums[k], lows[k] and highs[k] are level k's sum and least and largest
-    ratio, over length-M vectors (M = size). Level n stops where
-    high <= low (1 + (M + 1) 2^-52), the ratios' rounding bound (an M-term
-    sum and a division each); where its sum is not positive; or at the
-    rounding floor, where the spread high / low is finite and no less than
-    h = (M - 1)^2 + 1 levels before: when W^h is positive (Wielandt), each
-    exact ratio h levels on is a mean of every ratio now, so an exact spread
-    shrinks strictly every h levels until it is 1. An inf or nan spread,
-    where x has a zero entry, never stops.
+    total, low and high are level n's sum and least and largest ratio, and
+    spreads[k] is level k's high / low, over vectors of length M = size.
+    Level n stops where high <= low (1 + (M + 1) 2^-52), the ratios'
+    rounding bound (an M-term sum and a division each); where total is not
+    positive; or at the rounding floor, where its spread is finite and no
+    less than h = (M - 1)^2 + 1 levels before: when W^h is positive
+    (Wielandt), each exact ratio h levels on is a mean of every ratio now,
+    so an exact spread shrinks strictly every h levels until it is 1. An inf
+    or nan spread (x has a zero entry) never stops.
     """
-    total, low, high, h = sums[n], lows[n], highs[n], (size - 1) ** 2 + 1
+    h = (size - 1) ** 2 + 1
     # total <= 0 or total != total: not total > 0, for floats and arrays alike.
     stop = (high <= low * (1.0 + (size + 1) * 2.0 ** -52)) | (total <= 0) | (total != total)
     if n < h:
         return stop
-    # np.divide, whose quotient by 0 is inf or nan where a Python float's raises.
-    spread, before = np.divide(high, low), np.divide(highs[n - h], lows[n - h])
-    return stop | ((spread < math.inf) & (spread >= before))
+    return stop | ((spreads[n] < math.inf) & (spreads[n] >= spreads[n - h]))
 
 
-def _power_levels(sums: list, entries: list, low: float, high: float, size: int, vector: np.ndarray) -> PowerLevels:
+def _power_levels(sums: list, entries: list, low: float, high: float, size: int, vector) -> PowerLevels:
     """PowerLevels from one matrix's sums, entries, last ratios and vector, and |S|.
 
     The value of level n is log_scale_n + log entry_n, log_scale_n the
@@ -345,14 +345,14 @@ def perron_data(W: np.ndarray):
     """Perron root and positive left/right eigenvectors of a primitive matrix.
 
     One scaled_power_diagonal of diag(W^T, W) from the ones vector, within
-    _PERRON_MAX_ITER = 500 000 levels: the vector's halves iterate
-    v^T <- v^T W^T and u^T <- u^T W. The halves share the Perron root and, in
-    exact arithmetic, the sum 1^T W^n 1: the ratios agree only once both have
-    settled, one unit sum keeps both in range, and the floor window
-    (2m - 1)^2 + 1 is at least W's Wielandt bound (m - 1)^2 + 1. Raises
-    PowerIterationError when every level runs or the sum vanishes. The root
-    is the two-sided Rayleigh quotient, which squares the eigenvector error;
-    the vectors have unit sum.
+    _PERRON_MAX_ITER = 500 000 levels; its halves iterate v^T <- v^T W^T and
+    u^T <- u^T W. Both share the Perron root and, in exact arithmetic, the
+    sum 1^T W^n 1, so the ratios agree only once both have settled, and one
+    unit sum keeps both in range; the floor window (2m - 1)^2 + 1 is at
+    least W's Wielandt bound (m - 1)^2 + 1. Raises PowerIterationError when
+    every level runs or the sum vanishes (ValueError when W has no positive
+    finite entry sum). The root is the two-sided Rayleigh quotient, which
+    squares the eigenvector error; the vectors have unit sum.
     """
     W = np.asarray(W, dtype=float)
     m = W.shape[0]

@@ -20,7 +20,9 @@ Standard library only.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import os
 import subprocess
 import sys
@@ -69,43 +71,43 @@ def bench_digests(src: str) -> str:
                OPENBLAS_NUM_THREADS="1")
     with tempfile.TemporaryDirectory() as work:
         proc = subprocess.run([sys.executable, "-c", RUN_BENCH], cwd=work, env=env,
-                              capture_output=True, text=True, check=True)
+                              stdout=subprocess.PIPE, text=True, check=True)
     return proc.stdout
 
 
 def print_bench_jobs() -> None:
-    """Run every bench job of BENCH_PASSES in this directory and print one line per job.
+    """Run every bench job of BENCH_PASSES in the working directory; print one line per job.
 
-    Paths are relative, so no line holds the directory. A job that raises
-    prints the exception in place of its outputs.
+    Imports bench/workloads.py and thermoshift, so it runs with both on the path.
     """
-    import contextlib
-    import io
-
     import workloads
     from thermoshift.cli import main
 
     for workload in sorted(workloads.WORKLOADS):
         for index in BENCH_PASSES:
-            models = f"models/{workload}/pass{index}"
-            for job in workloads.make_pass(workload, BENCH_SEED, index, models):
-                out, stdout = Path("out", workload, f"pass{index}", job.name), io.StringIO()
-                try:
-                    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
-                        if job.command is None:
-                            outcome = repr(job.call())
-                        else:
-                            outcome = f"exit {main(job.command + ['--out', str(out)])}"
-                except SystemExit as exc:  # argparse rejected the command line
-                    outcome = f"exit {exc.code}"
-                except Exception as exc:  # the job failed; the other jobs still run
-                    outcome = f"raised {type(exc).__name__}: {exc}"
-                if job.command is not None:
-                    outcome += f" stdout {sha256(stdout.getvalue().encode())}"
-                    for path in sorted(out.rglob("*")):
-                        if path.is_file():
-                            outcome += f" {path.relative_to(out).as_posix()} {sha256(path.read_bytes())}"
+            # Relative paths, so that no line holds the working directory.
+            for job in workloads.make_pass(workload, BENCH_SEED, index, f"models/{workload}/pass{index}"):
+                outcome = bench_outcome(main, job, Path("out", workload, f"pass{index}", job.name))
                 print(f"bench {workload} seed {BENCH_SEED} pass {index} {job.name} {outcome}", flush=True)
+
+
+def bench_outcome(main, job, out: Path) -> str:
+    """A library job's returned tuple, or a CLI job's exit code and the digests of its
+    stdout and of each file it wrote to out; a job that raises gives the exception."""
+    stdout = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            if job.command is None:
+                return repr(job.call())
+            outcome = f"exit {main(job.command + ['--out', str(out)])}"
+    except SystemExit as exc:  # argparse rejected the command line
+        outcome = f"exit {exc.code}"
+    except Exception as exc:  # the job failed; the other jobs still run
+        return f"raised {type(exc).__name__}: {exc}"
+    files = [path for path in sorted(out.rglob("*")) if path.is_file()]
+    return " ".join([outcome, "stdout", sha256(stdout.getvalue().encode())] + [
+        f"{path.relative_to(out).as_posix()} {sha256(path.read_bytes())}" for path in files
+    ])
 
 
 def imported_from(src: str) -> str:
