@@ -159,7 +159,7 @@ def scaled_power_diagonal(W: np.ndarray, index, n_max: int):
                 sums.append(float(add(y)))
                 ratios = y / x
                 low, high = float(np.fmin.reduce(ratios)), float(np.maximum.reduce(ratios))
-                # inf where a stack's quotient is inf or nan: none of them stops.
+                # inf where a stack's np.divide gives inf or nan, which _stops treats alike.
                 spreads.append(high / low if low else math.inf)
                 x = y
                 x /= sums[n]
