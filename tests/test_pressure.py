@@ -30,12 +30,17 @@ from helpers import (
     reference_slope_fit,
     symbol_independence_check,
 )
-from thermoshift import cli, shift_core
+from thermoshift import cli, numerics, shift_core
 from thermoshift.gibbs import finite_gibbs_nu
 from thermoshift.dimension import bowen_dimension, product_construction
 from thermoshift.matrix_cocycle import cocycle_pressure
-from thermoshift import numerics
-from thermoshift.numerics import PowerIterationError, logsumexp, logsumexp_groups, perron_data, scaled_power_diagonal
+from thermoshift.numerics import (
+    PowerIterationError,
+    logsumexp,
+    logsumexp_groups,
+    perron_data,
+    scaled_power_diagonal,
+)
 from thermoshift.potentials import (
     CocyclePotential,
     MatrixFamily,
